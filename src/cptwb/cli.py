@@ -15,14 +15,13 @@ Channels come from ``--input FILE`` (channel JSON: ``{"d_in", "d_out",
 "kraus": [...]}`` with matrices as nested ``[re, im]`` pairs), from
 ``--spec-file FILE`` (a serialized family spec), or from ``--family NAME``
 plus the family's parameters (``--dim``, ``--x``, ``--alpha``,
-``--epsilon``, ``--unitaries-file``, ``--seed``).
+``--epsilon``, ``--unitaries-file``, ``--seed``; see ``zoo.FAMILIES``).
 
 Exit codes: 0 success (a reported violation or non-convergence is data,
 not an error), 2 invalid input, 3 numerical failure, 64 bad usage.
 Output is deterministic: identical invocations produce identical bytes,
 floats are rendered to 12 significant digits, and JSON keys keep a fixed
-order.  ``CPTWB_THREADS`` parallelizes optimizer restarts without
-changing any reported value.
+order.
 """
 
 from __future__ import annotations
@@ -170,6 +169,16 @@ def _read_json(path: str):
         return json.load(fh)
 
 
+# The family-parameter flags: (argparse dest, type options, help text).
+_PARAM_FLAGS = (
+    ("dim", {"type": int}, "dimension"),
+    ("x", {"type": float}, "mixing weight x in x*id + (1-x)*channel"),
+    ("alpha", {"type": float, "nargs": 2, "metavar": ("A0", "A1")}, "amplitudes"),
+    ("epsilon", {"type": float}, "output radius around I/d"),
+    ("unitaries_file", {"metavar": "FILE"}, "JSON list of (d-1)x(d-1) unitaries"),
+)
+
+
 def _add_channel_source(p: argparse.ArgumentParser, suffix: str = ""):
     sfx = f"-{suffix}" if suffix else ""
     tag = f" (channel {suffix.upper()})" if suffix else ""
@@ -180,78 +189,38 @@ def _add_channel_source(p: argparse.ArgumentParser, suffix: str = ""):
     p.add_argument(
         f"--family{sfx}", choices=zoo.FAMILIES, help=f"built-in channel family{tag}"
     )
-    p.add_argument(f"--dim{sfx}", type=int, help=f"family dimension{tag}")
-    p.add_argument(f"--x{sfx}", type=float, help=f"identity mixing weight{tag}")
-    p.add_argument(
-        f"--alpha{sfx}",
-        type=float,
-        nargs=2,
-        metavar=("A0", "A1"),
-        help=f"qubit_generalized_extreme amplitudes{tag}",
-    )
-    p.add_argument(
-        f"--epsilon{sfx}", type=float, help=f"near_depolarizing output radius{tag}"
-    )
-    p.add_argument(
-        f"--unitaries-file{sfx}",
-        metavar="FILE",
-        help=f"JSON list of (d-1)x(d-1) unitaries for shift_subunitary{tag}",
-    )
+    for dest, kwargs, what in _PARAM_FLAGS:
+        users = ", ".join(
+            n for n, f in zoo.FAMILIES.items() if dest in (q.flag for q in f.params)
+        )
+        p.add_argument(
+            f"--{dest.replace('_', '-')}{sfx}", help=f"{what} ({users}){tag}", **kwargs
+        )
 
 
 def _get(args, name: str, suffix: str):
     return getattr(args, f"{name}_{suffix}" if suffix else name)
 
 
-_NEEDS_DIM = (
-    "identity",
-    "depolarizing",
-    "werner_holevo",
-    "depolarized_wh",
-    "shift_subunitary",
-    "near_depolarizing",
-)
-
-
-def _family_params(args, family: str, suffix: str) -> dict:
-    dim = _get(args, "dim", suffix)
-    x = _get(args, "x", suffix)
-    alpha = _get(args, "alpha", suffix)
-    epsilon = _get(args, "epsilon", suffix)
-    ufile = _get(args, "unitaries_file", suffix)
-
+def _params_from_flags(args, family: str, suffix: str) -> dict:
+    """The family's parameters, in schema order, from the flags that feed them."""
     params: dict = {}
-    if family in _NEEDS_DIM:
-        if dim is None:
-            raise UsageError(f"--family {family} needs --dim")
-        params["d"] = dim
-    if family == "depolarized_wh":
-        if x is None:
-            raise UsageError("--family depolarized_wh needs --x")
-        params["x"] = x
-    if family == "shift_subunitary":
-        if ufile is not None:
-            params["unitaries"] = _read_json(ufile)
-        else:
-            params["seed"] = args.seed
-    if family == "qubit_generalized_extreme":
-        if alpha is None:
-            raise UsageError("--family qubit_generalized_extreme needs --alpha A0 A1")
-        params["alpha"] = list(alpha)
-        params["seed"] = args.seed
-        if dim is not None:
-            params["d_out"] = dim
-    if family == "near_depolarizing":
-        if epsilon is None:
-            raise UsageError("--family near_depolarizing needs --epsilon")
-        params["epsilon"] = epsilon
-        params["seed"] = args.seed
-        if x is not None:
-            params["x"] = x
+    for prm in zoo.FAMILIES[family].params:
+        if prm.flag is None or any(k in params for k in prm.unused_with):
+            continue
+        # --seed is shared by both channels of a pair
+        value = _get(args, prm.flag, "" if prm.flag == "seed" else suffix)
+        if value is None:
+            if prm.required:
+                sfx = f"-{suffix}" if suffix else ""
+                flag = f"--{prm.flag.replace('_', '-')}{sfx}"
+                raise UsageError(f"--family{sfx} {family} needs {flag}")
+            continue
+        params[prm.name] = _read_json(value) if prm.flag == "unitaries_file" else value
     return params
 
 
-def _load_channel(args, suffix: str = "", required: bool = True):
+def _load_channel(args, suffix: str = "", required: bool = True, validate: bool = True):
     """Resolve one channel source; returns (channel, description) or None."""
     from_file = _get(args, "input", suffix)
     spec_file = _get(args, "spec_file", suffix)
@@ -266,7 +235,7 @@ def _load_channel(args, suffix: str = "", required: bool = True):
             )
         return None
 
-    validate = not args.no_validate
+    validate = validate and not args.no_validate
     if from_file is not None:
         ch = chan.channel_from_json(_read_json(from_file), validate=validate)
         return ch, {"source": "file", "path": from_file}
@@ -274,11 +243,8 @@ def _load_channel(args, suffix: str = "", required: bool = True):
     if spec_file is not None:
         spec = zoo.ChannelSpec.from_json(_read_json(spec_file))
     else:
-        spec = zoo.ChannelSpec(family, **_family_params(args, family, suffix))
-    try:
-        ch = spec.build()
-    except KeyError as exc:
-        raise ValueError(f"channel spec is missing parameter {exc}") from exc
+        spec = zoo.ChannelSpec(family, **_params_from_flags(args, family, suffix))
+    ch = spec.build()
     if validate:
         rep = chan.validate_cpt(ch)
         if not rep.ok:
@@ -310,8 +276,8 @@ def _head(command: str, args, desc: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_info(args) -> int:
-    loaded = _load_channel_novalidate(args)
-    ch, desc = loaded
+    # info's report *is* the validation gate, so loading skips it
+    ch, desc = _load_channel(args, validate=False)
     rep = chan.validate_cpt(ch)
     report = _head("info", args, desc)
     report.update(
@@ -343,16 +309,6 @@ def cmd_info(args) -> int:
         report["kraus"] = chan.channel_to_json(ch)["kraus"]
     _emit(args, report)
     return EXIT_OK if (rep.ok or args.no_validate) else EXIT_INVALID
-
-
-def _load_channel_novalidate(args):
-    """info loads without the validation gate: its report *is* the gate."""
-    saved = args.no_validate
-    args.no_validate = True
-    try:
-        return _load_channel(args)
-    finally:
-        args.no_validate = saved
 
 
 def cmd_numax(args) -> int:

@@ -18,8 +18,6 @@ mapped to zero for every exponent, including negative ones.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -45,8 +43,6 @@ __all__ = [
     "trace_power",
     "matrix_to_json",
     "matrix_from_json",
-    "close",
-    "log",
 ]
 
 #: Relative singular-value cutoff for all rank decisions.
@@ -303,12 +299,3 @@ def matrix_from_json(data) -> np.ndarray:
         rows.append(vals)
     return np.array(rows, dtype=np.complex128)
 
-
-def close(a, b, tol: float = 1e-10) -> bool:
-    """Max-entry-norm comparison used throughout the tests and reports."""
-    return bool(np.abs(np.asarray(a) - np.asarray(b)).max() <= tol)
-
-
-def log(x: float) -> float:
-    """Natural log; all entropies in this package are in nats."""
-    return math.log(x)

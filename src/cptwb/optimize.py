@@ -34,18 +34,15 @@ Multistart
 maximally entangled states (when d_in is a perfect square and enabled),
 computational basis states, coherent pairs (e_j ± i·e_k)/√2, then seeded
 Haar-random states up to the restart budget.  Each Haar restart draws
-from the stream (seed, restart_index), so results are independent of
-scheduling; restarts may run on up to ``CPTWB_THREADS`` threads.  The
-reduction keeps the best value, breaking ties within ``value_tol`` by
-restart index — with the canonical seeds queued first, a canonical
-optimum is the one reported when it ties the best.
+from the stream (seed, restart_index), so its result depends only on its
+index.  The reduction keeps the best value, breaking ties within
+``value_tol`` by restart index — with the canonical seeds queued first, a
+canonical optimum is the one reported when it ties the best.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -128,15 +125,6 @@ class OptimizerReport:
     seed: int
     n_structured_seeds: int
     config: dict
-
-
-def _threads() -> int:
-    raw = os.environ.get("CPTWB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def _outer(psi: np.ndarray) -> np.ndarray:
@@ -309,20 +297,11 @@ def estimate_nu_p(
             return structured[index]
         return random_pure_state(ch.d_in, rng_from(cfg.seed, index))
 
-    def run_one(index: int) -> Opt2Run:
-        return opt2_run(ch, seed_state(index), p, cfg)
-
-    n = cfg.restarts
-    workers = min(_threads(), n)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run_one, range(n)))
-    else:
-        runs = [run_one(i) for i in range(n)]
+    runs = [opt2_run(ch, seed_state(i), p, cfg) for i in range(cfg.restarts)]
 
     sign = 1.0 if p > 1.0 else -1.0
     best = 0
-    for i in range(1, n):
+    for i in range(1, len(runs)):
         if sign * (runs[i].trace_power - runs[best].trace_power) > cfg.value_tol:
             best = i
 
@@ -358,13 +337,6 @@ class SminReport:
     config: dict
 
 
-def _vn_entropy_of_output(ch: chan.KrausChannel, psi: np.ndarray) -> float:
-    w = la.psd_eigvals(chan.apply(ch, _outer(psi)))
-    w = w / w.sum()
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)))
-
-
 def estimate_smin_p(
     ch: chan.KrausChannel,
     p: float,
@@ -380,6 +352,8 @@ def estimate_smin_p(
     two-sided extrapolation (S^0.99 + S^1.01)/2 as a diagnostic.
     p = 0 reports log of the minimal output rank at the p = 0.05 proxy.
     """
+    from . import entropy  # entropy.min_output_rank imports this module
+
     cfg = config or OptimizerConfig()
     if p < 0:
         raise ValueError(f"need p >= 0, got {p}")
@@ -390,8 +364,8 @@ def estimate_smin_p(
         s_lo = math.log(lo.best_trace_power) / (1.0 - 0.99)
         s_hi = math.log(hi.best_trace_power) / (1.0 - 1.01)
         cands = [
-            (_vn_entropy_of_output(ch, lo.best_input), lo.best_input),
-            (_vn_entropy_of_output(ch, hi.best_input), hi.best_input),
+            (entropy.von_neumann(chan.apply(ch, _outer(psi))), psi)
+            for psi in (lo.best_input, hi.best_input)
         ]
         value, argmin = min(cands, key=lambda t: t[0])
         return SminReport(
@@ -404,8 +378,6 @@ def estimate_smin_p(
         )
 
     if p == 0.0:
-        from . import entropy
-
         rank, state = entropy.min_output_rank(ch, config=cfg)
         return SminReport(
             p=0.0,

@@ -37,6 +37,10 @@ d−1 times).
 
 from __future__ import annotations
 
+import numbers
+from dataclasses import dataclass, replace
+from typing import Callable
+
 import numpy as np
 
 from . import linalg as la
@@ -320,73 +324,148 @@ def near_depolarizing(
 
 
 # ---------------------------------------------------------------------------
-# ChannelSpec: declarative channel descriptions, JSON round-trippable.
+# The family registry, and ChannelSpec: JSON round-trippable descriptions.
 # ---------------------------------------------------------------------------
 
-FAMILIES = (
-    "identity",
-    "depolarizing",
-    "werner_holevo",
-    "depolarized_wh",
-    "fss_psi",
-    "shift_subunitary",
-    "qubit_generalized_extreme",
-    "near_depolarizing",
-)
+def _real(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _int(v) -> int:
+    if not _real(v).is_integer():
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _pair(v) -> list[float]:
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError(f"expected a pair of numbers, got {v!r}")
+    return [_real(a) for a in v]
+
+
+def _nested(v):
+    """A matrix, a matrix list or a cycle list; its builder checks the shape."""
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"expected a JSON list, got {v!r}")
+    return v
+
+
+@dataclass(frozen=True)
+class Param:
+    """One family parameter: ``kind`` coerces a JSON value (raising
+    ``ValueError``), ``flag`` is the argparse dest of the CLI option that
+    supplies it, and the parameter is unused when one of ``unused_with`` is
+    given."""
+
+    name: str
+    kind: Callable
+    required: bool = False
+    flag: str | None = None
+    unused_with: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Family:
+    """A catalogue entry: builder keyword arguments are the parameter names."""
+
+    build: Callable[..., chan.KrausChannel]
+    params: tuple[Param, ...] = ()
+
+
+def _shift_from_spec(d, unitaries=None, cycles=None, seed=0):
+    if unitaries is not None:
+        mats = [la.matrix_from_json(m) for m in unitaries]
+    elif cycles is not None:
+        mats = cycle_window_unitaries(d, [tuple(c) for c in cycles])
+    else:
+        rng = rng_from(seed)
+        mats = [haar_unitary(d - 1, rng) for _ in range(d)]
+    return shift_subunitary(d, mats)
+
+
+def _qubit_from_spec(alpha, seed=0, d_out=2, u=None, v=None, w=None):
+    if v is not None:
+        u, v, w = (None if m is None else la.matrix_from_json(m) for m in (u, v, w))
+        return qubit_generalized_extreme(alpha, u=u, v=v, w=w)
+    rng = rng_from(seed)
+    v = haar_unitary(d_out, rng)[:, :2]
+    w = haar_unitary(d_out, rng)[:, :2]
+    return qubit_generalized_extreme(alpha, v=v, w=w)
+
+
+def _near_depolarizing_from_spec(d, epsilon, seed=0, x=0.0):
+    return mix_with_identity(near_depolarizing(d, epsilon, seed=seed), x)
+
+
+_D = Param("d", _int, required=True, flag="dim")
+_SEED = Param("seed", _int, flag="seed")
+
+#: The channel catalogue, in catalogue order.
+FAMILIES: dict[str, Family] = {
+    "identity": Family(identity_channel, (_D,)),
+    "depolarizing": Family(depolarizing, (_D,)),
+    "werner_holevo": Family(werner_holevo, (_D,)),
+    "depolarized_wh": Family(
+        depolarized_wh, (_D, Param("x", _real, required=True, flag="x"))
+    ),
+    "fss_psi": Family(fss_psi),
+    "shift_subunitary": Family(
+        _shift_from_spec,
+        (
+            _D,
+            Param("unitaries", _nested, flag="unitaries_file"),
+            Param("cycles", _nested),
+            replace(_SEED, unused_with=("unitaries", "cycles")),
+        ),
+    ),
+    "qubit_generalized_extreme": Family(
+        _qubit_from_spec,
+        (
+            Param("alpha", _pair, required=True, flag="alpha"),
+            _SEED,
+            Param("d_out", _int, flag="dim"),
+            *(Param(name, _nested) for name in ("u", "v", "w")),
+        ),
+    ),
+    "near_depolarizing": Family(
+        _near_depolarizing_from_spec,
+        (
+            _D,
+            Param("epsilon", _real, required=True, flag="epsilon"),
+            _SEED,
+            Param("x", _real, flag="x"),
+        ),
+    ),
+}
 
 
 class ChannelSpec:
-    """A (family, params) pair that can build its channel and serialize."""
+    """A schema-checked (family, params) pair that builds its channel and serializes."""
 
-    def __init__(self, family: str, **params):
-        if family not in FAMILIES:
+    def __init__(self, family: str, /, **params):
+        if not isinstance(family, str) or family not in FAMILIES:
             raise ValueError(
                 f"unknown family {family!r}; known: {', '.join(FAMILIES)}"
             )
+        schema = {prm.name: prm for prm in FAMILIES[family].params}
+        for k, prm in schema.items():
+            if prm.required and k not in params:
+                raise ValueError(f"{family} is missing parameter {k!r}")
         self.family = family
-        self.params = params
+        self.params = {}
+        for k, v in params.items():
+            if k not in schema:
+                known = ", ".join(schema) or "none"
+                raise ValueError(f"{family} has no parameter {k!r}; known: {known}")
+            try:
+                self.params[k] = schema[k].kind(v)
+            except ValueError as exc:
+                raise ValueError(f"{family} parameter {k!r}: {exc}") from None
 
     def build(self) -> chan.KrausChannel:
-        f, p = self.family, dict(self.params)
-        if f == "identity":
-            return identity_channel(int(p["d"]))
-        if f == "depolarizing":
-            return depolarizing(int(p["d"]))
-        if f == "werner_holevo":
-            return werner_holevo(int(p["d"]))
-        if f == "depolarized_wh":
-            return depolarized_wh(int(p["d"]), float(p["x"]))
-        if f == "fss_psi":
-            return fss_psi()
-        if f == "shift_subunitary":
-            d = int(p["d"])
-            if "unitaries" in p:
-                mats = [la.matrix_from_json(m) for m in p["unitaries"]]
-            elif "cycles" in p:
-                mats = cycle_window_unitaries(d, [tuple(c) for c in p["cycles"]])
-            else:
-                rng = rng_from(p.get("seed", 0))
-                mats = [haar_unitary(d - 1, rng) for _ in range(d)]
-            return shift_subunitary(d, mats)
-        if f == "qubit_generalized_extreme":
-            alpha = p["alpha"]
-            if "v" in p:
-                u = la.matrix_from_json(p["u"]) if "u" in p else None
-                v = la.matrix_from_json(p["v"])
-                w = la.matrix_from_json(p["w"]) if "w" in p else None
-                return qubit_generalized_extreme(alpha, u=u, v=v, w=w)
-            d_out = int(p.get("d_out", 2))
-            rng = rng_from(p.get("seed", 0))
-            v = haar_unitary(d_out, rng)[:, :2]
-            w = haar_unitary(d_out, rng)[:, :2]
-            return qubit_generalized_extreme(alpha, v=v, w=w)
-        if f == "near_depolarizing":
-            ch = near_depolarizing(
-                int(p["d"]), float(p["epsilon"]), seed=p.get("seed", 0)
-            )
-            x = float(p.get("x", 0.0))
-            return mix_with_identity(ch, x) if x > 0.0 else ch
-        raise AssertionError(f"unhandled family {f}")  # pragma: no cover
+        return FAMILIES[self.family].build(**self.params)
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": self.params}
@@ -395,7 +474,10 @@ class ChannelSpec:
     def from_json(cls, data: dict) -> "ChannelSpec":
         if not isinstance(data, dict) or "family" not in data:
             raise ValueError("channel spec JSON needs a 'family' key")
-        return cls(data["family"], **data.get("params", {}))
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError("channel spec 'params' must be a JSON object")
+        return cls(data["family"], **params)
 
 
 def _check_dim(d: int, minimum: int):

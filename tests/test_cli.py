@@ -293,6 +293,56 @@ def test_unitaries_file_source(tmp_path, capsys):
     assert rep["classification"]["choi_rank"] == 4
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["identity", "--dim", "3"], {"d": 3}),
+        (["depolarizing", "--dim", "2", "--x", "0.5"], {"d": 2}),
+        (["depolarized_wh", "--dim", "3", "--x", "0.25"], {"d": 3, "x": 0.25}),
+        (["fss_psi"], {}),
+        (["shift_subunitary", "--dim", "4", "--seed", "7"], {"d": 4, "seed": 7}),
+        (["shift_subunitary", "--dim", "4", "--unitaries-file", "UNITARIES"],
+         {"d": 4, "unitaries": "UNITARIES"}),
+        (["qubit_generalized_extreme", "--alpha", "0.3", "0.8", "--dim", "3"],
+         {"alpha": [0.3, 0.8], "seed": 0, "d_out": 3}),
+        (["near_depolarizing", "--dim", "3", "--epsilon", "0.001", "--x", "0.2"],
+         {"d": 3, "epsilon": 0.001, "seed": 0, "x": 0.2}),
+    ],
+)
+def test_family_flags_record_params(argv, want, tmp_path, capsys):
+    # the recorded params, key order included, are part of the report bytes
+    from cptwb import linalg as la
+
+    mats = zoo.cycle_window_unitaries(4, [(1, 2, 3), (1, 3, 4), (1, 4, 2), (2, 4, 3)])
+    unitaries = [la.matrix_to_json(m) for m in mats]
+    f = tmp_path / "unitaries.json"
+    f.write_text(json.dumps(unitaries))
+    argv = [str(f) if a == "UNITARIES" else a for a in argv]
+    want = {k: unitaries if v == "UNITARIES" else v for k, v in want.items()}
+    code, out, _ = run(["info", "--family", *argv, "--format", "json"], capsys)
+    assert code == 0
+    params = json.loads(out)["channel"]["params"]
+    assert list(params.items()) == list(want.items())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "identity", "params": [3]},
+        {"family": "identity", "params": {"d": None}},
+        {"family": "identity", "params": {"d": 3.7}},
+        {"family": "depolarized_wh", "params": {"d": 3}},  # no x
+    ],
+)
+def test_malformed_spec_file_exits_2(spec, tmp_path, capsys):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    code, out, err = run(["info", "--spec-file", str(f)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_output_file_matches_stdout(tmp_path, capsys):
     argv = ["info", "--family", "fss_psi", "--format", "json"]
     _, out, _ = run(argv, capsys)

@@ -144,16 +144,6 @@ def test_estimate_nu_p_deterministic_and_tiebreak():
     assert rep.best_restart == 0
 
 
-def test_estimate_nu_p_threaded_matches_serial(monkeypatch):
-    phi = zoo.random_channel(4, 3, 3, seed=18)
-    serial = opt.estimate_nu_p(phi, 2.5, FAST)
-    monkeypatch.setenv("CPTWB_THREADS", "4")
-    threaded = opt.estimate_nu_p(phi, 2.5, FAST)
-    assert serial.best_value == threaded.best_value
-    assert serial.best_restart == threaded.best_restart
-    assert np.array_equal(serial.restart_values, threaded.restart_values)
-
-
 # ---------------------------------------------------------------------------
 # minimal output entropy
 # ---------------------------------------------------------------------------

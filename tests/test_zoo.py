@@ -295,6 +295,41 @@ def test_near_depolarizing_zero_epsilon_is_exact():
 def test_channel_spec_rejects_unknown_family():
     with pytest.raises(ValueError):
         zoo.ChannelSpec("teleporter", d=3)
+    with pytest.raises(ValueError):
+        zoo.ChannelSpec.from_json({"family": ["identity"], "params": {"d": 3}})
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("identity", {}),  # missing d
+        ("identity", {"d": None}),
+        ("identity", {"d": 3.7}),
+        ("identity", {"d": True}),
+        ("identity", {"d": 3, "x": 0.5}),  # identity takes no x
+        ("identity", {"d": 3, "family": "depolarizing"}),
+        ("depolarized_wh", {"d": 3, "x": "0.5"}),
+        ("qubit_generalized_extreme", {"alpha": [0.3]}),
+        ("shift_subunitary", {"d": 4, "cycles": 5}),
+    ],
+)
+def test_channel_spec_rejects_malformed_params(family, params):
+    with pytest.raises(ValueError):
+        zoo.ChannelSpec(family, **params)
+
+
+def test_channel_spec_rejects_negative_mixing_weight():
+    spec = zoo.ChannelSpec("near_depolarizing", d=3, epsilon=1e-3, x=-0.5)
+    with pytest.raises(ValueError):
+        spec.build()
+
+
+def test_channel_spec_coerces_integral_numbers():
+    spec = zoo.ChannelSpec("near_depolarizing", d=3.0, epsilon=1, seed=np.int64(2))
+    assert spec.params == {"d": 3, "epsilon": 1.0, "seed": 2}
+    assert [type(v) for v in spec.params.values()] == [int, float, int]
+    want = zoo.ChannelSpec("near_depolarizing", d=3, epsilon=1.0, seed=2).build()
+    assert chan.choi_distance(spec.build(), want) == 0.0
 
 
 def test_channel_spec_json_round_trip():
@@ -320,3 +355,5 @@ def test_channel_spec_explicit_unitaries():
 def test_channel_spec_from_json_rejects_garbage():
     with pytest.raises(ValueError):
         zoo.ChannelSpec.from_json({"params": {"d": 2}})
+    with pytest.raises(ValueError):
+        zoo.ChannelSpec.from_json({"family": "identity", "params": [3]})
