@@ -13,7 +13,10 @@ tolerance policy lives in exactly one place:
 
 Matrices are plain complex128 ``numpy`` arrays.  Matrix powers of PSD
 matrices are pseudo-powers: the kernel (numerically rank-deficient part) is
-mapped to zero for every exponent, including negative ones.
+mapped to zero for every exponent, including negative ones.  Every Hermitian
+eigensolve goes through one private helper, ``_spectrum``, which also takes
+stacks ``(..., n, n)``, so the Hermiticity check, the symmetrization and the
+PSD clamp are applied in one place for single matrices and batches alike.
 """
 
 from __future__ import annotations
@@ -92,6 +95,24 @@ def is_hermitian(m, tol: float = HERM_TOL) -> bool:
     return np.abs(a - dagger(a)).max() <= tol * scale
 
 
+def _hermitian_part(a: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Check a matrix or a stack ``(..., n, n)`` of them for Hermiticity
+    (each against its own largest entry) and return ``(a + a†) / 2``."""
+    ah = np.conj(a).swapaxes(-1, -2)
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    dev = np.abs(a - ah).max(axis=(-2, -1), initial=0.0)
+    bad = (scale != 0.0) & (dev > tol * scale)
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        raise NotHermitianError(
+            f"{what} is not Hermitian: max|m - m†| = "
+            f"{dev.flat[i]:.3e} > {tol:.1e} * {scale.flat[i]:.3e}"
+        )
+    h = a + ah
+    h /= 2.0
+    return h
+
+
 def check_hermitian(m, tol: float = HERM_TOL, what: str = "matrix") -> np.ndarray:
     """Validate Hermiticity and return the exactly symmetrized matrix.
 
@@ -101,36 +122,87 @@ def check_hermitian(m, tol: float = HERM_TOL, what: str = "matrix") -> np.ndarra
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} must be square, got shape {a.shape}")
-    scale = np.abs(a).max()
-    if scale != 0.0 and np.abs(a - dagger(a)).max() > tol * scale:
-        raise NotHermitianError(
-            f"{what} is not Hermitian: max|m - m†| = "
-            f"{np.abs(a - dagger(a)).max():.3e} > {tol:.1e} * {scale:.3e}"
-        )
-    return (a + dagger(a)) / 2.0
+    return _hermitian_part(a, tol, what)
+
+
+def _spectrum(
+    m,
+    psd: bool = False,
+    what: str = "matrix",
+    clamp: float = PSD_CLAMP,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one Hermitian eigensolve: ``(w, v)`` of a matrix or a stack.
+
+    ``m`` has shape ``(..., n, n)``; each matrix is checked for Hermiticity,
+    symmetrized and decomposed in one ``numpy.linalg.eigh`` call, so the
+    eigenvalues come out *ascending*.  With ``psd`` an eigenvalue more
+    negative than ``clamp`` times its matrix's largest eigenvalue raises
+    :class:`NotPSDError`, and the rest are clipped to zero.
+    """
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ShapeError(f"{what} must be square, got shape {a.shape}")
+    w, v = np.linalg.eigh(_hermitian_part(a, HERM_TOL, what))
+    if psd and w.shape[-1]:
+        floor = -clamp * np.maximum(w[..., -1], 0.0)
+        bad = w[..., 0] < floor
+        if np.any(bad):
+            i = np.flatnonzero(bad)[0]
+            raise NotPSDError(
+                f"{what} has negative eigenvalue {w[..., 0].flat[i]:.3e} "
+                f"(clamp window {floor.flat[i]:.3e})"
+            )
+        w = np.clip(w, 0.0, None)
+    return w, v
+
+
+def _support(w: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+    """Mask of the numerical support of clamped spectra ``(..., n)``.
+
+    Entries at or below ``rank_tol`` (relative, default ``RANK_TOL``) times
+    their spectrum's largest entry are exact zeros.
+    """
+    tol = RANK_TOL if rank_tol is None else rank_tol
+    return w > tol * w.max(axis=-1, keepdims=True, initial=0.0)
+
+
+def _support_power(w: np.ndarray, a: float, rank_tol: float | None = None) -> np.ndarray:
+    """``w**a`` on the support of clamped spectra ``(..., n)``, zero off it
+    for every exponent, negative ones included."""
+    support = _support(w, rank_tol)
+    pw = np.zeros_like(w)
+    pw[support] = w[support] ** a
+    return pw
+
+
+def _pseudo_power(
+    w: np.ndarray, v: np.ndarray, a: float, rank_tol: float | None = None
+) -> np.ndarray:
+    """``V diag(w**a) V†`` on the support, for spectra from ``_spectrum(psd=True)``."""
+    return (v * _support_power(w, a, rank_tol)[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
 
 
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
     """Fix each column's global phase: first significant entry positive real.
 
     The first component with modulus above 1e-12 times the column max is
-    rotated onto the positive real axis.  This is the deterministic
-    tie-break used everywhere an eigenvector is reported.
+    rotated onto the positive real axis (zero columns are left alone).
+    Works on stacks ``(..., n, k)``.  This is the deterministic tie-break
+    used everywhere an eigenvector is reported.
     """
-    out = np.array(vecs, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        idx = int(np.argmax(mags > 1e-12 * top))
-        phase = col[idx] / abs(col[idx])
-        out[:, j] = col / phase
-    return out
+    mags = np.abs(vecs)
+    top = mags.max(axis=-2, keepdims=True)
+    idx = np.argmax(mags > 1e-12 * top, axis=-2, keepdims=True)
+    lead = np.take_along_axis(vecs, idx, axis=-2)
+    nonzero = top > 0.0
+    # hypot, like abs() of a complex scalar: the vectorized np.abs rounds
+    # some moduli differently, and that would move the reported phases
+    modulus = np.hypot(lead.real, lead.imag)
+    phase = np.divide(lead, modulus, out=np.ones_like(lead), where=nonzero)
+    return np.divide(vecs, phase, out=np.array(vecs, dtype=np.complex128), where=nonzero)
 
 
-def herm_eig(m, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` sorted descending and
@@ -139,11 +211,8 @@ def herm_eig(m, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
     positive real) so repeated runs and degenerate subspaces come out
     deterministically on a given platform.
     """
-    a = check_hermitian(m) if check else (as_matrix(m) + dagger(as_matrix(m))) / 2.0
-    w, v = np.linalg.eigh(a)
-    w = w[::-1]
-    v = v[:, ::-1]
-    return w, _canonical_phases(v)
+    w, v = _spectrum(as_matrix(m))
+    return w[::-1], _canonical_phases(v[:, ::-1])
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,15 +226,8 @@ def psd_eigvals(m, clamp: float = PSD_CLAMP, what: str = "matrix") -> np.ndarray
     Raises :class:`NotPSDError` when an eigenvalue is more negative than
     ``clamp`` times the largest eigenvalue.
     """
-    w, _ = herm_eig(m)
-    top = w[0] if w.size else 0.0
-    floor = -clamp * max(top, 0.0)
-    if w.size and w[-1] < floor:
-        raise NotPSDError(
-            f"{what} has negative eigenvalue {w[-1]:.3e} "
-            f"(clamp window {floor:.3e})"
-        )
-    return np.clip(w, 0.0, None)
+    w, _ = _spectrum(as_matrix(m), psd=True, what=what, clamp=clamp)
+    return w[::-1]
 
 
 def psd_power(m, a: float, rank_tol: float | None = None) -> np.ndarray:
@@ -176,20 +238,8 @@ def psd_power(m, a: float, rank_tol: float | None = None) -> np.ndarray:
     every exponent — in particular negative exponents never blow up on the
     kernel.  ``a = 0`` returns the support projector.
     """
-    tol = RANK_TOL if rank_tol is None else rank_tol
-    h = check_hermitian(m)
-    w, v = np.linalg.eigh(h)
-    top = w.max(initial=0.0)
-    floor = -PSD_CLAMP * max(top, 0.0)
-    if w.size and w.min() < floor:
-        raise NotPSDError(
-            f"psd_power input has negative eigenvalue {w.min():.3e}"
-        )
-    w = np.clip(w, 0.0, None)
-    support = w > tol * top if top > 0.0 else np.zeros_like(w, dtype=bool)
-    pw = np.zeros_like(w)
-    pw[support] = w[support] ** a
-    return (v * pw) @ dagger(v)
+    w, v = _spectrum(as_matrix(m), psd=True, what="psd_power input")
+    return _pseudo_power(w, v, a, rank_tol)
 
 
 def psd_sqrt(m, rank_tol: float | None = None) -> np.ndarray:
@@ -252,13 +302,8 @@ def schatten_p(m, p: float, rank_tol: float | None = None) -> float:
 
 def trace_power(m, p: float, rank_tol: float | None = None) -> float:
     """``Tr m^p`` for PSD ``m``, eigenvalues below the support cutoff dropped."""
-    tol = RANK_TOL if rank_tol is None else rank_tol
     w = psd_eigvals(m)
-    top = w[0] if w.size else 0.0
-    if top == 0.0:
-        return 0.0
-    w = w[w > tol * top]
-    return float(np.sum(w**p))
+    return float(np.sum(w[_support(w, rank_tol)] ** p))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,16 @@ from the stream (seed, restart_index), so its result depends only on its
 index.  The reduction keeps the best value, breaking ties within
 ``value_tol`` by restart index — with the canonical seeds queued first, a
 canonical optimum is the one reported when it ties the best.
+
+All restarts of one estimate advance together: the states form an
+``(r, d_in)`` stack, each step decomposes the stacked outputs and the
+stacked M(ψ) in one ``eigh`` call each, and a run leaves the stack when its
+objective stalls.  Each output is decomposed once; its spectrum gives both
+Tr Φ(ψψ†)^p and the pseudo-power, and an accepted candidate's spectrum
+serves the next step.  The stacked operations act matrix by matrix, so a
+restart's result still depends only on its index, and ``opt2_run`` is the
+same kernel with a stack of one.  ``mult_check`` estimates ν_p(B) only when
+B is a different object from A; for ``b is a`` it reuses ν_p(A).
 """
 
 from __future__ import annotations
@@ -141,38 +151,118 @@ def _check_p(p: float):
         raise ValueError(f"the iteration needs p > 0, p != 1; got {p}")
 
 
-def _step_ex(
+def _output_spectra(kraus: np.ndarray, states: np.ndarray, p: float):
+    """(eigenvalues, eigenvectors, Tr Γ^p, Tr Γ) of Γ = Φ(ψψ†) for every row
+    ψ of ``states``, from one stacked, PSD-checked eigendecomposition.
+
+    With the Kraus set stacked as ``(k, d_out, d_in)``, row j of W = K ψ is
+    A_j ψ, so Γ = Wᵀ W̄: Γ_il = Σ_j (A_j ψ)_i conj(A_j ψ)_l.
+    """
+    k, d_out, d_in = kraus.shape
+    kpsi = np.matmul(kraus.reshape(k * d_out, d_in), states[..., None])
+    kpsi = kpsi.reshape(-1, k, d_out)
+    gamma = np.matmul(kpsi.swapaxes(-1, -2), kpsi.conj())
+    w, v = la._spectrum(gamma, psd=True, what="channel output")
+    # summed largest first, as la.trace_power sums (the zeros off the support
+    # can still move the last bit)
+    t = np.sum(la._support_power(w, p)[..., ::-1], axis=-1)
+    return w, v, t, np.trace(gamma, axis1=-2, axis2=-1)
+
+
+def _candidates(kraus: np.ndarray, w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """Each state's candidate: the extremal eigenvector of M = Φ̂(Γ^{p−1}),
+    from Γ's spectrum ``(w, v)``, with its phase fixed."""
+    g = la._pseudo_power(w, v, p - 1.0)
+    d_in = kraus.shape[2]
+    m = np.zeros((len(g), d_in, d_in), dtype=np.complex128)
+    for a in kraus:  # one (r, d, d) term at a time
+        m += la.dagger(a) @ g @ a
+    del g  # freed before the eigensolve allocates its own stacks
+    _, vecs = la._spectrum(m, what="M(ψ)")
+    j = d_in - 1 if p > 1.0 else 0  # largest eigenvalue for p > 1, else smallest
+    return la._canonical_phases(vecs[..., j : j + 1])[..., 0]
+
+
+def _iterate(
     ch: chan.KrausChannel,
-    psi: np.ndarray,
+    states,
     p: float,
+    max_iters: int,
     value_tol: float,
-) -> tuple[np.ndarray, float, bool]:
-    """Guarded step core: (next state, its Tr Φ^p, guard_fell_back)."""
+) -> tuple[list[Opt2Run], np.ndarray]:
+    """Run guarded fixed-point iterations from every row of ``states`` at once.
+
+    Each step decomposes two stacks: the outputs Γ of the candidates, and
+    M = Φ̂(Γ^{p−1}) of the current states, whose extremal eigenvector is the
+    candidate.  A state's output spectrum gives both its Tr Γ^p and the
+    pseudo-power Γ^{p−1}, and an accepted candidate's spectrum is reused in
+    the next step.  Runs leave the stack when their objective stalls.  Every
+    stacked operation works matrix by matrix, so a row's result does not
+    depend on which other rows share the stack.
+
+    Returns one :class:`Opt2Run` per row and the last state of each row.
+    """
     _check_p(p)
-    v = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if v.shape != (ch.d_in,):
-        raise la.ShapeError(f"state has shape {v.shape}, expected ({ch.d_in},)")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"state norm {norm:.3e} is not 1")
-    v = v / norm
+    psi = np.array(states, dtype=np.complex128, ndmin=2)
+    if psi.ndim != 2 or psi.shape[1] != ch.d_in:
+        raise la.ShapeError(f"states have shape {psi.shape}, expected (r, {ch.d_in})")
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    kraus = np.stack(ch.kraus)
+    r = len(psi)
 
-    gamma = chan.apply(ch, _outer(v))
-    if abs(np.trace(gamma)) < 1e-14:
-        raise ValueError("channel output has (numerically) zero trace")
-    m = chan.apply_adjoint(ch, la.psd_power(gamma, p - 1.0))
-    _, vecs = la.herm_eig(m)
-    candidate = vecs[:, 0] if p > 1.0 else vecs[:, -1]
+    w, v, t, tr = _output_spectra(kraus, psi, p)
+    sign = 1.0 if p > 1.0 else -1.0
+    traces = [[float(x)] for x in t]
+    best_t, best = t.copy(), psi.copy()
+    iterations = np.zeros(r, dtype=int)
+    converged = np.zeros(r, dtype=bool)
+    violations = np.zeros(r, dtype=int)
+    fallbacks = np.zeros(r, dtype=int)
+    live = np.arange(r)
 
-    t_now = la.trace_power(gamma, p)
-    t_cand = output_trace_power(ch, candidate, p)
-    if p > 1.0:
-        ok = t_cand >= t_now - value_tol
-    else:
-        ok = t_cand <= t_now + value_tol
-    if ok:
-        return candidate, t_cand, False
-    return v, t_now, True
+    for it in range(1, max_iters + 1):
+        if not live.size:
+            break
+        if np.any(np.abs(tr[live]) < 1e-14):
+            raise ValueError("channel output has (numerically) zero trace")
+        cand = _candidates(kraus, w[live], v[live], p)
+        wc, vc, tc, trc = _output_spectra(kraus, cand, p)
+        t_now = t[live]
+        if p > 1.0:
+            ok = tc >= t_now - value_tol
+        else:
+            ok = tc <= t_now + value_tol
+        t_next = np.where(ok, tc, t_now)
+        moved = live[ok]
+        psi[moved], w[moved], v[moved], tr[moved] = cand[ok], wc[ok], vc[ok], trc[ok]
+        fallbacks[live[~ok]] += 1
+        # should not happen: the step is guarded
+        violations[live] += sign * (t_next - t_now) < -value_tol
+        gained = sign * (t_next - best_t[live]) > 0.0
+        best_t[live[gained]] = t_next[gained]
+        best[live[gained]] = psi[live[gained]]
+        for j, x in zip(live, t_next):
+            traces[j].append(float(x))
+        t[live] = t_next
+        iterations[live] = it
+        stalled = np.abs(t_next - t_now) <= value_tol
+        converged[live[stalled]] = True
+        live = live[~stalled]
+
+    runs = [
+        Opt2Run(
+            state=best[i],
+            trace_power=float(best_t[i]),
+            value=float(best_t[i]) ** (1.0 / p),
+            trace=tuple(traces[i]),
+            iterations=int(iterations[i]),
+            converged=bool(converged[i]),
+            monotonicity_violations=int(violations[i]),
+            guard_fallbacks=int(fallbacks[i]),
+        )
+        for i in range(r)
+    ]
+    return runs, psi
 
 
 def opt2_step(
@@ -189,8 +279,14 @@ def opt2_step(
     more than ``value_tol``; otherwise returns ``psi`` unchanged (the
     pseudo-power kernel fallback for singular outputs at p < 1).
     """
-    state, _, _ = _step_ex(ch, psi, p, value_tol)
-    return state
+    v = np.asarray(psi, dtype=np.complex128).reshape(-1)
+    if v.shape != (ch.d_in,):
+        raise la.ShapeError(f"state has shape {v.shape}, expected ({ch.d_in},)")
+    norm = np.linalg.norm(v)
+    if abs(norm - 1.0) > 1e-8:
+        raise ValueError(f"state norm {norm:.3e} is not 1")
+    _, last = _iterate(ch, v, p, 1, value_tol)
+    return last[0]
 
 
 def opt2_run(
@@ -206,44 +302,9 @@ def opt2_run(
     state is returned, which under the monotone guarantee is the last one.
     """
     cfg = config or OptimizerConfig()
-    _check_p(p)
     psi = np.asarray(psi0, dtype=np.complex128).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
-
-    sign = 1.0 if p > 1.0 else -1.0
-    t = output_trace_power(ch, psi, p)
-    trace = [t]
-    best_t, best_psi = t, psi
-    violations = 0
-    fallbacks = 0
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, cfg.max_iters + 1):
-        nxt, t_next, fell_back = _step_ex(ch, psi, p, cfg.value_tol)
-        if fell_back:
-            fallbacks += 1
-        trace.append(t_next)
-        if sign * (t_next - t) < -cfg.value_tol:
-            violations += 1  # should not happen: the step is guarded
-        if sign * (t_next - best_t) > 0.0:
-            best_t, best_psi = t_next, nxt
-        if abs(t_next - t) <= cfg.value_tol:
-            psi, t = nxt, t_next
-            converged = True
-            break
-        psi, t = nxt, t_next
-
-    return Opt2Run(
-        state=best_psi,
-        trace_power=best_t,
-        value=best_t ** (1.0 / p),
-        trace=tuple(trace),
-        iterations=iterations,
-        converged=converged,
-        monotonicity_violations=violations,
-        guard_fallbacks=fallbacks,
-    )
+    runs, _ = _iterate(ch, psi, p, cfg.max_iters, cfg.value_tol)
+    return runs[0]
 
 
 def multistart_seeds(d: int, config: OptimizerConfig) -> list[np.ndarray]:
@@ -297,7 +358,8 @@ def estimate_nu_p(
             return structured[index]
         return random_pure_state(ch.d_in, rng_from(cfg.seed, index))
 
-    runs = [opt2_run(ch, seed_state(i), p, cfg) for i in range(cfg.restarts)]
+    seeds = [seed_state(i) for i in range(cfg.restarts)]
+    runs, _ = _iterate(ch, seeds, p, cfg.max_iters, cfg.value_tol)
 
     sign = 1.0 if p > 1.0 else -1.0
     best = 0
@@ -457,7 +519,7 @@ def mult_check(
             "really want this (runtime grows sharply)"
         )
     rep_a = estimate_nu_p(a, p, cfg)
-    rep_b = estimate_nu_p(b, p, cfg)
+    rep_b = rep_a if b is a else estimate_nu_p(b, p, cfg)
     tensor_cfg = replace(cfg, restarts=cfg.tensor_restarts)
     rep_ab = estimate_nu_p(chan.tensor(a, b), p, tensor_cfg)
 

@@ -37,6 +37,7 @@ d−1 times).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -330,6 +331,8 @@ def near_depolarizing(
 def _real(v) -> float:
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"expected a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
     return float(v)
 
 

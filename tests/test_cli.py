@@ -343,6 +343,21 @@ def test_malformed_spec_file_exits_2(spec, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["near_depolarizing", "--dim", "3", "--epsilon", "nan"],
+        ["near_depolarizing", "--dim", "3", "--epsilon", "inf"],
+        ["qubit_generalized_extreme", "--alpha", "nan", "0.5", "--dim", "3"],
+    ],
+)
+def test_non_finite_family_params_exit_2(argv, capsys):
+    code, out, err = run(["info", "--family", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert "expected a finite number" in err and "Traceback" not in err
+
+
 def test_output_file_matches_stdout(tmp_path, capsys):
     argv = ["info", "--family", "fss_psi", "--format", "json"]
     _, out, _ = run(argv, capsys)

@@ -1,6 +1,7 @@
 """Tests for the trace-power fixed-point iteration, the multistart driver,
 and the multiplicativity checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,69 @@ def test_estimate_nu_p_deterministic_and_tiebreak():
     # identity channel: every restart ties at 1, lowest index wins
     rep = opt.estimate_nu_p(zoo.identity_channel(3), 2.0, FAST)
     assert rep.best_restart == 0
+
+
+def _seed_state(d, cfg, i):
+    seeds = opt.multistart_seeds(d, cfg)
+    return seeds[i] if i < len(seeds) else random_pure_state(d, rng_from(cfg.seed, i))
+
+
+def test_restart_results_depend_only_on_their_index():
+    # restarts share one stack that shrinks as runs converge; restart i must
+    # not notice how many others ran beside it
+    phi = zoo.random_channel(3, 4, 3, seed=21)
+    for p in (0.5, 3.0):
+        small = opt.estimate_nu_p(phi, p, dataclasses.replace(FAST, restarts=12))
+        large = opt.estimate_nu_p(phi, p, dataclasses.replace(FAST, restarts=19))
+        assert len(set(large.iterations)) > 1  # the stack did shrink unevenly
+        for i in range(12):
+            assert np.array_equal(small.restart_states[i], large.restart_states[i])
+            assert small.restart_values[i] == large.restart_values[i]
+            assert small.iterations[i] == large.iterations[i]
+            assert small.converged[i] == large.converged[i]
+
+
+def test_each_restart_matches_a_single_run_from_its_seed():
+    for phi, p in (
+        (zoo.random_channel(3, 3, 3, seed=22), 3.0),
+        (zoo.random_channel(3, 3, 2, seed=0), 0.5),  # singular outputs
+    ):
+        rep = opt.estimate_nu_p(phi, p, FAST)
+        fallbacks = 0
+        for i in range(FAST.restarts):
+            run = opt.opt2_run(phi, _seed_state(3, FAST, i), p, FAST)
+            fallbacks += run.guard_fallbacks
+            assert run.iterations == rep.iterations[i]
+            assert run.converged == rep.converged[i]
+            assert abs(run.value - rep.restart_values[i]) <= 1e-13 * run.value
+            assert abs(run.trace[-1] ** (1 / p) - rep.restart_values[i]) <= 1e-13 * run.value
+        assert fallbacks == rep.guard_fallbacks
+
+
+def test_guard_fallbacks_recorded_for_singular_outputs_below_one():
+    # two Kraus operators on d = 3: every output is singular, and at p < 1
+    # the kernel-escaping candidates are refused rather than accepted
+    phi = zoo.random_channel(3, 3, 2, seed=0)
+    rep = opt.estimate_nu_p(phi, 0.5, FAST)
+    assert rep.guard_fallbacks == FAST.restarts
+    assert rep.monotonicity_violations == 0
+    assert all(rep.converged)
+    run = opt.opt2_run(phi, _seed_state(3, FAST, 0), 0.5, FAST)
+    assert run.guard_fallbacks == 1
+    assert run.trace[-1] == run.trace[-2]  # the stall keeps the state
+
+
+def test_mult_check_same_object_matches_an_equal_copy():
+    a = zoo.werner_holevo(3)
+    copy = chan.KrausChannel.from_kraus([k.copy() for k in a.kraus])
+    same = opt.mult_check(a, a, 5.0, FAST)
+    other = opt.mult_check(a, copy, 5.0, FAST)
+    for field in dataclasses.fields(opt.MultReport):
+        x, y = getattr(same, field.name), getattr(other, field.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
 
 
 # ---------------------------------------------------------------------------
