@@ -208,8 +208,11 @@ def _split_core(a: np.ndarray, d1: int, support_tol: float = 1e-8):
     a22 = a[d1:, d1:]
     scale = max(float(np.abs(a).max()), 1e-300)
 
-    p11 = la.psd_power(a11, 0.0)
-    p22 = la.psd_power(a22, 0.0)
+    # one PSD-checked spectrum per diagonal block gives all three powers
+    w11, v11 = la._spectrum(a11, psd=True, what="diagonal block")
+    w22, v22 = la._spectrum(a22, psd=True, what="diagonal block")
+    p11 = la._pseudo_power(w11, v11, 0.0)
+    p22 = la._pseudo_power(w22, v22, 0.0)
     resid = float(np.abs(p11 @ a12 @ p22 - a12).max())
     if resid > support_tol * scale:
         raise ValueError(
@@ -217,12 +220,12 @@ def _split_core(a: np.ndarray, d1: int, support_tol: float = 1e-8):
             f"supports (residual {resid:.3e}); input is degenerate"
         )
 
-    w = la.psd_power(a11, -0.5) @ a12 @ la.psd_power(a22, -0.5)
+    w = la._pseudo_power(w11, v11, -0.5) @ a12 @ la._pseudo_power(w22, v22, -0.5)
     u, s, vh = np.linalg.svd(w)
     s = np.clip(s, 0.0, 1.0)  # contraction up to roundoff
     theta = np.arccos(s)
-    s11 = la.psd_sqrt(a11)
-    s22 = la.psd_sqrt(a22)
+    s11 = la._pseudo_power(w11, v11, 0.5)
+    s22 = la._pseudo_power(w22, v22, 0.5)
 
     terms, factors = [], []
     for sgn in (1.0, -1.0):

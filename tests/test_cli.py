@@ -156,6 +156,17 @@ def test_multcheck_csv_contract(capsys):
     assert abs(float(fields[1]) - 2.0 ** (-4 / 5)) < 1e-9
 
 
+def test_infinite_order_exits_2(capsys):
+    code, out, err = run(
+        ["multcheck", "--family", "werner_holevo", "--dim", "3", "--p", "inf",
+         "--restarts", "2", "--tensor-restarts", "2"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite p" in err and "Traceback" not in err
+
+
 def test_multscan_grid_parsing_inclusive(capsys):
     code, out, _ = run(
         ["multscan", "--family", "identity", "--dim", "2",

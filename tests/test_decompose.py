@@ -142,6 +142,16 @@ def test_szarek_split_random_blocks():
             la.psd_eigvals(term, what="szarek term")
 
 
+def test_szarek_split_makes_three_eigensolves(monkeypatch):
+    # the PSD gate on A, then one spectrum per diagonal block
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    a = _random_block_psd(3, np.random.default_rng(30))
+    dec.szarek_split(a, d1=3)
+    assert calls == [(6, 6), (3, 3), (3, 3)]
+
+
 def test_szarek_split_flags_support_mismatch():
     # coupling through a numerically dead direction of A11 cannot be
     # balanced; the split must refuse rather than produce junk

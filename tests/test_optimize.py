@@ -165,6 +165,77 @@ def test_restart_results_depend_only_on_their_index():
             assert small.converged[i] == large.converged[i]
 
 
+def test_restart_results_depend_only_on_their_index_above_the_transfer_limit():
+    # d_in * d_out = 270: M = adj(Gamma^(p-1)) comes from the Kraus loop
+    phi = zoo.random_channel(9, 30, 4, seed=21)
+    assert phi.d_in * phi.d_out > opt.TRANSFER_DIM_MAX
+    cfg = dataclasses.replace(FAST, max_iters=60)
+    for p in (0.5, 5.0):
+        small = opt.estimate_nu_p(phi, p, dataclasses.replace(cfg, restarts=12))
+        large = opt.estimate_nu_p(phi, p, dataclasses.replace(cfg, restarts=19))
+        assert len(set(large.iterations)) > 1
+        for i in range(12):
+            assert np.array_equal(small.restart_states[i], large.restart_states[i])
+            assert small.restart_values[i] == large.restart_values[i]
+            assert small.iterations[i] == large.iterations[i]
+            assert small.converged[i] == large.converged[i]
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        zoo.random_channel(3, 4, 3, seed=23),
+        chan.tensor(zoo.werner_holevo(3), zoo.werner_holevo(3)),
+        zoo.random_channel(16, 16, 2, seed=24),  # d_in * d_out at the limit
+        zoo.random_channel(9, 30, 2, seed=25),  # above it: the Kraus loop
+    ],
+)
+def test_stacked_adjoint_matches_apply_adjoint(phi):
+    adjoint = opt._stacked_adjoint(np.stack(phi.kraus))
+    rng = np.random.default_rng(26)
+    x = rng.normal(size=(5, phi.d_out, phi.d_out)) + 1j * rng.normal(size=(5, phi.d_out, phi.d_out))
+    m = adjoint(x)
+    assert m.shape == (5, phi.d_in, phi.d_in)
+    for xi, mi in zip(x, m):
+        ref = chan.apply_adjoint(phi, xi)
+        assert np.abs(mi - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_opt2_step_makes_three_eigensolves(monkeypatch):
+    # one for the initial output, then two per step: M(psi) and the
+    # candidate's output
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    phi = zoo.random_channel(3, 4, 3, seed=27)
+    opt.opt2_step(phi, random_pure_state(3, np.random.default_rng(28)), 3.0)
+    assert len(calls) == 3
+
+
+def test_infinite_order_is_rejected():
+    phi = zoo.werner_holevo(3)
+    with pytest.raises(ValueError, match="finite"):
+        opt.estimate_nu_p(phi, math.inf, FAST)
+    with pytest.raises(ValueError, match="finite"):
+        opt.opt2_step(phi, np.array([1.0, 0.0, 0.0]), math.inf)
+
+
+@pytest.mark.parametrize("state", [np.zeros(3), np.array([np.nan, 1.0, 0.0])])
+def test_zero_or_non_finite_state_is_rejected_before_eigensolves(state, monkeypatch):
+    def no_eigh(a):
+        raise AssertionError("eigh reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(ValueError, match="state 0 has norm") as exc:
+        opt.opt2_run(zoo.werner_holevo(3), state, 3.0)
+    assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+
+def test_opt2_step_rejects_non_finite_state():
+    with pytest.raises(ValueError, match="state norm nan"):
+        opt.opt2_step(zoo.werner_holevo(3), np.array([np.nan, 1.0, 0.0]), 3.0)
+
+
 def test_each_restart_matches_a_single_run_from_its_seed():
     for phi, p in (
         (zoo.random_channel(3, 3, 3, seed=22), 3.0),
