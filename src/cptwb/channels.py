@@ -40,6 +40,7 @@ __all__ = [
     "ValidationReport",
     "ChannelValidationError",
     "PerturbResult",
+    "MAX_HALVINGS",
     "DegradingReport",
     "validate_cpt",
     "apply",
@@ -159,10 +160,9 @@ def validate_cpt(ch: KrausChannel, tol: float = 1e-10) -> ValidationReport:
     tp_residual = float(np.abs(acc - ident).max())
     trace_preserving = tp_residual <= tol
 
-    j = kraus_to_choi(ch).matrix
-    w, _ = la.herm_eig(j)
-    min_eig = float(w[-1])
-    choi_psd = min_eig >= -la.PSD_CLAMP * max(float(w[0]), 1.0)
+    w, _ = la._spectrum(kraus_to_choi(ch).matrix)
+    min_eig = float(w[0])
+    choi_psd = min_eig >= -la.PSD_CLAMP * max(float(w[-1]), 1.0)
 
     messages = []
     if not trace_preserving:
@@ -223,14 +223,13 @@ def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(d_in=ch.d_in, d_out=ch.d_out, matrix=j)
 
 
-def choi_to_kraus(choi: ChoiMatrix, rank_tol: float | None = None) -> KrausChannel:
+def choi_to_kraus(choi: ChoiMatrix) -> KrausChannel:
     """Minimal Kraus set from the Choi eigendecomposition.
 
-    Eigenvectors with eigenvalue above the rank cutoff are rescaled by
-    sqrt(d_in · λ) and unvectorized; the result has choi-rank many
-    operators (at most d_in · d_out).
+    Eigenvectors with eigenvalue on the support (above ``la.RANK_TOL``
+    times the largest) are rescaled by sqrt(d_in · λ) and unvectorized; the
+    result has choi-rank many operators (at most d_in · d_out).
     """
-    tol = la.RANK_TOL if rank_tol is None else rank_tol
     w, v = la.herm_eig(choi.matrix)
     top = max(float(w[0]), 0.0)
     if top == 0.0:
@@ -239,24 +238,18 @@ def choi_to_kraus(choi: ChoiMatrix, rank_tol: float | None = None) -> KrausChann
         raise la.NotPSDError(
             f"Choi matrix has negative eigenvalue {w[-1]:.3e}; not a CP map"
         )
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam <= tol * top:
-            continue
-        mat = np.sqrt(choi.d_in * lam) * vec.reshape(choi.d_in, choi.d_out)
-        ops.append(mat.T)
-    return KrausChannel(d_in=choi.d_in, d_out=choi.d_out, kraus=tuple(ops))
+    keep = la._support(w)
+    ops = tuple(
+        (np.sqrt(choi.d_in * lam) * vec.reshape(choi.d_in, choi.d_out)).T
+        for lam, vec in zip(w[keep], v.T[keep])
+    )
+    return KrausChannel(d_in=choi.d_in, d_out=choi.d_out, kraus=ops)
 
 
-def choi_rank(obj, rank_tol: float | None = None) -> int:
+def choi_rank(obj) -> int:
     """Numerical rank of the Choi matrix of a channel (or Choi directly)."""
     j = obj.matrix if isinstance(obj, ChoiMatrix) else kraus_to_choi(obj).matrix
-    tol = la.RANK_TOL if rank_tol is None else rank_tol
-    w = la.psd_eigvals(j, what="Choi matrix")
-    top = w[0] if w.size else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.count_nonzero(w > tol * top))
+    return int(np.count_nonzero(la._support(la.psd_eigvals(j, what="Choi matrix"))))
 
 
 def adjoint(ch: KrausChannel) -> KrausChannel:
@@ -305,21 +298,21 @@ def complement(ch: KrausChannel) -> KrausChannel:
 # Extremality
 # ---------------------------------------------------------------------------
 
-def _minimal_kraus(ch: KrausChannel, rank_tol: float | None = None) -> KrausChannel:
-    r = choi_rank(ch, rank_tol=rank_tol)
-    if len(ch.kraus) == r:
+def _minimal_kraus(ch: KrausChannel) -> KrausChannel:
+    """``ch`` itself when its Kraus set is minimal, else ``choi_to_kraus``'s."""
+    if len(ch.kraus) == choi_rank(ch):
         return ch
-    return choi_to_kraus(kraus_to_choi(ch), rank_tol=rank_tol)
+    return choi_to_kraus(kraus_to_choi(ch))
 
 
-def is_extreme(ch: KrausChannel, rank_tol: float | None = None) -> bool:
+def is_extreme(ch: KrausChannel) -> bool:
     """Extreme-point test: {A_j†A_k} linearly independent on a minimal set.
 
     Stacks the K² vectorized products into a (K², d_in²) matrix and asks
     for full row rank; K > d_in short-circuits to False since K² vectors
     cannot be independent in a d_in²-dimensional space.
     """
-    m = _minimal_kraus(ch, rank_tol=rank_tol)
+    m = _minimal_kraus(ch)
     k = len(m.kraus)
     if k > m.d_in:
         return False
@@ -329,20 +322,20 @@ def is_extreme(ch: KrausChannel, rank_tol: float | None = None) -> bool:
         for b in m.kraus
     ]
     g = np.stack(rows)
-    return la.numerical_rank(g, tol=rank_tol) == k * k
+    return la.numerical_rank(g) == k * k
 
 
-def is_generalized_extreme(ch: KrausChannel, rank_tol: float | None = None) -> bool:
+def is_generalized_extreme(ch: KrausChannel) -> bool:
     """Choi rank ≤ d_in (extreme maps satisfy this; the converse fails)."""
-    return choi_rank(ch, rank_tol=rank_tol) <= ch.d_in
+    return choi_rank(ch) <= ch.d_in
 
 
-def classify(ch: KrausChannel, rank_tol: float | None = None) -> ChannelMeta:
+def classify(ch: KrausChannel) -> ChannelMeta:
     """Choi rank plus both extremality flags in one record."""
-    r = choi_rank(ch, rank_tol=rank_tol)
+    r = choi_rank(ch)
     return ChannelMeta(
         choi_rank=r,
-        is_extreme=is_extreme(ch, rank_tol=rank_tol),
+        is_extreme=is_extreme(ch),
         is_generalized_extreme=r <= ch.d_in,
     )
 
@@ -358,13 +351,11 @@ class PerturbResult:
     choi_distance: float
 
 
-def perturb_to_extreme(
-    ch: KrausChannel,
-    epsilon0: float = 0.1,
-    seed=0,
-    max_halvings: int = 40,
-    rank_tol: float | None = None,
-) -> PerturbResult:
+#: How often ``perturb_to_extreme`` halves ε before it gives up.
+MAX_HALVINGS = 40
+
+
+def perturb_to_extreme(ch: KrausChannel, epsilon0: float = 0.1, seed=0) -> PerturbResult:
     """Push a generalized-extreme channel to a nearby true extreme point.
 
     The input Kraus list (padded with zero operators up to d_in entries) is
@@ -373,27 +364,29 @@ def perturb_to_extreme(
         C_k(ε) = A_k + ε B_k,   S(ε) = Σ_k C_k†C_k,
         new Kraus = C_k(ε) · S(ε)^{-1/2}
 
-    ε is searched geometrically downward from ``epsilon0`` (halving) until
-    S(ε) is positive definite and the renormalized channel passes
-    ``is_extreme``; generically the first ε works.  ε = 0 or an already
-    extreme input is a no-op (flagged).
+    ε is searched geometrically downward from ``epsilon0`` (at most
+    ``MAX_HALVINGS`` halvings) until S(ε) is positive definite and the
+    renormalized channel passes ``is_extreme``; generically the first ε
+    works.  One eigendecomposition of S(ε) per ε tried gives both the
+    definiteness check and S(ε)^{-1/2} = V diag(w^{-1/2}) V†.  ε = 0 or an
+    already extreme input is a no-op (flagged).
     """
     if epsilon0 < 0:
         raise ValueError("epsilon0 must be >= 0")
-    if choi_rank(ch, rank_tol=rank_tol) > ch.d_in:
+    if choi_rank(ch) > ch.d_in:
         raise ChannelValidationError(
             "perturb_to_extreme needs Choi rank <= d_in"
         )
-    if epsilon0 == 0.0 or is_extreme(ch, rank_tol=rank_tol):
+    if epsilon0 == 0.0 or is_extreme(ch):
         return PerturbResult(
             channel=ch,
             epsilon=0.0,
-            already_extreme=is_extreme(ch, rank_tol=rank_tol),
+            already_extreme=is_extreme(ch),
             halvings=0,
             choi_distance=0.0,
         )
 
-    base = _minimal_kraus(ch, rank_tol=rank_tol)
+    base = _minimal_kraus(ch)
     ops = list(base.kraus)
     while len(ops) < ch.d_in:
         ops.append(np.zeros((ch.d_out, ch.d_in), dtype=np.complex128))
@@ -406,7 +399,7 @@ def perturb_to_extreme(
             v[k * ch.d_out : (k + 1) * ch.d_out, :] for k in range(ch.d_in)
         ]
         ref = KrausChannel(d_in=ch.d_in, d_out=ch.d_out, kraus=tuple(cand))
-        if is_extreme(ref, rank_tol=rank_tol):
+        if is_extreme(ref):
             reference = ref
             break
     if reference is None:  # pragma: no cover - Haar draws are generic
@@ -414,15 +407,14 @@ def perturb_to_extreme(
 
     j_in = kraus_to_choi(ch).matrix
     eps = float(epsilon0)
-    for halving in range(max_halvings + 1):
+    for halving in range(MAX_HALVINGS + 1):
         c_ops = [a + eps * b for a, b in zip(ops, reference.kraus)]
-        s = sum(la.dagger(c) @ c for c in c_ops)
-        w, _ = la.herm_eig(s)
-        if w[-1] > 1e-12:
-            s_isqrt = la.psd_power(s, -0.5, rank_tol=1e-14)
+        w, v = la._spectrum(sum(la.dagger(c) @ c for c in c_ops))
+        if w[0] > 1e-12:
+            s_isqrt = (v * w ** -0.5) @ la.dagger(v)
             new_ops = tuple(c @ s_isqrt for c in c_ops)
             cand = KrausChannel(d_in=ch.d_in, d_out=ch.d_out, kraus=new_ops)
-            if is_extreme(cand, rank_tol=rank_tol):
+            if is_extreme(cand):
                 dist = float(
                     np.abs(kraus_to_choi(cand).matrix - j_in).max()
                 )
@@ -435,7 +427,7 @@ def perturb_to_extreme(
                 )
         eps /= 2.0
     raise RuntimeError(
-        f"no extreme perturbation found after {max_halvings} halvings"
+        f"no extreme perturbation found after {MAX_HALVINGS} halvings"
     )
 
 

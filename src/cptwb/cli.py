@@ -30,6 +30,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -45,6 +46,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
+
+#: Most points a ``--p-grid`` may have; each point is a full ``mult_check``.
+P_GRID_MAX = 10_000
 
 
 class UsageError(Exception):
@@ -415,19 +419,18 @@ def _parse_p_grid(text: str) -> list[float]:
         start, stop, step = (float(t) for t in parts)
     except ValueError as exc:
         raise UsageError(f"bad --p-grid value: {exc}") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise UsageError("--p-grid start, stop and step must be finite")
     if step <= 0.0:
         raise UsageError("--p-grid step must be positive")
     if stop < start:
         raise UsageError("--p-grid stop must be >= start")
-    vals = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-12:  # stop is included up to roundoff
-            break
-        vals.append(v)
-        k += 1
-    return vals
+    # the points start + k·step grow with k, so point P_GRID_MAX (the first
+    # one past the limit) is on the grid exactly when the grid is too long
+    if start + P_GRID_MAX * step <= stop + 1e-12:
+        raise UsageError(f"--p-grid has more than {P_GRID_MAX} points")
+    grid = (start + k * step for k in range(P_GRID_MAX))
+    return [v for v in grid if v <= stop + 1e-12]  # stop is included up to roundoff
 
 
 def cmd_multscan(args) -> int:
@@ -475,12 +478,12 @@ def cmd_decompose(args) -> int:
     for half in (h1, h2):
         rank = chan.choi_rank(half)
         marginal = la.partial_trace(half.matrix, (ch.d_in, ch.d_out), keep=0)
-        w, _ = la.herm_eig(half.matrix)
+        w, _ = la._spectrum(half.matrix)
         entry = {
             "choi_rank": rank,
             "generalized_extreme": rank <= ch.d_in,
             "tp_residual": float(np.abs(marginal - target).max()),
-            "min_eigval": float(w[-1]),
+            "min_eigval": float(w[0]),
             "choi": la.matrix_to_json(half.matrix),
         }
         if args.dump_kraus:
@@ -495,7 +498,7 @@ def cmd_decompose(args) -> int:
             "choi_rank": chan.choi_rank(ch),
             "mixture_residual": residual,
             "halves": halves,
-            "tolerances": {"support_tol": 1e-8, "rank_tol": la.RANK_TOL},
+            "tolerances": {"support_tol": dec.SUPPORT_TOL, "rank_tol": la.RANK_TOL},
         }
     )
     _emit(args, report)
@@ -539,11 +542,7 @@ def cmd_extremality(args) -> int:
 
 def cmd_complement(args) -> int:
     ch, desc = _load_channel(args)
-    if len(ch) != chan.choi_rank(ch):
-        ch_min = chan.choi_to_kraus(chan.kraus_to_choi(ch))
-    else:
-        ch_min = ch
-    comp = chan.complement(ch_min)
+    comp = chan.complement(chan._minimal_kraus(ch))
     val = chan.validate_cpt(comp)
     report = _head("complement", args, desc)
     report.update(
@@ -625,7 +624,10 @@ def _build_parser() -> _Parser:
     )
     _add_channel_source(p)
     _add_channel_source(p, suffix="b")
-    p.add_argument("--p-grid", required=True, metavar="START:STOP:STEP")
+    p.add_argument(
+        "--p-grid", required=True, metavar="START:STOP:STEP",
+        help=f"stop included; at most {P_GRID_MAX} points",
+    )
     p.add_argument("--resolution", type=float, default=0.01)
     p.set_defaults(func=cmd_multscan)
 

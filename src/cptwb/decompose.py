@@ -45,6 +45,7 @@ __all__ = [
     "BlockMatrix",
     "Decomposition",
     "AR4Report",
+    "SUPPORT_TOL",
     "schur_horn_equalize",
     "horn_vectors",
     "szarek_split",
@@ -52,6 +53,11 @@ __all__ = [
     "verify_ar4",
     "decomposition_to_json",
 ]
+
+#: ``szarek_split`` needs the off-diagonal block supported on the diagonal
+#: blocks' supports: ``P₁₁·A₁₂·P₂₂`` may miss ``A₁₂`` by at most this times
+#: the largest entry of A.
+SUPPORT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -104,14 +110,15 @@ class AR4Report:
     rank_bound: int
 
 
-def schur_horn_equalize(eigvals, max_dev: float = 1e-10) -> np.ndarray:
+def schur_horn_equalize(eigvals) -> np.ndarray:
     """Rotation R (real orthogonal) with diag(R·diag(λ)·Rᵀ) constant.
 
     Pivots the largest remaining diagonal entry against the smallest and
     solves the 2×2 rotation angle that lands the larger one exactly on
     the mean; at most d−1 rotations, each finishing one index for good
     (finished indices are never touched again, and the unfinished pool
-    keeps mean t, so a valid pivot always exists).
+    keeps mean t, so a valid pivot always exists).  A diagonal left more
+    than 1e-10 (relative) off the mean raises ``RuntimeError``.
     """
     lam = np.asarray(eigvals, dtype=float).reshape(-1)
     d = lam.size
@@ -172,12 +179,12 @@ def schur_horn_equalize(eigvals, max_dev: float = 1e-10) -> np.ndarray:
         unfixed.remove(hi)
 
     dev = max(abs(c_mat[i, i] - t) for i in range(d))
-    if dev > max_dev * scale:
+    if dev > 1e-10 * scale:
         raise RuntimeError(f"diagonal equalization stalled at deviation {dev:.3e}")
     return r_acc
 
 
-def horn_vectors(a, rank_tol: float | None = None) -> list[np.ndarray]:
+def horn_vectors(a) -> list[np.ndarray]:
     """Decompose a density matrix as an average of unit-vector projectors.
 
     Returns d unit vectors x_m with A = (1/d) Σ_m x_m x_m†; a maximally
@@ -196,13 +203,13 @@ def horn_vectors(a, rank_tol: float | None = None) -> list[np.ndarray]:
 
     r = schur_horn_equalize(w)
     c_mat = r @ np.diag(w) @ r.T
-    b = la.psd_sqrt(c_mat, rank_tol=rank_tol)
+    b = la.psd_sqrt(c_mat)
     u = q @ r.T.astype(np.complex128)
     xb = np.sqrt(d) * (u @ b)
     return [xb[:, m].copy() for m in range(d)]
 
 
-def _split_core(a: np.ndarray, d1: int, support_tol: float = 1e-8):
+def _split_core(a: np.ndarray, d1: int):
     a11 = a[:d1, :d1]
     a12 = a[:d1, d1:]
     a22 = a[d1:, d1:]
@@ -214,7 +221,7 @@ def _split_core(a: np.ndarray, d1: int, support_tol: float = 1e-8):
     p11 = la._pseudo_power(w11, v11, 0.0)
     p22 = la._pseudo_power(w22, v22, 0.0)
     resid = float(np.abs(p11 @ a12 @ p22 - a12).max())
-    if resid > support_tol * scale:
+    if resid > SUPPORT_TOL * scale:
         raise ValueError(
             "off-diagonal block is not supported on the diagonal-block "
             f"supports (residual {resid:.3e}); input is degenerate"

@@ -47,13 +47,11 @@ def renyi(rho, p: float) -> float:
         raise la.NotPSDError("renyi needs a nonzero PSD matrix")
     w = w / t
     if p == 0:
-        top = w[0]
-        rank = int(np.count_nonzero(w > la.RANK_TOL * top))
-        return math.log(rank)
+        return math.log(np.count_nonzero(la._support(w)))
     if abs(p - 1.0) < 1e-9:
         w = w[w > 0.0]
         return float(-np.sum(w * np.log(w)))
-    w = w[w > la.RANK_TOL * w[0]]
+    w = w[la._support(w)]
     return float(math.log(np.sum(w**p)) / (1.0 - p))
 
 
@@ -64,21 +62,17 @@ def coherent_information(ch: chan.KrausChannel, rho) -> float:
     return von_neumann(out) - von_neumann(env)
 
 
-def min_output_rank(
-    ch: chan.KrausChannel,
-    config=None,
-    proxy_p: float = 0.05,
-) -> tuple[int, np.ndarray]:
+def min_output_rank(ch: chan.KrausChannel, config=None) -> tuple[int, np.ndarray]:
     """Minimal numerical output rank over a multistart pure-state search.
 
-    Runs the fixed-point optimizer at a small Rényi order (default 0.05,
-    where minimizing Tr Φ(ρ)^p is a smooth proxy for minimizing rank) and
+    Runs the fixed-point optimizer at the small Rényi order 0.05, where
+    minimizing Tr Φ(ρ)^p is a smooth proxy for minimizing rank, and
     reports the smallest ``numerical_rank`` among the converged outputs,
     together with the input achieving it.
     """
     from . import optimize  # local import: optimize is built on top of entropy-free modules
 
-    report = optimize.estimate_nu_p(ch, proxy_p, config=config)
+    report = optimize.estimate_nu_p(ch, 0.05, config=config)
     best_rank = None
     best_state = None
     for psi in report.restart_states:

@@ -1,15 +1,31 @@
-"""Dense Hermitian linear algebra kernel.
+"""Dense Hermitian linear algebra kernel, and the one tolerance policy.
 
-All heavier modules funnel their numerics through the routines here so that
-tolerance policy lives in exactly one place:
+Three constants are the only rank, PSD and Hermiticity cutoffs in
+``linalg``, ``channels``, ``decompose``, ``entropy`` and ``zoo``.  They
+apply everywhere and cannot be set per call:
 
-* rank decisions use a *relative* cutoff ``RANK_TOL`` (1e-8) against the
-  largest singular/eigen value, overridable per call;
-* eigenvalues of nominally PSD matrices may dip slightly negative from
-  roundoff; anything within ``PSD_CLAMP`` (1e-12) of the largest eigenvalue
-  is clamped to zero, anything worse raises :class:`NotPSDError`;
-* Hermiticity is accepted up to ``HERM_TOL`` (1e-12) relative to the largest
-  entry.
+* ``RANK_TOL`` (1e-8): an eigen- or singular value at or below ``RANK_TOL``
+  times the largest of its spectrum is an exact zero.  ``_support`` is the
+  only code that applies it, so Choi ranks, minimal Kraus sets, numerical
+  ranks, pseudo-powers, trace powers and Rényi-0 ranks count one support.
+* ``PSD_CLAMP`` (1e-12): a nominally PSD matrix's eigenvalues that dip
+  below zero by roundoff are clamped to zero, and one below the floor is an
+  error.  There are two floors: ``_spectrum`` (so every PSD routine here)
+  uses ``-PSD_CLAMP * max(top, 0)``, relative to the largest eigenvalue;
+  ``channels.validate_cpt``, ``channels.choi_to_kraus`` and
+  ``decompose.horn_vectors`` use ``-PSD_CLAMP * max(top, 1)``, which is
+  absolute while the largest eigenvalue is below 1.
+* ``HERM_TOL`` (1e-12): a matrix is Hermitian when ``max|m - m†|`` is at
+  most ``HERM_TOL`` times its largest entry.
+
+Thresholds that stay parameters: ``tol`` of ``channels.validate_cpt`` and
+``channels.channel_from_json`` (1e-10 on Σ A_k†A_k − I), because the tests
+and demo 05 validate decomposition halves at 1e-8; ``tol`` of
+``decompose.verify_ar4`` and ``channels.verify_degrading``, the residual
+bound each verifier checks; and ``optimize.OptimizerConfig.value_tol``,
+an *absolute* 1e-12 on trace powers that the CLI prints with its config.
+Two algorithm thresholds are named constants: ``decompose.SUPPORT_TOL``
+and ``channels.MAX_HALVINGS``.
 
 Matrices are plain complex128 ``numpy`` arrays.  Matrix powers of PSD
 matrices are pseudo-powers: the kernel (numerically rank-deficient part) is
@@ -32,10 +48,8 @@ __all__ = [
     "NotPSDError",
     "as_matrix",
     "dagger",
-    "is_hermitian",
     "check_hermitian",
     "herm_eig",
-    "svd",
     "psd_eigvals",
     "psd_power",
     "psd_sqrt",
@@ -84,36 +98,25 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(m)).T
 
 
-def is_hermitian(m, tol: float = HERM_TOL) -> bool:
-    """True if ``max|m - m†| <= tol * max|m|`` (zero matrix counts)."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return True
-    return np.abs(a - dagger(a)).max() <= tol * scale
-
-
-def _hermitian_part(a: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
     """Check a matrix or a stack ``(..., n, n)`` of them for Hermiticity
     (each against its own largest entry) and return ``(a + a†) / 2``."""
     ah = np.conj(a).swapaxes(-1, -2)
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     dev = np.abs(a - ah).max(axis=(-2, -1), initial=0.0)
-    bad = (scale != 0.0) & (dev > tol * scale)
+    bad = (scale != 0.0) & (dev > HERM_TOL * scale)
     if np.any(bad):
         i = np.flatnonzero(bad)[0]
         raise NotHermitianError(
             f"{what} is not Hermitian: max|m - m†| = "
-            f"{dev.flat[i]:.3e} > {tol:.1e} * {scale.flat[i]:.3e}"
+            f"{dev.flat[i]:.3e} > {HERM_TOL:.1e} * {scale.flat[i]:.3e}"
         )
     h = a + ah
     h /= 2.0
     return h
 
 
-def check_hermitian(m, tol: float = HERM_TOL, what: str = "matrix") -> np.ndarray:
+def check_hermitian(m, what: str = "matrix") -> np.ndarray:
     """Validate Hermiticity and return the exactly symmetrized matrix.
 
     Symmetrizing after the check means downstream eigensolves see a matrix
@@ -122,29 +125,24 @@ def check_hermitian(m, tol: float = HERM_TOL, what: str = "matrix") -> np.ndarra
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} must be square, got shape {a.shape}")
-    return _hermitian_part(a, tol, what)
+    return _hermitian_part(a, what)
 
 
-def _spectrum(
-    m,
-    psd: bool = False,
-    what: str = "matrix",
-    clamp: float = PSD_CLAMP,
-) -> tuple[np.ndarray, np.ndarray]:
+def _spectrum(m, psd: bool = False, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """The one Hermitian eigensolve: ``(w, v)`` of a matrix or a stack.
 
     ``m`` has shape ``(..., n, n)``; each matrix is checked for Hermiticity,
     symmetrized and decomposed in one ``numpy.linalg.eigh`` call, so the
     eigenvalues come out *ascending*.  With ``psd`` an eigenvalue more
-    negative than ``clamp`` times its matrix's largest eigenvalue raises
+    negative than ``PSD_CLAMP`` times its matrix's largest eigenvalue raises
     :class:`NotPSDError`, and the rest are clipped to zero.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"{what} must be square, got shape {a.shape}")
-    w, v = np.linalg.eigh(_hermitian_part(a, HERM_TOL, what))
+    w, v = np.linalg.eigh(_hermitian_part(a, what))
     if psd and w.shape[-1]:
-        floor = -clamp * np.maximum(w[..., -1], 0.0)
+        floor = -PSD_CLAMP * np.maximum(w[..., -1], 0.0)
         bad = w[..., 0] < floor
         if np.any(bad):
             i = np.flatnonzero(bad)[0]
@@ -156,30 +154,28 @@ def _spectrum(
     return w, v
 
 
-def _support(w: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
-    """Mask of the numerical support of clamped spectra ``(..., n)``.
+def _support(w: np.ndarray) -> np.ndarray:
+    """Mask of the numerical support of spectra ``(..., n)``.
 
-    Entries at or below ``rank_tol`` (relative, default ``RANK_TOL``) times
-    their spectrum's largest entry are exact zeros.
+    Entries at or below ``RANK_TOL`` times their spectrum's largest entry
+    (or zero, when none is positive) are exact zeros.  This is the one place
+    the rank cutoff is applied.
     """
-    tol = RANK_TOL if rank_tol is None else rank_tol
-    return w > tol * w.max(axis=-1, keepdims=True, initial=0.0)
+    return w > RANK_TOL * w.max(axis=-1, keepdims=True, initial=0.0)
 
 
-def _support_power(w: np.ndarray, a: float, rank_tol: float | None = None) -> np.ndarray:
+def _support_power(w: np.ndarray, a: float) -> np.ndarray:
     """``w**a`` on the support of clamped spectra ``(..., n)``, zero off it
     for every exponent, negative ones included."""
-    support = _support(w, rank_tol)
+    support = _support(w)
     pw = np.zeros_like(w)
     pw[support] = w[support] ** a
     return pw
 
 
-def _pseudo_power(
-    w: np.ndarray, v: np.ndarray, a: float, rank_tol: float | None = None
-) -> np.ndarray:
+def _pseudo_power(w: np.ndarray, v: np.ndarray, a: float) -> np.ndarray:
     """``V diag(w**a) V†`` on the support, for spectra from ``_spectrum(psd=True)``."""
-    return (v * _support_power(w, a, rank_tol)[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
+    return (v * _support_power(w, a)[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
 
 
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
@@ -215,36 +211,31 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1], _canonical_phases(v[:, ::-1])
 
 
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition ``m = u @ diag(s) @ vh``, s descending."""
-    return np.linalg.svd(as_matrix(m))
-
-
-def psd_eigvals(m, clamp: float = PSD_CLAMP, what: str = "matrix") -> np.ndarray:
+def psd_eigvals(m, what: str = "matrix") -> np.ndarray:
     """Eigenvalues of a PSD matrix, descending, negatives clamped to zero.
 
     Raises :class:`NotPSDError` when an eigenvalue is more negative than
-    ``clamp`` times the largest eigenvalue.
+    ``PSD_CLAMP`` times the largest eigenvalue.
     """
-    w, _ = _spectrum(as_matrix(m), psd=True, what=what, clamp=clamp)
+    w, _ = _spectrum(as_matrix(m), psd=True, what=what)
     return w[::-1]
 
 
-def psd_power(m, a: float, rank_tol: float | None = None) -> np.ndarray:
+def psd_power(m, a: float) -> np.ndarray:
     """Pseudo-power ``m^a`` of a PSD matrix on its numerical support.
 
-    Eigenvalues at or below ``rank_tol`` (relative, default ``RANK_TOL``)
-    times the top eigenvalue are treated as exact zeros and stay zero for
-    every exponent — in particular negative exponents never blow up on the
-    kernel.  ``a = 0`` returns the support projector.
+    Eigenvalues at or below ``RANK_TOL`` times the top eigenvalue are
+    treated as exact zeros and stay zero for every exponent — in particular
+    negative exponents never blow up on the kernel.  ``a = 0`` returns the
+    support projector.
     """
     w, v = _spectrum(as_matrix(m), psd=True, what="psd_power input")
-    return _pseudo_power(w, v, a, rank_tol)
+    return _pseudo_power(w, v, a)
 
 
-def psd_sqrt(m, rank_tol: float | None = None) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """PSD square root (pseudo, on the support)."""
-    return psd_power(m, 0.5, rank_tol=rank_tol)
+    return psd_power(m, 0.5)
 
 
 def kron(a, b) -> np.ndarray:
@@ -279,17 +270,13 @@ def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
     return np.trace(t, axis1=0, axis2=2)
 
 
-def numerical_rank(m, tol: float | None = None) -> int:
-    """Number of singular values above ``tol`` (relative, default RANK_TOL)."""
-    a = as_matrix(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    t = RANK_TOL if tol is None else tol
-    return int(np.count_nonzero(s > t * s[0]))
+def numerical_rank(m) -> int:
+    """Number of singular values above ``RANK_TOL`` times the largest."""
+    s = np.linalg.svd(as_matrix(m), compute_uv=False)
+    return int(np.count_nonzero(_support(s)))
 
 
-def schatten_p(m, p: float, rank_tol: float | None = None) -> float:
+def schatten_p(m, p: float) -> float:
     """Schatten p-(quasi)norm ``(Σ λ^p)^(1/p)`` of a PSD matrix.
 
     Computed from the clamped eigenvalues restricted to the numerical
@@ -297,13 +284,13 @@ def schatten_p(m, p: float, rank_tol: float | None = None) -> float:
     """
     if p <= 0:
         raise ValueError(f"schatten_p requires p > 0, got {p}")
-    return trace_power(m, p, rank_tol=rank_tol) ** (1.0 / p)
+    return trace_power(m, p) ** (1.0 / p)
 
 
-def trace_power(m, p: float, rank_tol: float | None = None) -> float:
+def trace_power(m, p: float) -> float:
     """``Tr m^p`` for PSD ``m``, eigenvalues below the support cutoff dropped."""
     w = psd_eigvals(m)
-    return float(np.sum(w[_support(w, rank_tol)] ** p))
+    return float(np.sum(w[_support(w)] ** p))
 
 
 # ---------------------------------------------------------------------------

@@ -613,8 +613,12 @@ def mult_scan(
     When adjacent grid points flip from non-violated to violated, the
     threshold is bisected to within ``resolution`` and reported as the
     final bracket midpoint; all evaluated points (grid and bisection)
-    appear in ``rows`` sorted by p.
+    appear in ``rows`` sorted by p.  ``resolution`` must be finite and
+    positive; bisection also stops once the bracket holds no float between
+    its ends.
     """
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     grid = sorted(float(p) for p in p_grid)
     if not grid:
         raise ValueError("empty p grid")
@@ -631,6 +635,8 @@ def mult_scan(
         lo, hi = bracket
         while hi - lo > resolution:
             mid = (lo + hi) / 2.0
+            if mid in (lo, hi):
+                break
             r = mult_check(a, b, mid, config)
             rows[mid] = r
             if r.violated:

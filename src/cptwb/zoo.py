@@ -277,7 +277,6 @@ def near_depolarizing(
     d: int,
     epsilon: float,
     seed=0,
-    probe_samples: int = 1000,
     return_info: bool = False,
 ):
     """Channel whose outputs all sit within ``epsilon`` of I/d.
@@ -285,8 +284,8 @@ def near_depolarizing(
     Mixes the completely depolarizing channel with a seeded random channel,
     M = (1−δ)·depolarizing + δ·R, with δ = 0.5·ε / max_probe, where
     max_probe is the largest max-entry deviation ‖R(ψ) − I/d‖ observed on
-    ``probe_samples`` seeded Haar-random pure inputs.  The 0.5 margin keeps
-    fresh (unprobed) inputs under ε as well.  ε = 0 (or a δ underflow)
+    1000 seeded Haar-random pure inputs.  The 0.5 margin keeps fresh
+    (unprobed) inputs under ε as well.  ε = 0 (or a δ underflow)
     returns the exact depolarizing channel, flagged in the info dict.
     """
     _check_dim(d, 2)
@@ -297,7 +296,7 @@ def near_depolarizing(
     uniform = np.eye(d) / d
 
     max_dev = 0.0
-    for _ in range(probe_samples):
+    for _ in range(1000):
         psi = random_pure_state(d, rng)
         out = chan.apply(ref, np.outer(psi, np.conj(psi)))
         max_dev = max(max_dev, float(np.abs(out - uniform).max()))

@@ -232,6 +232,28 @@ def test_perturb_to_extreme_fixed_point():
     assert res.choi_distance == 0.0
 
 
+def test_perturb_to_extreme_makes_one_eigensolve_per_halving(monkeypatch):
+    rng = rng_from(23)
+    u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
+    mix = ch.KrausChannel.from_kraus([u1 / np.sqrt(2), u2 / np.sqrt(2)])
+    # is_extreme sees the input, then the reference, then one candidate per
+    # ε tried: turning down the first two candidates forces two halvings
+    real, seen = ch.is_extreme, []
+
+    def is_extreme(c):
+        seen.append(c)
+        return len(seen) not in (3, 4) and real(c)
+
+    monkeypatch.setattr(ch, "is_extreme", is_extreme)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    res = ch.perturb_to_extreme(mix, epsilon0=0.1, seed=5)
+    assert res.halvings == 2
+    # S(ε) is 3×3; every other eigensolve here is of a 9×9 Choi matrix
+    assert calls.count((3, 3)) == 3
+
+
 def test_perturb_to_extreme_rejects_high_rank():
     with pytest.raises(ch.ChannelValidationError):
         ch.perturb_to_extreme(zoo.depolarizing(2))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end (in-process)."""
 
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -179,6 +180,43 @@ def test_multscan_grid_parsing_inclusive(capsys):
     assert [row["p"] for row in rep["rows"]] == [1.5, 2.0, 2.5]
     assert rep["threshold"] is None
     assert all(row["violated"] is False for row in rep["rows"])
+
+
+@pytest.mark.parametrize("grid", ["4.5:5:nan", "4.5:inf:0.1", "1:5:1e-12"])
+def test_runaway_p_grid_exits_64_before_it_is_built(grid, capsys):
+    # built point by point, these grids would fill memory; the CPU-time alarm
+    # stops such a regression early, and the check itself takes microseconds
+    def built(signum, frame):
+        raise AssertionError(f"--p-grid {grid} was built point by point")
+
+    old = signal.signal(signal.SIGPROF, built)
+    signal.setitimer(signal.ITIMER_PROF, 0.25)
+    try:
+        code, out, err = run(
+            ["multscan", "--family", "identity", "--dim", "2", "--p-grid", grid],
+            capsys,
+        )
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, old)
+    assert code == 64
+    assert out == "" and "--p-grid" in err
+
+
+def test_p_grid_point_limit_is_exact():
+    assert len(cli._parse_p_grid("0:0.9999:0.0001")) == cli.P_GRID_MAX
+    with pytest.raises(cli.UsageError, match="more than"):
+        cli._parse_p_grid("0:1:0.0001")
+
+
+def test_multscan_non_positive_resolution_exits_2(capsys):
+    code, out, err = run(
+        ["multscan", "--family", "identity", "--dim", "2",
+         "--p-grid", "1.5:2.5:0.5", "--resolution", "0"],
+        capsys,
+    )
+    assert code == 2
+    assert out == "" and "resolution" in err
 
 
 def test_multcheck_second_channel_flags(capsys):

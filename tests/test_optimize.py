@@ -3,6 +3,7 @@ and the multiplicativity checks."""
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -354,6 +355,35 @@ def test_mult_scan_finds_wh3_threshold_coarsely():
     assert 4.6 < scan.threshold < 4.9
     ps = [row.p for row in scan.rows]
     assert ps == sorted(ps)
+
+
+@pytest.mark.parametrize("resolution", [0.0, -0.01, float("nan"), float("inf")])
+def test_mult_scan_rejects_bad_resolution_before_any_check(resolution, monkeypatch):
+    def no_check(*args):
+        raise AssertionError("mult_check reached")
+
+    monkeypatch.setattr(opt, "mult_check", no_check)
+    phi = zoo.werner_holevo(3)
+    with pytest.raises(ValueError, match="resolution"):
+        opt.mult_scan(phi, phi, [4.5, 5.0], resolution=resolution)
+
+
+def test_mult_scan_bisection_stops_at_float_spacing(monkeypatch):
+    # below the float spacing of the bracket, a midpoint is one of its ends
+    calls = []
+
+    def check(a, b, p, config=None):
+        calls.append(p)
+        if len(calls) > 200:
+            raise AssertionError("bisection does not stop")
+        return types.SimpleNamespace(violated=p > 4.79)
+
+    monkeypatch.setattr(opt, "mult_check", check)
+    phi = zoo.werner_holevo(3)
+    scan = opt.mult_scan(phi, phi, [4.5, 5.0], resolution=1e-300)
+    lo, hi = scan.bracket
+    assert np.nextafter(lo, hi) == hi
+    assert len(calls) < 2 + 64
 
 
 def test_mult_scan_without_violation_has_no_threshold():
