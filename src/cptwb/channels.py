@@ -26,6 +26,7 @@ reports both flags plus the Choi rank.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,10 +370,11 @@ def perturb_to_extreme(ch: KrausChannel, epsilon0: float = 0.1, seed=0) -> Pertu
     renormalized channel passes ``is_extreme``; generically the first ε
     works.  One eigendecomposition of S(ε) per ε tried gives both the
     definiteness check and S(ε)^{-1/2} = V diag(w^{-1/2}) V†.  ε = 0 or an
-    already extreme input is a no-op (flagged).
+    already extreme input is a no-op (flagged); a negative or non-finite
+    ``epsilon0`` raises ``ValueError``.
     """
-    if epsilon0 < 0:
-        raise ValueError("epsilon0 must be >= 0")
+    if not (math.isfinite(epsilon0) and epsilon0 >= 0.0):
+        raise ValueError(f"epsilon0 must be finite and >= 0, got {epsilon0}")
     if choi_rank(ch) > ch.d_in:
         raise ChannelValidationError(
             "perturb_to_extreme needs Choi rank <= d_in"

@@ -438,7 +438,7 @@ def cmd_multscan(args) -> int:
     cfg = _config(args)
     grid = _parse_p_grid(args.p_grid)
     scan = opt.mult_scan(ch_a, ch_b, grid, cfg, resolution=args.resolution)
-    rows = [_mult_row(r) for r in scan.rows]
+    rows = [{**_mult_row(r), "decided_by": r.decided_by} for r in scan.rows]
     report = _head("multscan", args)
     report.update(
         {

@@ -50,12 +50,33 @@ matrix T = Σ_k conj(A_k) ⊗ A_k, built once per estimate, as one
 ``TRANSFER_DIM_MAX`` (T would pass 1 MiB) it loops over the Kraus
 operators instead.  The stacked operations act matrix by matrix, so a
 restart's result still depends only on its index, and ``opt2_run`` is the
-same kernel with a stack of one.  ``mult_check`` estimates ν_p(B) only when
-B is a different object from A; for ``b is a`` it reuses ν_p(A).
+same kernel with a stack of one.  The seed queue depends only on
+(d_in, seed, restarts, include_entangled_seeds); it is built once per key
+and kept read-only in a small cache.  ``estimate_nu_p(..., seeds=states)``
+runs exactly the given states as its restarts instead.
+
+Multiplicativity
+----------------
+``mult_check`` compares a multistart search of A⊗B with ν̂_p(A)·ν̂_p(B),
+estimating ν_p(B) only when B is a different object from A (for
+``b is a`` it reuses ν_p(A)).  A violation needs one state ψ with
+‖(A⊗B)(ψψ†)‖_p above the product by the relative ``VIOLATION_MARGIN``
+(below it, for p < 1).  So ``mult_check`` takes optional
+``certificates``, states that certified a violation elsewhere: it first
+polishes them at this p with ``estimate_nu_p(..., seeds=certificates)``,
+up to ``max_iters`` steps.  If the best polished value already certifies
+the violation, the row is violated and the tensor search is skipped
+(``decided_by == "certificate"``).  Otherwise the full search runs
+(``decided_by == "search"``), and the row reports the polished state only
+when it beats the search by more than ``value_tol``.  A polished state is
+a real state, so its value is the same kind of bound the search reports;
+only "not violated" needs the search.  ``mult_scan`` carries the
+certificate of every violated row to the checks after it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -390,10 +411,30 @@ def multistart_seeds(d: int, config: OptimizerConfig) -> list[np.ndarray]:
     return seeds[: config.restarts]
 
 
+@functools.lru_cache(maxsize=8)
+def _seed_queue(
+    d: int, seed: int, restarts: int, include_entangled_seeds: bool
+) -> tuple[np.ndarray, int]:
+    """The ``(restarts, d)`` seed queue of ``estimate_nu_p``, read-only, and
+    how many of its seeds are structured."""
+    cfg = OptimizerConfig(
+        restarts=restarts, seed=seed, include_entangled_seeds=include_entangled_seeds
+    )
+    structured = multistart_seeds(d, cfg)
+    haar = [
+        random_pure_state(d, rng_from(seed, i)) for i in range(len(structured), restarts)
+    ]
+    queue = np.array(structured + haar)
+    queue.flags.writeable = False
+    return queue, len(structured)
+
+
 def estimate_nu_p(
     ch: chan.KrausChannel,
     p: float,
     config: OptimizerConfig | None = None,
+    *,
+    seeds=None,
 ) -> OptimizerReport:
     """Multistart estimate of the extremal output p-norm of a channel.
 
@@ -401,21 +442,22 @@ def estimate_nu_p(
     runs (largest for p > 1, smallest for p < 1), together with the
     achieving input and per-restart diagnostics.  Ties within
     ``value_tol`` resolve to the lowest restart index, so the canonical
-    structured seeds win whenever they reach the optimum.
+    structured seeds win whenever they reach the optimum.  ``seeds``
+    replaces the seed queue: exactly those states run, in order, and
+    ``config.restarts`` is ignored.
     """
     cfg = config or OptimizerConfig()
     _check_p(p)
-    if cfg.restarts < 1:
-        raise ValueError("need at least one restart")
-
-    structured = multistart_seeds(ch.d_in, cfg)
-
-    def seed_state(index: int) -> np.ndarray:
-        if index < len(structured):
-            return structured[index]
-        return random_pure_state(ch.d_in, rng_from(cfg.seed, index))
-
-    seeds = [seed_state(i) for i in range(cfg.restarts)]
+    if seeds is None:
+        if cfg.restarts < 1:
+            raise ValueError("need at least one restart")
+        seeds, n_structured = _seed_queue(
+            ch.d_in, cfg.seed, cfg.restarts, cfg.include_entangled_seeds
+        )
+    else:
+        if not len(seeds):
+            raise ValueError("need at least one seed")
+        n_structured = 0
     runs, _ = _iterate(ch, seeds, p, cfg.max_iters, cfg.value_tol)
 
     sign = 1.0 if p > 1.0 else -1.0
@@ -439,7 +481,7 @@ def estimate_nu_p(
         monotonicity_violations=sum(r.monotonicity_violations for r in runs),
         guard_fallbacks=sum(r.guard_fallbacks for r in runs),
         seed=cfg.seed,
-        n_structured_seeds=len(structured),
+        n_structured_seeds=n_structured,
         config=asdict(cfg),
     )
 
@@ -535,7 +577,10 @@ class MultReport:
     means it exceeds ν̂_p(A)·ν̂_p(B) by the relative margin, and the
     certifying input state is shipped.  For p < 1 the direction flips
     (the bound is an upper bound of the infimum and a violation is a
-    certified shortfall).
+    certified shortfall).  ``decided_by`` is ``"certificate"`` when a
+    polished certificate decided the verdict without the tensor search,
+    else ``"search"``; ``monotonicity_violations`` sums every inner
+    estimate's count, certificate polishing included.
     """
 
     p: float
@@ -546,8 +591,10 @@ class MultReport:
     gap: float
     violated: bool
     certificate: np.ndarray
+    decided_by: str
     tensor_dim: int
     seed: int
+    monotonicity_violations: int
     config: dict
 
 
@@ -565,8 +612,15 @@ def mult_check(
     b: chan.KrausChannel,
     p: float,
     config: OptimizerConfig | None = None,
+    certificates=(),
 ) -> MultReport:
-    """Compare the tensor-product search against the product of singles."""
+    """Compare the tensor-product search against the product of singles.
+
+    ``certificates`` are input states of A⊗B to polish first (see the
+    module docstring, "Multiplicativity"): when the best of them certifies
+    a violation at this p, the tensor search is skipped.  With none, the
+    tensor search always runs.
+    """
     cfg = config or OptimizerConfig()
     tensor_dim = a.d_in * b.d_in
     if tensor_dim > cfg.tensor_dim_cap:
@@ -577,26 +631,46 @@ def mult_check(
         )
     rep_a = estimate_nu_p(a, p, cfg)
     rep_b = rep_a if b is a else estimate_nu_p(b, p, cfg)
-    tensor_cfg = replace(cfg, restarts=cfg.tensor_restarts)
-    rep_ab = estimate_nu_p(chan.tensor(a, b), p, tensor_cfg)
-
     product = rep_a.best_value * rep_b.best_value
-    gap = math.log(rep_ab.best_value) - math.log(product)
-    if p > 1.0:
-        violated = rep_ab.best_value > product * (1.0 + VIOLATION_MARGIN)
+
+    def violates(value: float) -> bool:
+        if p > 1.0:
+            return value > product * (1.0 + VIOLATION_MARGIN)
+        return value < product * (1.0 - VIOLATION_MARGIN)
+
+    tensor = chan.tensor(a, b)
+    tensor_cfg = replace(cfg, restarts=cfg.tensor_restarts)
+    estimates = [rep_a] if b is a else [rep_a, rep_b]
+    polished = None
+    if len(certificates):
+        polished = estimate_nu_p(tensor, p, tensor_cfg, seeds=certificates)
+        estimates.append(polished)
+    if polished is not None and violates(polished.best_value):
+        rep_ab, decided_by = polished, "certificate"
     else:
-        violated = rep_ab.best_value < product * (1.0 - VIOLATION_MARGIN)
+        rep_ab, decided_by = estimate_nu_p(tensor, p, tensor_cfg), "search"
+        estimates.append(rep_ab)
+        # a polished state replaces the search's best only when it beats it
+        # by more than value_tol, the tie rule of estimate_nu_p
+        sign = 1.0 if p > 1.0 else -1.0
+        if polished is not None and (
+            sign * (polished.best_trace_power - rep_ab.best_trace_power) > cfg.value_tol
+        ):
+            rep_ab = polished
+
     return MultReport(
         p=p,
         nu_a=rep_a.best_value,
         nu_b=rep_b.best_value,
         nu_product_lb=rep_ab.best_value,
         product_of_singles=product,
-        gap=gap,
-        violated=violated,
+        gap=math.log(rep_ab.best_value) - math.log(product),
+        violated=violates(rep_ab.best_value),
         certificate=rep_ab.best_input,
+        decided_by=decided_by,
         tensor_dim=tensor_dim,
         seed=cfg.seed,
+        monotonicity_violations=sum(r.monotonicity_violations for r in estimates),
         config=asdict(cfg),
     )
 
@@ -616,13 +690,27 @@ def mult_scan(
     appear in ``rows`` sorted by p.  ``resolution`` must be finite and
     positive; bisection also stops once the bracket holds no float between
     its ends.
+
+    Points are checked in order (the grid ascending, then each midpoint),
+    and every violated row's certificate goes to the ``mult_check`` calls
+    after it (bit-identical certificates once).  A later point whose
+    polished certificates already certify a violation skips the tensor
+    search; each row's ``decided_by`` says which way it was decided.
     """
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     grid = sorted(float(p) for p in p_grid)
     if not grid:
         raise ValueError("empty p grid")
-    rows = {p: mult_check(a, b, p, config) for p in grid}
+    certificates: list[np.ndarray] = []
+
+    def check(p: float) -> MultReport:
+        r = mult_check(a, b, p, config, certificates=tuple(certificates))
+        if r.violated and not any(np.array_equal(r.certificate, c) for c in certificates):
+            certificates.append(r.certificate)
+        return r
+
+    rows = {p: check(p) for p in grid}
 
     bracket = None
     for lo, hi in zip(grid, grid[1:]):
@@ -637,7 +725,7 @@ def mult_scan(
             mid = (lo + hi) / 2.0
             if mid in (lo, hi):
                 break
-            r = mult_check(a, b, mid, config)
+            r = check(mid)
             rows[mid] = r
             if r.violated:
                 hi = mid

@@ -254,6 +254,20 @@ def test_perturb_to_extreme_makes_one_eigensolve_per_halving(monkeypatch):
     assert calls.count((3, 3)) == 3
 
 
+@pytest.mark.parametrize("epsilon0", [float("nan"), float("inf"), -float("inf")])
+def test_perturb_to_extreme_rejects_non_finite_epsilon(epsilon0, monkeypatch):
+    rng = rng_from(23)
+    u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
+    mix = ch.KrausChannel.from_kraus([u1 / np.sqrt(2), u2 / np.sqrt(2)])
+
+    def no_eigh(*args):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(ValueError, match="finite"):
+        ch.perturb_to_extreme(mix, epsilon0=epsilon0, seed=5)
+
+
 def test_perturb_to_extreme_rejects_high_rank():
     with pytest.raises(ch.ChannelValidationError):
         ch.perturb_to_extreme(zoo.depolarizing(2))

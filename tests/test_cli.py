@@ -219,6 +219,21 @@ def test_multscan_non_positive_resolution_exits_2(capsys):
     assert out == "" and "resolution" in err
 
 
+def test_multscan_rows_record_how_each_verdict_was_reached(capsys):
+    code, out, _ = run(
+        ["multscan", "--family", "werner_holevo", "--dim", "3",
+         "--p-grid", "4.5:5.0:0.5", "--restarts", "8", "--tensor-restarts", "12",
+         "--resolution", "0.1", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    decided = {r["p"]: r["decided_by"] for r in rows}
+    assert decided[4.5] == decided[5.0] == "search"  # no certificate yet
+    assert set(decided.values()) == {"search", "certificate"}
+    assert all(r["violated"] for r in rows if r["decided_by"] == "certificate")
+
+
 def test_multcheck_second_channel_flags(capsys):
     code, out, _ = run(
         ["multcheck", "--family", "werner_holevo", "--dim", "3",
@@ -285,6 +300,22 @@ def test_extremality_with_perturbation(tmp_path, capsys):
     assert pert["choi_distance"] > 0
     moved = chan.channel_from_json(pert["channel"])
     assert chan.is_extreme(moved)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_extremality_rejects_non_finite_perturbation(value, tmp_path, capsys):
+    from cptwb._rng import haar_unitary, rng_from
+
+    rng = rng_from(77)
+    u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
+    mix = chan.KrausChannel.from_kraus([u1 / np.sqrt(2), u2 / np.sqrt(2)])
+    f = tmp_path / "mix.json"
+    f.write_text(json.dumps(chan.channel_to_json(mix)))
+    code, out, err = run(
+        ["extremality", "--input", str(f), f"--perturb={value}"], capsys
+    )
+    assert code == 2
+    assert out == "" and "epsilon0" in err
 
 
 def test_extremality_rejects_high_rank_perturbation(capsys):

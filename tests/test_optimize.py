@@ -146,6 +146,51 @@ def test_estimate_nu_p_deterministic_and_tiebreak():
     assert rep.best_restart == 0
 
 
+def _assert_same_fields(x, y, cls):
+    for field in dataclasses.fields(cls):
+        u, v = getattr(x, field.name), getattr(y, field.name)
+        arrays = isinstance(u, tuple) and u and isinstance(u[0], np.ndarray)
+        if isinstance(u, np.ndarray) or arrays:
+            assert np.array_equal(u, v), field.name
+        else:
+            assert u == v, field.name
+
+
+def test_seed_queue_is_cached_read_only_and_reproducible():
+    phi = zoo.random_channel(3, 3, 3, seed=17)
+    opt._seed_queue.cache_clear()
+    first = opt.estimate_nu_p(phi, 3.0, FAST)
+    queue, n_structured = opt._seed_queue(3, FAST.seed, FAST.restarts, True)
+    snapshot = queue.copy()
+    second = opt.estimate_nu_p(phi, 3.0, FAST)
+    opt.estimate_nu_p(phi, 0.5, FAST)
+    assert opt._seed_queue.cache_info().misses == 1
+    _assert_same_fields(first, second, opt.OptimizerReport)
+    assert not queue.flags.writeable
+    with pytest.raises(ValueError):
+        queue[0, 0] = 0.0
+    assert np.array_equal(queue, snapshot)  # the kernel worked on copies
+    assert n_structured == first.n_structured_seeds
+    for i in range(FAST.restarts):
+        assert np.array_equal(queue[i], _seed_state(3, FAST, i))
+
+
+def test_estimate_nu_p_runs_exactly_the_given_seeds():
+    phi = zoo.random_channel(3, 3, 3, seed=17)
+    full = opt.estimate_nu_p(phi, 3.0, FAST)
+    picked = (7, 4)
+    seeds = [_seed_state(3, FAST, i) for i in picked]
+    rep = opt.estimate_nu_p(phi, 3.0, FAST, seeds=seeds)
+    assert rep.n_structured_seeds == 0
+    assert len(rep.restart_values) == len(picked)
+    for j, i in enumerate(picked):
+        assert rep.restart_values[j] == full.restart_values[i]
+        assert np.array_equal(rep.restart_states[j], full.restart_states[i])
+        assert rep.iterations[j] == full.iterations[i]
+    with pytest.raises(ValueError, match="seed"):
+        opt.estimate_nu_p(phi, 3.0, FAST, seeds=[])
+
+
 def _seed_state(d, cfg, i):
     seeds = opt.multistart_seeds(d, cfg)
     return seeds[i] if i < len(seeds) else random_pure_state(d, rng_from(cfg.seed, i))
@@ -272,12 +317,7 @@ def test_mult_check_same_object_matches_an_equal_copy():
     copy = chan.KrausChannel.from_kraus([k.copy() for k in a.kraus])
     same = opt.mult_check(a, a, 5.0, FAST)
     other = opt.mult_check(a, copy, 5.0, FAST)
-    for field in dataclasses.fields(opt.MultReport):
-        x, y = getattr(same, field.name), getattr(other, field.name)
-        if isinstance(x, np.ndarray):
-            assert np.array_equal(x, y), field.name
-        else:
-            assert x == y, field.name
+    _assert_same_fields(same, other, opt.MultReport)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +412,11 @@ def test_mult_scan_bisection_stops_at_float_spacing(monkeypatch):
     # below the float spacing of the bracket, a midpoint is one of its ends
     calls = []
 
-    def check(a, b, p, config=None):
+    def check(a, b, p, config=None, certificates=()):
         calls.append(p)
         if len(calls) > 200:
             raise AssertionError("bisection does not stop")
-        return types.SimpleNamespace(violated=p > 4.79)
+        return types.SimpleNamespace(violated=p > 4.79, certificate=np.array([p]))
 
     monkeypatch.setattr(opt, "mult_check", check)
     phi = zoo.werner_holevo(3)
@@ -393,3 +433,126 @@ def test_mult_scan_without_violation_has_no_threshold():
     assert scan.threshold is None
     assert scan.bracket is None
     assert all(not row.violated for row in scan.rows)
+
+
+# ---------------------------------------------------------------------------
+# certificates carried along a scan
+# ---------------------------------------------------------------------------
+
+WH3 = zoo.werner_holevo(3)
+
+
+def _scan_without_certificates(cfg, monkeypatch):
+    real = opt.mult_check
+
+    def fresh(a, b, p, config=None, certificates=()):
+        return real(a, b, p, config)
+
+    with monkeypatch.context() as m:
+        m.setattr(opt, "mult_check", fresh)
+        return opt.mult_scan(WH3, WH3, (4.5, 5.0), cfg, resolution=0.01)
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_scan_with_certificates_matches_scan_without(seed, monkeypatch):
+    cfg = opt.OptimizerConfig(seed=seed)
+    carried = opt.mult_scan(WH3, WH3, (4.5, 5.0), cfg, resolution=0.01)
+    fresh = _scan_without_certificates(cfg, monkeypatch)
+    assert [r.p for r in carried.rows] == [r.p for r in fresh.rows]
+    assert [r.violated for r in carried.rows] == [r.violated for r in fresh.rows]
+    assert carried.threshold == fresh.threshold
+    assert carried.bracket == fresh.bracket
+    assert abs(carried.threshold - 4.79) <= 0.02
+    assert all(r.decided_by == "search" for r in fresh.rows)
+    decided = [r.decided_by for r in carried.rows]
+    assert decided.count("certificate") >= 3
+    assert all(r.monotonicity_violations == 0 for r in carried.rows)
+    _assert_same_fields(carried.rows[-1], fresh.rows[-1], opt.MultReport)  # p = 5
+    ww = chan.tensor(WH3, WH3)
+    for r in carried.rows:
+        if r.decided_by == "certificate":
+            assert r.violated
+            direct = opt.output_trace_power(ww, r.certificate, r.p) ** (1.0 / r.p)
+            assert abs(r.nu_product_lb - direct) <= 1e-13 * direct
+
+
+def test_stale_certificate_falls_through_to_the_search():
+    cert = opt.mult_check(WH3, WH3, 5.0, FAST).certificate
+    rep = opt.mult_check(WH3, WH3, 4.75, FAST, certificates=[cert])
+    assert rep.decided_by == "search"
+    assert not rep.violated
+    # the search beats the polished state, so the row is the plain check
+    _assert_same_fields(rep, opt.mult_check(WH3, WH3, 4.75, FAST), opt.MultReport)
+
+
+def test_better_polished_certificate_replaces_a_weaker_search():
+    # one tensor restart: the search runs only from the maximally entangled
+    # seed, which at p = 3 stays below the product of the singles
+    cfg = dataclasses.replace(FAST, tensor_restarts=1)
+    single = opt.estimate_nu_p(WH3, 3.0, cfg)
+    cert = np.kron(single.best_input, single.best_input)
+    plain = opt.mult_check(WH3, WH3, 3.0, cfg)
+    assert plain.nu_product_lb < plain.product_of_singles * (1.0 - 1e-3)
+    rep = opt.mult_check(WH3, WH3, 3.0, cfg, certificates=[cert])
+    assert rep.decided_by == "search" and not rep.violated
+    assert abs(rep.nu_product_lb - rep.product_of_singles) <= 1e-12
+    polished = opt.estimate_nu_p(chan.tensor(WH3, WH3), 3.0, cfg, seeds=[cert])
+    assert np.array_equal(rep.certificate, polished.best_input)
+    # every product state is optimal for WH3: with the full budget the
+    # search reaches the product too, and the tie keeps the search's row
+    other = np.kron(np.eye(3)[1], np.eye(3)[2]).astype(complex)
+    tie = opt.mult_check(WH3, WH3, 3.0, FAST, certificates=[other])
+    _assert_same_fields(tie, opt.mult_check(WH3, WH3, 3.0, FAST), opt.MultReport)
+    assert not np.array_equal(tie.certificate, other)
+
+
+def test_certificate_polishing_goes_through_estimate_nu_p(monkeypatch):
+    cert = opt.mult_check(WH3, WH3, 5.0, FAST).certificate
+    real_estimate, real_iterate = opt.estimate_nu_p, opt._iterate
+    calls, depth = [], [0]
+
+    def estimate(ch, p, config=None, **kwargs):
+        calls.append(kwargs.get("seeds"))
+        depth[0] += 1
+        try:
+            rep = real_estimate(ch, p, config, **kwargs)
+        finally:
+            depth[0] -= 1
+        return dataclasses.replace(rep, monotonicity_violations=1)
+
+    def iterate(*args):
+        assert depth[0] == 1, "fixed-point work outside estimate_nu_p"
+        return real_iterate(*args)
+
+    monkeypatch.setattr(opt, "estimate_nu_p", estimate)
+    monkeypatch.setattr(opt, "_iterate", iterate)
+    rep = opt.mult_check(WH3, WH3, 4.9, FAST, certificates=[cert])
+    assert rep.decided_by == "certificate" and rep.violated
+    assert len(calls) == 2  # ν(A), reused for B, and the polish
+    assert calls[0] is None and np.array_equal(calls[1], [cert])
+    assert rep.monotonicity_violations == 2  # summed over both estimates
+    calls.clear()
+    rep = opt.mult_check(WH3, WH3, 4.6, FAST, certificates=[cert])
+    assert rep.decided_by == "search" and not rep.violated
+    assert len(calls) == 3  # ν(A), the polish and the tensor search
+    assert rep.monotonicity_violations == 3
+
+
+def test_mult_check_without_certificates_is_the_plain_search():
+    a, b = WH3, zoo.depolarized_wh(3, 0.25)
+    for p in (0.5, 5.0):
+        rep = opt.mult_check(a, b, p, FAST, certificates=())
+        _assert_same_fields(rep, opt.mult_check(a, b, p, FAST), opt.MultReport)
+        rep_a, rep_b = opt.estimate_nu_p(a, p, FAST), opt.estimate_nu_p(b, p, FAST)
+        tensor_cfg = dataclasses.replace(FAST, restarts=FAST.tensor_restarts)
+        rep_ab = opt.estimate_nu_p(chan.tensor(a, b), p, tensor_cfg)
+        product = rep_a.best_value * rep_b.best_value
+        assert rep.decided_by == "search"
+        assert (rep.nu_a, rep.nu_b) == (rep_a.best_value, rep_b.best_value)
+        assert rep.nu_product_lb == rep_ab.best_value
+        assert rep.product_of_singles == product
+        assert rep.gap == math.log(rep_ab.best_value) - math.log(product)
+        assert np.array_equal(rep.certificate, rep_ab.best_input)
+        assert rep.monotonicity_violations == sum(
+            r.monotonicity_violations for r in (rep_a, rep_b, rep_ab)
+        )
