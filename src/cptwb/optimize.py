@@ -66,12 +66,22 @@ estimating ν_p(B) only when B is a different object from A (for
 polishes them at this p with ``estimate_nu_p(..., seeds=certificates)``,
 up to ``max_iters`` steps.  If the best polished value already certifies
 the violation, the row is violated and the tensor search is skipped
-(``decided_by == "certificate"``).  Otherwise the full search runs
+(``decided_by == "certificate"``).  Otherwise the search runs
 (``decided_by == "search"``), and the row reports the polished state only
 when it beats the search by more than ``value_tol``.  A polished state is
 a real state, so its value is the same kind of bound the search reports;
 only "not violated" needs the search.  ``mult_scan`` carries the
 certificate of every violated row to the checks after it.
+
+The search gets the same threshold, ν̂_p(A)·ν̂_p(B)·(1 ± margin), as its
+``bound``: its structured seeds run first, and when their best already
+certifies the violation the Haar seeds are skipped
+(``tensor_restarts_run`` says how many tensor restarts ran).  When they
+do not, the Haar seeds run and the report is the single-stack one.  Both
+shortcuts, and a violation itself, need converged single estimates: an
+unconverged ν̂_p(A) is too low (too high for p < 1), so a tensor value
+beyond the product would show nothing.  Without them the check reports
+no violation (``singles_converged`` is false).
 """
 
 from __future__ import annotations
@@ -270,11 +280,14 @@ def _iterate(
     their objective stalls.  Every stacked operation works matrix by matrix
     (Φ̂ too: one product per row, not one GEMM over the stack), so a row's
     result does not depend on which other rows share the stack.  A zero or
-    non-finite state raises ``ValueError`` before any eigensolve.
+    non-finite state, or ``max_iters < 1``, raises ``ValueError`` before any
+    eigensolve.
 
     Returns one :class:`Opt2Run` per row and the last state of each row.
     """
     _check_p(p)
+    if max_iters < 1:
+        raise ValueError(f"need max_iters >= 1, got {max_iters}")
     psi = np.array(states, dtype=np.complex128, ndmin=2)
     if psi.ndim != 2 or psi.shape[1] != ch.d_in:
         raise la.ShapeError(f"states have shape {psi.shape}, expected (r, {ch.d_in})")
@@ -435,6 +448,7 @@ def estimate_nu_p(
     config: OptimizerConfig | None = None,
     *,
     seeds=None,
+    bound: float | None = None,
 ) -> OptimizerReport:
     """Multistart estimate of the extremal output p-norm of a channel.
 
@@ -445,6 +459,14 @@ def estimate_nu_p(
     structured seeds win whenever they reach the optimum.  ``seeds``
     replaces the seed queue: exactly those states run, in order, and
     ``config.restarts`` is ignored.
+
+    ``bound`` stops the search early: when the queue holds both structured
+    and Haar seeds, the structured ones run first as one stack, and if
+    their best value is already beyond ``bound`` (above it for p > 1, below
+    it for p < 1) the report covers those restarts alone.  Otherwise the
+    Haar seeds run as a second stack and the report is the one a single
+    stack gives, field for field, since a restart's result depends only on
+    its index.
     """
     cfg = config or OptimizerConfig()
     _check_p(p)
@@ -458,13 +480,20 @@ def estimate_nu_p(
         if not len(seeds):
             raise ValueError("need at least one seed")
         n_structured = 0
-    runs, _ = _iterate(ch, seeds, p, cfg.max_iters, cfg.value_tol)
+    stages = [seeds]
+    if bound is not None and 0 < n_structured < len(seeds):
+        stages = [seeds[:n_structured], seeds[n_structured:]]
 
     sign = 1.0 if p > 1.0 else -1.0
-    best = 0
-    for i in range(1, len(runs)):
-        if sign * (runs[i].trace_power - runs[best].trace_power) > cfg.value_tol:
-            best = i
+    runs: list[Opt2Run] = []
+    for stage in stages:
+        runs += _iterate(ch, stage, p, cfg.max_iters, cfg.value_tol)[0]
+        best = 0
+        for i in range(1, len(runs)):
+            if sign * (runs[i].trace_power - runs[best].trace_power) > cfg.value_tol:
+                best = i
+        if bound is not None and sign * (runs[best].value - bound) > 0.0:
+            break
 
     chosen = runs[best]
     return OptimizerReport(
@@ -579,8 +608,15 @@ class MultReport:
     (the bound is an upper bound of the infimum and a violation is a
     certified shortfall).  ``decided_by`` is ``"certificate"`` when a
     polished certificate decided the verdict without the tensor search,
-    else ``"search"``; ``monotonicity_violations`` sums every inner
-    estimate's count, certificate polishing included.
+    else ``"search"``; ``tensor_restarts_run`` counts the tensor-queue
+    restarts that ran: 0 when a certificate decided, the number of
+    structured seeds when they certified the violation on their own (the
+    search stopped there), ``tensor_restarts`` otherwise.
+    ``singles_converged`` says whether every restart of both single
+    estimates converged; ``violated`` is never true without it.  A guard
+    stall at p < 1 counts as convergence here, as everywhere in this
+    module.  ``monotonicity_violations`` sums every inner estimate's
+    count, certificate polishing included.
     """
 
     p: float
@@ -592,6 +628,8 @@ class MultReport:
     violated: bool
     certificate: np.ndarray
     decided_by: str
+    tensor_restarts_run: int
+    singles_converged: bool
     tensor_dim: int
     seed: int
     monotonicity_violations: int
@@ -618,8 +656,11 @@ def mult_check(
 
     ``certificates`` are input states of A⊗B to polish first (see the
     module docstring, "Multiplicativity"): when the best of them certifies
-    a violation at this p, the tensor search is skipped.  With none, the
-    tensor search always runs.
+    a violation at this p, the tensor search is skipped.  Otherwise the
+    tensor search runs with the violation threshold as its ``bound``, so
+    it stops after its structured seeds when they certify the violation.
+    A violation needs converged single estimates; without them neither
+    shortcut is taken and ``violated`` is false.
     """
     cfg = config or OptimizerConfig()
     tensor_dim = a.d_in * b.d_in
@@ -632,11 +673,14 @@ def mult_check(
     rep_a = estimate_nu_p(a, p, cfg)
     rep_b = rep_a if b is a else estimate_nu_p(b, p, cfg)
     product = rep_a.best_value * rep_b.best_value
+    # an unconverged single estimate is too low (too high for p < 1), so a
+    # tensor value beyond the product would not show a violation
+    singles_converged = all(rep_a.converged) and all(rep_b.converged)
+    sign = 1.0 if p > 1.0 else -1.0
+    bound = product * (1.0 + sign * VIOLATION_MARGIN) if singles_converged else None
 
     def violates(value: float) -> bool:
-        if p > 1.0:
-            return value > product * (1.0 + VIOLATION_MARGIN)
-        return value < product * (1.0 - VIOLATION_MARGIN)
+        return bound is not None and sign * (value - bound) > 0.0
 
     tensor = chan.tensor(a, b)
     tensor_cfg = replace(cfg, restarts=cfg.tensor_restarts)
@@ -646,13 +690,13 @@ def mult_check(
         polished = estimate_nu_p(tensor, p, tensor_cfg, seeds=certificates)
         estimates.append(polished)
     if polished is not None and violates(polished.best_value):
-        rep_ab, decided_by = polished, "certificate"
+        rep_ab, decided_by, tensor_restarts_run = polished, "certificate", 0
     else:
-        rep_ab, decided_by = estimate_nu_p(tensor, p, tensor_cfg), "search"
+        rep_ab = estimate_nu_p(tensor, p, tensor_cfg, bound=bound)
+        decided_by, tensor_restarts_run = "search", len(rep_ab.restart_values)
         estimates.append(rep_ab)
         # a polished state replaces the search's best only when it beats it
         # by more than value_tol, the tie rule of estimate_nu_p
-        sign = 1.0 if p > 1.0 else -1.0
         if polished is not None and (
             sign * (polished.best_trace_power - rep_ab.best_trace_power) > cfg.value_tol
         ):
@@ -668,6 +712,8 @@ def mult_check(
         violated=violates(rep_ab.best_value),
         certificate=rep_ab.best_input,
         decided_by=decided_by,
+        tensor_restarts_run=tensor_restarts_run,
+        singles_converged=singles_converged,
         tensor_dim=tensor_dim,
         seed=cfg.seed,
         monotonicity_violations=sum(r.monotonicity_violations for r in estimates),

@@ -168,6 +168,18 @@ def test_infinite_order_exits_2(capsys):
     assert "finite p" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("max_iters", ["0", "-5"])
+def test_multcheck_without_iterations_exits_2(max_iters, capsys):
+    code, out, err = run(
+        ["multcheck", "--family", "werner_holevo", "--dim", "3", "--p", "5",
+         "--max-iters", max_iters],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "max_iters" in err and "Traceback" not in err
+
+
 def test_multscan_grid_parsing_inclusive(capsys):
     code, out, _ = run(
         ["multscan", "--family", "identity", "--dim", "2",

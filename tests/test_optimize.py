@@ -15,6 +15,7 @@ from cptwb import zoo
 from cptwb._rng import random_pure_state, rng_from
 
 FAST = opt.OptimizerConfig(restarts=10, max_iters=300, seed=0, tensor_restarts=16)
+WH3 = zoo.werner_holevo(3)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +278,19 @@ def test_zero_or_non_finite_state_is_rejected_before_eigensolves(state, monkeypa
     assert not isinstance(exc.value, np.linalg.LinAlgError)
 
 
+@pytest.mark.parametrize("max_iters", [0, -5])
+def test_max_iters_below_one_is_rejected_before_eigensolves(max_iters, monkeypatch):
+    def no_eigh(a):
+        raise AssertionError("eigh reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    cfg = dataclasses.replace(FAST, max_iters=max_iters)
+    with pytest.raises(ValueError, match="max_iters"):
+        opt.estimate_nu_p(WH3, 5.0, cfg)
+    with pytest.raises(ValueError, match="max_iters"):
+        opt.opt2_run(WH3, np.array([1.0, 0.0, 0.0]), 5.0, cfg)
+
+
 def test_opt2_step_rejects_non_finite_state():
     with pytest.raises(ValueError, match="state norm nan"):
         opt.opt2_step(zoo.werner_holevo(3), np.array([np.nan, 1.0, 0.0]), 3.0)
@@ -439,9 +453,6 @@ def test_mult_scan_without_violation_has_no_threshold():
 # certificates carried along a scan
 # ---------------------------------------------------------------------------
 
-WH3 = zoo.werner_holevo(3)
-
-
 def _scan_without_certificates(cfg, monkeypatch):
     real = opt.mult_check
 
@@ -556,3 +567,147 @@ def test_mult_check_without_certificates_is_the_plain_search():
         assert rep.monotonicity_violations == sum(
             r.monotonicity_violations for r in (rep_a, rep_b, rep_ab)
         )
+
+
+def test_tensor_restarts_run_counts_the_queue_restarts():
+    cert = opt.mult_check(WH3, WH3, 5.0, FAST).certificate
+    decided = opt.mult_check(WH3, WH3, 4.9, FAST, certificates=[cert])
+    assert decided.decided_by == "certificate" and decided.tensor_restarts_run == 0
+    stale = opt.mult_check(WH3, WH3, 4.75, FAST, certificates=[cert])
+    assert stale.decided_by == "search"
+    assert stale.tensor_restarts_run == FAST.tensor_restarts
+
+
+# ---------------------------------------------------------------------------
+# a violation needs converged single estimates
+# ---------------------------------------------------------------------------
+
+# two steps are too few for the single estimates of this channel to converge
+UNCONVERGED = opt.OptimizerConfig(restarts=6, tensor_restarts=1, max_iters=2)
+
+
+def test_certificate_cannot_decide_against_unconverged_singles():
+    a = zoo.random_channel(2, 2, 2, seed=0)
+    single = opt.estimate_nu_p(a, 3.0, UNCONVERGED)
+    assert not all(single.converged)
+    # a product state cannot violate multiplicativity; polished two steps
+    # further than the singles, it still beats their product
+    cert = np.kron(single.best_input, single.best_input)
+    rep = opt.mult_check(a, a, 3.0, UNCONVERGED, certificates=[cert])
+    assert rep.nu_product_lb > rep.product_of_singles * (1.0 + opt.VIOLATION_MARGIN)
+    assert not rep.singles_converged
+    assert not rep.violated
+    assert rep.decided_by == "search"
+
+
+def test_search_cannot_decide_against_unconverged_singles():
+    a = zoo.random_channel(2, 2, 2, seed=0)
+    cfg = dataclasses.replace(UNCONVERGED, tensor_restarts=40)
+    rep = opt.mult_check(a, a, 3.0, cfg)
+    assert rep.nu_product_lb > rep.product_of_singles * (1.0 + opt.VIOLATION_MARGIN)
+    assert not rep.singles_converged
+    assert not rep.violated
+    assert rep.tensor_restarts_run == 40  # no early stop either
+
+
+# ---------------------------------------------------------------------------
+# the tensor search stops at its structured seeds when they certify
+# ---------------------------------------------------------------------------
+
+WW = chan.tensor(WH3, WH3)
+FULL = opt.OptimizerConfig(restarts=200)  # 82 structured seeds, then Haar
+
+
+@pytest.mark.parametrize("p", [0.5, 4.75])
+def test_staged_search_below_the_bound_is_the_one_stack_search(p):
+    plain = opt.estimate_nu_p(WW, p, FULL)
+    assert 0 < plain.n_structured_seeds < FULL.restarts  # both stages run
+    never = math.inf if p > 1.0 else 0.0
+    staged = opt.estimate_nu_p(WW, p, FULL, bound=never)
+    _assert_same_fields(staged, plain, opt.OptimizerReport)
+
+
+@pytest.mark.parametrize("p", [0.5, 5.0])
+def test_staged_search_stops_when_the_structured_best_is_beyond_the_bound(p):
+    plain = opt.estimate_nu_p(WW, p, FULL)
+    n = plain.n_structured_seeds
+    structured = plain.restart_values[:n]
+    if p > 1.0:
+        bound = max(structured) * (1.0 - 1e-9)
+    else:
+        bound = min(structured) * (1.0 + 1e-9)
+    staged = opt.estimate_nu_p(WW, p, FULL, bound=bound)
+    assert len(staged.restart_values) == n
+    # the same report as a queue of the structured seeds alone
+    alone = opt.estimate_nu_p(WW, p, dataclasses.replace(FULL, restarts=n))
+    assert staged.config == plain.config
+    _assert_same_fields(
+        dataclasses.replace(staged, config=alone.config), alone, opt.OptimizerReport
+    )
+
+
+def _one_stack(monkeypatch):
+    """Make mult_check's estimates ignore ``bound``: one stack per search."""
+    real = opt.estimate_nu_p
+
+    def estimate(ch, p, config=None, *, seeds=None, bound=None):
+        return real(ch, p, config, seeds=seeds)
+
+    monkeypatch.setattr(opt, "estimate_nu_p", estimate)
+
+
+def _counted_check(monkeypatch, config=None):
+    """mult_check(WH3, WH3, 5) and the number of matrices it eigendecomposed."""
+    matrices = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        matrices.append(math.prod(a.shape[:-2]))
+        return eigh(a)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", counted)
+        rep = opt.mult_check(WH3, WH3, 5.0, config)
+    return rep, sum(matrices)
+
+
+def test_default_wh3_check_at_p5_stops_after_the_structured_seeds(monkeypatch):
+    staged, _ = _counted_check(monkeypatch)
+    with monkeypatch.context() as m:
+        _one_stack(m)
+        one, _ = _counted_check(m)
+    assert staged.violated and staged.decided_by == "search"
+    assert staged.singles_converged
+    assert staged.tensor_restarts_run == 82
+    assert one.tensor_restarts_run == opt.OptimizerConfig().tensor_restarts
+    _assert_same_fields(
+        dataclasses.replace(staged, tensor_restarts_run=one.tensor_restarts_run),
+        one,
+        opt.MultReport,
+    )
+
+
+def test_early_stop_saves_eigensolves(monkeypatch):
+    # a count, not a time: it repeats exactly, and it is lost with the stop
+    _, staged = _counted_check(monkeypatch)
+    with monkeypatch.context() as m:
+        _one_stack(m)
+        _, one = _counted_check(m)
+    assert staged < one
+
+
+def test_all_structured_queue_runs_one_stack(monkeypatch):
+    cfg = opt.OptimizerConfig(tensor_restarts=24)
+    stacks = []
+    real = opt._iterate
+
+    def iterate(ch, states, *args):
+        if ch.d_in == 9:
+            stacks.append(len(states))
+        return real(ch, states, *args)
+
+    monkeypatch.setattr(opt, "_iterate", iterate)
+    rep = opt.mult_check(WH3, WH3, 5.0, cfg)
+    assert rep.violated
+    assert stacks == [24]
+    assert rep.tensor_restarts_run == 24
