@@ -34,7 +34,7 @@ print("monotonicity violations:", rep.monotonicity_violations)
 # The minimal output entropy of the transpose-shift channel is attained
 # on coherent pairs like (1, i, 0)/sqrt(2), giving log 3 - (2/3) log 2.
 fss = zoo.fss_psi()
-rep1 = opt.estimate_smin_p(fss, 1.0, cfg)
+rep1 = entropy.estimate_smin_p(fss, 1.0, cfg)
 want = math.log(3) - (2.0 / 3.0) * math.log(2)
 print(f"S_min = {rep1.value:.12f}   closed form {want:.12f}")
 print("argmin:", np.round(rep1.argmin, 6))
@@ -45,7 +45,7 @@ print("argmin:", np.round(rep1.argmin, 6))
 print(f"two-sided extrapolation: {rep1.extrapolated:.12f}")
 
 # At p = 0 the search minimizes output *rank*.
-rep0 = opt.estimate_smin_p(fss, 0.0, cfg)
+rep0 = entropy.estimate_smin_p(fss, 0.0, cfg)
 print(f"S_0 = {rep0.value:.12f} = log", round(math.exp(rep0.value)))
 
 # Renyi orders interpolate; the von Neumann entropy is the p -> 1 limit.

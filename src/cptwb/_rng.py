@@ -34,10 +34,7 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d×d unitary (QR of a Ginibre matrix, phases fixed)."""
-    q, r = np.linalg.qr(_ginibre(rng, d, d))
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    return haar_isometry(d, d, rng)
 
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -32,6 +32,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from . import __version__
 from . import linalg as la
 from . import channels as chan
 from . import zoo
+from . import entropy
 from . import optimize as opt
 from . import decompose as dec
 
@@ -260,12 +262,28 @@ def _load_channel(args, suffix: str = "", required: bool = True, validate: bool 
 
 
 def _config(args) -> opt.OptimizerConfig:
-    return opt.OptimizerConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        tensor_restarts=getattr(args, "tensor_restarts", 200),
-    )
+    """The optimizer settings from the flags a subcommand has; the rest keep
+    their ``OptimizerConfig`` defaults."""
+    flags = ("restarts", "max_iters", "seed", "tensor_restarts")
+    given = {f: getattr(args, f) for f in flags if hasattr(args, f)}
+    return opt.OptimizerConfig(**given)
+
+
+def _tolerances(cfg: opt.OptimizerConfig, mult: bool = False) -> dict:
+    """The optimizer reports' ``tolerances``; multiplicativity adds its margin."""
+    tol = {"value_tol": cfg.value_tol}
+    if mult:
+        tol["violation_margin"] = opt.VIOLATION_MARGIN
+    return tol
+
+
+def _classification(ch: chan.KrausChannel) -> dict:
+    meta = chan.classify(ch)
+    return {
+        "choi_rank": meta.choi_rank,
+        "is_extreme": meta.is_extreme,
+        "is_generalized_extreme": meta.is_generalized_extreme,
+    }
 
 
 def _head(command: str, args, desc: dict | None = None) -> dict:
@@ -300,15 +318,7 @@ def cmd_info(args) -> int:
             },
         }
     )
-    if rep.choi_psd:
-        meta = chan.classify(ch)
-        report["classification"] = {
-            "choi_rank": meta.choi_rank,
-            "is_extreme": meta.is_extreme,
-            "is_generalized_extreme": meta.is_generalized_extreme,
-        }
-    else:
-        report["classification"] = None
+    report["classification"] = _classification(ch) if rep.choi_psd else None
     if args.dump_kraus:
         report["kraus"] = chan.channel_to_json(ch)["kraus"]
     _emit(args, report)
@@ -335,7 +345,7 @@ def cmd_numax(args) -> int:
             "guard_fallbacks": rep.guard_fallbacks,
             "best_input": _vec_json(rep.best_input),
             "config": rep.config,
-            "tolerances": {"value_tol": cfg.value_tol},
+            "tolerances": _tolerances(cfg),
         }
     )
     _emit(args, report)
@@ -345,7 +355,7 @@ def cmd_numax(args) -> int:
 def cmd_smin(args) -> int:
     ch, desc = _load_channel(args)
     cfg = _config(args)
-    rep = opt.estimate_smin_p(ch, args.p, cfg)
+    rep = entropy.estimate_smin_p(ch, args.p, cfg)
     report = _head("smin", args, desc)
     report.update(
         {
@@ -355,7 +365,7 @@ def cmd_smin(args) -> int:
             "nu_value": rep.nu_value,
             "argmin": _vec_json(rep.argmin),
             "config": rep.config,
-            "tolerances": {"value_tol": cfg.value_tol},
+            "tolerances": _tolerances(cfg),
         }
     )
     _emit(args, report)
@@ -401,10 +411,7 @@ def cmd_multcheck(args) -> int:
             "tensor_dim": r.tensor_dim,
             "certificate": _vec_json(r.certificate),
             "config": r.config,
-            "tolerances": {
-                "value_tol": cfg.value_tol,
-                "violation_margin": opt.VIOLATION_MARGIN,
-            },
+            "tolerances": _tolerances(cfg, mult=True),
         }
     )
     _emit(args, report, csv_rows=[_mult_row(r)])
@@ -449,17 +456,8 @@ def cmd_multscan(args) -> int:
             "rows": rows,
             "threshold": scan.threshold,
             "bracket": list(scan.bracket) if scan.bracket else None,
-            "config": {
-                "restarts": cfg.restarts,
-                "tensor_restarts": cfg.tensor_restarts,
-                "max_iters": cfg.max_iters,
-                "value_tol": cfg.value_tol,
-                "seed": cfg.seed,
-            },
-            "tolerances": {
-                "value_tol": cfg.value_tol,
-                "violation_margin": opt.VIOLATION_MARGIN,
-            },
+            "config": asdict(cfg),
+            "tolerances": _tolerances(cfg, mult=True),
         }
     )
     _emit(args, report, csv_rows=rows)
@@ -507,18 +505,13 @@ def cmd_decompose(args) -> int:
 
 def cmd_extremality(args) -> int:
     ch, desc = _load_channel(args)
-    meta = chan.classify(ch)
     report = _head("extremality", args, desc)
     report.update(
         {
             "d_in": ch.d_in,
             "d_out": ch.d_out,
             "n_kraus": len(ch),
-            "classification": {
-                "choi_rank": meta.choi_rank,
-                "is_extreme": meta.is_extreme,
-                "is_generalized_extreme": meta.is_generalized_extreme,
-            },
+            "classification": _classification(ch),
         }
     )
     if args.perturb is not None:
@@ -574,12 +567,15 @@ def _build_parser() -> _Parser:
     )
     common.add_argument("--output", metavar="FILE", help="write the report to FILE")
 
+    defaults = opt.OptimizerConfig()
     optflags = _Parser(add_help=False)
-    optflags.add_argument("--restarts", type=int, default=50)
-    optflags.add_argument("--max-iters", type=int, default=500)
+    optflags.add_argument("--restarts", type=int, default=defaults.restarts)
+    optflags.add_argument("--max-iters", type=int, default=defaults.max_iters)
 
     tensorflags = _Parser(add_help=False)
-    tensorflags.add_argument("--tensor-restarts", type=int, default=200)
+    tensorflags.add_argument(
+        "--tensor-restarts", type=int, default=defaults.tensor_restarts
+    )
 
     parser = _Parser(
         prog="cptwb",

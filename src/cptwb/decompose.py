@@ -191,19 +191,19 @@ def horn_vectors(a) -> list[np.ndarray]:
     mixed input yields an orthonormal basis, a pure state returns d
     copies of its vector (up to phase).
     """
-    h = la.check_hermitian(a, what="density matrix")
-    tr = float(np.trace(h).real)
+    w, q = la.herm_eig(a)
+    tr = float(w.sum())
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"horn_vectors needs trace 1, got {tr:.6f}")
-    d = h.shape[0]
-    w, q = la.herm_eig(h)
+    d = len(w)
     if w[-1] < -la.PSD_CLAMP * max(float(w[0]), 1.0):
         raise la.NotPSDError(f"negative eigenvalue {w[-1]:.3e}")
     w = np.clip(w, 0.0, None)
 
+    # C = R diag(w) Rᵀ has the constant diagonal 1/d; its square root B comes
+    # from the same spectrum, as R diag(√w) Rᵀ on the support
     r = schur_horn_equalize(w)
-    c_mat = r @ np.diag(w) @ r.T
-    b = la.psd_sqrt(c_mat)
+    b = (r * la._support_power(w, 0.5)) @ r.T
     u = q @ r.T.astype(np.complex128)
     xb = np.sqrt(d) * (u @ b)
     return [xb[:, m].copy() for m in range(d)]

@@ -1,34 +1,46 @@
-"""Output entropies of channels: von Neumann, Rényi, coherent information.
+"""Output entropies of channels: von Neumann, Rényi, coherent information,
+and the minimal output Rényi entropy.
 
 All entropies are in nats.  Rényi order p = 1 dispatches to von Neumann,
 p = 0 reports the log of the numerical rank; fractional orders use the
-clamped support spectrum so singular states are safe.
+clamped support spectrum so singular states are safe.  The minimal output
+quantities (``estimate_smin_p``, ``min_output_rank``) run the fixed-point
+search of :mod:`cptwb.optimize`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import linalg as la
 from . import channels as chan
+from . import optimize as opt
 
 __all__ = [
     "von_neumann",
     "renyi",
     "coherent_information",
     "min_output_rank",
+    "SminReport",
+    "estimate_smin_p",
 ]
+
+
+def _unit_trace_spectrum(rho, who: str) -> np.ndarray:
+    """Eigenvalues of a nonzero PSD matrix, divided by their sum."""
+    w = la.psd_eigvals(rho, what="density matrix")
+    t = w.sum()
+    if t <= 0.0:
+        raise la.NotPSDError(f"{who} needs a nonzero PSD matrix")
+    return w / t
 
 
 def von_neumann(rho) -> float:
     """S(ρ) = −Σ λ log λ over the support spectrum (nats)."""
-    w = la.psd_eigvals(rho, what="density matrix")
-    t = w.sum()
-    if t <= 0.0:
-        raise la.NotPSDError("von_neumann needs a nonzero PSD matrix")
-    w = w / t
+    w = _unit_trace_spectrum(rho, "von_neumann")
     w = w[w > 0.0]
     return float(-np.sum(w * np.log(w)))
 
@@ -41,16 +53,11 @@ def renyi(rho, p: float) -> float:
     """
     if p < 0:
         raise ValueError(f"Rényi order must be >= 0, got {p}")
-    w = la.psd_eigvals(rho, what="density matrix")
-    t = w.sum()
-    if t <= 0.0:
-        raise la.NotPSDError("renyi needs a nonzero PSD matrix")
-    w = w / t
+    if abs(p - 1.0) < 1e-9:
+        return von_neumann(rho)
+    w = _unit_trace_spectrum(rho, "renyi")
     if p == 0:
         return math.log(np.count_nonzero(la._support(w)))
-    if abs(p - 1.0) < 1e-9:
-        w = w[w > 0.0]
-        return float(-np.sum(w * np.log(w)))
     w = w[la._support(w)]
     return float(math.log(np.sum(w**p)) / (1.0 - p))
 
@@ -70,9 +77,7 @@ def min_output_rank(ch: chan.KrausChannel, config=None) -> tuple[int, np.ndarray
     reports the smallest ``numerical_rank`` among the converged outputs,
     together with the input achieving it.
     """
-    from . import optimize  # local import: optimize is built on top of entropy-free modules
-
-    report = optimize.estimate_nu_p(ch, 0.05, config=config)
+    report = opt.estimate_nu_p(ch, 0.05, config=config)
     best_rank = None
     best_state = None
     for psi in report.restart_states:
@@ -82,3 +87,77 @@ def min_output_rank(ch: chan.KrausChannel, config=None) -> tuple[int, np.ndarray
             best_rank = r
             best_state = psi
     return int(best_rank), best_state
+
+
+@dataclass(frozen=True)
+class SminReport:
+    """Minimal output Rényi entropy estimate."""
+
+    p: float
+    value: float
+    argmin: np.ndarray
+    extrapolated: float | None
+    nu_value: float | None
+    config: dict
+
+
+def estimate_smin_p(
+    ch: chan.KrausChannel,
+    p: float,
+    config: opt.OptimizerConfig | None = None,
+) -> SminReport:
+    """Minimal output Rényi-p entropy via the fixed-point search.
+
+    For p ≠ 1 this is (1/(1−p))·log of the extremal Tr Φ(ρ)^p from
+    ``optimize.estimate_nu_p`` (max for p > 1, min for p < 1 — both
+    minimize S^p).  p = 1 runs the search at p ∈ {0.99, 1.01}, picks the
+    argmin with the smaller *direct von Neumann* output entropy
+    (stationarity makes the O(0.01) argmin error second order in the
+    value), and attaches the two-sided extrapolation (S^0.99 + S^1.01)/2
+    as a diagnostic.  p = 0 reports log of the minimal output rank at the
+    p = 0.05 proxy.
+    """
+    cfg = config or opt.OptimizerConfig()
+    if p < 0:
+        raise ValueError(f"need p >= 0, got {p}")
+
+    if p == 1.0:
+        lo = opt.estimate_nu_p(ch, 0.99, cfg)
+        hi = opt.estimate_nu_p(ch, 1.01, cfg)
+        s_lo = math.log(lo.best_trace_power) / (1.0 - 0.99)
+        s_hi = math.log(hi.best_trace_power) / (1.0 - 1.01)
+        cands = [
+            (von_neumann(chan.apply(ch, np.outer(psi, np.conj(psi)))), psi)
+            for psi in (lo.best_input, hi.best_input)
+        ]
+        value, argmin = min(cands, key=lambda t: t[0])
+        return SminReport(
+            p=1.0,
+            value=value,
+            argmin=argmin,
+            extrapolated=(s_lo + s_hi) / 2.0,
+            nu_value=None,
+            config=asdict(cfg),
+        )
+
+    if p == 0.0:
+        rank, state = min_output_rank(ch, config=cfg)
+        return SminReport(
+            p=0.0,
+            value=math.log(rank),
+            argmin=state,
+            extrapolated=None,
+            nu_value=None,
+            config=asdict(cfg),
+        )
+
+    report = opt.estimate_nu_p(ch, p, cfg)
+    value = math.log(report.best_trace_power) / (1.0 - p)
+    return SminReport(
+        p=p,
+        value=value,
+        argmin=report.best_input,
+        extrapolated=None,
+        nu_value=report.best_value,
+        config=asdict(cfg),
+    )

@@ -15,7 +15,8 @@ p < 1 — so the iteration climbs toward the maximal output p-norm
     ν_p(Φ) = sup_ρ ‖Φ(ρ)‖_p        (p > 1)
 
 and descends toward the minimal output p-quasi-norm for p < 1.  Both
-directions head for the minimal output Rényi entropy S^p_min: the map
+directions head for the minimal output Rényi entropy S^p_min, which
+``entropy.estimate_smin_p`` reports from this search: the map
 S^p = (p/(1−p))·log‖·‖_p is decreasing in ‖·‖_p for p > 1 and increasing
 for p < 1.  Pure inputs suffice: ‖Φ(ρ)‖_p is convex in ρ for p ≥ 1 and
 Tr Φ(ρ)^p is concave for p < 1, so the extremum sits on pure states.
@@ -31,7 +32,7 @@ state is kept (the stall registers as convergence).
 Multistart
 ----------
 ``estimate_nu_p`` runs the iteration from a deterministic seed queue:
-maximally entangled states (when d_in is a perfect square and enabled),
+the maximally entangled state (when d_in is a perfect square > 1),
 computational basis states, coherent pairs (e_j ± i·e_k)/√2, then seeded
 Haar-random states up to the restart budget.  Each Haar restart draws
 from the stream (seed, restart_index), so its result depends only on its
@@ -51,9 +52,9 @@ matrix T = Σ_k conj(A_k) ⊗ A_k, built once per estimate, as one
 operators instead.  The stacked operations act matrix by matrix, so a
 restart's result still depends only on its index, and ``opt2_run`` is the
 same kernel with a stack of one.  The seed queue depends only on
-(d_in, seed, restarts, include_entangled_seeds); it is built once per key
-and kept read-only in a small cache.  ``estimate_nu_p(..., seeds=states)``
-runs exactly the given states as its restarts instead.
+(d_in, seed, restarts); it is built once per key and kept read-only in a
+small cache.  ``estimate_nu_p(..., seeds=states)`` runs exactly the given
+states as its restarts instead.
 
 Multiplicativity
 ----------------
@@ -100,14 +101,12 @@ __all__ = [
     "OptimizerConfig",
     "Opt2Run",
     "OptimizerReport",
-    "SminReport",
     "MultReport",
     "ScanReport",
     "opt2_step",
     "opt2_run",
     "multistart_seeds",
     "estimate_nu_p",
-    "estimate_smin_p",
     "mult_check",
     "mult_scan",
 ]
@@ -119,17 +118,15 @@ class OptimizerConfig:
 
     ``restarts`` counts every seed (structured seeds included);
     ``tensor_restarts`` replaces it for tensor-product searches inside
-    ``mult_check``; ``tensor_dim_cap`` refuses tensor inputs beyond the
-    cap instead of grinding.
+    ``mult_check``.  The seed order and the largest tensor input
+    (``TENSOR_DIM_MAX``) are fixed.
     """
 
     restarts: int = 50
     max_iters: int = 500
     value_tol: float = 1e-12
     seed: int = 0
-    include_entangled_seeds: bool = True
     tensor_restarts: int = 200
-    tensor_dim_cap: int = 256
 
 
 @dataclass(frozen=True)
@@ -401,13 +398,13 @@ def opt2_run(
 def multistart_seeds(d: int, config: OptimizerConfig) -> list[np.ndarray]:
     """The deterministic structured seed queue (before Haar fill-in).
 
-    Order: maximally entangled state(s) for the square factorization of d
-    (when enabled), computational basis states, coherent pairs
-    (e_j ± i·e_k)/√2 for j < k.  Truncated to the restart budget.
+    Order: the maximally entangled state when d = m² with m > 1,
+    computational basis states, coherent pairs (e_j ± i·e_k)/√2 for j < k.
+    Truncated to the restart budget.
     """
     seeds: list[np.ndarray] = []
     m = math.isqrt(d)
-    if config.include_entangled_seeds and m * m == d and m > 1:
+    if m * m == d and m > 1:
         beta = np.zeros(d, dtype=np.complex128)
         for j in range(m):
             beta[j * m + j] = 1.0
@@ -425,15 +422,10 @@ def multistart_seeds(d: int, config: OptimizerConfig) -> list[np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _seed_queue(
-    d: int, seed: int, restarts: int, include_entangled_seeds: bool
-) -> tuple[np.ndarray, int]:
+def _seed_queue(d: int, seed: int, restarts: int) -> tuple[np.ndarray, int]:
     """The ``(restarts, d)`` seed queue of ``estimate_nu_p``, read-only, and
     how many of its seeds are structured."""
-    cfg = OptimizerConfig(
-        restarts=restarts, seed=seed, include_entangled_seeds=include_entangled_seeds
-    )
-    structured = multistart_seeds(d, cfg)
+    structured = multistart_seeds(d, OptimizerConfig(restarts=restarts, seed=seed))
     haar = [
         random_pure_state(d, rng_from(seed, i)) for i in range(len(structured), restarts)
     ]
@@ -473,9 +465,7 @@ def estimate_nu_p(
     if seeds is None:
         if cfg.restarts < 1:
             raise ValueError("need at least one restart")
-        seeds, n_structured = _seed_queue(
-            ch.d_in, cfg.seed, cfg.restarts, cfg.include_entangled_seeds
-        )
+        seeds, n_structured = _seed_queue(ch.d_in, cfg.seed, cfg.restarts)
     else:
         if not len(seeds):
             raise ValueError("need at least one seed")
@@ -515,87 +505,16 @@ def estimate_nu_p(
     )
 
 
-@dataclass(frozen=True)
-class SminReport:
-    """Minimal output Rényi entropy estimate."""
-
-    p: float
-    value: float
-    argmin: np.ndarray
-    extrapolated: float | None
-    nu_value: float | None
-    config: dict
-
-
-def estimate_smin_p(
-    ch: chan.KrausChannel,
-    p: float,
-    config: OptimizerConfig | None = None,
-) -> SminReport:
-    """Minimal output Rényi-p entropy via the fixed-point search.
-
-    For p ≠ 1 this is (1/(1−p))·log of the extremal Tr Φ(ρ)^p from
-    ``estimate_nu_p`` (max for p > 1, min for p < 1 — both minimize S^p).
-    p = 1 runs the search at p ∈ {0.99, 1.01}, picks the argmin with the
-    smaller *direct von Neumann* output entropy (stationarity makes the
-    O(0.01) argmin error second order in the value), and attaches the
-    two-sided extrapolation (S^0.99 + S^1.01)/2 as a diagnostic.
-    p = 0 reports log of the minimal output rank at the p = 0.05 proxy.
-    """
-    from . import entropy  # entropy.min_output_rank imports this module
-
-    cfg = config or OptimizerConfig()
-    if p < 0:
-        raise ValueError(f"need p >= 0, got {p}")
-
-    if p == 1.0:
-        lo = estimate_nu_p(ch, 0.99, cfg)
-        hi = estimate_nu_p(ch, 1.01, cfg)
-        s_lo = math.log(lo.best_trace_power) / (1.0 - 0.99)
-        s_hi = math.log(hi.best_trace_power) / (1.0 - 1.01)
-        cands = [
-            (entropy.von_neumann(chan.apply(ch, _outer(psi))), psi)
-            for psi in (lo.best_input, hi.best_input)
-        ]
-        value, argmin = min(cands, key=lambda t: t[0])
-        return SminReport(
-            p=1.0,
-            value=value,
-            argmin=argmin,
-            extrapolated=(s_lo + s_hi) / 2.0,
-            nu_value=None,
-            config=asdict(cfg),
-        )
-
-    if p == 0.0:
-        rank, state = entropy.min_output_rank(ch, config=cfg)
-        return SminReport(
-            p=0.0,
-            value=math.log(rank),
-            argmin=state,
-            extrapolated=None,
-            nu_value=None,
-            config=asdict(cfg),
-        )
-
-    report = estimate_nu_p(ch, p, cfg)
-    value = math.log(report.best_trace_power) / (1.0 - p)
-    return SminReport(
-        p=p,
-        value=value,
-        argmin=report.best_input,
-        extrapolated=None,
-        nu_value=report.best_value,
-        config=asdict(cfg),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Multiplicativity
 # ---------------------------------------------------------------------------
 
 #: Relative margin above which a tensor-search bound certifies violation.
 VIOLATION_MARGIN = 1e-7
+
+#: Largest tensor input dimension d_in(A)·d_in(B) that ``mult_check`` accepts;
+#: larger pairs are refused before any estimate runs.
+TENSOR_DIM_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -660,15 +579,15 @@ def mult_check(
     tensor search runs with the violation threshold as its ``bound``, so
     it stops after its structured seeds when they certify the violation.
     A violation needs converged single estimates; without them neither
-    shortcut is taken and ``violated`` is false.
+    shortcut is taken and ``violated`` is false.  A pair whose tensor input
+    dimension exceeds ``TENSOR_DIM_MAX`` raises ``ValueError`` first.
     """
     cfg = config or OptimizerConfig()
     tensor_dim = a.d_in * b.d_in
-    if tensor_dim > cfg.tensor_dim_cap:
+    if tensor_dim > TENSOR_DIM_MAX:
         raise ValueError(
-            f"tensor input dimension {tensor_dim} exceeds the cap "
-            f"{cfg.tensor_dim_cap}; raise tensor_dim_cap explicitly if you "
-            "really want this (runtime grows sharply)"
+            f"tensor input dimension {tensor_dim} exceeds "
+            f"TENSOR_DIM_MAX = {TENSOR_DIM_MAX} (runtime grows sharply)"
         )
     rep_a = estimate_nu_p(a, p, cfg)
     rep_b = rep_a if b is a else estimate_nu_p(b, p, cfg)

@@ -77,7 +77,7 @@ def test_criterion_05_fss_fixes_real_density_matrices():
 
 
 def test_criterion_06_fss_minimal_output_entropy():
-    rep = opt.estimate_smin_p(zoo.fss_psi(), 1.0, CFG)
+    rep = entropy.estimate_smin_p(zoo.fss_psi(), 1.0, CFG)
     want = math.log(3) - (2.0 / 3.0) * math.log(2)
     assert abs(rep.value - want) <= 1e-6
     # one-shot Holevo quantity of this covariant channel: log 3 - S_min

@@ -1,4 +1,5 @@
-"""Tests for output entropies and the minimum-output-rank search."""
+"""Tests for output entropies, the minimal output Rényi entropy and the
+minimum-output-rank search."""
 
 import math
 
@@ -8,6 +9,8 @@ import pytest
 from cptwb import channels as chan
 from cptwb import entropy, linalg as la, optimize, zoo
 from cptwb._rng import random_density, random_pure_state
+
+FAST = optimize.OptimizerConfig(restarts=10, max_iters=300, seed=0)
 
 
 def test_von_neumann_pure_and_uniform():
@@ -84,3 +87,28 @@ def test_min_output_rank_closed_cases():
     assert r_wh == 2
     out = chan.apply(zoo.werner_holevo(3), np.outer(psi, psi.conj()))
     assert la.numerical_rank(out) == 2
+
+
+# ---------------------------------------------------------------------------
+# minimal output entropy
+# ---------------------------------------------------------------------------
+
+def test_estimate_smin_flat_family():
+    # WH(3) has flat output spectrum (1/2, 1/2): S_p = log 2 at every order
+    phi = zoo.werner_holevo(3)
+    for p in (0.0, 0.5, 1.0, 2.0, 5.0):
+        rep = entropy.estimate_smin_p(phi, p, FAST)
+        assert abs(rep.value - math.log(2)) < 1e-9, f"p={p}"
+    rep1 = entropy.estimate_smin_p(phi, 1.0, FAST)
+    assert rep1.extrapolated is not None
+    assert abs(rep1.extrapolated - math.log(2)) < 1e-3
+
+
+def test_estimate_smin_identity_is_zero():
+    rep = entropy.estimate_smin_p(zoo.identity_channel(4), 2.0, FAST)
+    assert abs(rep.value) < 1e-12
+
+
+def test_estimate_smin_rejects_negative_order():
+    with pytest.raises(ValueError):
+        entropy.estimate_smin_p(zoo.depolarizing(2), -1.0, FAST)

@@ -84,6 +84,11 @@ def test_opt2_run_records_trace_sequence():
 # multistart driver
 # ---------------------------------------------------------------------------
 
+def test_optimizer_config_fields_are_locked():
+    names = [f.name for f in dataclasses.fields(opt.OptimizerConfig)]
+    assert names == ["restarts", "max_iters", "value_tol", "seed", "tensor_restarts"]
+
+
 def test_multistart_seeds_structure():
     cfg = opt.OptimizerConfig(restarts=40, seed=0)
     seeds = opt.multistart_seeds(4, cfg)
@@ -161,7 +166,7 @@ def test_seed_queue_is_cached_read_only_and_reproducible():
     phi = zoo.random_channel(3, 3, 3, seed=17)
     opt._seed_queue.cache_clear()
     first = opt.estimate_nu_p(phi, 3.0, FAST)
-    queue, n_structured = opt._seed_queue(3, FAST.seed, FAST.restarts, True)
+    queue, n_structured = opt._seed_queue(3, FAST.seed, FAST.restarts)
     snapshot = queue.copy()
     second = opt.estimate_nu_p(phi, 3.0, FAST)
     opt.estimate_nu_p(phi, 0.5, FAST)
@@ -335,31 +340,6 @@ def test_mult_check_same_object_matches_an_equal_copy():
 
 
 # ---------------------------------------------------------------------------
-# minimal output entropy
-# ---------------------------------------------------------------------------
-
-def test_estimate_smin_flat_family():
-    # WH(3) has flat output spectrum (1/2, 1/2): S_p = log 2 at every order
-    phi = zoo.werner_holevo(3)
-    for p in (0.0, 0.5, 1.0, 2.0, 5.0):
-        rep = opt.estimate_smin_p(phi, p, FAST)
-        assert abs(rep.value - math.log(2)) < 1e-9, f"p={p}"
-    rep1 = opt.estimate_smin_p(phi, 1.0, FAST)
-    assert rep1.extrapolated is not None
-    assert abs(rep1.extrapolated - math.log(2)) < 1e-3
-
-
-def test_estimate_smin_identity_is_zero():
-    rep = opt.estimate_smin_p(zoo.identity_channel(4), 2.0, FAST)
-    assert abs(rep.value) < 1e-12
-
-
-def test_estimate_smin_rejects_negative_order():
-    with pytest.raises(ValueError):
-        opt.estimate_smin_p(zoo.depolarizing(2), -1.0, FAST)
-
-
-# ---------------------------------------------------------------------------
 # multiplicativity
 # ---------------------------------------------------------------------------
 
@@ -391,10 +371,16 @@ def test_mult_check_defaults_b_to_a_dimensions():
     assert not rep.violated
 
 
-def test_mult_check_enforces_tensor_dim_cap():
-    cfg = opt.OptimizerConfig(restarts=4, tensor_dim_cap=8)
-    with pytest.raises(ValueError, match="tensor_dim_cap"):
-        opt.mult_check(zoo.werner_holevo(3), zoo.werner_holevo(3), 5.0, cfg)
+def test_mult_check_enforces_tensor_dim_cap(monkeypatch):
+    wh17 = zoo.werner_holevo(17)  # WH17 ⊗ WH17 has input dimension 289
+    assert wh17.d_in**2 > opt.TENSOR_DIM_MAX
+
+    def no_eigh(a):
+        raise AssertionError("eigh reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(ValueError, match="TENSOR_DIM_MAX"):
+        opt.mult_check(wh17, wh17, 5.0, FAST)
 
 
 def test_mult_scan_finds_wh3_threshold_coarsely():
