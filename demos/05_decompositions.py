@@ -31,7 +31,7 @@ print("equalized diagonal:", np.round(np.diag(c), 12))
 rho = random_density(4, rng)
 xs = dec.horn_vectors(rho)
 acc = sum(np.outer(x, x.conj()) for x in xs) / len(xs)
-print("horn reconstruction residual:", f"{np.abs(acc - rho).max():.2e}")
+print("horn reconstruction within 1e-10:", bool(np.abs(acc - rho).max() < 1e-10))
 print("vector norms:", [round(float(np.linalg.norm(x)), 12) for x in xs])
 
 # --- two-term split of a PSD block matrix ----------------------------
@@ -42,13 +42,13 @@ a = g @ g.conj().T
 a /= np.abs(a).max()
 split = dec.szarek_split(a, d1=d1)
 mid = 0.5 * (split.terms[0] + split.terms[1])
-print("split midpoint residual:", f"{np.abs(mid - a).max():.2e}")
+print("split midpoint within 1e-9:", bool(np.abs(mid - a).max() < 1e-9))
 print("term ranks:", [la.numerical_rank(t) for t in split.terms], "  bound:", d1)
 
 # verify_ar4 checks the combined form A = (1/2) sum X_m X_m^dagger.
 rep = dec.verify_ar4(a, split.factors, rank_bound=d1)
 print("combined form ok:", rep.ok,
-      " residual:", f"{rep.reconstruction_residual:.2e}")
+      " residual within 1e-8:", rep.reconstruction_residual <= 1e-8)
 
 # --- the same split at the Choi level --------------------------------
 # For a qubit-output channel the Choi matrix, reordered so the output
@@ -62,5 +62,5 @@ for i, h in enumerate((h1, h2), 1):
     print(f"half {i}: Choi rank {chan.choi_rank(h)},",
           "valid CPT:", chan.validate_cpt(half, tol=1e-8).ok)
 mix = 0.5 * (h1.matrix + h2.matrix)
-print("mixture residual:",
-      f"{np.abs(mix - chan.kraus_to_choi(phi).matrix).max():.2e}")
+print("mixture within 1e-9:",
+      bool(np.abs(mix - chan.kraus_to_choi(phi).matrix).max() < 1e-9))

@@ -17,7 +17,6 @@ __all__ = [
     "haar_isometry",
     "random_pure_state",
     "random_density",
-    "random_psd",
 ]
 
 
@@ -60,9 +59,3 @@ def random_density(d: int, rng: np.random.Generator, rank: int | None = None) ->
     m = g @ dagger(g)
     return m / np.trace(m).real
 
-
-def random_psd(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random PSD matrix (unnormalized Wishart)."""
-    r = d if rank is None else rank
-    g = _ginibre(rng, d, r)
-    return g @ dagger(g)

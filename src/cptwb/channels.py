@@ -231,7 +231,11 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausChannel:
     times the largest) are rescaled by sqrt(d_in · λ) and unvectorized; the
     result has choi-rank many operators (at most d_in · d_out).
     """
-    w, v = la.herm_eig(choi.matrix)
+    return _kraus_from_eig(choi, *la.herm_eig(choi.matrix))
+
+
+def _kraus_from_eig(choi: ChoiMatrix, w: np.ndarray, v: np.ndarray) -> KrausChannel:
+    """``choi_to_kraus`` from the ``herm_eig`` output of ``choi.matrix``."""
     top = max(float(w[0]), 0.0)
     if top == 0.0:
         raise ChannelValidationError("Choi matrix is zero")
@@ -299,31 +303,31 @@ def complement(ch: KrausChannel) -> KrausChannel:
 # Extremality
 # ---------------------------------------------------------------------------
 
-def _minimal_kraus(ch: KrausChannel) -> KrausChannel:
-    """``ch`` itself when its Kraus set is minimal, else ``choi_to_kraus``'s."""
-    if len(ch.kraus) == choi_rank(ch):
-        return ch
-    return choi_to_kraus(kraus_to_choi(ch))
+def _extremality(ch: KrausChannel, choi: ChoiMatrix | None = None) -> tuple[int, KrausChannel, bool]:
+    """Choi rank, minimal Kraus set (``ch`` itself when minimal) and extreme
+    flag of ``ch`` from one eigensolve of its Choi matrix ``choi``, which
+    ``kraus_to_choi`` built and symmetrized (so it is not checked again).
+
+    Extreme means the K² products {A_j†A_k} of the minimal set, stacked into
+    a (K², d_in²) matrix, have full row rank; K > d_in cannot.
+    """
+    choi = kraus_to_choi(ch) if choi is None else choi
+    w, v = la._psd_eigh(choi.matrix, "Choi matrix")
+    rank = int(np.count_nonzero(la._support(w)))
+    m = ch if len(ch.kraus) == rank else _kraus_from_eig(
+        choi, w[::-1], la._canonical_phases(v[:, ::-1])
+    )
+    k = len(m.kraus)
+    if k > m.d_in:
+        return rank, m, False
+    g = np.stack([(la.dagger(a) @ b).reshape(-1) for a in m.kraus for b in m.kraus])
+    return rank, m, la.numerical_rank(g) == k * k
 
 
 def is_extreme(ch: KrausChannel) -> bool:
-    """Extreme-point test: {A_j†A_k} linearly independent on a minimal set.
-
-    Stacks the K² vectorized products into a (K², d_in²) matrix and asks
-    for full row rank; K > d_in short-circuits to False since K² vectors
-    cannot be independent in a d_in²-dimensional space.
-    """
-    m = _minimal_kraus(ch)
-    k = len(m.kraus)
-    if k > m.d_in:
-        return False
-    rows = [
-        (la.dagger(a) @ b).reshape(-1)
-        for a in m.kraus
-        for b in m.kraus
-    ]
-    g = np.stack(rows)
-    return la.numerical_rank(g) == k * k
+    """Extreme-point test: {A_j†A_k} linearly independent on a minimal
+    Kraus set (see :func:`_extremality`)."""
+    return _extremality(ch)[2]
 
 
 def is_generalized_extreme(ch: KrausChannel) -> bool:
@@ -333,10 +337,10 @@ def is_generalized_extreme(ch: KrausChannel) -> bool:
 
 def classify(ch: KrausChannel) -> ChannelMeta:
     """Choi rank plus both extremality flags in one record."""
-    r = choi_rank(ch)
+    r, _, extreme = _extremality(ch)
     return ChannelMeta(
         choi_rank=r,
-        is_extreme=is_extreme(ch),
+        is_extreme=extreme,
         is_generalized_extreme=r <= ch.d_in,
     )
 
@@ -369,45 +373,41 @@ def perturb_to_extreme(ch: KrausChannel, epsilon0: float = 0.1, seed=0) -> Pertu
     ``MAX_HALVINGS`` halvings) until S(ε) is positive definite and the
     renormalized channel passes ``is_extreme``; generically the first ε
     works.  One eigendecomposition of S(ε) per ε tried gives both the
-    definiteness check and S(ε)^{-1/2} = V diag(w^{-1/2}) V†.  ε = 0 or an
-    already extreme input is a no-op (flagged); a negative or non-finite
-    ``epsilon0`` raises ``ValueError``.
+    definiteness check and S(ε)^{-1/2} = V diag(w^{-1/2}) V†.  The input's
+    Choi matrix is built and decomposed once.  ε = 0 or an already extreme
+    input is a no-op (flagged); a negative or non-finite ``epsilon0`` raises
+    ``ValueError``.
     """
     if not (math.isfinite(epsilon0) and epsilon0 >= 0.0):
         raise ValueError(f"epsilon0 must be finite and >= 0, got {epsilon0}")
-    if choi_rank(ch) > ch.d_in:
+    j_in = kraus_to_choi(ch)
+    rank, base, already_extreme = _extremality(ch, j_in)
+    if rank > ch.d_in:
         raise ChannelValidationError(
             "perturb_to_extreme needs Choi rank <= d_in"
         )
-    if epsilon0 == 0.0 or is_extreme(ch):
+    if epsilon0 == 0.0 or already_extreme:
         return PerturbResult(
             channel=ch,
             epsilon=0.0,
-            already_extreme=is_extreme(ch),
+            already_extreme=already_extreme,
             halvings=0,
             choi_distance=0.0,
         )
 
-    base = _minimal_kraus(ch)
-    ops = list(base.kraus)
-    while len(ops) < ch.d_in:
-        ops.append(np.zeros((ch.d_out, ch.d_in), dtype=np.complex128))
+    zero = np.zeros((ch.d_out, ch.d_in), dtype=np.complex128)
+    ops = list(base.kraus) + [zero] * (ch.d_in - len(base.kraus))
 
     # Seeded extreme reference: slices of a Haar isometry C^d_in -> C^(d_out*d_in).
-    reference = None
     for attempt in range(10):
         v = haar_isometry(ch.d_out * ch.d_in, ch.d_in, rng_from(seed, attempt))
-        cand = [
-            v[k * ch.d_out : (k + 1) * ch.d_out, :] for k in range(ch.d_in)
-        ]
-        ref = KrausChannel(d_in=ch.d_in, d_out=ch.d_out, kraus=tuple(cand))
-        if is_extreme(ref):
-            reference = ref
+        slices = tuple(v.reshape(ch.d_in, ch.d_out, ch.d_in))
+        reference = KrausChannel(d_in=ch.d_in, d_out=ch.d_out, kraus=slices)
+        if is_extreme(reference):
             break
-    if reference is None:  # pragma: no cover - Haar draws are generic
+    else:  # pragma: no cover - Haar draws are generic
         raise RuntimeError("could not draw an extreme reference channel")
 
-    j_in = kraus_to_choi(ch).matrix
     eps = float(epsilon0)
     for halving in range(MAX_HALVINGS + 1):
         c_ops = [a + eps * b for a, b in zip(ops, reference.kraus)]
@@ -417,9 +417,7 @@ def perturb_to_extreme(ch: KrausChannel, epsilon0: float = 0.1, seed=0) -> Pertu
             new_ops = tuple(c @ s_isqrt for c in c_ops)
             cand = KrausChannel(d_in=ch.d_in, d_out=ch.d_out, kraus=new_ops)
             if is_extreme(cand):
-                dist = float(
-                    np.abs(kraus_to_choi(cand).matrix - j_in).max()
-                )
+                dist = float(np.abs(kraus_to_choi(cand).matrix - j_in.matrix).max())
                 return PerturbResult(
                     channel=cand,
                     epsilon=eps,

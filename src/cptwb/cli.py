@@ -535,7 +535,7 @@ def cmd_extremality(args) -> int:
 
 def cmd_complement(args) -> int:
     ch, desc = _load_channel(args)
-    comp = chan.complement(chan._minimal_kraus(ch))
+    comp = chan.complement(chan._extremality(ch)[1])
     val = chan.validate_cpt(comp)
     report = _head("complement", args, desc)
     report.update(

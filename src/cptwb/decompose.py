@@ -198,52 +198,15 @@ def horn_vectors(a) -> list[np.ndarray]:
     d = len(w)
     if w[-1] < -la.PSD_CLAMP * max(float(w[0]), 1.0):
         raise la.NotPSDError(f"negative eigenvalue {w[-1]:.3e}")
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
 
     # C = R diag(w) Rᵀ has the constant diagonal 1/d; its square root B comes
     # from the same spectrum, as R diag(√w) Rᵀ on the support
     r = schur_horn_equalize(w)
-    b = (r * la._support_power(w, 0.5)) @ r.T
+    b = (r * la._support_powers(w, 0.5)[0]) @ r.T
     u = q @ r.T.astype(np.complex128)
     xb = np.sqrt(d) * (u @ b)
     return [xb[:, m].copy() for m in range(d)]
-
-
-def _split_core(a: np.ndarray, d1: int):
-    a11 = a[:d1, :d1]
-    a12 = a[:d1, d1:]
-    a22 = a[d1:, d1:]
-    scale = max(float(np.abs(a).max()), 1e-300)
-
-    # one PSD-checked spectrum per diagonal block gives all three powers
-    w11, v11 = la._spectrum(a11, psd=True, what="diagonal block")
-    w22, v22 = la._spectrum(a22, psd=True, what="diagonal block")
-    p11 = la._pseudo_power(w11, v11, 0.0)
-    p22 = la._pseudo_power(w22, v22, 0.0)
-    resid = float(np.abs(p11 @ a12 @ p22 - a12).max())
-    if resid > SUPPORT_TOL * scale:
-        raise ValueError(
-            "off-diagonal block is not supported on the diagonal-block "
-            f"supports (residual {resid:.3e}); input is degenerate"
-        )
-
-    w = la._pseudo_power(w11, v11, -0.5) @ a12 @ la._pseudo_power(w22, v22, -0.5)
-    u, s, vh = np.linalg.svd(w)
-    s = np.clip(s, 0.0, 1.0)  # contraction up to roundoff
-    theta = np.arccos(s)
-    s11 = la._pseudo_power(w11, v11, 0.5)
-    s22 = la._pseudo_power(w22, v22, 0.5)
-
-    terms, factors = [], []
-    for sgn in (1.0, -1.0):
-        wm = (u * np.exp(sgn * 1j * theta)) @ vh
-        off = s11 @ wm @ s22
-        b = np.block([[a11, off], [la.dagger(off), a22]])
-        b = (b + la.dagger(b)) / 2.0
-        x = np.vstack([s11, s22 @ la.dagger(wm)])
-        terms.append(b)
-        factors.append(x)
-    return terms, factors
 
 
 def szarek_split(block, d1: int | None = None) -> Decomposition:
@@ -266,9 +229,41 @@ def szarek_split(block, d1: int | None = None) -> Decomposition:
             raise la.ShapeError(
                 f"matrix shape {a.shape} incompatible with d1={d1}"
             )
+    # the one Hermiticity check: after it, A, its diagonal blocks and each
+    # term [[A₁₁, X], [X†, A₂₂]] are exactly Hermitian
     a = la.check_hermitian(a, what="block matrix")
-    la.psd_eigvals(a, what="block matrix")  # PSD gate
-    terms, factors = _split_core(a, d1)
+    la._psd_eigh(a, "block matrix")  # PSD gate
+    a12 = a[:d1, d1:]
+    scale = max(float(np.abs(a).max()), 1e-300)
+
+    # one clamped spectrum and one support mask per diagonal block give its
+    # support projector and its -1/2 and 1/2 powers
+    (p11, r11, s11), (p22, r22, s22) = (
+        la._pseudo_powers(*la._psd_eigh(blk, "diagonal block"), 0.0, -0.5, 0.5)
+        for blk in (a[:d1, :d1], a[d1:, d1:])
+    )
+    resid = float(np.abs(p11 @ a12 @ p22 - a12).max())
+    if resid > SUPPORT_TOL * scale:
+        raise ValueError(
+            "off-diagonal block is not supported on the diagonal-block "
+            f"supports (residual {resid:.3e}); input is degenerate"
+        )
+
+    u, s, vh = np.linalg.svd(r11 @ a12 @ r22)
+    theta = np.arccos(np.clip(s, 0.0, 1.0))  # a contraction up to roundoff
+
+    terms, factors = [], []
+    for sgn in (1.0, -1.0):
+        wm = (u * np.exp(sgn * 1j * theta)) @ vh
+        off = s11 @ wm @ s22
+        b = a.copy()
+        b[:d1, d1:] = off
+        b[d1:, :d1] = la.dagger(off)
+        x = np.empty((2 * d1, d1), dtype=np.complex128)
+        x[:d1] = s11
+        x[d1:] = s22 @ la.dagger(wm)
+        terms.append(b)
+        factors.append(x)
     return Decomposition(
         terms=tuple(terms),
         weights=(0.5, 0.5),

@@ -10,7 +10,7 @@ apply everywhere and cannot be set per call:
   ranks, pseudo-powers, trace powers and Rényi-0 ranks count one support.
 * ``PSD_CLAMP`` (1e-12): a nominally PSD matrix's eigenvalues that dip
   below zero by roundoff are clamped to zero, and one below the floor is an
-  error.  There are two floors: ``_spectrum`` (so every PSD routine here)
+  error.  There are two floors: ``_psd_eigh`` (so every PSD routine here)
   uses ``-PSD_CLAMP * max(top, 0)``, relative to the largest eigenvalue;
   ``channels.validate_cpt``, ``channels.choi_to_kraus`` and
   ``decompose.horn_vectors`` use ``-PSD_CLAMP * max(top, 1)``, which is
@@ -30,9 +30,12 @@ and ``channels.MAX_HALVINGS``.
 Matrices are plain complex128 ``numpy`` arrays.  Matrix powers of PSD
 matrices are pseudo-powers: the kernel (numerically rank-deficient part) is
 mapped to zero for every exponent, including negative ones.  Every Hermitian
-eigensolve goes through one private helper, ``_spectrum``, which also takes
-stacks ``(..., n, n)``, so the Hermiticity check, the symmetrization and the
-PSD clamp are applied in one place for single matrices and batches alike.
+eigensolve goes through two private helpers, which also take stacks
+``(..., n, n)``: ``_hermitian_part`` (the Hermiticity check and the
+symmetrization) and ``_psd_eigh`` (``eigh`` plus the PSD clamp);
+``_spectrum`` chains them.  A symmetrized matrix is Hermitian to the last
+bit, and so is a matrix assembled from one (a principal block,
+[[A, X], [X†, B]], a leg permutation): it is not checked again.
 """
 
 from __future__ import annotations
@@ -104,8 +107,8 @@ def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
     ah = np.conj(a).swapaxes(-1, -2)
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     dev = np.abs(a - ah).max(axis=(-2, -1), initial=0.0)
-    bad = (scale != 0.0) & (dev > HERM_TOL * scale)
-    if np.any(bad):
+    bad = dev > HERM_TOL * scale  # an all-zero matrix has dev == 0: not bad
+    if bad.any():
         i = np.flatnonzero(bad)[0]
         raise NotHermitianError(
             f"{what} is not Hermitian: max|m - m†| = "
@@ -129,28 +132,31 @@ def check_hermitian(m, what: str = "matrix") -> np.ndarray:
 
 
 def _spectrum(m, psd: bool = False, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """The one Hermitian eigensolve: ``(w, v)`` of a matrix or a stack.
-
-    ``m`` has shape ``(..., n, n)``; each matrix is checked for Hermiticity,
-    symmetrized and decomposed in one ``numpy.linalg.eigh`` call, so the
-    eigenvalues come out *ascending*.  With ``psd`` an eigenvalue more
-    negative than ``PSD_CLAMP`` times its matrix's largest eigenvalue raises
-    :class:`NotPSDError`, and the rest are clipped to zero.
-    """
+    """``(w, v)`` of a checked and symmetrized matrix or stack ``(..., n, n)``,
+    eigenvalues *ascending*; with ``psd``, clamped by :func:`_psd_eigh`."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"{what} must be square, got shape {a.shape}")
-    w, v = np.linalg.eigh(_hermitian_part(a, what))
-    if psd and w.shape[-1]:
-        floor = -PSD_CLAMP * np.maximum(w[..., -1], 0.0)
-        bad = w[..., 0] < floor
-        if np.any(bad):
+    h = _hermitian_part(a, what)
+    return _psd_eigh(h, what) if psd else np.linalg.eigh(h)
+
+
+def _psd_eigh(h: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of an exactly Hermitian matrix or stack, unchecked.  An
+    eigenvalue below ``-PSD_CLAMP`` times its matrix's largest eigenvalue
+    raises :class:`NotPSDError`; the others below zero become zero."""
+    w, v = np.linalg.eigh(h)
+    low = w[..., :1]
+    if (low < 0.0).any():
+        floor = -PSD_CLAMP * np.maximum(w[..., -1:], 0.0)
+        bad = low < floor
+        if bad.any():
             i = np.flatnonzero(bad)[0]
             raise NotPSDError(
-                f"{what} has negative eigenvalue {w[..., 0].flat[i]:.3e} "
+                f"{what} has negative eigenvalue {low.flat[i]:.3e} "
                 f"(clamp window {floor.flat[i]:.3e})"
             )
-        w = np.clip(w, 0.0, None)
+    np.maximum(w, 0.0, out=w)  # like np.clip(w, 0.0, None), -0.0 to 0.0 included
     return w, v
 
 
@@ -164,18 +170,22 @@ def _support(w: np.ndarray) -> np.ndarray:
     return w > RANK_TOL * w.max(axis=-1, keepdims=True, initial=0.0)
 
 
-def _support_power(w: np.ndarray, a: float) -> np.ndarray:
-    """``w**a`` on the support of clamped spectra ``(..., n)``, zero off it
-    for every exponent, negative ones included."""
+def _support_powers(w: np.ndarray, *exponents: float) -> list[np.ndarray]:
+    """``w**a`` for each exponent on the support of clamped spectra
+    ``(..., n)`` (one mask for all), zero off it for every exponent."""
     support = _support(w)
-    pw = np.zeros_like(w)
-    pw[support] = w[support] ** a
-    return pw
+    ws = w[support]
+    powers = [np.zeros_like(w) for _ in exponents]
+    for pw, a in zip(powers, exponents):
+        pw[support] = ws**a
+    return powers
 
 
-def _pseudo_power(w: np.ndarray, v: np.ndarray, a: float) -> np.ndarray:
-    """``V diag(w**a) V†`` on the support, for spectra from ``_spectrum(psd=True)``."""
-    return (v * _support_power(w, a)[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
+def _pseudo_powers(w: np.ndarray, v: np.ndarray, *exponents: float) -> list[np.ndarray]:
+    """``V diag(w**a) V†`` on the support for each exponent, from one
+    :func:`_psd_eigh` spectrum; the zero weights stay in the product."""
+    vh = np.conj(v).swapaxes(-1, -2)
+    return [(v * pw[..., None, :]) @ vh for pw in _support_powers(w, *exponents)]
 
 
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
@@ -188,12 +198,14 @@ def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
     """
     mags = np.abs(vecs)
     top = mags.max(axis=-2, keepdims=True)
-    idx = np.argmax(mags > 1e-12 * top, axis=-2, keepdims=True)
-    lead = np.take_along_axis(vecs, idx, axis=-2)
-    nonzero = top > 0.0
+    first = (mags > 1e-12 * top).argmax(axis=-2)
+    lead = np.take_along_axis(vecs, first[..., None, :], axis=-2)
     # hypot, like abs() of a complex scalar: the vectorized np.abs rounds
     # some moduli differently, and that would move the reported phases
     modulus = np.hypot(lead.real, lead.imag)
+    nonzero = top > 0.0
+    if np.count_nonzero(nonzero) == nonzero.size:
+        return vecs / (lead / modulus)
     phase = np.divide(lead, modulus, out=np.ones_like(lead), where=nonzero)
     return np.divide(vecs, phase, out=np.array(vecs, dtype=np.complex128), where=nonzero)
 
@@ -230,7 +242,7 @@ def psd_power(m, a: float) -> np.ndarray:
     support projector.
     """
     w, v = _spectrum(as_matrix(m), psd=True, what="psd_power input")
-    return _pseudo_power(w, v, a)
+    return _pseudo_powers(w, v, a)[0]
 
 
 def psd_sqrt(m) -> np.ndarray:

@@ -236,13 +236,14 @@ def test_perturb_to_extreme_makes_one_eigensolve_per_halving(monkeypatch):
     rng = rng_from(23)
     u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
     mix = ch.KrausChannel.from_kraus([u1 / np.sqrt(2), u2 / np.sqrt(2)])
-    # is_extreme sees the input, then the reference, then one candidate per
-    # ε tried: turning down the first two candidates forces two halvings
+    # is_extreme sees the reference, then one candidate per ε tried (the
+    # input's flag comes from the eigensolve that gives its Choi rank):
+    # turning down the first two candidates forces two halvings
     real, seen = ch.is_extreme, []
 
     def is_extreme(c):
         seen.append(c)
-        return len(seen) not in (3, 4) and real(c)
+        return len(seen) not in (2, 3) and real(c)
 
     monkeypatch.setattr(ch, "is_extreme", is_extreme)
     calls = []
@@ -252,6 +253,24 @@ def test_perturb_to_extreme_makes_one_eigensolve_per_halving(monkeypatch):
     assert res.halvings == 2
     # S(ε) is 3×3; every other eigensolve here is of a 9×9 Choi matrix
     assert calls.count((3, 3)) == 3
+
+
+def test_perturb_to_extreme_builds_and_decomposes_each_choi_matrix_once(monkeypatch):
+    # input: one build, one eigensolve (rank, minimal set and the no-op test);
+    # reference: one of each; S(ε): one eigensolve; the accepted candidate:
+    # one of each in is_extreme, and one more build for the distance
+    rng = rng_from(23)
+    u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
+    mix = ch.KrausChannel.from_kraus([u1 / np.sqrt(2), u2 / np.sqrt(2)])
+    builds, eighs = [], []
+    build, eigh = ch.kraus_to_choi, np.linalg.eigh
+    monkeypatch.setattr(ch, "kraus_to_choi", lambda c: builds.append(c) or build(c))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    res = ch.perturb_to_extreme(mix, epsilon0=0.1, seed=5)
+    assert res.halvings == 0
+    assert builds[0] is mix and builds[-2] is builds[-1] is res.channel
+    assert len(builds) == 4
+    assert eighs == [(9, 9), (9, 9), (3, 3), (9, 9)]
 
 
 @pytest.mark.parametrize("epsilon0", [float("nan"), float("inf"), -float("inf")])

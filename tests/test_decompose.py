@@ -152,6 +152,32 @@ def test_szarek_split_makes_three_eigensolves(monkeypatch):
     assert calls == [(6, 6), (3, 3), (3, 3)]
 
 
+def _count_checks_and_eigensolves(monkeypatch):
+    """Record every Hermiticity check and every ``eigh`` (by shape)."""
+    checks, eighs = [], []
+    herm, eigh = la._hermitian_part, np.linalg.eigh
+    monkeypatch.setattr(la, "_hermitian_part", lambda a, what: checks.append(what) or herm(a, what))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    return checks, eighs
+
+
+def test_szarek_split_checks_its_input_once(monkeypatch):
+    # the diagonal blocks and the terms are exactly Hermitian once A is
+    # symmetrized, so nothing after the input is checked again
+    checks, eighs = _count_checks_and_eigensolves(monkeypatch)
+    a = _random_block_psd(3, np.random.default_rng(31), rank=4)
+    dec.szarek_split(a, d1=3)
+    assert checks == ["block matrix"]
+    assert eighs == [(6, 6), (3, 3), (3, 3)]
+
+
+def test_horn_vectors_checks_once_and_decomposes_once(monkeypatch):
+    checks, eighs = _count_checks_and_eigensolves(monkeypatch)
+    dec.horn_vectors(random_density(5, rng_from(32), rank=3))
+    assert len(checks) == 1
+    assert eighs == [(5, 5)]
+
+
 def test_szarek_split_flags_support_mismatch():
     # coupling through a numerically dead direction of A11 cannot be
     # balanced; the split must refuse rather than produce junk
