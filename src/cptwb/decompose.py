@@ -203,7 +203,7 @@ def horn_vectors(a) -> list[np.ndarray]:
     # C = R diag(w) Rᵀ has the constant diagonal 1/d; its square root B comes
     # from the same spectrum, as R diag(√w) Rᵀ on the support
     r = schur_horn_equalize(w)
-    b = (r * la._support_powers(w, 0.5)[0]) @ r.T
+    b = (r * la._support_power(w, 0.5)) @ r.T
     u = q @ r.T.astype(np.complex128)
     xb = np.sqrt(d) * (u @ b)
     return [xb[:, m].copy() for m in range(d)]
@@ -238,10 +238,12 @@ def szarek_split(block, d1: int | None = None) -> Decomposition:
 
     # one clamped spectrum and one support mask per diagonal block give its
     # support projector and its -1/2 and 1/2 powers
-    (p11, r11, s11), (p22, r22, s22) = (
-        la._pseudo_powers(*la._psd_eigh(blk, "diagonal block"), 0.0, -0.5, 0.5)
-        for blk in (a[:d1, :d1], a[d1:, d1:])
-    )
+    powers = []
+    for blk in (a[:d1, :d1], a[d1:, d1:]):
+        w, v = la._psd_eigh(blk, "diagonal block")
+        support = la._support(w)
+        powers.append([la._pseudo_power(w, v, x, support) for x in (0.0, -0.5, 0.5)])
+    (p11, r11, s11), (p22, r22, s22) = powers
     resid = float(np.abs(p11 @ a12 @ p22 - a12).max())
     if resid > SUPPORT_TOL * scale:
         raise ValueError(

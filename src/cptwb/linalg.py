@@ -170,31 +170,34 @@ def _support(w: np.ndarray) -> np.ndarray:
     return w > RANK_TOL * w.max(axis=-1, keepdims=True, initial=0.0)
 
 
-def _support_powers(w: np.ndarray, *exponents: float) -> list[np.ndarray]:
-    """``w**a`` for each exponent on the support of clamped spectra
-    ``(..., n)`` (one mask for all), zero off it for every exponent."""
-    support = _support(w)
-    ws = w[support]
-    powers = [np.zeros_like(w) for _ in exponents]
-    for pw, a in zip(powers, exponents):
-        pw[support] = ws**a
-    return powers
+def _support_power(
+    w: np.ndarray, a: float, support: np.ndarray | None = None
+) -> np.ndarray:
+    """``w**a`` on the support of clamped spectra ``(..., n)``, zero off it
+    for every exponent, negative ones included.  A caller taking several
+    powers of one spectrum may pass its :func:`_support` mask."""
+    if support is None:
+        support = _support(w)
+    pw = np.zeros_like(w)
+    pw[support] = w[support] ** a
+    return pw
 
 
-def _pseudo_powers(w: np.ndarray, v: np.ndarray, *exponents: float) -> list[np.ndarray]:
-    """``V diag(w**a) V†`` on the support for each exponent, from one
-    :func:`_psd_eigh` spectrum; the zero weights stay in the product."""
-    vh = np.conj(v).swapaxes(-1, -2)
-    return [(v * pw[..., None, :]) @ vh for pw in _support_powers(w, *exponents)]
+def _pseudo_power(
+    w: np.ndarray, v: np.ndarray, a: float, support: np.ndarray | None = None
+) -> np.ndarray:
+    """``V diag(w**a) V†`` on the support, for spectra from :func:`_psd_eigh`;
+    the zero weights stay in the product."""
+    return (v * _support_power(w, a, support)[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
 
 
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
     """Fix each column's global phase: first significant entry positive real.
 
     The first component with modulus above 1e-12 times the column max is
-    rotated onto the positive real axis (zero columns are left alone).
-    Works on stacks ``(..., n, k)``.  This is the deterministic tie-break
-    used everywhere an eigenvector is reported.
+    rotated onto the positive real axis.  Columns must be nonzero, as
+    ``eigh`` eigenvectors are.  Works on stacks ``(..., n, k)``.  This is
+    the deterministic tie-break used everywhere an eigenvector is reported.
     """
     mags = np.abs(vecs)
     top = mags.max(axis=-2, keepdims=True)
@@ -203,11 +206,7 @@ def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
     # hypot, like abs() of a complex scalar: the vectorized np.abs rounds
     # some moduli differently, and that would move the reported phases
     modulus = np.hypot(lead.real, lead.imag)
-    nonzero = top > 0.0
-    if np.count_nonzero(nonzero) == nonzero.size:
-        return vecs / (lead / modulus)
-    phase = np.divide(lead, modulus, out=np.ones_like(lead), where=nonzero)
-    return np.divide(vecs, phase, out=np.array(vecs, dtype=np.complex128), where=nonzero)
+    return vecs / (lead / modulus)
 
 
 def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +241,7 @@ def psd_power(m, a: float) -> np.ndarray:
     support projector.
     """
     w, v = _spectrum(as_matrix(m), psd=True, what="psd_power input")
-    return _pseudo_powers(w, v, a)[0]
+    return _pseudo_power(w, v, a)
 
 
 def psd_sqrt(m) -> np.ndarray:

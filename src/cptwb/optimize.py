@@ -197,7 +197,7 @@ def _output_spectra(kraus: np.ndarray, states: np.ndarray, p: float):
     w, v = la._spectrum(gamma, psd=True, what="channel output")
     # summed largest first, as la.trace_power sums (the zeros off the support
     # can still move the last bit)
-    t = np.sum(la._support_powers(w, p)[0][..., ::-1], axis=-1)
+    t = np.sum(la._support_power(w, p)[..., ::-1], axis=-1)
     return w, v, t, np.trace(gamma, axis1=-2, axis2=-1)
 
 
@@ -250,7 +250,7 @@ def _candidates(adjoint, w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
     ``TRANSFER_DIM_MAX``.  M then gets the Hermiticity check and the
     symmetrization of every other eigensolve.
     """
-    (g,) = la._pseudo_powers(w, v, p - 1.0)
+    g = la._pseudo_power(w, v, p - 1.0)
     m = adjoint(g)
     del g  # freed before the eigensolve allocates its own stacks
     _, vecs = la._spectrum(m, what="M(ψ)")

@@ -142,16 +142,6 @@ def test_szarek_split_random_blocks():
             la.psd_eigvals(term, what="szarek term")
 
 
-def test_szarek_split_makes_three_eigensolves(monkeypatch):
-    # the PSD gate on A, then one spectrum per diagonal block
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    a = _random_block_psd(3, np.random.default_rng(30))
-    dec.szarek_split(a, d1=3)
-    assert calls == [(6, 6), (3, 3), (3, 3)]
-
-
 def _count_checks_and_eigensolves(monkeypatch):
     """Record every Hermiticity check and every ``eigh`` (by shape)."""
     checks, eighs = [], []
@@ -161,11 +151,12 @@ def _count_checks_and_eigensolves(monkeypatch):
     return checks, eighs
 
 
-def test_szarek_split_checks_its_input_once(monkeypatch):
-    # the diagonal blocks and the terms are exactly Hermitian once A is
-    # symmetrized, so nothing after the input is checked again
+def test_szarek_split_makes_three_eigensolves(monkeypatch):
+    # the PSD gate on A, then one spectrum per diagonal block; the blocks
+    # and the terms are exactly Hermitian once A is symmetrized, so nothing
+    # after the input is checked again
     checks, eighs = _count_checks_and_eigensolves(monkeypatch)
-    a = _random_block_psd(3, np.random.default_rng(31), rank=4)
+    a = _random_block_psd(3, np.random.default_rng(30))
     dec.szarek_split(a, d1=3)
     assert checks == ["block matrix"]
     assert eighs == [(6, 6), (3, 3), (3, 3)]
