@@ -108,7 +108,8 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """Trace-normalized Choi matrix with legs ordered (input ⊗ output)."""
+    """Trace-normalized Choi matrix with legs ordered (input ⊗ output),
+    checked for Hermiticity and stored symmetrized, so never checked again."""
 
     d_in: int
     d_out: int
@@ -121,7 +122,7 @@ class ChoiMatrix:
             raise ChannelValidationError(
                 f"Choi matrix shape {m.shape} != ({n}, {n})"
             )
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", la._hermitian_part(m, "Choi matrix"))
 
 
 @dataclass(frozen=True)
@@ -155,15 +156,16 @@ def validate_cpt(ch: KrausChannel, tol: float = 1e-10) -> ValidationReport:
     Complete positivity of a Kraus-form map is automatic; what is actually
     verified is that the assembled Choi matrix is PSD (guards against NaN
     and bad inputs) and that Σ A_k†A_k = I within ``tol`` (max-entry norm).
+    A least eigenvalue below the PSD floor is reported, not raised.
     """
     ident = np.eye(ch.d_in)
     acc = sum(la.dagger(a) @ a for a in ch.kraus)
     tp_residual = float(np.abs(acc - ident).max())
     trace_preserving = tp_residual <= tol
 
-    w, _ = la._spectrum(kraus_to_choi(ch).matrix)
+    w, _ = np.linalg.eigh(kraus_to_choi(ch).matrix)
     min_eig = float(w[0])
-    choi_psd = min_eig >= -la.PSD_CLAMP * max(float(w[-1]), 1.0)
+    choi_psd = bool(min_eig >= la._psd_floor(w[-1]))
 
     messages = []
     if not trace_preserving:
@@ -206,21 +208,15 @@ def apply_adjoint(ch: KrausChannel, x) -> np.ndarray:
     return out
 
 
-def _kraus_to_vec(a: np.ndarray) -> np.ndarray:
-    # Component (j*d_out + i) of the vector is A[i, j]: input leg slow,
-    # output leg fast, matching the (in ⊗ out) Choi ordering.
-    return a.T.reshape(-1)
-
-
 def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
     """Assemble the trace-normalized (input ⊗ output) Choi matrix."""
     n = ch.d_in * ch.d_out
     j = np.zeros((n, n), dtype=np.complex128)
     for a in ch.kraus:
-        w = _kraus_to_vec(a)
+        # component c·d_out + r of w is A[r, c]: the (in ⊗ out) Choi order
+        w = a.T.reshape(-1)
         j += np.outer(w, np.conj(w))
     j /= ch.d_in
-    j = (j + la.dagger(j)) / 2.0
     return ChoiMatrix(d_in=ch.d_in, d_out=ch.d_out, matrix=j)
 
 
@@ -231,19 +227,16 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausChannel:
     times the largest) are rescaled by sqrt(d_in · λ) and unvectorized; the
     result has choi-rank many operators (at most d_in · d_out).
     """
-    return _kraus_from_eig(choi, *la.herm_eig(choi.matrix))
+    return _minimal_kraus(choi, *la._psd_eigh(choi.matrix, "Choi matrix"))
 
 
-def _kraus_from_eig(choi: ChoiMatrix, w: np.ndarray, v: np.ndarray) -> KrausChannel:
-    """``choi_to_kraus`` from the ``herm_eig`` output of ``choi.matrix``."""
-    top = max(float(w[0]), 0.0)
-    if top == 0.0:
-        raise ChannelValidationError("Choi matrix is zero")
-    if w[-1] < -la.PSD_CLAMP * max(top, 1.0):
-        raise la.NotPSDError(
-            f"Choi matrix has negative eigenvalue {w[-1]:.3e}; not a CP map"
-        )
+def _minimal_kraus(choi: ChoiMatrix, w: np.ndarray, v: np.ndarray) -> KrausChannel:
+    """``choi_to_kraus`` from the clamped ascending spectrum ``(w, v)`` of
+    ``choi.matrix``, in descending eigenvalue order with canonical phases."""
+    w, v = w[::-1], la._canonical_phases(v[:, ::-1])
     keep = la._support(w)
+    if not keep.any():
+        raise ChannelValidationError("Choi matrix is zero")
     ops = tuple(
         (np.sqrt(choi.d_in * lam) * vec.reshape(choi.d_in, choi.d_out)).T
         for lam, vec in zip(w[keep], v.T[keep])
@@ -253,8 +246,9 @@ def _kraus_from_eig(choi: ChoiMatrix, w: np.ndarray, v: np.ndarray) -> KrausChan
 
 def choi_rank(obj) -> int:
     """Numerical rank of the Choi matrix of a channel (or Choi directly)."""
-    j = obj.matrix if isinstance(obj, ChoiMatrix) else kraus_to_choi(obj).matrix
-    return int(np.count_nonzero(la._support(la.psd_eigvals(j, what="Choi matrix"))))
+    j = obj if isinstance(obj, ChoiMatrix) else kraus_to_choi(obj)
+    w, _ = la._psd_eigh(j.matrix, "Choi matrix")
+    return int(np.count_nonzero(la._support(w)))
 
 
 def adjoint(ch: KrausChannel) -> KrausChannel:
@@ -305,8 +299,7 @@ def complement(ch: KrausChannel) -> KrausChannel:
 
 def _extremality(ch: KrausChannel, choi: ChoiMatrix | None = None) -> tuple[int, KrausChannel, bool]:
     """Choi rank, minimal Kraus set (``ch`` itself when minimal) and extreme
-    flag of ``ch`` from one eigensolve of its Choi matrix ``choi``, which
-    ``kraus_to_choi`` built and symmetrized (so it is not checked again).
+    flag of ``ch`` from one eigensolve of its Choi matrix ``choi``.
 
     Extreme means the K² products {A_j†A_k} of the minimal set, stacked into
     a (K², d_in²) matrix, have full row rank; K > d_in cannot.
@@ -314,9 +307,7 @@ def _extremality(ch: KrausChannel, choi: ChoiMatrix | None = None) -> tuple[int,
     choi = kraus_to_choi(ch) if choi is None else choi
     w, v = la._psd_eigh(choi.matrix, "Choi matrix")
     rank = int(np.count_nonzero(la._support(w)))
-    m = ch if len(ch.kraus) == rank else _kraus_from_eig(
-        choi, w[::-1], la._canonical_phases(v[:, ::-1])
-    )
+    m = ch if len(ch.kraus) == rank else _minimal_kraus(choi, w, v)
     k = len(m.kraus)
     if k > m.d_in:
         return rank, m, False
@@ -412,12 +403,13 @@ def perturb_to_extreme(ch: KrausChannel, epsilon0: float = 0.1, seed=0) -> Pertu
     for halving in range(MAX_HALVINGS + 1):
         c_ops = [a + eps * b for a, b in zip(ops, reference.kraus)]
         w, v = la._spectrum(sum(la.dagger(c) @ c for c in c_ops))
-        if w[0] > 1e-12:
+        if la._support(w).all():
             s_isqrt = (v * w ** -0.5) @ la.dagger(v)
             new_ops = tuple(c @ s_isqrt for c in c_ops)
             cand = KrausChannel(d_in=ch.d_in, d_out=ch.d_out, kraus=new_ops)
-            if is_extreme(cand):
-                dist = float(np.abs(kraus_to_choi(cand).matrix - j_in.matrix).max())
+            j_cand = kraus_to_choi(cand)
+            if _extremality(cand, j_cand)[2]:
+                dist = float(np.abs(j_cand.matrix - j_in.matrix).max())
                 return PerturbResult(
                     channel=cand,
                     epsilon=eps,
@@ -493,7 +485,7 @@ def channel_from_json(data: dict, validate: bool = True, tol: float = 1e-10) -> 
     if missing:
         raise ChannelValidationError(f"channel JSON missing keys: {sorted(missing)}")
     d_in, d_out = data["d_in"], data["d_out"]
-    if not isinstance(d_in, int) or not isinstance(d_out, int) or d_in < 1 or d_out < 1:
+    if not all(type(d) is int and d >= 1 for d in (d_in, d_out)):
         raise ChannelValidationError("d_in and d_out must be positive integers")
     if not isinstance(data["kraus"], list) or not data["kraus"]:
         raise ChannelValidationError("kraus must be a non-empty list of matrices")

@@ -277,15 +277,6 @@ def _tolerances(cfg: opt.OptimizerConfig, mult: bool = False) -> dict:
     return tol
 
 
-def _classification(ch: chan.KrausChannel) -> dict:
-    meta = chan.classify(ch)
-    return {
-        "choi_rank": meta.choi_rank,
-        "is_extreme": meta.is_extreme,
-        "is_generalized_extreme": meta.is_generalized_extreme,
-    }
-
-
 def _head(command: str, args, desc: dict | None = None) -> dict:
     head = {"command": command, "version": __version__, "seed": args.seed}
     if desc is not None:
@@ -307,18 +298,10 @@ def cmd_info(args) -> int:
             "d_in": ch.d_in,
             "d_out": ch.d_out,
             "n_kraus": len(ch),
-            "validation": {
-                "ok": rep.ok,
-                "trace_preserving": rep.trace_preserving,
-                "tp_residual": rep.tp_residual,
-                "choi_psd": rep.choi_psd,
-                "min_choi_eigval": rep.min_choi_eigval,
-                "messages": list(rep.messages),
-                "tolerance": 1e-10,
-            },
+            "validation": {**asdict(rep), "tolerance": 1e-10},
         }
     )
-    report["classification"] = _classification(ch) if rep.choi_psd else None
+    report["classification"] = asdict(chan.classify(ch)) if rep.choi_psd else None
     if args.dump_kraus:
         report["kraus"] = chan.channel_to_json(ch)["kraus"]
     _emit(args, report)
@@ -474,18 +457,20 @@ def cmd_decompose(args) -> int:
     halves = []
     target = np.eye(ch.d_in) / ch.d_in
     for half in (h1, h2):
-        rank = chan.choi_rank(half)
+        # one eigensolve: the least eigenvalue, then the PSD gate, rank and Kraus set
+        w, v = np.linalg.eigh(half.matrix)
+        min_eigval = float(w[0])
+        rank = int(np.count_nonzero(la._support(la._psd_clamp(w, "Choi matrix"))))
         marginal = la.partial_trace(half.matrix, (ch.d_in, ch.d_out), keep=0)
-        w, _ = la._spectrum(half.matrix)
         entry = {
             "choi_rank": rank,
             "generalized_extreme": rank <= ch.d_in,
             "tp_residual": float(np.abs(marginal - target).max()),
-            "min_eigval": float(w[0]),
+            "min_eigval": min_eigval,
             "choi": la.matrix_to_json(half.matrix),
         }
         if args.dump_kraus:
-            entry["kraus"] = chan.channel_to_json(chan.choi_to_kraus(half))["kraus"]
+            entry["kraus"] = chan.channel_to_json(chan._minimal_kraus(half, w, v))["kraus"]
         halves.append(entry)
 
     report = _head("decompose", args, desc)
@@ -493,7 +478,7 @@ def cmd_decompose(args) -> int:
         {
             "d_in": ch.d_in,
             "d_out": ch.d_out,
-            "choi_rank": chan.choi_rank(ch),
+            "choi_rank": chan.choi_rank(choi),
             "mixture_residual": residual,
             "halves": halves,
             "tolerances": {"support_tol": dec.SUPPORT_TOL, "rank_tol": la.RANK_TOL},
@@ -511,7 +496,7 @@ def cmd_extremality(args) -> int:
             "d_in": ch.d_in,
             "d_out": ch.d_out,
             "n_kraus": len(ch),
-            "classification": _classification(ch),
+            "classification": asdict(chan.classify(ch)),
         }
     )
     if args.perturb is not None:

@@ -191,14 +191,12 @@ def horn_vectors(a) -> list[np.ndarray]:
     mixed input yields an orthonormal basis, a pure state returns d
     copies of its vector (up to phase).
     """
-    w, q = la.herm_eig(a)
+    w, q = la._spectrum(la.as_matrix(a), psd=True, what="density matrix")
+    w, q = w[::-1], la._canonical_phases(q[:, ::-1])
     tr = float(w.sum())
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"horn_vectors needs trace 1, got {tr:.6f}")
     d = len(w)
-    if w[-1] < -la.PSD_CLAMP * max(float(w[0]), 1.0):
-        raise la.NotPSDError(f"negative eigenvalue {w[-1]:.3e}")
-    w = np.maximum(w, 0.0)
 
     # C = R diag(w) Rᵀ has the constant diagonal 1/d; its square root B comes
     # from the same spectrum, as R diag(√w) Rᵀ on the support

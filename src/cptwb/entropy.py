@@ -49,10 +49,10 @@ def renyi(rho, p: float) -> float:
     """Rényi entropy S_p(ρ) = log(Tr ρ^p) / (1 − p).
 
     p = 0 returns log(numerical rank); |p − 1| < 1e-9 dispatches to the
-    von Neumann limit.  Negative p is rejected.
+    von Neumann limit.  A negative or non-finite p is rejected.
     """
-    if p < 0:
-        raise ValueError(f"Rényi order must be >= 0, got {p}")
+    if not (p >= 0 and math.isfinite(p)):
+        raise ValueError(f"Rényi order must be finite and >= 0, got {p}")
     if abs(p - 1.0) < 1e-9:
         return von_neumann(rho)
     w = _unit_trace_spectrum(rho, "renyi")

@@ -10,11 +10,10 @@ apply everywhere and cannot be set per call:
   ranks, pseudo-powers, trace powers and Rényi-0 ranks count one support.
 * ``PSD_CLAMP`` (1e-12): a nominally PSD matrix's eigenvalues that dip
   below zero by roundoff are clamped to zero, and one below the floor is an
-  error.  There are two floors: ``_psd_eigh`` (so every PSD routine here)
-  uses ``-PSD_CLAMP * max(top, 0)``, relative to the largest eigenvalue;
-  ``channels.validate_cpt``, ``channels.choi_to_kraus`` and
-  ``decompose.horn_vectors`` use ``-PSD_CLAMP * max(top, 1)``, which is
-  absolute while the largest eigenvalue is below 1.
+  error.  There is one floor, ``-PSD_CLAMP * max(top, 0)`` relative to the
+  largest eigenvalue ``top`` (``_psd_floor``); ``_psd_clamp`` applies it to
+  every PSD spectrum in the package, and ``channels.validate_cpt`` reports
+  against it instead of raising.
 * ``HERM_TOL`` (1e-12): a matrix is Hermitian when ``max|m - m†|`` is at
   most ``HERM_TOL`` times its largest entry.
 
@@ -29,13 +28,17 @@ and ``channels.MAX_HALVINGS``.
 
 Matrices are plain complex128 ``numpy`` arrays.  Matrix powers of PSD
 matrices are pseudo-powers: the kernel (numerically rank-deficient part) is
-mapped to zero for every exponent, including negative ones.  Every Hermitian
-eigensolve goes through two private helpers, which also take stacks
+mapped to zero for every exponent, including negative ones.  Hermitian
+eigensolves go through private helpers, which also take stacks
 ``(..., n, n)``: ``_hermitian_part`` (the Hermiticity check and the
-symmetrization) and ``_psd_eigh`` (``eigh`` plus the PSD clamp);
-``_spectrum`` chains them.  A symmetrized matrix is Hermitian to the last
-bit, and so is a matrix assembled from one (a principal block,
-[[A, X], [X†, B]], a leg permutation): it is not checked again.
+symmetrization), ``_psd_clamp`` (the PSD floor and the clamp) and
+``_psd_eigh`` (``eigh`` plus ``_psd_clamp``); ``_spectrum`` chains them.  A
+symmetrized matrix is Hermitian to the last bit, and so is a matrix
+assembled from one (a principal block, [[A, X], [X†, B]], a leg
+permutation): it is not checked again.  A ``channels.ChoiMatrix`` is
+checked and symmetrized when it is built, so its consumers decompose it
+unchecked; ``channels.validate_cpt`` and ``cptwb decompose`` read its least
+eigenvalue before the clamp.
 """
 
 from __future__ import annotations
@@ -142,13 +145,24 @@ def _spectrum(m, psd: bool = False, what: str = "matrix") -> tuple[np.ndarray, n
 
 
 def _psd_eigh(h: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of an exactly Hermitian matrix or stack, unchecked.  An
-    eigenvalue below ``-PSD_CLAMP`` times its matrix's largest eigenvalue
-    raises :class:`NotPSDError`; the others below zero become zero."""
+    """``eigh`` of an exactly Hermitian matrix or stack, unchecked, clamped."""
     w, v = np.linalg.eigh(h)
+    return _psd_clamp(w, what), v
+
+
+def _psd_floor(top):
+    """The one PSD floor: ``-PSD_CLAMP`` times the largest eigenvalue ``top``,
+    zero when ``top`` is not positive."""
+    return -PSD_CLAMP * np.maximum(top, 0.0)
+
+
+def _psd_clamp(w: np.ndarray, what: str) -> np.ndarray:
+    """Clamp ascending spectra ``(..., n)`` in place and return them.  An
+    eigenvalue below its spectrum's :func:`_psd_floor` raises
+    :class:`NotPSDError`; the others below zero become zero."""
     low = w[..., :1]
     if (low < 0.0).any():
-        floor = -PSD_CLAMP * np.maximum(w[..., -1:], 0.0)
+        floor = _psd_floor(w[..., -1:])
         bad = low < floor
         if bad.any():
             i = np.flatnonzero(bad)[0]
@@ -157,7 +171,7 @@ def _psd_eigh(h: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
                 f"(clamp window {floor.flat[i]:.3e})"
             )
     np.maximum(w, 0.0, out=w)  # like np.clip(w, 0.0, None), -0.0 to 0.0 included
-    return w, v
+    return w
 
 
 def _support(w: np.ndarray) -> np.ndarray:
@@ -225,8 +239,7 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
 def psd_eigvals(m, what: str = "matrix") -> np.ndarray:
     """Eigenvalues of a PSD matrix, descending, negatives clamped to zero.
 
-    Raises :class:`NotPSDError` when an eigenvalue is more negative than
-    ``PSD_CLAMP`` times the largest eigenvalue.
+    Raises :class:`NotPSDError` below the PSD floor (:func:`_psd_floor`).
     """
     w, _ = _spectrum(as_matrix(m), psd=True, what=what)
     return w[::-1]
@@ -293,13 +306,15 @@ def schatten_p(m, p: float) -> float:
     Computed from the clamped eigenvalues restricted to the numerical
     support, so 0 < p < 1 (a quasi-norm) is safe on singular inputs.
     """
-    if p <= 0:
-        raise ValueError(f"schatten_p requires p > 0, got {p}")
+    if not (p > 0 and np.isfinite(p)):
+        raise ValueError(f"schatten_p requires a finite p > 0, got {p}")
     return trace_power(m, p) ** (1.0 / p)
 
 
 def trace_power(m, p: float) -> float:
     """``Tr m^p`` for PSD ``m``, eigenvalues below the support cutoff dropped."""
+    if not np.isfinite(p):
+        raise ValueError(f"trace_power needs a finite order, got {p}")
     w = psd_eigvals(m)
     return float(np.sum(w[_support(w)] ** p))
 

@@ -110,12 +110,13 @@ def mix_with_identity(ch: chan.KrausChannel, x: float) -> chan.KrausChannel:
         raise ValueError(f"mixing weight x={x} outside [0, 1]")
     if x == 0.0:
         return ch
-    j_id = chan.kraus_to_choi(identity_channel(ch.d_in)).matrix
-    j_ch = chan.kraus_to_choi(ch).matrix
-    mixed = chan.ChoiMatrix(
-        d_in=ch.d_in, d_out=ch.d_out, matrix=x * j_id + (1.0 - x) * j_ch
-    )
-    return chan.choi_to_kraus(mixed)
+    return _choi_mixture(ch, identity_channel(ch.d_in), x)
+
+
+def _choi_mixture(a: chan.KrausChannel, b: chan.KrausChannel, t: float) -> chan.KrausChannel:
+    """Minimal Kraus set of (1−t)·a + t·b, mixed at the Choi level."""
+    mixed = (1.0 - t) * chan.kraus_to_choi(a).matrix + t * chan.kraus_to_choi(b).matrix
+    return chan.choi_to_kraus(chan.ChoiMatrix(d_in=a.d_in, d_out=a.d_out, matrix=mixed))
 
 
 def depolarized_wh(d: int, x: float) -> chan.KrausChannel:
@@ -308,12 +309,7 @@ def near_depolarizing(
         result = depolarizing(d)
         delta = 0.0
     else:
-        j_dep = chan.kraus_to_choi(depolarizing(d)).matrix
-        j_ref = chan.kraus_to_choi(ref).matrix
-        mixed = chan.ChoiMatrix(
-            d_in=d, d_out=d, matrix=(1.0 - delta) * j_dep + delta * j_ref
-        )
-        result = chan.choi_to_kraus(mixed)
+        result = _choi_mixture(depolarizing(d), ref, delta)
     if return_info:
         return result, {
             "delta": float(delta),

@@ -87,6 +87,18 @@ def test_choi_kraus_round_trip():
         assert len(back) == ch.choi_rank(phi)
 
 
+def test_choi_matrix_is_checked_and_symmetrized_when_built():
+    m = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    m[0, 3] = 0.5 + 1e-15j  # skew far below HERM_TOL
+    m[3, 0] = 0.5
+    j = ch.ChoiMatrix(2, 2, m)
+    assert np.array_equal(j.matrix, j.matrix.conj().T)
+    assert j.matrix[0, 3] == 0.5 + 0.5e-15j
+    m[3, 0] = -0.5
+    with pytest.raises(la.NotHermitianError, match="Choi matrix"):
+        ch.ChoiMatrix(2, 2, m)
+
+
 def test_choi_to_kraus_rejects_non_psd():
     j = ch.ChoiMatrix(2, 2, np.diag([0.5, 0.5, 0.5, -0.5]))
     with pytest.raises(la.NotPSDError):
@@ -236,16 +248,16 @@ def test_perturb_to_extreme_makes_one_eigensolve_per_halving(monkeypatch):
     rng = rng_from(23)
     u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
     mix = ch.KrausChannel.from_kraus([u1 / np.sqrt(2), u2 / np.sqrt(2)])
-    # is_extreme sees the reference, then one candidate per ε tried (the
-    # input's flag comes from the eigensolve that gives its Choi rank):
-    # turning down the first two candidates forces two halvings
-    real, seen = ch.is_extreme, []
+    # _extremality sees the input, the reference, then one candidate per ε
+    # tried: turning down the first two candidates forces two halvings
+    real, seen = ch._extremality, []
 
-    def is_extreme(c):
+    def extremality(c, choi=None):
         seen.append(c)
-        return len(seen) not in (2, 3) and real(c)
+        rank, m, extreme = real(c, choi)
+        return rank, m, len(seen) not in (3, 4) and extreme
 
-    monkeypatch.setattr(ch, "is_extreme", is_extreme)
+    monkeypatch.setattr(ch, "_extremality", extremality)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
@@ -258,7 +270,7 @@ def test_perturb_to_extreme_makes_one_eigensolve_per_halving(monkeypatch):
 def test_perturb_to_extreme_builds_and_decomposes_each_choi_matrix_once(monkeypatch):
     # input: one build, one eigensolve (rank, minimal set and the no-op test);
     # reference: one of each; S(ε): one eigensolve; the accepted candidate:
-    # one of each in is_extreme, and one more build for the distance
+    # one of each, its Choi matrix shared by the extremality test and the distance
     rng = rng_from(23)
     u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
     mix = ch.KrausChannel.from_kraus([u1 / np.sqrt(2), u2 / np.sqrt(2)])
@@ -268,8 +280,8 @@ def test_perturb_to_extreme_builds_and_decomposes_each_choi_matrix_once(monkeypa
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
     res = ch.perturb_to_extreme(mix, epsilon0=0.1, seed=5)
     assert res.halvings == 0
-    assert builds[0] is mix and builds[-2] is builds[-1] is res.channel
-    assert len(builds) == 4
+    assert builds[0] is mix and builds[-1] is res.channel
+    assert len(builds) == 3
     assert eighs == [(9, 9), (9, 9), (3, 3), (9, 9)]
 
 

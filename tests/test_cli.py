@@ -68,6 +68,17 @@ def test_info_flags_invalid_channel(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("dims", [(True, True), (2, True)])
+@pytest.mark.parametrize("flags", [[], ["--no-validate"]])
+def test_info_rejects_non_integer_dimensions(dims, flags, tmp_path, capsys):
+    # JSON booleans are Python ints; they are not dimensions
+    f = tmp_path / "bool.json"
+    f.write_text(json.dumps({"d_in": dims[0], "d_out": dims[1], "kraus": [[[[1.0, 0.0]]]]}))
+    code, out, err = run(["info", "--input", str(f), *flags], capsys)
+    assert code == 2 and out == ""
+    assert "d_in and d_out must be positive integers" in err
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------
@@ -288,6 +299,20 @@ def test_decompose_round_trip(tmp_path, capsys):
 
         want = la.matrix_from_json(half["choi"])
         assert np.abs(j - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("dump", [[], ["--dump-kraus"]])
+def test_decompose_decomposes_each_choi_matrix_once(dump, tmp_path, capsys, monkeypatch):
+    # validation of the input's Choi matrix; the split: the block matrix and
+    # its two diagonal blocks; each half: once for its rank, least eigenvalue
+    # and Kraus set; the input's rank, from the Choi matrix already built
+    f = tmp_path / "ch.json"
+    f.write_text(json.dumps(chan.channel_to_json(zoo.random_channel(3, 2, 4, seed=1))))
+    eighs, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    code, _, _ = run(["decompose", "--input", str(f), *dump], capsys)
+    assert code == 0
+    assert eighs == [(6, 6), (6, 6), (3, 3), (3, 3), (6, 6), (6, 6), (6, 6)]
 
 
 def test_extremality_with_perturbation(tmp_path, capsys):

@@ -68,6 +68,12 @@ def test_renyi_rejects_negative_order():
         entropy.renyi(np.eye(2) / 2, -0.5)
 
 
+@pytest.mark.parametrize("p", [float("inf"), float("nan")])
+def test_renyi_rejects_non_finite_order(p):
+    with pytest.raises(ValueError, match=f"Rényi order .*{p}"):
+        entropy.renyi(np.eye(2) / 2, p)
+
+
 def test_coherent_information_identity_and_depolarizing():
     d = 3
     uniform = np.eye(d) / d

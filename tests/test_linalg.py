@@ -118,6 +118,16 @@ def test_schatten_p_rejects_nonpositive_p():
         la.schatten_p(np.eye(2), 0.0)
 
 
+@pytest.mark.parametrize("p", [float("inf"), -float("inf"), float("nan")])
+def test_non_finite_orders_are_rejected(p):
+    # the ∞-norm of diag(0.5, 0.5) is 0.5, yet (Tr m^p)^(1/p) would read 1.0
+    m = np.diag([0.5, 0.5])
+    with pytest.raises(ValueError, match=f"schatten_p .*{p}"):
+        la.schatten_p(m, p)
+    with pytest.raises(ValueError, match=f"trace_power .*{p}"):
+        la.trace_power(m, p)
+
+
 # ---------------------------------------------------------------------------
 # tensor helpers
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Property tests of the rank-bounded decompositions over random inputs.
+"""Property tests of the rank-bounded decompositions and of the Choi–Kraus
+correspondence over random inputs.
 
 Inputs are drawn from seeded numpy generators whose seeds, sizes, ranks and
 scales come from ``hypothesis``; ``derandomize=True`` fixes the examples, so
@@ -10,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cptwb import channels as chan
 from cptwb import decompose as dec
 from cptwb import linalg as la
+from cptwb import zoo
+from cptwb._rng import random_pure_state
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -98,3 +102,49 @@ def test_horn_vectors_still_rejects_non_hermitian_and_non_psd_input(rho, seed):
     spectrum[:2] = 1.25, -0.25
     with pytest.raises(la.NotPSDError):
         dec.horn_vectors((q * spectrum) @ q.conj().T)
+
+
+@st.composite
+def channel(draw):
+    """(Φ, rank): a Haar-random channel with d_in, d_out = 1..4 and any number
+    of Kraus operators, sometimes with its first operator split in two equal
+    halves (the same map from a non-minimal set), and its Choi rank."""
+    d_in, d_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k = draw(st.integers(-(-d_in // d_out), d_in * d_out + 2))
+    phi = zoo.random_channel(d_in, d_out, k, seed=draw(seeds))
+    if draw(st.booleans()):
+        half = phi.kraus[0] / np.sqrt(2.0)
+        phi = chan.KrausChannel(d_in, d_out, (half, half) + phi.kraus[1:])
+    return phi, min(k, d_in * d_out)
+
+
+@PROPERTY
+@given(channel())
+def test_choi_kraus_round_trip_gives_a_minimal_set_of_the_same_map(case):
+    phi, rank = case
+    j = chan.kraus_to_choi(phi)
+    back = chan.choi_to_kraus(j)
+    assert len(back) == rank == chan.choi_rank(j) == chan.classify(phi).choi_rank
+    assert np.abs(chan.kraus_to_choi(back).matrix - j.matrix).max() <= 1e-10
+    assert chan.validate_cpt(back).ok
+
+
+def _padded(w, n):
+    out = np.zeros(n)
+    out[: len(w)] = w
+    return out
+
+
+@PROPERTY
+@given(channel(), seeds)
+def test_complement_outputs_share_the_channel_output_spectrum(case, seed):
+    phi, rank = case
+    psi = random_pure_state(phi.d_in, np.random.default_rng(seed))
+    rho = np.outer(psi, psi.conj())
+    w = la.psd_eigvals(chan.apply(phi, rho), what="output")
+    for kraus in (phi, chan.choi_to_kraus(chan.kraus_to_choi(phi))):
+        comp = chan.complement(kraus)
+        assert comp.d_out == len(kraus) and chan.validate_cpt(comp).ok
+        w_env = la.psd_eigvals(chan.apply(comp, rho), what="environment output")
+        n = max(len(w), len(w_env))
+        assert np.abs(_padded(w, n) - _padded(w_env, n)).max() <= 1e-10

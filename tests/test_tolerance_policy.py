@@ -5,6 +5,7 @@ import inspect
 import math
 
 import numpy as np
+import pytest
 
 from cptwb import channels as chan
 from cptwb import decompose as dec
@@ -30,6 +31,36 @@ def test_rank_cutoff_is_strict_and_the_same_everywhere():
     assert la.numerical_rank(m) == 2
     assert la.trace_power(m, 0.0) == 2.0  # Tr m^0 counts the support
     assert entropy.renyi(m, 0) == math.log(2)
+
+
+@pytest.mark.parametrize("low, accepted", [(-8e-13, False), (-4e-13, True)])
+def test_one_psd_floor_for_choi_matrices_and_states(low, accepted, monkeypatch):
+    # The floor is -PSD_CLAMP times the largest eigenvalue, here -5e-13.  An
+    # absolute floor of -PSD_CLAMP * max(top, 1) = -1e-12 would pass -8e-13.
+    m = np.diag([0.5, 0.5, 0.0, low])
+    choi = chan.ChoiMatrix(d_in=2, d_out=2, matrix=m)
+    readers = {
+        "choi_to_kraus": lambda: len(chan.choi_to_kraus(choi)),
+        "choi_rank": lambda: chan.choi_rank(choi),
+        "horn_vectors": lambda: len(dec.horn_vectors(m)),
+        "psd_eigvals": lambda: list(la.psd_eigvals(m)),
+    }
+    if accepted:
+        got = {name: read() for name, read in readers.items()}
+        assert got == {
+            "choi_to_kraus": 2,
+            "choi_rank": 2,
+            "horn_vectors": 4,
+            "psd_eigvals": [0.5, 0.5, 0.0, 0.0],
+        }
+    else:
+        for read in readers.values():
+            with pytest.raises(la.NotPSDError):
+                read()
+    # validate_cpt reports against the same floor instead of raising
+    monkeypatch.setattr(chan, "kraus_to_choi", lambda ch: choi)
+    rep = chan.validate_cpt(zoo.identity_channel(2))
+    assert rep.choi_psd is accepted and rep.min_choi_eigval == low
 
 
 #: Cutoff overrides that were removed; no public function may take them.
