@@ -19,20 +19,20 @@ from cptwb._rng import random_density
 
 rng = np.random.default_rng(7)
 
-# --- diagonal-equalizing rotations -----------------------------------
-# A real orthogonal R with diag(R diag(lam) R^T) constant; at most d-1
-# two-coordinate rotations, each parking one entry exactly on the mean.
-lam = np.array([0.62, 0.25, 0.10, 0.03])
-r = dec.schur_horn_equalize(lam)
-c = r @ np.diag(lam) @ r.T
-print("equalized diagonal:", np.round(np.diag(c), 12))
-
 # --- density matrix as an average of unit vectors --------------------
+# With rho = Q diag(w) Q^dagger, the columns of Q diag(sqrt w) F, F the DFT
+# matrix, are d unit vectors whose projectors average to rho.
 rho = random_density(4, rng)
 xs = dec.horn_vectors(rho)
 acc = sum(np.outer(x, x.conj()) for x in xs) / len(xs)
 print("horn reconstruction within 1e-10:", bool(np.abs(acc - rho).max() < 1e-10))
 print("vector norms:", [round(float(np.linalg.norm(x)), 12) for x in xs])
+# their Gram matrix is F^dagger diag(w) F: constant diagonal 1, and its
+# entries depend only on m - n (mod d), a circulant
+gram = np.array([[np.vdot(a, b) for b in xs] for a in xs])
+print("frame Gram matrix:")
+for row in np.round(gram, 6) + 0.0:  # + 0.0 turns -0.0 into 0.0
+    print("  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row))
 
 # --- two-term split of a PSD block matrix ----------------------------
 # Both halves keep A's diagonal blocks exactly and have rank <= d1.

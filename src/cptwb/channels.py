@@ -61,8 +61,6 @@ __all__ = [
     "verify_degrading",
     "channel_to_json",
     "channel_from_json",
-    "choi_to_json",
-    "choi_from_json",
 ]
 
 
@@ -501,21 +499,3 @@ def channel_from_json(data: dict, validate: bool = True, tol: float = 1e-10) -> 
                 "channel failed CPT validation: " + "; ".join(report.messages)
             )
     return ch
-
-
-def choi_to_json(choi: ChoiMatrix) -> dict:
-    return {
-        "d_in": choi.d_in,
-        "d_out": choi.d_out,
-        "choi": la.matrix_to_json(choi.matrix),
-    }
-
-
-def choi_from_json(data: dict) -> ChoiMatrix:
-    if not isinstance(data, dict) or {"d_in", "d_out", "choi"} - set(data):
-        raise ChannelValidationError("Choi JSON needs d_in, d_out, choi")
-    return ChoiMatrix(
-        d_in=data["d_in"],
-        d_out=data["d_out"],
-        matrix=la.matrix_from_json(data["choi"]),
-    )

@@ -1,17 +1,12 @@
 """Rank-bounded decompositions of states and block matrices.
 
-Three constructions, plus a verifier for their common block form:
-
-``schur_horn_equalize``
-    An explicit real-orthogonal rotation R making R·diag(λ)·Rᵀ have
-    constant diagonal, built from at most d−1 two-dimensional rotations
-    (max-vs-min diagonal pivot, each rotation finishing one entry exactly).
+Two constructions, plus a verifier for their common block form:
 
 ``horn_vectors``
-    Any d×d density matrix A equals (1/d) Σ_m x_m x_m† with *unit* vectors
-    x_m = √d·U·B·e_m where U = Q·Rᵀ and B = (R·Λ·Rᵀ)^{1/2}; columns of a
-    constant-diagonal PSD square root have equal norms, which is exactly
-    the Schur-Horn step above.
+    Any d×d density matrix A = Q·diag(w)·Q† equals (1/d) Σ_m x_m x_m† with
+    *unit* vectors x_m = Q·diag(√w)·f_m, where f_m = (e^{2πi·jm/d})_j is a
+    column of the DFT matrix F: every entry of F has modulus one, so
+    ‖x_m‖² = Σ_j w_j = Tr A = 1, and F·F† = d·I gives Σ_m x_m x_m† = d·A.
 
 ``szarek_split``
     A PSD 2×2-block matrix A (blocks d1×d1) splits as A = (B₁+B₂)/2 with
@@ -46,12 +41,10 @@ __all__ = [
     "Decomposition",
     "AR4Report",
     "SUPPORT_TOL",
-    "schur_horn_equalize",
     "horn_vectors",
     "szarek_split",
     "szarek_split_choi",
     "verify_ar4",
-    "decomposition_to_json",
 ]
 
 #: ``szarek_split`` needs the off-diagonal block supported on the diagonal
@@ -110,86 +103,14 @@ class AR4Report:
     rank_bound: int
 
 
-def schur_horn_equalize(eigvals) -> np.ndarray:
-    """Rotation R (real orthogonal) with diag(R·diag(λ)·Rᵀ) constant.
-
-    Pivots the largest remaining diagonal entry against the smallest and
-    solves the 2×2 rotation angle that lands the larger one exactly on
-    the mean; at most d−1 rotations, each finishing one index for good
-    (finished indices are never touched again, and the unfinished pool
-    keeps mean t, so a valid pivot always exists).  A diagonal left more
-    than 1e-10 (relative) off the mean raises ``RuntimeError``.
-    """
-    lam = np.asarray(eigvals, dtype=float).reshape(-1)
-    d = lam.size
-    if d == 0:
-        raise ValueError("empty eigenvalue list")
-    t = lam.sum() / d
-    scale = max(np.abs(lam).max(), 1.0)
-
-    c_mat = np.diag(lam.astype(float))
-    r_acc = np.eye(d)
-    unfixed = list(range(d))
-
-    for _ in range(d - 1):
-        diag = np.array([c_mat[i, i] for i in unfixed])
-        hi = unfixed[int(np.argmax(diag))]
-        lo = unfixed[int(np.argmin(diag))]
-        if c_mat[hi, hi] - c_mat[lo, lo] <= 1e-15 * scale:
-            break
-        alpha = c_mat[hi, hi]
-        gamma = c_mat[lo, lo]
-        beta = c_mat[hi, lo]
-
-        # (γ−t)·u² − 2β·u + (α−t) = 0 for u = tan(angle); roots have
-        # opposite signs (product (α−t)/(γ−t) ≤ 0), take the smaller |u|.
-        a, b, c = gamma - t, -2.0 * beta, alpha - t
-        if abs(a) <= 1e-300:
-            if abs(b) <= 1e-300:
-                unfixed.remove(hi)
-                continue
-            u = -c / b
-        else:
-            disc = b * b - 4.0 * a * c
-            disc = max(disc, 0.0)
-            root = np.sqrt(disc)
-            q = -(b + np.copysign(root, b)) / 2.0
-            candidates = []
-            if abs(a) > 0:
-                candidates.append(q / a)
-            if abs(q) > 0:
-                candidates.append(c / q)
-            u = min(candidates, key=abs)
-        cth = 1.0 / np.sqrt(1.0 + u * u)
-        sth = u * cth
-
-        # Rotate rows/cols (hi, lo): new row hi = c·hi − s·lo, etc.
-        row_hi = cth * c_mat[hi, :] - sth * c_mat[lo, :]
-        row_lo = sth * c_mat[hi, :] + cth * c_mat[lo, :]
-        c_mat[hi, :], c_mat[lo, :] = row_hi, row_lo
-        col_hi = cth * c_mat[:, hi] - sth * c_mat[:, lo]
-        col_lo = sth * c_mat[:, hi] + cth * c_mat[:, lo]
-        c_mat[:, hi], c_mat[:, lo] = col_hi, col_lo
-
-        r_hi = cth * r_acc[hi, :] - sth * r_acc[lo, :]
-        r_lo = sth * r_acc[hi, :] + cth * r_acc[lo, :]
-        r_acc[hi, :], r_acc[lo, :] = r_hi, r_lo
-
-        c_mat[hi, hi] = t  # exact by construction; stamp out roundoff
-        unfixed.remove(hi)
-
-    dev = max(abs(c_mat[i, i] - t) for i in range(d))
-    if dev > 1e-10 * scale:
-        raise RuntimeError(f"diagonal equalization stalled at deviation {dev:.3e}")
-    return r_acc
-
-
 def horn_vectors(a) -> list[np.ndarray]:
     """Decompose a density matrix as an average of unit-vector projectors.
 
-    Returns d unit vectors x_m with A = (1/d) Σ_m x_m x_m†; a maximally
-    mixed input yields an orthonormal basis, a pure state returns d
-    copies of its vector (up to phase).
+    Returns the d unit vectors x_m = Q·diag(√w)·f_m of the DFT frame (see
+    the module docstring) with A = (1/d) Σ_m x_m x_m†, eigenvalues w in
+    descending order.  A maximally mixed input yields an orthonormal basis,
+    a pure state d copies of its vector; kernel eigenvalues of roundoff size
+    ε enter as √ε, which moves no norm and no reconstruction beyond ε.
     """
     w, q = la._spectrum(la.as_matrix(a), psd=True, what="density matrix")
     w, q = w[::-1], la._canonical_phases(q[:, ::-1])
@@ -197,14 +118,10 @@ def horn_vectors(a) -> list[np.ndarray]:
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"horn_vectors needs trace 1, got {tr:.6f}")
     d = len(w)
-
-    # C = R diag(w) Rᵀ has the constant diagonal 1/d; its square root B comes
-    # from the same spectrum, as R diag(√w) Rᵀ on the support
-    r = schur_horn_equalize(w)
-    b = (r * la._support_power(w, 0.5)) @ r.T
-    u = q @ r.T.astype(np.complex128)
-    xb = np.sqrt(d) * (u @ b)
-    return [xb[:, m].copy() for m in range(d)]
+    r = np.arange(d)
+    # F_jm = e^{2πi·jm/d}, with jm reduced mod d to keep the phases exact
+    x = (q * np.sqrt(w)) @ np.exp((2j * np.pi / d) * (np.outer(r, r) % d))
+    return [x[:, m].copy() for m in range(d)]
 
 
 def szarek_split(block, d1: int | None = None) -> Decomposition:
@@ -229,19 +146,22 @@ def szarek_split(block, d1: int | None = None) -> Decomposition:
             )
     # the one Hermiticity check: after it, A, its diagonal blocks and each
     # term [[A₁₁, X], [X†, A₂₂]] are exactly Hermitian
-    a = la.check_hermitian(a, what="block matrix")
+    return _split(la.check_hermitian(a, what="block matrix"), d1)
+
+
+def _split(a: np.ndarray, d1: int) -> Decomposition:
+    """:func:`szarek_split` of an exactly Hermitian matrix, unchecked."""
     la._psd_eigh(a, "block matrix")  # PSD gate
     a12 = a[:d1, d1:]
     scale = max(float(np.abs(a).max()), 1e-300)
 
-    # one clamped spectrum and one support mask per diagonal block give its
-    # support projector and its -1/2 and 1/2 powers
-    powers = []
-    for blk in (a[:d1, :d1], a[d1:, d1:]):
-        w, v = la._psd_eigh(blk, "diagonal block")
-        support = la._support(w)
-        powers.append([la._pseudo_power(w, v, x, support) for x in (0.0, -0.5, 0.5)])
-    (p11, r11, s11), (p22, r22, s22) = powers
+    # one clamped spectrum and one support mask for the stack of both
+    # diagonal blocks give their support projectors and -1/2 and 1/2 powers
+    w, v = la._psd_eigh(np.stack((a[:d1, :d1], a[d1:, d1:])), "diagonal block")
+    support = la._support(w)
+    (p11, p22), (r11, r22), (s11, s22) = (
+        la._pseudo_power(w, v, x, support) for x in (0.0, -0.5, 0.5)
+    )
     resid = float(np.abs(p11 @ a12 @ p22 - a12).max())
     if resid > SUPPORT_TOL * scale:
         raise ValueError(
@@ -288,8 +208,8 @@ def szarek_split_choi(choi: chan.ChoiMatrix) -> tuple[chan.ChoiMatrix, chan.Choi
     """
     if choi.d_out != 2:
         raise la.ShapeError("szarek_split_choi needs a qubit-output channel")
-    out_major = _swap_legs(choi.matrix, choi.d_in, 2)
-    dec = szarek_split(out_major, d1=choi.d_in)
+    # the permuted matrix of a symmetrized ChoiMatrix is exactly Hermitian
+    dec = _split(_swap_legs(choi.matrix, choi.d_in, 2), choi.d_in)
     halves = []
     for term in dec.terms:
         back = _swap_legs(term, 2, choi.d_in)
@@ -346,13 +266,3 @@ def verify_ar4(a, factors, rank_bound: int, tol: float = 1e-8) -> AR4Report:
         ranks=ranks,
         rank_bound=rank_bound,
     )
-
-
-def decomposition_to_json(dec: Decomposition) -> dict:
-    """Serialize terms, weights and factors (nested [re, im] pairs)."""
-    return {
-        "weights": [float(w) for w in dec.weights],
-        "rank_bound": dec.rank_bound,
-        "terms": [la.matrix_to_json(t) for t in dec.terms],
-        "factors": [la.matrix_to_json(x) for x in dec.factors],
-    }

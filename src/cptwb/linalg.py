@@ -58,7 +58,6 @@ __all__ = [
     "herm_eig",
     "psd_eigvals",
     "psd_power",
-    "psd_sqrt",
     "kron",
     "partial_trace",
     "numerical_rank",
@@ -255,11 +254,6 @@ def psd_power(m, a: float) -> np.ndarray:
     """
     w, v = _spectrum(as_matrix(m), psd=True, what="psd_power input")
     return _pseudo_power(w, v, a)
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """PSD square root (pseudo, on the support)."""
-    return psd_power(m, 0.5)
 
 
 def kron(a, b) -> np.ndarray:

@@ -348,11 +348,3 @@ def test_channel_from_json_rejects_malformed():
     for bad in ({}, {"d_in": 2, "d_out": 2}, {"d_in": 2, "d_out": 2, "kraus": "x"}):
         with pytest.raises(ValueError):
             ch.channel_from_json(bad)
-
-
-def test_choi_json_round_trip():
-    phi = zoo.random_channel(2, 3, 2, seed=15)
-    j = ch.kraus_to_choi(phi)
-    back = ch.choi_from_json(ch.choi_to_json(j))
-    assert back.d_in == 2 and back.d_out == 3
-    assert np.abs(back.matrix - j.matrix).max() == 0.0

@@ -304,15 +304,31 @@ def test_decompose_round_trip(tmp_path, capsys):
 @pytest.mark.parametrize("dump", [[], ["--dump-kraus"]])
 def test_decompose_decomposes_each_choi_matrix_once(dump, tmp_path, capsys, monkeypatch):
     # validation of the input's Choi matrix; the split: the block matrix and
-    # its two diagonal blocks; each half: once for its rank, least eigenvalue
-    # and Kraus set; the input's rank, from the Choi matrix already built
+    # the stack of its two diagonal blocks; each half: once for its rank,
+    # least eigenvalue and Kraus set; the input's rank, from the Choi matrix
+    # already built
     f = tmp_path / "ch.json"
     f.write_text(json.dumps(chan.channel_to_json(zoo.random_channel(3, 2, 4, seed=1))))
     eighs, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
     code, _, _ = run(["decompose", "--input", str(f), *dump], capsys)
     assert code == 0
-    assert eighs == [(6, 6), (6, 6), (3, 3), (3, 3), (6, 6), (6, 6), (6, 6)]
+    assert eighs == [(6, 6), (6, 6), (2, 3, 3), (6, 6), (6, 6), (6, 6)]
+
+
+def test_decompose_checks_hermiticity_four_times(tmp_path, capsys, monkeypatch):
+    # the input's Choi matrix, built by validate_cpt while loading and again
+    # for the split, and the two halves; the split's permuted matrix is not
+    # checked again
+    from cptwb import linalg as la
+
+    f = tmp_path / "ch.json"
+    f.write_text(json.dumps(chan.channel_to_json(zoo.random_channel(3, 2, 4, seed=1))))
+    checks, herm = [], la._hermitian_part
+    monkeypatch.setattr(la, "_hermitian_part", lambda a, what: checks.append(what) or herm(a, what))
+    code, _, _ = run(["decompose", "--input", str(f)], capsys)
+    assert code == 0
+    assert checks == ["Choi matrix"] * 4
 
 
 def test_extremality_with_perturbation(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Tests for the diagonal-equalizing rotations, the vector averaging of
-density matrices, and the two-term block split."""
+"""Tests for the vector averaging of density matrices (the DFT frame) and
+the two-term block split."""
 
 import numpy as np
 import pytest
@@ -16,43 +16,6 @@ def _random_block_psd(d1, rng, rank=None):
     r = n if rank is None else rank
     g = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
     return g @ g.conj().T
-
-
-# ---------------------------------------------------------------------------
-# Schur-Horn rotations
-# ---------------------------------------------------------------------------
-
-def test_schur_horn_equalize_basics():
-    lam = np.array([0.7, 0.2, 0.1, 0.0])
-    r = dec.schur_horn_equalize(lam)
-    # real orthogonal
-    assert np.abs(r @ r.T - np.eye(4)).max() < 1e-12
-    c = r @ np.diag(lam) @ r.T
-    assert np.abs(np.diag(c) - 0.25).max() < 1e-12
-    # similarity: spectrum untouched
-    assert np.abs(np.linalg.eigvalsh(c) - np.sort(lam)).max() < 1e-12
-
-
-def test_schur_horn_equalize_flat_input_is_identity():
-    r = dec.schur_horn_equalize(np.full(3, 1.0 / 3.0))
-    assert np.abs(r - np.eye(3)).max() < 1e-12
-
-
-def test_schur_horn_equalize_random_spectra():
-    rng = np.random.default_rng(60)
-    for _ in range(50):
-        d = int(rng.integers(1, 9))
-        lam = rng.exponential(size=d)
-        r = dec.schur_horn_equalize(lam)
-        c = r @ np.diag(lam) @ r.T
-        t = lam.sum() / d
-        assert np.abs(np.diag(c) - t).max() < 1e-10
-        assert np.abs(r @ r.T - np.eye(d)).max() < 1e-12
-
-
-def test_schur_horn_equalize_rejects_empty():
-    with pytest.raises(ValueError):
-        dec.schur_horn_equalize([])
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +46,42 @@ def test_horn_vectors_pure_state_gives_copies():
     xs = dec.horn_vectors(np.outer(psi, psi.conj()))
     for x in xs:
         assert abs(abs(np.vdot(x, psi)) - 1.0) < 1e-10
+
+
+def test_horn_vectors_on_a_diagonal_input_is_the_dft_frame():
+    # eigenvalues in descending order keep Q the identity, so x_m[j] is
+    # √w_j·e^{2πi·jm/d}; d = 1 gives the one vector (1)
+    for d in range(1, 9):
+        w = np.arange(d, 0, -1.0) ** 2
+        w /= w.sum()
+        xs = dec.horn_vectors(np.diag(w))
+        j = np.arange(d)
+        for m, x in enumerate(xs):
+            want = np.sqrt(w) * np.exp(2j * np.pi * (j * m % d) / d)
+            assert np.abs(x - want).max() <= 1e-15
+
+
+def test_horn_vectors_at_every_rank():
+    rng = rng_from(67)
+    for d in range(2, 9):
+        for rank in range(1, d + 1):
+            rho = random_density(d, rng, rank=rank)
+            xs = dec.horn_vectors(rho)
+            assert len(xs) == d
+            acc = sum(np.outer(x, x.conj()) for x in xs) / d
+            assert np.abs(acc - rho).max() < 1e-14
+            assert max(abs(np.linalg.norm(x) - 1.0) for x in xs) < 1e-14
+
+
+def test_horn_vectors_pure_input_gives_identical_vectors():
+    # only the top eigenvalue is nonzero, so every x_m is its eigenvector
+    # times F_0m = 1: the same vector d times
+    for d in range(2, 9):
+        psi = np.zeros(d, dtype=complex)
+        psi[d // 2] = np.exp(0.3j)
+        xs = dec.horn_vectors(np.outer(psi, psi.conj()))
+        assert all(np.array_equal(x, xs[0]) for x in xs)
+        assert abs(abs(np.vdot(xs[0], psi)) - 1.0) < 1e-15
 
 
 def test_horn_vectors_rejects_bad_trace_and_negativity():
@@ -152,14 +151,14 @@ def _count_checks_and_eigensolves(monkeypatch):
 
 
 def test_szarek_split_makes_three_eigensolves(monkeypatch):
-    # the PSD gate on A, then one spectrum per diagonal block; the blocks
-    # and the terms are exactly Hermitian once A is symmetrized, so nothing
-    # after the input is checked again
+    # the PSD gate on A, then one stacked spectrum of both diagonal blocks;
+    # the blocks and the terms are exactly Hermitian once A is symmetrized,
+    # so nothing after the input is checked again
     checks, eighs = _count_checks_and_eigensolves(monkeypatch)
     a = _random_block_psd(3, np.random.default_rng(30))
     dec.szarek_split(a, d1=3)
     assert checks == ["block matrix"]
-    assert eighs == [(6, 6), (3, 3), (3, 3)]
+    assert eighs == [(6, 6), (2, 3, 3)]
 
 
 def test_horn_vectors_checks_once_and_decomposes_once(monkeypatch):
@@ -241,14 +240,3 @@ def test_verify_ar4_flags_corruption():
     bad[0] = bad[0] + 0.05
     rep = dec.verify_ar4(a, bad, rank_bound=d1)
     assert not rep.ok
-
-
-def test_decomposition_to_json_round_trip_shape():
-    rng = np.random.default_rng(66)
-    a = _random_block_psd(2, rng)
-    d = dec.szarek_split(dec.BlockMatrix(2, 2, a))
-    data = dec.decomposition_to_json(d)
-    assert data["rank_bound"] == 2
-    assert len(data["terms"]) == 2
-    back = la.matrix_from_json(data["terms"][0])
-    assert np.abs(back - d.terms[0]).max() == 0.0

@@ -1,10 +1,12 @@
-"""The intra-package import graph of ``cptwb`` is acyclic.
+"""The intra-package import graph of ``cptwb`` is acyclic, and every
+exported name exists.
 
 Every ``import`` statement counts, function-local ones included, so a cycle
 cannot hide behind a deferred import.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cptwb"
@@ -76,3 +78,13 @@ def test_intra_package_imports_are_acyclic():
     graph = import_graph()
     assert _cycle(graph) is None, " -> ".join(_cycle(graph))
     assert "entropy" not in graph["optimize"]
+
+
+def test_every_exported_name_resolves():
+    # a deletion that forgets its __all__ entry fails here, not at
+    # ``from cptwb.<module> import *``
+    for name in sorted(MODULES):
+        path = "cptwb" if name == "__init__" else f"cptwb.{name}"
+        mod = importlib.import_module(path)
+        missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+        assert not missing, f"{path}.__all__ names {missing}"

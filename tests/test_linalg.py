@@ -89,7 +89,7 @@ def test_psd_power_inverse_on_support():
 def test_psd_power_half_squares_back():
     rng = np.random.default_rng(4)
     m = _random_psd(4, rng)
-    r = la.psd_sqrt(m)
+    r = la.psd_power(m, 0.5)
     assert np.abs(r @ r - m).max() < 1e-8 * np.abs(m).max()
 
 
@@ -181,7 +181,7 @@ def test_lieb_thirring_inequality():
         d = int(rng.integers(2, 6))
         a = _random_psd(d, rng)
         b = _random_psd(d, rng)
-        rb = la.psd_sqrt(b)
+        rb = la.psd_power(b, 0.5)
         inner = rb @ a @ rb
         for p in (1.0, 1.7, 2.0, 3.0, 5.0):
             lhs = la.trace_power(inner, p)
