@@ -13,6 +13,10 @@ Conventions
   so the partial trace over the *output* leg of a CPT channel is I/d_in.
 * ``choi_to_kraus`` scales eigenvectors by sqrt(d_in · λ) to undo the 1/d_in
   normalization, and returns a minimal (rank-many) Kraus set.
+* Each object computes its Choi facts once, on first use: a channel its Choi
+  matrix (``KrausChannel.choi``), a Choi matrix its unclamped spectrum
+  (``ChoiMatrix.spectrum``), which every Choi reader here reads.  The Kraus
+  operators are copied and, like the Choi matrix, read-only.
 
 Extremality
 -----------
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +86,7 @@ class KrausChannel:
     kraus: tuple
 
     def __post_init__(self):
-        ops = tuple(la.as_matrix(a) for a in self.kraus)
+        ops = tuple(la.as_matrix(a).copy() for a in self.kraus)
         if not ops:
             raise ChannelValidationError("channel needs at least one Kraus operator")
         for a in ops:
@@ -89,6 +94,7 @@ class KrausChannel:
                 raise ChannelValidationError(
                     f"Kraus operator shape {a.shape} != ({self.d_out}, {self.d_in})"
                 )
+            a.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
 
     @classmethod
@@ -103,11 +109,16 @@ class KrausChannel:
     def __len__(self) -> int:
         return len(self.kraus)
 
+    @cached_property
+    def choi(self) -> "ChoiMatrix":
+        """The Choi matrix (:func:`kraus_to_choi`), built on first use."""
+        return kraus_to_choi(self)
+
 
 @dataclass(frozen=True)
 class ChoiMatrix:
     """Trace-normalized Choi matrix with legs ordered (input ⊗ output),
-    checked for Hermiticity and stored symmetrized, so never checked again."""
+    checked for Hermiticity once and stored symmetrized and read-only."""
 
     d_in: int
     d_out: int
@@ -120,7 +131,17 @@ class ChoiMatrix:
             raise ChannelValidationError(
                 f"Choi matrix shape {m.shape} != ({n}, {n})"
             )
-        object.__setattr__(self, "matrix", la._hermitian_part(m, "Choi matrix"))
+        h = la._hermitian_part(m, "Choi matrix")  # a new array
+        h.flags.writeable = False
+        object.__setattr__(self, "matrix", h)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(w, v)`` from one ``eigh`` of :attr:`matrix`, eigenvalues
+        ascending and not clamped, computed on first use; read-only."""
+        w, v = np.linalg.eigh(self.matrix)
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
 
 
 @dataclass(frozen=True)
@@ -161,7 +182,7 @@ def validate_cpt(ch: KrausChannel, tol: float = 1e-10) -> ValidationReport:
     tp_residual = float(np.abs(acc - ident).max())
     trace_preserving = tp_residual <= tol
 
-    w, _ = np.linalg.eigh(kraus_to_choi(ch).matrix)
+    w, _ = ch.choi.spectrum
     min_eig = float(w[0])
     choi_psd = bool(min_eig >= la._psd_floor(w[-1]))
 
@@ -221,17 +242,13 @@ def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
 def choi_to_kraus(choi: ChoiMatrix) -> KrausChannel:
     """Minimal Kraus set from the Choi eigendecomposition.
 
-    Eigenvectors with eigenvalue on the support (above ``la.RANK_TOL``
-    times the largest) are rescaled by sqrt(d_in · λ) and unvectorized; the
-    result has choi-rank many operators (at most d_in · d_out).
+    Eigenvectors with eigenvalue on the support (above ``la.RANK_TOL`` times
+    the largest), in descending order with canonical phases, are rescaled by
+    sqrt(d_in · λ) and unvectorized: choi-rank many (at most d_in · d_out).
     """
-    return _minimal_kraus(choi, *la._psd_eigh(choi.matrix, "Choi matrix"))
-
-
-def _minimal_kraus(choi: ChoiMatrix, w: np.ndarray, v: np.ndarray) -> KrausChannel:
-    """``choi_to_kraus`` from the clamped ascending spectrum ``(w, v)`` of
-    ``choi.matrix``, in descending eigenvalue order with canonical phases."""
-    w, v = w[::-1], la._canonical_phases(v[:, ::-1])
+    w, v = choi.spectrum
+    w = la._psd_clamp(w.copy(), "Choi matrix")[::-1]
+    v = la._canonical_phases(v[:, ::-1])
     keep = la._support(w)
     if not keep.any():
         raise ChannelValidationError("Choi matrix is zero")
@@ -244,8 +261,8 @@ def _minimal_kraus(choi: ChoiMatrix, w: np.ndarray, v: np.ndarray) -> KrausChann
 
 def choi_rank(obj) -> int:
     """Numerical rank of the Choi matrix of a channel (or Choi directly)."""
-    j = obj if isinstance(obj, ChoiMatrix) else kraus_to_choi(obj)
-    w, _ = la._psd_eigh(j.matrix, "Choi matrix")
+    j = obj if isinstance(obj, ChoiMatrix) else obj.choi
+    w = la._psd_clamp(j.spectrum[0].copy(), "Choi matrix")
     return int(np.count_nonzero(la._support(w)))
 
 
@@ -295,17 +312,15 @@ def complement(ch: KrausChannel) -> KrausChannel:
 # Extremality
 # ---------------------------------------------------------------------------
 
-def _extremality(ch: KrausChannel, choi: ChoiMatrix | None = None) -> tuple[int, KrausChannel, bool]:
+def _extremality(ch: KrausChannel) -> tuple[int, KrausChannel, bool]:
     """Choi rank, minimal Kraus set (``ch`` itself when minimal) and extreme
-    flag of ``ch`` from one eigensolve of its Choi matrix ``choi``.
+    flag of ``ch`` from the cached spectrum of its Choi matrix.
 
     Extreme means the K² products {A_j†A_k} of the minimal set, stacked into
     a (K², d_in²) matrix, have full row rank; K > d_in cannot.
     """
-    choi = kraus_to_choi(ch) if choi is None else choi
-    w, v = la._psd_eigh(choi.matrix, "Choi matrix")
-    rank = int(np.count_nonzero(la._support(w)))
-    m = ch if len(ch.kraus) == rank else _minimal_kraus(choi, w, v)
+    rank = choi_rank(ch)
+    m = ch if len(ch.kraus) == rank else choi_to_kraus(ch.choi)
     k = len(m.kraus)
     if k > m.d_in:
         return rank, m, False
@@ -326,12 +341,7 @@ def is_generalized_extreme(ch: KrausChannel) -> bool:
 
 def classify(ch: KrausChannel) -> ChannelMeta:
     """Choi rank plus both extremality flags in one record."""
-    r, _, extreme = _extremality(ch)
-    return ChannelMeta(
-        choi_rank=r,
-        is_extreme=extreme,
-        is_generalized_extreme=r <= ch.d_in,
-    )
+    return ChannelMeta(choi_rank(ch), is_extreme(ch), is_generalized_extreme(ch))
 
 
 @dataclass(frozen=True)
@@ -362,15 +372,14 @@ def perturb_to_extreme(ch: KrausChannel, epsilon0: float = 0.1, seed=0) -> Pertu
     ``MAX_HALVINGS`` halvings) until S(ε) is positive definite and the
     renormalized channel passes ``is_extreme``; generically the first ε
     works.  One eigendecomposition of S(ε) per ε tried gives both the
-    definiteness check and S(ε)^{-1/2} = V diag(w^{-1/2}) V†.  The input's
-    Choi matrix is built and decomposed once.  ε = 0 or an already extreme
-    input is a no-op (flagged); a negative or non-finite ``epsilon0`` raises
-    ``ValueError``.
+    definiteness check and S(ε)^{-1/2} = V diag(w^{-1/2}) V†.  The reference
+    is drawn once (extreme with probability one; each candidate is tested).
+    ε = 0 or an already extreme input is a no-op (flagged); a negative or
+    non-finite ``epsilon0`` raises ``ValueError``.
     """
     if not (math.isfinite(epsilon0) and epsilon0 >= 0.0):
         raise ValueError(f"epsilon0 must be finite and >= 0, got {epsilon0}")
-    j_in = kraus_to_choi(ch)
-    rank, base, already_extreme = _extremality(ch, j_in)
+    rank, base, already_extreme = _extremality(ch)
     if rank > ch.d_in:
         raise ChannelValidationError(
             "perturb_to_extreme needs Choi rank <= d_in"
@@ -387,33 +396,25 @@ def perturb_to_extreme(ch: KrausChannel, epsilon0: float = 0.1, seed=0) -> Pertu
     zero = np.zeros((ch.d_out, ch.d_in), dtype=np.complex128)
     ops = list(base.kraus) + [zero] * (ch.d_in - len(base.kraus))
 
-    # Seeded extreme reference: slices of a Haar isometry C^d_in -> C^(d_out*d_in).
-    for attempt in range(10):
-        v = haar_isometry(ch.d_out * ch.d_in, ch.d_in, rng_from(seed, attempt))
-        slices = tuple(v.reshape(ch.d_in, ch.d_out, ch.d_in))
-        reference = KrausChannel(d_in=ch.d_in, d_out=ch.d_out, kraus=slices)
-        if is_extreme(reference):
-            break
-    else:  # pragma: no cover - Haar draws are generic
-        raise RuntimeError("could not draw an extreme reference channel")
+    # Seeded reference Kraus set: slices of a Haar isometry C^d_in -> C^(d_out*d_in).
+    v = haar_isometry(ch.d_out * ch.d_in, ch.d_in, rng_from(seed, 0))
+    reference = v.reshape(ch.d_in, ch.d_out, ch.d_in)
 
     eps = float(epsilon0)
     for halving in range(MAX_HALVINGS + 1):
-        c_ops = [a + eps * b for a, b in zip(ops, reference.kraus)]
+        c_ops = [a + eps * b for a, b in zip(ops, reference)]
         w, v = la._spectrum(sum(la.dagger(c) @ c for c in c_ops))
         if la._support(w).all():
             s_isqrt = (v * w ** -0.5) @ la.dagger(v)
             new_ops = tuple(c @ s_isqrt for c in c_ops)
             cand = KrausChannel(d_in=ch.d_in, d_out=ch.d_out, kraus=new_ops)
-            j_cand = kraus_to_choi(cand)
-            if _extremality(cand, j_cand)[2]:
-                dist = float(np.abs(j_cand.matrix - j_in.matrix).max())
+            if _extremality(cand)[2]:
                 return PerturbResult(
                     channel=cand,
                     epsilon=eps,
                     already_extreme=False,
                     halvings=halving,
-                    choi_distance=dist,
+                    choi_distance=choi_distance(cand, ch),
                 )
         eps /= 2.0
     raise RuntimeError(
@@ -423,8 +424,7 @@ def perturb_to_extreme(ch: KrausChannel, epsilon0: float = 0.1, seed=0) -> Pertu
 
 def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
     """Max-entry distance between two channels' Choi matrices."""
-    ja = kraus_to_choi(a).matrix
-    jb = kraus_to_choi(b).matrix
+    ja, jb = a.choi.matrix, b.choi.matrix
     if ja.shape != jb.shape:
         raise la.ShapeError("choi_distance: dimension mismatch")
     return float(np.abs(ja - jb).max())

@@ -241,23 +241,23 @@ def _load_channel(args, suffix: str = "", required: bool = True, validate: bool 
             )
         return None
 
-    validate = validate and not args.no_validate
     if from_file is not None:
-        ch = chan.channel_from_json(_read_json(from_file), validate=validate)
-        return ch, {"source": "file", "path": from_file}
-
-    if spec_file is not None:
-        spec = zoo.ChannelSpec.from_json(_read_json(spec_file))
+        ch = chan.channel_from_json(_read_json(from_file), validate=False)
+        desc = {"source": "file", "path": from_file}
     else:
-        spec = zoo.ChannelSpec(family, **_params_from_flags(args, family, suffix))
-    ch = spec.build()
-    if validate:
+        if spec_file is not None:
+            spec = zoo.ChannelSpec.from_json(_read_json(spec_file))
+        else:
+            spec = zoo.ChannelSpec(family, **_params_from_flags(args, family, suffix))
+        ch = spec.build()
+        desc = {"source": "family", "family": spec.family, "params": spec.params}
+    if validate and not args.no_validate:
+        # the one CPT gate; its Choi analysis stays cached on ``ch``
         rep = chan.validate_cpt(ch)
         if not rep.ok:
             raise chan.ChannelValidationError(
-                "constructed channel failed validation: " + "; ".join(rep.messages)
+                "channel failed CPT validation: " + "; ".join(rep.messages)
             )
-    desc = {"source": "family", "family": spec.family, "params": spec.params}
     return ch, desc
 
 
@@ -449,28 +449,24 @@ def cmd_multscan(args) -> int:
 
 def cmd_decompose(args) -> int:
     ch, desc = _load_channel(args)
-    choi = chan.kraus_to_choi(ch)
-    h1, h2 = dec.szarek_split_choi(choi)
+    h1, h2 = dec.szarek_split_choi(ch.choi)
     mixture = (h1.matrix + h2.matrix) / 2.0
-    residual = float(np.abs(mixture - choi.matrix).max())
+    residual = float(np.abs(mixture - ch.choi.matrix).max())
 
     halves = []
     target = np.eye(ch.d_in) / ch.d_in
     for half in (h1, h2):
-        # one eigensolve: the least eigenvalue, then the PSD gate, rank and Kraus set
-        w, v = np.linalg.eigh(half.matrix)
-        min_eigval = float(w[0])
-        rank = int(np.count_nonzero(la._support(la._psd_clamp(w, "Choi matrix"))))
+        rank = chan.choi_rank(half)
         marginal = la.partial_trace(half.matrix, (ch.d_in, ch.d_out), keep=0)
         entry = {
             "choi_rank": rank,
             "generalized_extreme": rank <= ch.d_in,
             "tp_residual": float(np.abs(marginal - target).max()),
-            "min_eigval": min_eigval,
+            "min_eigval": float(half.spectrum[0][0]),
             "choi": la.matrix_to_json(half.matrix),
         }
         if args.dump_kraus:
-            entry["kraus"] = chan.channel_to_json(chan._minimal_kraus(half, w, v))["kraus"]
+            entry["kraus"] = chan.channel_to_json(chan.choi_to_kraus(half))["kraus"]
         halves.append(entry)
 
     report = _head("decompose", args, desc)
@@ -478,7 +474,7 @@ def cmd_decompose(args) -> int:
         {
             "d_in": ch.d_in,
             "d_out": ch.d_out,
-            "choi_rank": chan.choi_rank(choi),
+            "choi_rank": chan.choi_rank(ch),
             "mixture_residual": residual,
             "halves": halves,
             "tolerances": {"support_tol": dec.SUPPORT_TOL, "rank_tol": la.RANK_TOL},

@@ -146,12 +146,13 @@ def szarek_split(block, d1: int | None = None) -> Decomposition:
             )
     # the one Hermiticity check: after it, A, its diagonal blocks and each
     # term [[A₁₁, X], [X†, A₂₂]] are exactly Hermitian
-    return _split(la.check_hermitian(a, what="block matrix"), d1)
+    a = la.check_hermitian(a, what="block matrix")
+    la._psd_eigh(a, "block matrix")  # PSD gate
+    return _split(a, d1)
 
 
 def _split(a: np.ndarray, d1: int) -> Decomposition:
-    """:func:`szarek_split` of an exactly Hermitian matrix, unchecked."""
-    la._psd_eigh(a, "block matrix")  # PSD gate
+    """:func:`szarek_split` of an exactly Hermitian PSD matrix, unchecked."""
     a12 = a[:d1, d1:]
     scale = max(float(np.abs(a).max()), 1e-300)
 
@@ -208,7 +209,8 @@ def szarek_split_choi(choi: chan.ChoiMatrix) -> tuple[chan.ChoiMatrix, chan.Choi
     """
     if choi.d_out != 2:
         raise la.ShapeError("szarek_split_choi needs a qubit-output channel")
-    # the permuted matrix of a symmetrized ChoiMatrix is exactly Hermitian
+    # the permuted matrix is exactly Hermitian, and the Choi spectrum is its own
+    la._psd_clamp(choi.spectrum[0].copy(), "block matrix")
     dec = _split(_swap_legs(choi.matrix, choi.d_in, 2), choi.d_in)
     halves = []
     for term in dec.terms:

@@ -36,9 +36,10 @@ symmetrization), ``_psd_clamp`` (the PSD floor and the clamp) and
 symmetrized matrix is Hermitian to the last bit, and so is a matrix
 assembled from one (a principal block, [[A, X], [X†, B]], a leg
 permutation): it is not checked again.  A ``channels.ChoiMatrix`` is
-checked and symmetrized when it is built, so its consumers decompose it
-unchecked; ``channels.validate_cpt`` and ``cptwb decompose`` read its least
-eigenvalue before the clamp.
+checked and symmetrized when it is built and decomposed once, on first use;
+a channel's Choi matrix is built once, from read-only copies of its Kraus
+operators.  Choi readers clamp a copy of that spectrum; ``channels.validate_cpt``
+and ``cptwb decompose`` read its least eigenvalue before the clamp.
 """
 
 from __future__ import annotations

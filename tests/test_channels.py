@@ -248,14 +248,14 @@ def test_perturb_to_extreme_makes_one_eigensolve_per_halving(monkeypatch):
     rng = rng_from(23)
     u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
     mix = ch.KrausChannel.from_kraus([u1 / np.sqrt(2), u2 / np.sqrt(2)])
-    # _extremality sees the input, the reference, then one candidate per ε
-    # tried: turning down the first two candidates forces two halvings
+    # _extremality sees the input, then one candidate per ε tried: turning
+    # down the first two candidates forces two halvings
     real, seen = ch._extremality, []
 
-    def extremality(c, choi=None):
+    def extremality(c):
         seen.append(c)
-        rank, m, extreme = real(c, choi)
-        return rank, m, len(seen) not in (3, 4) and extreme
+        rank, m, extreme = real(c)
+        return rank, m, len(seen) not in (2, 3) and extreme
 
     monkeypatch.setattr(ch, "_extremality", extremality)
     calls = []
@@ -269,8 +269,8 @@ def test_perturb_to_extreme_makes_one_eigensolve_per_halving(monkeypatch):
 
 def test_perturb_to_extreme_builds_and_decomposes_each_choi_matrix_once(monkeypatch):
     # input: one build, one eigensolve (rank, minimal set and the no-op test);
-    # reference: one of each; S(ε): one eigensolve; the accepted candidate:
-    # one of each, its Choi matrix shared by the extremality test and the distance
+    # S(ε): one eigensolve; the accepted candidate: one of each, its Choi
+    # matrix shared by the extremality test and the distance
     rng = rng_from(23)
     u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
     mix = ch.KrausChannel.from_kraus([u1 / np.sqrt(2), u2 / np.sqrt(2)])
@@ -281,8 +281,8 @@ def test_perturb_to_extreme_builds_and_decomposes_each_choi_matrix_once(monkeypa
     res = ch.perturb_to_extreme(mix, epsilon0=0.1, seed=5)
     assert res.halvings == 0
     assert builds[0] is mix and builds[-1] is res.channel
-    assert len(builds) == 3
-    assert eighs == [(9, 9), (9, 9), (3, 3), (9, 9)]
+    assert len(builds) == 2
+    assert eighs == [(9, 9), (3, 3), (9, 9)]
 
 
 @pytest.mark.parametrize("epsilon0", [float("nan"), float("inf"), -float("inf")])

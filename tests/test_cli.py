@@ -301,25 +301,62 @@ def test_decompose_round_trip(tmp_path, capsys):
         assert np.abs(j - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("dump", [[], ["--dump-kraus"]])
-def test_decompose_decomposes_each_choi_matrix_once(dump, tmp_path, capsys, monkeypatch):
-    # validation of the input's Choi matrix; the split: the block matrix and
-    # the stack of its two diagonal blocks; each half: once for its rank,
-    # least eigenvalue and Kraus set; the input's rank, from the Choi matrix
-    # already built
-    f = tmp_path / "ch.json"
-    f.write_text(json.dumps(chan.channel_to_json(zoo.random_channel(3, 2, 4, seed=1))))
+def _count_eighs(monkeypatch) -> list:
+    """Record the shape of every ``np.linalg.eigh`` call."""
     eighs, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    return eighs
+
+
+@pytest.mark.parametrize("dump", [[], ["--dump-kraus"]])
+def test_decompose_decomposes_each_choi_matrix_once(dump, tmp_path, capsys, monkeypatch):
+    # the input's Choi matrix, once for validation, the split's PSD gate and
+    # the input's rank; the stack of the split's two diagonal blocks; each
+    # half, once for its rank, least eigenvalue and Kraus set
+    f = tmp_path / "ch.json"
+    f.write_text(json.dumps(chan.channel_to_json(zoo.random_channel(3, 2, 4, seed=1))))
+    eighs = _count_eighs(monkeypatch)
     code, _, _ = run(["decompose", "--input", str(f), *dump], capsys)
     assert code == 0
-    assert eighs == [(6, 6), (6, 6), (2, 3, 3), (6, 6), (6, 6), (6, 6)]
+    assert eighs == [(6, 6), (2, 3, 3), (6, 6), (6, 6)]
 
 
-def test_decompose_checks_hermiticity_four_times(tmp_path, capsys, monkeypatch):
-    # the input's Choi matrix, built by validate_cpt while loading and again
-    # for the split, and the two halves; the split's permuted matrix is not
-    # checked again
+def _mixture_file(tmp_path):
+    """Channel JSON of an even mixture of two d = 3 unitaries (Choi rank 2)."""
+    from cptwb._rng import haar_unitary, rng_from
+
+    rng = rng_from(77)
+    u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
+    mix = chan.KrausChannel.from_kraus([u1 / np.sqrt(2), u2 / np.sqrt(2)])
+    f = tmp_path / "mix.json"
+    f.write_text(json.dumps(chan.channel_to_json(mix)))
+    return str(f)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # the input's Choi matrix once, for validation and classification
+        (["info"], [(9, 9)]),
+        (["extremality"], [(9, 9)]),
+        # then S(ε) and the accepted candidate's Choi matrix, which also
+        # answers the report's is_extreme
+        (["extremality", "--perturb", "0.1"], [(9, 9), (3, 3), (9, 9)]),
+        # the input's (its Kraus set is minimal), then the 3 → 2 complement's
+        (["complement"], [(9, 9), (6, 6)]),
+    ],
+)
+def test_choi_commands_decompose_each_choi_matrix_once(argv, want, tmp_path, capsys, monkeypatch):
+    f = _mixture_file(tmp_path)
+    eighs = _count_eighs(monkeypatch)
+    code, _, _ = run([argv[0], "--input", f, *argv[1:]], capsys)
+    assert code == 0
+    assert eighs == want
+
+
+def test_decompose_checks_hermiticity_three_times(tmp_path, capsys, monkeypatch):
+    # the input's Choi matrix, built once, and the two halves; the split's
+    # permuted matrix is not checked again
     from cptwb import linalg as la
 
     f = tmp_path / "ch.json"
@@ -328,20 +365,13 @@ def test_decompose_checks_hermiticity_four_times(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(la, "_hermitian_part", lambda a, what: checks.append(what) or herm(a, what))
     code, _, _ = run(["decompose", "--input", str(f)], capsys)
     assert code == 0
-    assert checks == ["Choi matrix"] * 4
+    assert checks == ["Choi matrix"] * 3
 
 
 def test_extremality_with_perturbation(tmp_path, capsys):
     # an even mixture of two unitaries: Choi rank 2 <= 3, never extreme
-    from cptwb._rng import haar_unitary, rng_from
-
-    rng = rng_from(77)
-    u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
-    mix = chan.KrausChannel.from_kraus([u1 / np.sqrt(2), u2 / np.sqrt(2)])
-    f = tmp_path / "mix.json"
-    f.write_text(json.dumps(chan.channel_to_json(mix)))
     code, out, _ = run(
-        ["extremality", "--input", str(f),
+        ["extremality", "--input", _mixture_file(tmp_path),
          "--perturb", "0.1", "--dump-kraus", "--format", "json"],
         capsys,
     )
@@ -357,15 +387,8 @@ def test_extremality_with_perturbation(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_extremality_rejects_non_finite_perturbation(value, tmp_path, capsys):
-    from cptwb._rng import haar_unitary, rng_from
-
-    rng = rng_from(77)
-    u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
-    mix = chan.KrausChannel.from_kraus([u1 / np.sqrt(2), u2 / np.sqrt(2)])
-    f = tmp_path / "mix.json"
-    f.write_text(json.dumps(chan.channel_to_json(mix)))
     code, out, err = run(
-        ["extremality", "--input", str(f), f"--perturb={value}"], capsys
+        ["extremality", "--input", _mixture_file(tmp_path), f"--perturb={value}"], capsys
     )
     assert code == 2
     assert out == "" and "epsilon0" in err

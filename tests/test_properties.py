@@ -148,3 +148,43 @@ def test_complement_outputs_share_the_channel_output_spectrum(case, seed):
         w_env = la.psd_eigvals(chan.apply(comp, rho), what="environment output")
         n = max(len(w), len(w_env))
         assert np.abs(_padded(w, n) - _padded(w_env, n)).max() <= 1e-10
+
+
+def _choi_readers(phi, other) -> dict:
+    """Each Choi reader's result on ``phi``, in a form ``==`` compares bit
+    for bit."""
+    return {
+        "validate_cpt": lambda: chan.validate_cpt(phi),
+        "choi_rank": lambda: chan.choi_rank(phi),
+        "choi_rank_of_choi": lambda: chan.choi_rank(phi.choi),
+        "classify": lambda: chan.classify(phi),
+        "choi_to_kraus": lambda: [a.tobytes() for a in chan.choi_to_kraus(phi.choi).kraus],
+        "choi_distance": lambda: chan.choi_distance(phi, other),
+    }
+
+
+@PROPERTY
+@given(channel(), seeds)
+def test_the_cached_choi_analysis_is_invisible(case, seed):
+    phi, _ = case
+    other = zoo.random_channel(phi.d_in, phi.d_out, phi.d_in, seed=seed)
+    sources = [np.array(a) for a in phi.kraus]  # writable
+    reused = chan.KrausChannel(phi.d_in, phi.d_out, tuple(sources))
+    readers = _choi_readers(reused, other)
+    first = {name: read() for name, read in readers.items()}
+    again = {name: read() for name, read in reversed(readers.items())}
+    assert again == first
+    # a fresh object, read in the other order, gives the same bits
+    fresh = _choi_readers(chan.KrausChannel(phi.d_in, phi.d_out, phi.kraus), other)
+    assert {name: read() for name, read in reversed(fresh.items())} == first
+
+    # the channel copied its operators: changing the sources changes nothing
+    for a in sources:
+        a += 1.0
+    assert all(np.array_equal(a, b) for a, b in zip(reused.kraus, phi.kraus))
+    assert {name: read() for name, read in readers.items()} == first
+
+    # and what it caches is read-only
+    for arr in (reused.kraus[0], reused.choi.matrix, *reused.choi.spectrum):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.0
