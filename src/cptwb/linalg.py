@@ -44,6 +44,8 @@ and ``cptwb decompose`` read its least eigenvalue before the clamp.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -340,13 +342,19 @@ def matrix_from_json(data) -> np.ndarray:
             raise ValueError("matrix JSON rows have inconsistent lengths")
         vals = []
         for cell in row:
+            # JSON true/false load as ints and NaN/Infinity as floats
             if (
                 not isinstance(cell, (list, tuple))
                 or len(cell) != 2
-                or not all(isinstance(x, (int, float)) for x in cell)
+                or not all(
+                    isinstance(x, (int, float))
+                    and not isinstance(x, bool)
+                    and math.isfinite(x)
+                    for x in cell
+                )
             ):
                 raise ValueError(
-                    "matrix JSON entries must be [re, im] number pairs"
+                    "matrix JSON entries must be [re, im] pairs of finite numbers"
                 )
             vals.append(complex(cell[0], cell[1]))
         rows.append(vals)

@@ -24,10 +24,11 @@ Tr Φ(ρ)^p is concave for p < 1, so the extremum sits on pure states.
 For p < 1 the matrix power has a negative exponent; on the kernel of a
 singular output the pseudo-power silently maps to zero, which makes
 kernel-escaping candidates look artificially cheap and can break the
-monotonicity proof.  ``opt2_step`` therefore guards every step: a
+monotonicity proof.  The iteration therefore guards every step: a
 candidate is accepted only when the objective does not move against the
 iteration direction by more than ``value_tol``; otherwise the current
-state is kept (the stall registers as convergence).
+state is kept (the stall registers as convergence).  ``opt2_step`` is one
+such step.
 
 Multistart
 ----------
@@ -50,11 +51,11 @@ matrix T = Σ_k conj(A_k) ⊗ A_k, built once per estimate, as one
 ``(1, d_out²) @ T`` product per state; when d_in·d_out exceeds
 ``TRANSFER_DIM_MAX`` (T would pass 1 MiB) it loops over the Kraus
 operators instead.  The stacked operations act matrix by matrix, so a
-restart's result still depends only on its index, and ``opt2_run`` is the
-same kernel with a stack of one.  The seed queue depends only on
-(d_in, seed, restarts); it is built once per key and kept read-only in a
-small cache.  ``estimate_nu_p(..., seeds=states)`` runs exactly the given
-states as its restarts instead.
+restart's result still depends only on its index.  The seed queue depends
+only on (d_in, seed, restarts); it is built once per key and kept
+read-only in a small cache.  ``estimate_nu_p(..., seeds=states)`` runs
+exactly the given states as its restarts instead, so ``seeds=[ψ]`` is one
+run from ψ.
 
 Multiplicativity
 ----------------
@@ -90,6 +91,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,12 +101,11 @@ from ._rng import random_pure_state, rng_from
 
 __all__ = [
     "OptimizerConfig",
-    "Opt2Run",
     "OptimizerReport",
     "MultReport",
     "ScanReport",
+    "output_trace_power",
     "opt2_step",
-    "opt2_run",
     "multistart_seeds",
     "estimate_nu_p",
     "mult_check",
@@ -127,20 +128,6 @@ class OptimizerConfig:
     value_tol: float = 1e-12
     seed: int = 0
     tensor_restarts: int = 200
-
-
-@dataclass(frozen=True)
-class Opt2Run:
-    """Trace of one fixed-point run from a single seed."""
-
-    state: np.ndarray
-    trace_power: float
-    value: float
-    trace: tuple
-    iterations: int
-    converged: bool
-    monotonicity_violations: int
-    guard_fallbacks: int
 
 
 @dataclass(frozen=True)
@@ -258,13 +245,25 @@ def _candidates(adjoint, w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
     return la._canonical_phases(vecs[..., j : j + 1])[..., 0]
 
 
+class _Runs(NamedTuple):
+    """Per-row results of :func:`_iterate`, one entry per row of the stack."""
+
+    best: np.ndarray  # (r, d_in) best visited state
+    best_t: np.ndarray  # its Tr Γ^p
+    iterations: np.ndarray
+    converged: np.ndarray
+    violations: np.ndarray  # monotonicity violations
+    fallbacks: np.ndarray  # guard fallbacks
+    last: np.ndarray  # (r, d_in) last state
+
+
 def _iterate(
     ch: chan.KrausChannel,
     states,
     p: float,
     max_iters: int,
     value_tol: float,
-) -> tuple[list[Opt2Run], np.ndarray]:
+) -> _Runs:
     """Run guarded fixed-point iterations from every row of ``states`` at once.
 
     Each step decomposes two stacks: the outputs Γ of the candidates, and
@@ -280,7 +279,7 @@ def _iterate(
     non-finite state, or ``max_iters < 1``, raises ``ValueError`` before any
     eigensolve.
 
-    Returns one :class:`Opt2Run` per row and the last state of each row.
+    Returns each row's results as arrays.
     """
     _check_p(p)
     if max_iters < 1:
@@ -300,7 +299,6 @@ def _iterate(
 
     w, v, t, tr = _output_spectra(kraus, psi, p)
     sign = 1.0 if p > 1.0 else -1.0
-    traces = [[float(x)] for x in t]
     best_t, best = t.copy(), psi.copy()
     iterations = np.zeros(r, dtype=int)
     converged = np.zeros(r, dtype=bool)
@@ -329,43 +327,28 @@ def _iterate(
         gained = sign * (t_next - best_t[live]) > 0.0
         best_t[live[gained]] = t_next[gained]
         best[live[gained]] = psi[live[gained]]
-        for j, x in zip(live, t_next):
-            traces[j].append(float(x))
         t[live] = t_next
         iterations[live] = it
         stalled = np.abs(t_next - t_now) <= value_tol
         converged[live[stalled]] = True
         live = live[~stalled]
 
-    runs = [
-        Opt2Run(
-            state=best[i],
-            trace_power=float(best_t[i]),
-            value=float(best_t[i]) ** (1.0 / p),
-            trace=tuple(traces[i]),
-            iterations=int(iterations[i]),
-            converged=bool(converged[i]),
-            monotonicity_violations=int(violations[i]),
-            guard_fallbacks=int(fallbacks[i]),
-        )
-        for i in range(r)
-    ]
-    return runs, psi
+    return _Runs(best, best_t, iterations, converged, violations, fallbacks, psi)
 
 
 def opt2_step(
     ch: chan.KrausChannel,
     psi: np.ndarray,
     p: float,
-    value_tol: float = 1e-12,
 ) -> np.ndarray:
     """One guarded fixed-point step; returns the next unit vector.
 
     Computes the eigenvector of Φ̂[(Φ(ψψ†))^{p−1}] with extremal eigenvalue
     (largest for p > 1, smallest for p < 1) and accepts it only if the
     objective Tr Φ(·)^p does not move against the iteration direction by
-    more than ``value_tol``; otherwise returns ``psi`` unchanged (the
-    pseudo-power kernel fallback for singular outputs at p < 1).
+    more than ``OptimizerConfig.value_tol``; otherwise returns ``psi``
+    unchanged (the pseudo-power kernel fallback for singular outputs at
+    p < 1).
     """
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if v.shape != (ch.d_in,):
@@ -373,26 +356,7 @@ def opt2_step(
     norm = np.linalg.norm(v)
     if not abs(norm - 1.0) <= 1e-8:  # NaN fails this too
         raise ValueError(f"state norm {norm:.3e} is not 1")
-    _, last = _iterate(ch, v, p, 1, value_tol)
-    return last[0]
-
-
-def opt2_run(
-    ch: chan.KrausChannel,
-    psi0: np.ndarray,
-    p: float,
-    config: OptimizerConfig | None = None,
-) -> Opt2Run:
-    """Iterate opt2_step from ``psi0`` until the objective stalls.
-
-    Convergence is declared on the scalar Tr Φ(ψψ†)^p (the iterate itself
-    may wander inside a degenerate optimal manifold).  The best visited
-    state is returned, which under the monotone guarantee is the last one.
-    """
-    cfg = config or OptimizerConfig()
-    psi = np.asarray(psi0, dtype=np.complex128).reshape(-1)
-    runs, _ = _iterate(ch, psi, p, cfg.max_iters, cfg.value_tol)
-    return runs[0]
+    return _iterate(ch, v, p, 1, OptimizerConfig.value_tol).last[0]
 
 
 def multistart_seeds(d: int, config: OptimizerConfig) -> list[np.ndarray]:
@@ -475,30 +439,35 @@ def estimate_nu_p(
         stages = [seeds[:n_structured], seeds[n_structured:]]
 
     sign = 1.0 if p > 1.0 else -1.0
-    runs: list[Opt2Run] = []
+    stage_runs: list[_Runs] = []
+    best_t: list[float] = []
+    best = 0
     for stage in stages:
-        runs += _iterate(ch, stage, p, cfg.max_iters, cfg.value_tol)[0]
-        best = 0
-        for i in range(1, len(runs)):
-            if sign * (runs[i].trace_power - runs[best].trace_power) > cfg.value_tol:
-                best = i
-        if bound is not None and sign * (runs[best].value - bound) > 0.0:
+        stage_runs.append(_iterate(ch, stage, p, cfg.max_iters, cfg.value_tol))
+        for t in stage_runs[-1].best_t.tolist():
+            best_t.append(t)
+            # a restart replaces the best only when it beats it by more
+            # than value_tol, so ties go to the lowest index
+            if sign * (t - best_t[best]) > cfg.value_tol:
+                best = len(best_t) - 1
+        if bound is not None and sign * (best_t[best] ** (1.0 / p) - bound) > 0.0:
             break
 
-    chosen = runs[best]
+    runs = _Runs(*map(np.concatenate, zip(*stage_runs)))
+    values = tuple(t ** (1.0 / p) for t in best_t)
     return OptimizerReport(
         p=p,
         direction="max" if p > 1.0 else "min",
-        best_value=chosen.value,
-        best_trace_power=chosen.trace_power,
-        best_input=chosen.state,
+        best_value=values[best],
+        best_trace_power=best_t[best],
+        best_input=runs.best[best],
         best_restart=best,
-        restart_values=tuple(r.value for r in runs),
-        restart_states=tuple(r.state for r in runs),
-        iterations=tuple(r.iterations for r in runs),
-        converged=tuple(r.converged for r in runs),
-        monotonicity_violations=sum(r.monotonicity_violations for r in runs),
-        guard_fallbacks=sum(r.guard_fallbacks for r in runs),
+        restart_values=values,
+        restart_states=tuple(runs.best),
+        iterations=tuple(runs.iterations.tolist()),
+        converged=tuple(runs.converged.tolist()),
+        monotonicity_violations=int(runs.violations.sum()),
+        guard_fallbacks=int(runs.fallbacks.sum()),
         seed=cfg.seed,
         n_structured_seeds=n_structured,
         config=asdict(cfg),

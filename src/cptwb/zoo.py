@@ -61,6 +61,8 @@ __all__ = [
     "qubit_generalized_extreme",
     "random_channel",
     "near_depolarizing",
+    "Param",
+    "Family",
     "ChannelSpec",
     "FAMILIES",
 ]
@@ -209,29 +211,21 @@ def cycle_window_unitaries(d: int, cycles) -> list[np.ndarray]:
             raise ValueError(f"cycle {cyc} is not a (d-1)-cycle on distinct symbols")
         if not all(0 <= s < d for s in syms):
             raise ValueError(f"cycle {cyc} has symbols outside 1..{d}")
-        mapping = {syms[i]: syms[(i + 1) % (d - 1)] for i in range(d - 1)}
-        perms.append((frozenset(syms), mapping))
+        perms.append(syms)
 
     blocks: list[np.ndarray | None] = [None] * d
-    for support, mapping in perms:
-        matched = False
-        for k0 in range(d):
-            window = [(k0 + j) % d for j in range(d - 1)]
-            if frozenset(window) == support:
-                if blocks[k0] is not None:
-                    raise ValueError("two cycles share the same coordinate window")
-                u = np.zeros((d - 1, d - 1), dtype=np.complex128)
-                pos = {sym: idx for idx, sym in enumerate(window)}
-                for b, sym in enumerate(window):
-                    u[pos[mapping[sym]], b] = 1.0
-                blocks[k0] = u
-                matched = True
-                break
-        if not matched:
-            raise ValueError(
-                f"cycle support {sorted(s + 1 for s in support)} matches no window"
-            )
-    return [b for b in blocks if b is not None]
+    for syms in perms:
+        # the window {k0, …, k0+d−2} (mod d) fixes only k0 − 1
+        (fixed,) = set(range(d)).difference(syms)
+        k0 = (fixed + 1) % d
+        if blocks[k0] is not None:
+            raise ValueError("two cycles share the same coordinate window")
+        pos = {(k0 + j) % d: j for j in range(d - 1)}
+        u = np.zeros((d - 1, d - 1), dtype=np.complex128)
+        for i, sym in enumerate(syms):
+            u[pos[syms[(i + 1) % (d - 1)]], pos[sym]] = 1.0
+        blocks[k0] = u
+    return blocks
 
 
 def qubit_generalized_extreme(alpha, u=None, v=None, w=None) -> chan.KrausChannel:

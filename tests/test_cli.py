@@ -79,6 +79,18 @@ def test_info_rejects_non_integer_dimensions(dims, flags, tmp_path, capsys):
     assert "d_in and d_out must be positive integers" in err
 
 
+@pytest.mark.parametrize("entry", [[True, 0.0], [float("nan"), 0.0], [1.0, float("inf")]])
+@pytest.mark.parametrize("argv", [["info"], ["numax", "--no-validate", "--p", "3"]])
+def test_kraus_file_with_bool_or_non_finite_entry_exits_2(entry, argv, tmp_path, capsys):
+    kraus = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    kraus[0][0] = entry
+    f = tmp_path / "kraus.json"
+    f.write_text(json.dumps({"d_in": 2, "d_out": 2, "kraus": [kraus]}))  # NaN, Infinity
+    code, out, err = run([*argv, "--input", str(f)], capsys)
+    assert code == 2 and out == ""
+    assert "finite numbers" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------

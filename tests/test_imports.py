@@ -1,5 +1,5 @@
-"""The intra-package import graph of ``cptwb`` is acyclic, and every
-exported name exists.
+"""The intra-package import graph of ``cptwb`` is acyclic, every exported
+name exists, and every public definition is exported.
 
 Every ``import`` statement counts, function-local ones included, so a cycle
 cannot hide behind a deferred import.
@@ -7,6 +7,7 @@ cannot hide behind a deferred import.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cptwb"
@@ -88,3 +89,19 @@ def test_every_exported_name_resolves():
         mod = importlib.import_module(path)
         missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
         assert not missing, f"{path}.__all__ names {missing}"
+
+
+def test_every_public_definition_is_exported():
+    # the command line front end is an entry point, not a library module
+    for name in sorted(MODULES - {"cli"}):
+        path = "cptwb" if name == "__init__" else f"cptwb.{name}"
+        mod = importlib.import_module(path)
+        defined = [
+            n
+            for n, obj in vars(mod).items()
+            if not n.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == mod.__name__
+        ]
+        missing = [n for n in defined if n not in getattr(mod, "__all__", ())]
+        assert not missing, f"{path}.__all__ lacks {missing}"

@@ -1,6 +1,8 @@
 """Tests for the dense Hermitian kernel: decompositions, pseudo-powers,
 partial traces, and the two trace inequalities the optimizer relies on."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,12 @@ def test_matrix_json_round_trip():
 
 
 def test_matrix_from_json_rejects_garbage():
-    for bad in ([], [[1.0]], [[[1.0]]], [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]):
+    # json.load gives true as True (an int) and NaN/Infinity as floats
+    for bad in (
+        [], [[1.0]], [[[1.0]]], [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+        [[[True, 0.0]]], [[[1.0, False]]], [[[math.nan, 0.0]]], [[[math.inf, 0.0]]],
+        [[[0.0, -math.inf]]],
+    ):
         with pytest.raises(ValueError):
             la.matrix_from_json(bad)
 

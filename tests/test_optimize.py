@@ -64,20 +64,12 @@ def test_opt2_step_monotone_both_directions():
                 assert after <= before + 1e-12
 
 
-def test_opt2_run_identity_channel_reaches_one():
-    run = opt.opt2_run(zoo.identity_channel(3), np.ones(3) / np.sqrt(3), 4.0)
-    assert run.converged
-    assert abs(run.value - 1.0) < 1e-12  # nu_p of a unitary channel is 1
+def test_seeded_run_identity_channel_reaches_one():
+    psi0 = np.ones(3) / np.sqrt(3)
+    run = opt.estimate_nu_p(zoo.identity_channel(3), 4.0, seeds=[psi0])
+    assert run.converged == (True,)
+    assert abs(run.best_value - 1.0) < 1e-12  # nu_p of a unitary channel is 1
     assert run.monotonicity_violations == 0
-
-
-def test_opt2_run_records_trace_sequence():
-    phi = zoo.random_channel(3, 3, 2, seed=16)
-    rng = np.random.default_rng(52)
-    run = opt.opt2_run(phi, random_pure_state(3, rng), 3.0)
-    diffs = np.diff(run.trace)
-    assert np.all(diffs >= -1e-12)
-    assert run.iterations == len(run.trace) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +271,7 @@ def test_zero_or_non_finite_state_is_rejected_before_eigensolves(state, monkeypa
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     with pytest.raises(ValueError, match="state 0 has norm") as exc:
-        opt.opt2_run(zoo.werner_holevo(3), state, 3.0)
+        opt.estimate_nu_p(WH3, 3.0, seeds=[state])
     assert not isinstance(exc.value, np.linalg.LinAlgError)
 
 
@@ -292,8 +284,6 @@ def test_max_iters_below_one_is_rejected_before_eigensolves(max_iters, monkeypat
     cfg = dataclasses.replace(FAST, max_iters=max_iters)
     with pytest.raises(ValueError, match="max_iters"):
         opt.estimate_nu_p(WH3, 5.0, cfg)
-    with pytest.raises(ValueError, match="max_iters"):
-        opt.opt2_run(WH3, np.array([1.0, 0.0, 0.0]), 5.0, cfg)
 
 
 def test_opt2_step_rejects_non_finite_state():
@@ -302,6 +292,7 @@ def test_opt2_step_rejects_non_finite_state():
 
 
 def test_each_restart_matches_a_single_run_from_its_seed():
+    # restart i of the queue is the run from seed i, alone or among others
     for phi, p in (
         (zoo.random_channel(3, 3, 3, seed=22), 3.0),
         (zoo.random_channel(3, 3, 2, seed=0), 0.5),  # singular outputs
@@ -309,12 +300,12 @@ def test_each_restart_matches_a_single_run_from_its_seed():
         rep = opt.estimate_nu_p(phi, p, FAST)
         fallbacks = 0
         for i in range(FAST.restarts):
-            run = opt.opt2_run(phi, _seed_state(3, FAST, i), p, FAST)
+            run = opt.estimate_nu_p(phi, p, FAST, seeds=[_seed_state(3, FAST, i)])
             fallbacks += run.guard_fallbacks
-            assert run.iterations == rep.iterations[i]
-            assert run.converged == rep.converged[i]
-            assert abs(run.value - rep.restart_values[i]) <= 1e-13 * run.value
-            assert abs(run.trace[-1] ** (1 / p) - rep.restart_values[i]) <= 1e-13 * run.value
+            assert run.iterations == (rep.iterations[i],)
+            assert run.converged == (rep.converged[i],)
+            assert run.restart_values[0] == rep.restart_values[i]
+            assert np.array_equal(run.restart_states[0], rep.restart_states[i])
         assert fallbacks == rep.guard_fallbacks
 
 
@@ -326,9 +317,12 @@ def test_guard_fallbacks_recorded_for_singular_outputs_below_one():
     assert rep.guard_fallbacks == FAST.restarts
     assert rep.monotonicity_violations == 0
     assert all(rep.converged)
-    run = opt.opt2_run(phi, _seed_state(3, FAST, 0), 0.5, FAST)
+    seed = _seed_state(3, FAST, 1)  # rejected on its first step
+    run = opt.estimate_nu_p(phi, 0.5, FAST, seeds=[seed])
     assert run.guard_fallbacks == 1
-    assert run.trace[-1] == run.trace[-2]  # the stall keeps the state
+    assert run.iterations == (1,)
+    # the stall keeps the state: the best input is the normalized seed
+    assert np.array_equal(run.best_input, seed / np.linalg.norm(seed))
 
 
 def test_mult_check_same_object_matches_an_equal_copy():
