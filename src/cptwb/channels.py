@@ -14,9 +14,12 @@ Conventions
 * ``choi_to_kraus`` scales eigenvectors by sqrt(d_in · λ) to undo the 1/d_in
   normalization, and returns a minimal (rank-many) Kraus set.
 * Each object computes its Choi facts once, on first use: a channel its Choi
-  matrix (``KrausChannel.choi``), a Choi matrix its unclamped spectrum
+  matrix (``KrausChannel.choi``) and transfer matrix (``KrausChannel.transfer``,
+  which ``apply_adjoint`` reads), a Choi matrix its unclamped spectrum
   (``ChoiMatrix.spectrum``), which every Choi reader here reads.  The Kraus
-  operators are copied and, like the Choi matrix, read-only.
+  operators are copied, must be finite and, like what is cached, are read-only.
+* ``apply`` and ``apply_adjoint`` (the one Φ̂) act on a matrix or on each
+  matrix of a stack ``(..., d, d)`` alone.
 
 Extremality
 -----------
@@ -47,6 +50,7 @@ __all__ = [
     "ChannelValidationError",
     "PerturbResult",
     "MAX_HALVINGS",
+    "TRANSFER_DIM_MAX",
     "DegradingReport",
     "validate_cpt",
     "apply",
@@ -94,6 +98,8 @@ class KrausChannel:
                 raise ChannelValidationError(
                     f"Kraus operator shape {a.shape} != ({self.d_out}, {self.d_in})"
                 )
+            if not np.isfinite(a).all():
+                raise ChannelValidationError("Kraus operators must be finite")
             a.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
 
@@ -113,6 +119,21 @@ class KrausChannel:
     def choi(self) -> "ChoiMatrix":
         """The Choi matrix (:func:`kraus_to_choi`), built on first use."""
         return kraus_to_choi(self)
+
+    @cached_property
+    def transfer(self) -> np.ndarray:
+        """The transfer matrix T = Σ_k conj(A_k) ⊗ A_k, shape (d_out², d_in²),
+        built on first use; read-only.
+
+        It is the realigned Choi matrix, T[(i,j),(a,b)] = Σ_k conj(A_k[i,a])·
+        A_k[j,b], so vec Φ̂(X) = vec X · T with row-major vec.
+        """
+        k, n = len(self.kraus), self.d_out * self.d_in
+        flat = np.stack(self.kraus).reshape(k, n)  # flat[k, (i, a)] = A_k[i, a]
+        t = (np.conj(flat).T @ flat).reshape(self.d_out, self.d_in, self.d_out, self.d_in)
+        t = t.transpose(0, 2, 1, 3).reshape(self.d_out**2, self.d_in**2)
+        t.flags.writeable = False
+        return t
 
 
 @dataclass(frozen=True)
@@ -173,8 +194,8 @@ def validate_cpt(ch: KrausChannel, tol: float = 1e-10) -> ValidationReport:
     """Check trace preservation and complete positivity of a Kraus channel.
 
     Complete positivity of a Kraus-form map is automatic; what is actually
-    verified is that the assembled Choi matrix is PSD (guards against NaN
-    and bad inputs) and that Σ A_k†A_k = I within ``tol`` (max-entry norm).
+    verified is that the assembled Choi matrix is PSD (guards against bad
+    inputs) and that Σ A_k†A_k = I within ``tol`` (max-entry norm).
     A least eigenvalue below the PSD floor is reported, not raised.
     """
     ident = np.eye(ch.d_in)
@@ -201,27 +222,46 @@ def validate_cpt(ch: KrausChannel, tol: float = 1e-10) -> ValidationReport:
     )
 
 
+def _operands(x, d: int) -> np.ndarray:
+    """``x`` as a complex matrix or stack ``(..., d, d)``, else ``ShapeError``."""
+    m = np.asarray(x, dtype=np.complex128)
+    if m.shape[-2:] != (d, d):
+        raise la.ShapeError(f"input shape {m.shape} != (..., {d}, {d})")
+    return m
+
+
 def apply(ch: KrausChannel, rho) -> np.ndarray:
-    """Φ(ρ) = Σ_k A_k ρ A_k† (linear — ρ need not be a state)."""
-    r = la.as_matrix(rho)
-    if r.shape != (ch.d_in, ch.d_in):
-        raise la.ShapeError(
-            f"input shape {r.shape} != ({ch.d_in}, {ch.d_in})"
-        )
-    out = np.zeros((ch.d_out, ch.d_out), dtype=np.complex128)
+    """Φ(ρ) = Σ_k A_k ρ A_k† of a d_in × d_in matrix or of each matrix of a
+    stack ``(..., d_in, d_in)`` (linear — ρ need not be a state)."""
+    r = _operands(rho, ch.d_in)
+    out = np.zeros(r.shape[:-2] + (ch.d_out, ch.d_out), dtype=np.complex128)
     for a in ch.kraus:
         out += a @ r @ la.dagger(a)
     return out
 
 
+#: Largest d_in·d_out for which ``apply_adjoint`` uses the transfer matrix
+#: (it has (d_in·d_out)² entries, 1 MiB at the limit); above it, a Kraus loop.
+TRANSFER_DIM_MAX = 256
+
+
 def apply_adjoint(ch: KrausChannel, x) -> np.ndarray:
-    """Adjoint action Φ̂(X) = Σ_k A_k† X A_k on a d_out × d_out operator."""
-    m = la.as_matrix(x)
-    if m.shape != (ch.d_out, ch.d_out):
-        raise la.ShapeError(
-            f"input shape {m.shape} != ({ch.d_out}, {ch.d_out})"
-        )
-    out = np.zeros((ch.d_in, ch.d_in), dtype=np.complex128)
+    """Adjoint action Φ̂(X) = Σ_k A_k† X A_k of a d_out × d_out matrix or of
+    each matrix of a stack ``(..., d_out, d_out)``.
+
+    When d_in·d_out ≤ ``TRANSFER_DIM_MAX`` each matrix is one
+    ``(1, d_out²) @ T`` product with :attr:`KrausChannel.transfer`: a single
+    GEMM over the whole stack would be faster, but BLAS may sum a row in a
+    different order depending on how many rows there are, and a matrix's
+    bits must not depend on the rest of the stack.  Above the limit Φ̂ loops
+    over the Kraus operators.
+    """
+    m = _operands(x, ch.d_out)
+    lead = m.shape[:-2]
+    if ch.d_in * ch.d_out <= TRANSFER_DIM_MAX:
+        vec = m.reshape(*lead, 1, ch.d_out**2)
+        return (vec @ ch.transfer).reshape(*lead, ch.d_in, ch.d_in)
+    out = np.zeros(lead + (ch.d_in, ch.d_in), dtype=np.complex128)
     for a in ch.kraus:
         out += la.dagger(a) @ m @ a
     return out

@@ -75,18 +75,16 @@ def min_output_rank(ch: chan.KrausChannel, config=None) -> tuple[int, np.ndarray
     Runs the fixed-point optimizer at the small Rényi order 0.05, where
     minimizing Tr Φ(ρ)^p is a smooth proxy for minimizing rank, and
     reports the smallest ``numerical_rank`` among the converged outputs,
-    together with the input achieving it.
+    together with the input achieving it (the first, in restart order, on
+    a tie).  The outputs come from one ``channels.apply`` call on the stack
+    of restart states, and their singular values from one ``svd`` call.
     """
     report = opt.estimate_nu_p(ch, 0.05, config=config)
-    best_rank = None
-    best_state = None
-    for psi in report.restart_states:
-        out = chan.apply(ch, np.outer(psi, np.conj(psi)))
-        r = la.numerical_rank(out)
-        if best_rank is None or r < best_rank:
-            best_rank = r
-            best_state = psi
-    return int(best_rank), best_state
+    outs = chan.apply(ch, la._outer(np.array(report.restart_states)))
+    s = np.linalg.svd(outs, compute_uv=False)
+    ranks = np.count_nonzero(la._support(s), axis=-1)
+    best = int(np.argmin(ranks))
+    return int(ranks[best]), report.restart_states[best]
 
 
 @dataclass(frozen=True)
@@ -126,10 +124,9 @@ def estimate_smin_p(
         hi = opt.estimate_nu_p(ch, 1.01, cfg)
         s_lo = math.log(lo.best_trace_power) / (1.0 - 0.99)
         s_hi = math.log(hi.best_trace_power) / (1.0 - 1.01)
-        cands = [
-            (von_neumann(chan.apply(ch, np.outer(psi, np.conj(psi)))), psi)
-            for psi in (lo.best_input, hi.best_input)
-        ]
+        states = (lo.best_input, hi.best_input)
+        outs = chan.apply(ch, la._outer(np.array(states)))
+        cands = [(von_neumann(out), psi) for out, psi in zip(outs, states)]
         value, argmin = min(cands, key=lambda t: t[0])
         return SminReport(
             p=1.0,

@@ -37,9 +37,11 @@ symmetrized matrix is Hermitian to the last bit, and so is a matrix
 assembled from one (a principal block, [[A, X], [X†, B]], a leg
 permutation): it is not checked again.  A ``channels.ChoiMatrix`` is
 checked and symmetrized when it is built and decomposed once, on first use;
-a channel's Choi matrix is built once, from read-only copies of its Kraus
-operators.  Choi readers clamp a copy of that spectrum; ``channels.validate_cpt``
-and ``cptwb decompose`` read its least eigenvalue before the clamp.
+a channel's Choi matrix, and its transfer matrix (``KrausChannel.transfer``,
+through which ``channels.apply_adjoint`` applies Φ̂), are built once, from
+read-only copies of its Kraus operators.  Choi readers clamp a copy of that
+spectrum; ``channels.validate_cpt`` and ``cptwb decompose`` read its least
+eigenvalue before the clamp.
 """
 
 from __future__ import annotations
@@ -104,6 +106,12 @@ def as_matrix(m) -> np.ndarray:
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(np.asarray(m)).T
+
+
+def _outer(psi: np.ndarray) -> np.ndarray:
+    """ψψ† of a vector ψ, or of each row ψ of a stack ``(..., d)``."""
+    psi = np.asarray(psi)
+    return psi[..., :, None] * np.conj(psi)[..., None, :]
 
 
 def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:

@@ -46,14 +46,13 @@ All restarts of one estimate advance together: the states form an
 stacked M(ψ) in one ``eigh`` call each, and a run leaves the stack when its
 objective stalls.  Each output is decomposed once; its spectrum gives both
 Tr Φ(ψψ†)^p and the pseudo-power, and an accepted candidate's spectrum
-serves the next step.  Φ̂ is applied through the channel's transfer
-matrix T = Σ_k conj(A_k) ⊗ A_k, built once per estimate, as one
-``(1, d_out²) @ T`` product per state; when d_in·d_out exceeds
-``TRANSFER_DIM_MAX`` (T would pass 1 MiB) it loops over the Kraus
-operators instead.  The stacked operations act matrix by matrix, so a
-restart's result still depends only on its index.  The seed queue depends
-only on (d_in, seed, restarts); it is built once per key and kept
-read-only in a small cache.  ``estimate_nu_p(..., seeds=states)`` runs
+serves the next step.  Φ̂ is ``channels.apply_adjoint`` on the stack: one
+``(1, d_out²) @ T`` product per state with the channel's cached transfer
+matrix T = Σ_k conj(A_k) ⊗ A_k, or a loop over the Kraus operators above
+``channels.TRANSFER_DIM_MAX``.  The stacked operations act matrix by
+matrix, so a restart's result still depends only on its index.  The seed
+queue depends only on (d_in, seed, restarts); it is built once per key and
+kept read-only in a small cache.  ``estimate_nu_p(..., seeds=states)`` runs
 exactly the given states as its restarts instead, so ``seeds=[ψ]`` is one
 run from ψ.
 
@@ -156,13 +155,9 @@ class OptimizerReport:
     config: dict
 
 
-def _outer(psi: np.ndarray) -> np.ndarray:
-    return np.outer(psi, np.conj(psi))
-
-
 def output_trace_power(ch: chan.KrausChannel, psi: np.ndarray, p: float) -> float:
     """Tr Φ(ψψ†)^p on the numerical support."""
-    return la.trace_power(chan.apply(ch, _outer(psi)), p)
+    return la.trace_power(chan.apply(ch, la._outer(psi)), p)
 
 
 def _check_p(p: float):
@@ -188,57 +183,18 @@ def _output_spectra(kraus: np.ndarray, states: np.ndarray, p: float):
     return w, v, t, np.trace(gamma, axis1=-2, axis2=-1)
 
 
-#: Largest d_in·d_out for which Φ̂ is applied through the transfer matrix
-#: (it has (d_in·d_out)² entries, 1 MiB at the limit); above it, a Kraus loop.
-TRANSFER_DIM_MAX = 256
-
-
-def _stacked_adjoint(kraus: np.ndarray):
-    """Φ̂ for stacks: a function mapping ``(r, d_out, d_out)`` to ``(r, d_in, d_in)``.
-
-    When d_in·d_out ≤ ``TRANSFER_DIM_MAX`` the Kraus set ``(k, d_out, d_in)``
-    is folded once into the transfer matrix T = Σ_k conj(A_k) ⊗ A_k, shape
-    (d_out², d_in²), the realigned Choi matrix:
-    T[(i,j),(a,b)] = Σ_k conj(A_k[i,a])·A_k[j,b], so vec Φ̂(X) = vec X · T
-    with row-major vec.  Each matrix of the stack is one ``(1, d_out²) @ T``
-    product: a single GEMM over the whole stack would be faster, but BLAS
-    may sum a row in a different order depending on how many rows there
-    are, and a row's bits must not depend on the rest of the stack.  Above
-    the limit Φ̂ loops over the k operators with an ``(r, d, d)`` operand.
-    """
-    k, d_out, d_in = kraus.shape
-    if d_in * d_out > TRANSFER_DIM_MAX:
-
-        def adjoint(x: np.ndarray) -> np.ndarray:
-            m = np.zeros((len(x), d_in, d_in), dtype=np.complex128)
-            for a in kraus:  # one (r, d, d) term at a time
-                m += la.dagger(a) @ x @ a
-            return m
-
-        return adjoint
-
-    flat = kraus.reshape(k, d_out * d_in)  # flat[k, (i, a)] = A_k[i, a]
-    t = (np.conj(flat).T @ flat).reshape(d_out, d_in, d_out, d_in)
-    t = t.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
-
-    def adjoint(x: np.ndarray) -> np.ndarray:
-        r = len(x)
-        return (x.reshape(r, 1, d_out * d_out) @ t).reshape(r, d_in, d_in)
-
-    return adjoint
-
-
-def _candidates(adjoint, w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+def _candidates(
+    ch: chan.KrausChannel, w: np.ndarray, v: np.ndarray, p: float
+) -> np.ndarray:
     """Each state's candidate: the extremal eigenvector of M = Φ̂(Γ^{p−1}),
     from Γ's spectrum ``(w, v)``, with its phase fixed.
 
-    ``adjoint`` is Φ̂ on stacks from :func:`_stacked_adjoint`: one product
-    with the transfer matrix per row, or the Kraus loop above
-    ``TRANSFER_DIM_MAX``.  M then gets the Hermiticity check and the
-    symmetrization of every other eigensolve.
+    M comes from one ``channels.apply_adjoint`` call on the stack and then
+    gets the Hermiticity check and the symmetrization of every other
+    eigensolve.
     """
     g = la._pseudo_power(w, v, p - 1.0)
-    m = adjoint(g)
+    m = chan.apply_adjoint(ch, g)
     del g  # freed before the eigensolve allocates its own stacks
     _, vecs = la._spectrum(m, what="M(ψ)")
     j = m.shape[-1] - 1 if p > 1.0 else 0  # largest eigenvalue for p > 1, else smallest
@@ -270,14 +226,11 @@ def _iterate(
     M = Φ̂(Γ^{p−1}) of the current states, whose extremal eigenvector is the
     candidate.  A state's output spectrum gives both its Tr Γ^p and the
     pseudo-power Γ^{p−1}, and an accepted candidate's spectrum is reused in
-    the next step.  Φ̂ is built once for the whole run by
-    :func:`_stacked_adjoint`: the transfer matrix when d_in·d_out ≤
-    ``TRANSFER_DIM_MAX``, the Kraus loop above.  Runs leave the stack when
-    their objective stalls.  Every stacked operation works matrix by matrix
-    (Φ̂ too: one product per row, not one GEMM over the stack), so a row's
-    result does not depend on which other rows share the stack.  A zero or
-    non-finite state, or ``max_iters < 1``, raises ``ValueError`` before any
-    eigensolve.
+    the next step.  Runs leave the stack when their objective stalls.  Every
+    stacked operation works matrix by matrix (Φ̂ too, see
+    ``channels.apply_adjoint``), so a row's result does not depend on which
+    other rows share the stack.  A zero or non-finite state, or
+    ``max_iters < 1``, raises ``ValueError`` before any eigensolve.
 
     Returns each row's results as arrays.
     """
@@ -294,7 +247,6 @@ def _iterate(
         raise ValueError(f"state {i} has norm {norms[i]}; need a finite, nonzero vector")
     psi /= norms[:, None]
     kraus = np.stack(ch.kraus)
-    adjoint = _stacked_adjoint(kraus)
     r = len(psi)
 
     w, v, t, tr = _output_spectra(kraus, psi, p)
@@ -311,7 +263,7 @@ def _iterate(
             break
         if np.any(np.abs(tr[live]) < 1e-14):
             raise ValueError("channel output has (numerically) zero trace")
-        cand = _candidates(adjoint, w[live], v[live], p)
+        cand = _candidates(ch, w[live], v[live], p)
         wc, vc, tc, trc = _output_spectra(kraus, cand, p)
         t_now = t[live]
         if p > 1.0:

@@ -290,11 +290,9 @@ def near_depolarizing(
     ref = random_channel(d, d, d * d, seed=(seed, 1))
     uniform = np.eye(d) / d
 
-    max_dev = 0.0
-    for _ in range(1000):
-        psi = random_pure_state(d, rng)
-        out = chan.apply(ref, np.outer(psi, np.conj(psi)))
-        max_dev = max(max_dev, float(np.abs(out - uniform).max()))
+    probes = np.array([random_pure_state(d, rng) for _ in range(1000)])
+    outs = chan.apply(ref, la._outer(probes))
+    max_dev = float(np.abs(outs - uniform).max())
 
     delta = 0.0 if max_dev == 0.0 else 0.5 * epsilon / max_dev
     delta = min(delta, 1.0)

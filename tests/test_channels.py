@@ -21,6 +21,14 @@ def test_kraus_channel_shape_checks():
         ch.KrausChannel(2, 2, ())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_kraus_channel_rejects_non_finite_operators(bad):
+    # a NaN operator used to reach the optimizer, which reported
+    # best_value 0.0 with every restart converged
+    with pytest.raises(ch.ChannelValidationError, match="finite"):
+        ch.KrausChannel.from_kraus([np.diag([bad, 1.0])])
+
+
 def test_validate_cpt_accepts_unitary_and_flags_junk():
     u = haar_unitary(3, rng_from(11))
     rep = ch.validate_cpt(ch.KrausChannel.from_kraus([u]))
@@ -58,6 +66,39 @@ def test_apply_adjoint_duality():
 def test_adjoint_is_unital():
     phi = zoo.random_channel(3, 3, 4, seed=3)
     assert np.abs(ch.apply_adjoint(phi, np.eye(3)) - np.eye(3)).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        zoo.random_channel(3, 4, 3, seed=23),
+        ch.tensor(zoo.werner_holevo(3), zoo.werner_holevo(3)),
+        zoo.random_channel(16, 16, 2, seed=24),  # d_in * d_out at the limit
+        zoo.random_channel(9, 30, 2, seed=25),  # above it: the Kraus loop
+    ],
+)
+def test_apply_and_apply_adjoint_act_on_each_matrix_of_a_stack(phi):
+    rng = np.random.default_rng(26)
+
+    def stack(d):
+        return rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
+
+    rho, x = stack(phi.d_in), stack(phi.d_out)
+    out, m = ch.apply(phi, rho), ch.apply_adjoint(phi, x)
+    assert out.shape == (2, 3, phi.d_out, phi.d_out)
+    assert m.shape == (2, 3, phi.d_in, phi.d_in)
+    for i in np.ndindex(2, 3):
+        # bit for bit: a matrix's result does not depend on the stack
+        assert np.array_equal(out[i], ch.apply(phi, rho[i]))
+        assert np.array_equal(m[i], ch.apply_adjoint(phi, x[i]))
+        kraus_sum = sum(la.dagger(a) @ x[i] @ a for a in phi.kraus)
+        assert np.abs(m[i] - kraus_sum).max() <= 1e-13 * np.abs(kraus_sum).max()
+
+    for bad in (np.zeros((2, phi.d_in, phi.d_in + 1)), np.zeros(phi.d_in)):
+        with pytest.raises(la.ShapeError):
+            ch.apply(phi, bad)
+    with pytest.raises(la.ShapeError):
+        ch.apply_adjoint(phi, np.zeros((2, phi.d_out + 1, phi.d_out + 1)))
 
 
 # ---------------------------------------------------------------------------

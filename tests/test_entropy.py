@@ -95,6 +95,20 @@ def test_min_output_rank_closed_cases():
     assert la.numerical_rank(out) == 2
 
 
+def test_min_output_rank_applies_the_channel_once(monkeypatch):
+    # to the stack of restart states, not once per state
+    shapes = []
+    apply = chan.apply
+
+    def counted_apply(ch, rho):
+        shapes.append(np.shape(rho))
+        return apply(ch, rho)
+
+    monkeypatch.setattr(chan, "apply", counted_apply)
+    entropy.min_output_rank(zoo.random_channel(3, 3, 2, seed=5), FAST)
+    assert shapes == [(FAST.restarts, 3, 3)]
+
+
 # ---------------------------------------------------------------------------
 # minimal output entropy
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_restart_results_depend_only_on_their_index():
 def test_restart_results_depend_only_on_their_index_above_the_transfer_limit():
     # d_in * d_out = 270: M = adj(Gamma^(p-1)) comes from the Kraus loop
     phi = zoo.random_channel(9, 30, 4, seed=21)
-    assert phi.d_in * phi.d_out > opt.TRANSFER_DIM_MAX
+    assert phi.d_in * phi.d_out > chan.TRANSFER_DIM_MAX
     cfg = dataclasses.replace(FAST, max_iters=60)
     for p in (0.5, 5.0):
         small = opt.estimate_nu_p(phi, p, dataclasses.replace(cfg, restarts=12))
@@ -225,26 +225,6 @@ def test_restart_results_depend_only_on_their_index_above_the_transfer_limit():
             assert small.converged[i] == large.converged[i]
 
 
-@pytest.mark.parametrize(
-    "phi",
-    [
-        zoo.random_channel(3, 4, 3, seed=23),
-        chan.tensor(zoo.werner_holevo(3), zoo.werner_holevo(3)),
-        zoo.random_channel(16, 16, 2, seed=24),  # d_in * d_out at the limit
-        zoo.random_channel(9, 30, 2, seed=25),  # above it: the Kraus loop
-    ],
-)
-def test_stacked_adjoint_matches_apply_adjoint(phi):
-    adjoint = opt._stacked_adjoint(np.stack(phi.kraus))
-    rng = np.random.default_rng(26)
-    x = rng.normal(size=(5, phi.d_out, phi.d_out)) + 1j * rng.normal(size=(5, phi.d_out, phi.d_out))
-    m = adjoint(x)
-    assert m.shape == (5, phi.d_in, phi.d_in)
-    for xi, mi in zip(x, m):
-        ref = chan.apply_adjoint(phi, xi)
-        assert np.abs(mi - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
 def test_opt2_step_makes_three_eigensolves(monkeypatch):
     # one for the initial output, then two per step: M(psi) and the
     # candidate's output
@@ -254,6 +234,34 @@ def test_opt2_step_makes_three_eigensolves(monkeypatch):
     phi = zoo.random_channel(3, 4, 3, seed=27)
     opt.opt2_step(phi, random_pure_state(3, np.random.default_rng(28)), 3.0)
     assert len(calls) == 3
+
+
+def test_each_step_applies_the_adjoint_once_to_the_stack(monkeypatch):
+    # the loop must reach M = adj(Gamma^(p-1)) through the channel layer:
+    # one apply_adjoint call per stacked step, on the stack the M eigensolve
+    # then decomposes
+    adjoint_shapes, m_shapes = [], []
+    apply_adjoint, eigh = chan.apply_adjoint, np.linalg.eigh
+
+    def counted_eigh(a):
+        if a.shape[-1] == 3:  # d_in = 3, outputs are 4 x 4
+            m_shapes.append(a.shape[:-2])
+        return eigh(a)
+
+    def counted_adjoint(ch, x):
+        adjoint_shapes.append(x.shape[:-2])
+        return apply_adjoint(ch, x)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(chan, "apply_adjoint", counted_adjoint)
+    phi = zoo.random_channel(3, 4, 3, seed=27)
+    for p in (0.5, 3.0):
+        adjoint_shapes.clear()
+        m_shapes.clear()
+        rep = opt.estimate_nu_p(phi, p, FAST)
+        assert len(adjoint_shapes) == max(rep.iterations) > 1
+        assert adjoint_shapes == m_shapes
+        assert adjoint_shapes[0] == (FAST.restarts,)
 
 
 def test_infinite_order_is_rejected():

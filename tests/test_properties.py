@@ -151,8 +151,9 @@ def test_complement_outputs_share_the_channel_output_spectrum(case, seed):
 
 
 def _choi_readers(phi, other) -> dict:
-    """Each Choi reader's result on ``phi``, in a form ``==`` compares bit
-    for bit."""
+    """The result of each reader of ``phi``'s cached Choi analysis and
+    transfer matrix, in a form ``==`` compares bit for bit."""
+    x = np.arange(phi.d_out**2).reshape(phi.d_out, phi.d_out) * (1.0 - 0.5j)
     return {
         "validate_cpt": lambda: chan.validate_cpt(phi),
         "choi_rank": lambda: chan.choi_rank(phi),
@@ -160,6 +161,7 @@ def _choi_readers(phi, other) -> dict:
         "classify": lambda: chan.classify(phi),
         "choi_to_kraus": lambda: [a.tobytes() for a in chan.choi_to_kraus(phi.choi).kraus],
         "choi_distance": lambda: chan.choi_distance(phi, other),
+        "apply_adjoint": lambda: chan.apply_adjoint(phi, x).tobytes(),
     }
 
 
@@ -184,7 +186,8 @@ def test_the_cached_choi_analysis_is_invisible(case, seed):
     assert all(np.array_equal(a, b) for a, b in zip(reused.kraus, phi.kraus))
     assert {name: read() for name, read in readers.items()} == first
 
-    # and what it caches is read-only
-    for arr in (reused.kraus[0], reused.choi.matrix, *reused.choi.spectrum):
+    # what it caches is built once and read-only
+    assert reused.transfer is reused.transfer
+    for arr in (reused.kraus[0], reused.choi.matrix, *reused.choi.spectrum, reused.transfer):
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0.0
