@@ -14,8 +14,10 @@ Conventions
 * ``choi_to_kraus`` scales eigenvectors by sqrt(d_in · λ) to undo the 1/d_in
   normalization, and returns a minimal (rank-many) Kraus set.
 * Each object computes its Choi facts once, on first use: a channel its Choi
-  matrix (``KrausChannel.choi``) and transfer matrix (``KrausChannel.transfer``,
-  which ``apply_adjoint`` reads), a Choi matrix its unclamped spectrum
+  matrix (``KrausChannel.choi``), transfer matrix (``KrausChannel.transfer``,
+  which ``apply_adjoint`` reads) and λ_min(Φ̂(I))
+  (``KrausChannel.adjoint_unit_min``, the shift bound of the p > 1 step in
+  ``optimize``), a Choi matrix its unclamped spectrum
   (``ChoiMatrix.spectrum``), which every Choi reader here reads.  The Kraus
   operators are copied, must be finite and, like what is cached, are read-only.
 * ``apply`` and ``apply_adjoint`` (the one Φ̂) act on a matrix or on each
@@ -134,6 +136,14 @@ class KrausChannel:
         t = t.transpose(0, 2, 1, 3).reshape(self.d_out**2, self.d_in**2)
         t.flags.writeable = False
         return t
+
+    @cached_property
+    def adjoint_unit_min(self) -> float:
+        """λ_min(Φ̂(I)), the least eigenvalue of Σ_k A_k†A_k, computed on
+        first use: 1 up to roundoff for a trace-preserving map, so
+        Φ̂(X) ⪰ x·λ_min(Φ̂(I))·I whenever X ⪰ x·I with x ≥ 0."""
+        ops = np.stack(self.kraus)
+        return float(np.linalg.eigvalsh(np.einsum("kij,kil->jl", ops.conj(), ops))[0])
 
 
 @dataclass(frozen=True)

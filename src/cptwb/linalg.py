@@ -212,7 +212,20 @@ def _pseudo_power(
 ) -> np.ndarray:
     """``V diag(w**a) V†`` on the support, for spectra from :func:`_psd_eigh`;
     the zero weights stay in the product."""
-    return (v * _support_power(w, a, support)[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
+    return _from_spectrum(_support_power(w, a, support), v)
+
+
+def _from_spectrum(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``V diag(x) V†`` for eigenvalues ``x`` ``(..., n)`` and eigenvectors
+    ``v`` ``(..., n, n)``."""
+    return (v * x[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
+
+
+def _first_significant(vecs: np.ndarray) -> np.ndarray:
+    """Index of each column's first entry with modulus above 1e-12 times the
+    column's largest, for stacks ``(..., n, k)``."""
+    mags = np.abs(vecs)
+    return (mags > 1e-12 * mags.max(axis=-2, keepdims=True)).argmax(axis=-2)
 
 
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
@@ -223,9 +236,7 @@ def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
     ``eigh`` eigenvectors are.  Works on stacks ``(..., n, k)``.  This is
     the deterministic tie-break used everywhere an eigenvector is reported.
     """
-    mags = np.abs(vecs)
-    top = mags.max(axis=-2, keepdims=True)
-    first = (mags > 1e-12 * top).argmax(axis=-2)
+    first = _first_significant(vecs)
     lead = np.take_along_axis(vecs, first[..., None, :], axis=-2)
     # hypot, like abs() of a complex scalar: the vectorized np.abs rounds
     # some moduli differently, and that would move the reported phases

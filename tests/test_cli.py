@@ -50,6 +50,20 @@ def test_identical_invocations_identical_bytes(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ["numax", "--family", "near_depolarizing", "--dim", "3", "--epsilon", "0.1",
+     "--p", "3", "--restarts", "12"],
+    ["smin", "--family", "near_depolarizing", "--dim", "3", "--epsilon", "0.1",
+     "--p", "1", "--restarts", "12"],
+])
+def test_reported_states_repeat_byte_for_byte(argv, capsys):
+    # the p > 1 states get their phases fixed once, on the report
+    code, out1, _ = run(argv, capsys)
+    _, out2, _ = run(argv, capsys)
+    assert code == 0 and out1 == out2
+    assert "best_input = [[" in out1 or "argmin = [[" in out1
+
+
 def test_info_flags_invalid_channel(tmp_path, capsys):
     bad = {
         "d_in": 2,

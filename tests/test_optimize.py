@@ -226,26 +226,33 @@ def test_restart_results_depend_only_on_their_index_above_the_transfer_limit():
 
 
 def test_opt2_step_makes_three_eigensolves(monkeypatch):
-    # one for the initial output, then two per step: M(psi) and the
-    # candidate's output
+    # p < 1: one for the initial output, then two per step: M(psi) and the
+    # candidate's output.  p > 1: the power candidate needs no eigensolve of
+    # M, so a step decomposes only the candidate's output.
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     phi = zoo.random_channel(3, 4, 3, seed=27)
-    opt.opt2_step(phi, random_pure_state(3, np.random.default_rng(28)), 3.0)
+    psi = random_pure_state(3, np.random.default_rng(28))
+    opt.opt2_step(phi, psi, 0.5)
     assert len(calls) == 3
+    calls.clear()
+    opt.opt2_step(phi, psi, 3.0)
+    assert calls == [(1, 4, 4), (1, 4, 4)]  # outputs only (d_out = 4)
 
 
 def test_each_step_applies_the_adjoint_once_to_the_stack(monkeypatch):
     # the loop must reach M = adj(Gamma^(p-1)) through the channel layer:
-    # one apply_adjoint call per stacked step, on the stack the M eigensolve
-    # then decomposes
-    adjoint_shapes, m_shapes = [], []
+    # one apply_adjoint call per stacked step.  At p < 1 the M eigensolve
+    # then decomposes that stack; at p > 1 each step decomposes only the
+    # candidates' outputs, and M only for rows sent to the exact step
+    adjoint_shapes, m_shapes, out_shapes, exact_rows = [], [], [], []
     apply_adjoint, eigh = chan.apply_adjoint, np.linalg.eigh
+    at_fixed_point = opt._at_fixed_point
 
     def counted_eigh(a):
-        if a.shape[-1] == 3:  # d_in = 3, outputs are 4 x 4
-            m_shapes.append(a.shape[:-2])
+        # d_in = 3, outputs are 4 x 4
+        (m_shapes if a.shape[-1] == 3 else out_shapes).append(a.shape[:-2])
         return eigh(a)
 
     def counted_adjoint(ch, x):
@@ -255,13 +262,30 @@ def test_each_step_applies_the_adjoint_once_to_the_stack(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(chan, "apply_adjoint", counted_adjoint)
     phi = zoo.random_channel(3, 4, 3, seed=27)
-    for p in (0.5, 3.0):
-        adjoint_shapes.clear()
-        m_shapes.clear()
+
+    def run(p):
+        for shapes in (adjoint_shapes, m_shapes, out_shapes, exact_rows):
+            shapes.clear()
         rep = opt.estimate_nu_p(phi, p, FAST)
         assert len(adjoint_shapes) == max(rep.iterations) > 1
-        assert adjoint_shapes == m_shapes
         assert adjoint_shapes[0] == (FAST.restarts,)
+        assert out_shapes == [(FAST.restarts,)] + adjoint_shapes
+        return rep
+
+    run(0.5)
+    assert adjoint_shapes == m_shapes
+    run(3.0)
+    assert m_shapes == []
+    # a stall short of the fixed point sends its row to one exact step
+    def never_there(shifted, *args):
+        at_fixed_point(shifted, *args)
+        exact_rows.append(len(shifted))
+        return np.zeros(len(shifted), dtype=bool)
+
+    monkeypatch.setattr(opt, "_at_fixed_point", never_there)
+    rep = run(3.0)
+    assert all(rep.converged)
+    assert sum(math.prod(s) for s in m_shapes) == sum(exact_rows) >= FAST.restarts
 
 
 def test_infinite_order_is_rejected():
@@ -331,6 +355,110 @@ def test_guard_fallbacks_recorded_for_singular_outputs_below_one():
     assert run.iterations == (1,)
     # the stall keeps the state: the best input is the normalized seed
     assert np.array_equal(run.best_input, seed / np.linalg.norm(seed))
+
+
+def _exact_step_check(ch, psi, p):
+    """p·(λ_max(M) − ⟨ψ|M|ψ⟩) for M = adj(Φ(ψψ†)^(p−1)), and what the exact
+    step, M's top eigenvector, gains in Tr Φ(·)^p over ψ."""
+    m = chan.apply_adjoint(ch, la.psd_power(chan.apply(ch, np.outer(psi, psi.conj())), p - 1.0))
+    w, v = la.herm_eig(m)
+    gap = p * (w[0] - np.vdot(psi, m @ psi).real)
+    gain = opt.output_trace_power(ch, v[:, 0], p) - opt.output_trace_power(ch, psi, p)
+    return gap, gain
+
+
+# 2 -> 2 and 4 -> 4 channels with two Kraus operators whose restarts at
+# p = 1.01 end on a guard rejection: near p = 1 the support cutoff of
+# Gamma^(p-1) drops weight that the monotonicity argument counts
+REJECTING_AT_1_01 = (zoo.random_channel(2, 2, 2, seed=12), zoo.random_channel(4, 4, 2, seed=18))
+
+
+def _certificate_cases():
+    for d_in in (2, 3, 4):
+        for d_out in (2, 3, 4):
+            k = max(2, -(-d_in // d_out))
+            ch = zoo.random_channel(d_in, d_out, k, seed=40 + 3 * d_in + d_out)
+            for p in (1.5, 5.0):
+                yield ch, p, FAST
+    nd = zoo.near_depolarizing(3, 0.1)
+    for p in (1.01, 1.5, 5.0):
+        yield nd, p, FAST
+    yield chan.tensor(WH3, WH3), 5.0, opt.OptimizerConfig(restarts=20)
+    for ch in REJECTING_AT_1_01:
+        yield ch, 1.01, opt.OptimizerConfig(restarts=25)
+    unital = chan.adjoint(zoo.random_channel(2, 4, 2, seed=3))  # not trace-preserving
+    assert 0.0 < unital.adjoint_unit_min < 0.9
+    for p in (1.5, 3.0):
+        yield unital, p, FAST
+
+
+def test_converged_restarts_above_one_end_at_a_fixed_point():
+    # a converged run at p > 1 ends where the exact step would stall: M's top
+    # eigenvector within the stall rule.  A run that ended on a guard
+    # rejection is where the exact step would be rejected.
+    tol = opt.OptimizerConfig.value_tol
+    rejected = 0
+    for ch, p, cfg in _certificate_cases():
+        rep = opt.estimate_nu_p(ch, p, cfg)
+        assert rep.monotonicity_violations == 0
+        rejected += rep.guard_fallbacks > 0
+        for psi, converged in zip(rep.restart_states, rep.converged):
+            if converged:
+                gap, gain = _exact_step_check(ch, psi, p)
+                assert gap <= tol or (rep.guard_fallbacks and gain <= tol), (ch.d_in, p, gap, gain)
+    assert rejected >= len(REJECTING_AT_1_01)
+
+
+def test_rejected_runs_at_1_01_converge():
+    # a run whose candidate the guard rejects ends converged, on the exact
+    # step's rejection; the 3 runs of the 4 -> 4 channel that never see a
+    # rejection use up max_iters
+    for ch, n_converged in zip(REJECTING_AT_1_01, (25, 22)):
+        rep = opt.estimate_nu_p(ch, 1.01, opt.OptimizerConfig(restarts=25))
+        assert sum(rep.converged) == n_converged
+        assert rep.guard_fallbacks >= n_converged
+
+
+@pytest.mark.parametrize("p", [1.01, 5.0])
+def test_power_step_keeps_the_state_when_m_is_a_multiple_of_the_identity(p):
+    # every output of the depolarizing channel is I/d, so M - mu*I vanishes:
+    # each run keeps its seed and ends on its first step
+    d = 2
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        rep = opt.estimate_nu_p(zoo.depolarizing(d), p, FAST)
+    assert rep.iterations == (1,) * FAST.restarts and all(rep.converged)
+    assert abs(rep.best_value - d ** ((1.0 - p) / p)) < 1e-12
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-5])
+@pytest.mark.parametrize("p", [1.01, 3.0])
+def test_near_depolarizing_channels_converge_in_few_steps_above_one(epsilon, p, monkeypatch):
+    # Phi-hat lifts lambda_min(M) far above lambda_min(Gamma^(p-1)); the
+    # Gershgorin bound keeps the shift close to it (18 steps at most here,
+    # as with the exact step)
+    ch = zoo.near_depolarizing(3, epsilon)
+    rep = opt.estimate_nu_p(ch, p, FAST)
+    assert all(rep.converged) and max(rep.iterations) <= 30
+    # the exact step decomposes M itself: M - mu*I is too small for the
+    # relative Hermiticity check
+    monkeypatch.setattr(opt, "_at_fixed_point", lambda m, *args: np.zeros(len(m), dtype=bool))
+    exact = opt.estimate_nu_p(ch, p, FAST)
+    assert all(exact.converged)
+    assert abs(exact.best_value - rep.best_value) <= 1e-12
+
+
+def _first_significant(psi):
+    mags = np.abs(psi)
+    return psi[np.argmax(mags > 1e-12 * mags.max())]
+
+
+@pytest.mark.parametrize("p", [1.01, 3.0])
+def test_reported_states_have_canonical_phases(p):
+    for ch in (zoo.random_channel(3, 4, 3, seed=27), zoo.near_depolarizing(3, 0.1)):
+        rep = opt.estimate_nu_p(ch, p, FAST)
+        for psi in (rep.best_input,) + rep.restart_states:
+            lead = _first_significant(psi)
+            assert lead.real > 0.0 and lead.imag == 0.0
 
 
 def test_mult_check_same_object_matches_an_equal_copy():
