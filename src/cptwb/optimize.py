@@ -36,8 +36,17 @@ shift μ is a lower bound of M's spectrum (the larger of
 λ_min(Γ^{p−1})·λ_min(Φ̂(I)) and Gershgorin's), so A is PSD,
 ⟨ψ'|M|ψ'⟩ ≥ ⟨ψ|M|ψ⟩, and Tr Φ(ρ)^p, which is convex, cannot fall: the step
 is monotone for the same reason as the exact one.  Near p = 1, M ≈ c·I,
-and without the shift the powers would barely move ψ.  The exact eigenvector step stays as the
-fallback: a power step that stalls ends the run only when
+and without the shift the powers would barely move ψ.  The power map
+converges linearly, so a step tries a ladder of two candidates.  The first
+is the Anderson (secant) extrapolation of depth 1, y ∝ f_n − γ(f_n − f_{n−1})
+with f = A^32 x the power candidate of the state x and γ the least-squares
+coefficient of the residuals f − x (Walker and Ni, SIAM J. Numer. Anal. 49
+(2011) 1715).  y is not provably monotone, so the guard may reject it; the
+second rung, the plain f_n, is then decomposed and guarded on those rows
+alone, and ``extrapolations_rejected`` counts them.  A run extrapolates only
+from two consecutive accepted power steps: its first step is plain, and an
+exact step or a guard rejection clears its history.  The exact eigenvector
+step stays as the fallback: a power step that stalls ends the run only when
 p·(λ_max(M) − ⟨ψ|M|ψ⟩) ≤ ``value_tol`` (from ``eigvalsh``, no
 eigenvectors), otherwise the next step is the exact one; and a run whose
 candidate the guard rejects takes exact steps from then on.
@@ -56,7 +65,9 @@ canonical optimum is the one reported when it ties the best.
 All restarts of one estimate advance together: the states form an
 ``(r, d_in)`` stack, each step decomposes the stacked outputs in one
 ``eigh`` call (for p < 1, the stacked M(ψ) in a second one; for p > 1,
-only the rows on the exact path), and a run leaves the stack when it ends.
+the plain candidates' outputs of the rows whose extrapolation the guard
+rejected, and M of the rows on the exact path), and a run leaves the stack
+when it ends.
 Each output is decomposed once; its spectrum gives both Tr Φ(ψψ†)^p and the
 pseudo-power, and an accepted candidate's spectrum serves the next step.
 Phases are fixed once, on the reported states: a p < 1 candidate comes with
@@ -153,7 +164,10 @@ class OptimizerReport:
 
     ``best_value`` is the output p-norm at the best state found: the
     largest over restarts when p > 1 (a lower bound of ν_p), the smallest
-    when p < 1 (an upper bound of the infimum).
+    when p < 1 (an upper bound of the infimum).  ``guard_fallbacks`` counts
+    the steps whose candidate the guard rejected, so that the state was
+    kept; ``extrapolations_rejected`` counts the extrapolated p > 1
+    candidates the guard turned down before the plain one was tried.
     """
 
     p: float
@@ -168,6 +182,7 @@ class OptimizerReport:
     converged: tuple
     monotonicity_violations: int
     guard_fallbacks: int
+    extrapolations_rejected: int
     seed: int
     n_structured_seeds: int
     config: dict
@@ -219,11 +234,12 @@ def _candidates(
 
 
 #: Squarings in a p > 1 power candidate, which is A^(2^5) ψ = A^32 ψ.  On a
-#: survey of 46 channels with 25 restarts each, 3 squarings left 5 restarts
-#: unconverged at p = 1.01 that the exact step converges, and one best value
-#: 3.7e-10 (relative) low; 4 took 1.8 % more iterations than the exact step
-#: there, and 5 take 0.75 % more.  The WH3 scan was no faster with 3 (one
-#: timing each: 0.236 s against 0.229 s with 5).
+#: survey of 46 channels with 25 restarts each at p = 1.01, 1.1, 1.5, 3 and 5,
+#: with extrapolated steps, 4 squarings left one more restart unconverged at
+#: p = 1.01 than 5 and one best value there 1.8e-12 (relative) lower; 3 did
+#: the same at p = 1.01 and lowered a best value at p = 5 by 2.5e-11.  The
+#: three 200-restart WH3⊗WH3 searches of the WH3 scan took 3 475 steps with
+#: 5 or 4 squarings and 3 472 with 3.
 _POWER_SQUARINGS = 5
 
 
@@ -247,6 +263,30 @@ def _power_candidates(shifted: np.ndarray, states: np.ndarray) -> np.ndarray:
     if not moved.all():
         x[~moved], norms[~moved] = states[~moved], 1.0
     return x / norms[:, None]
+
+
+def _extrapolate(
+    x: np.ndarray, f: np.ndarray, x_prev: np.ndarray, f_prev: np.ndarray
+) -> np.ndarray:
+    """Each row's Anderson (secant) candidate of depth 1, normalized:
+    y ∝ f − γ(f − f_prev), from two consecutive states x_prev, x and their
+    power candidates f_prev, f.
+
+    With the residuals g = f − x, γ = ⟨Δg, g⟩ / ‖Δg‖², Δg = g − g_prev, is
+    the complex least-squares coefficient that minimizes ‖g − γΔg‖ (Walker
+    and Ni, SIAM J. Numer. Anal. 49 (2011) 1715).  A row whose Δg vanishes
+    gets γ = 0, so y is f normalized; a row whose y is zero or not finite
+    gets f.  Every operation is per row.
+    """
+    g = f - x
+    dg = g - (f_prev - x_prev)
+    num = np.einsum("ri,ri->r", dg.conj(), g)
+    den = np.einsum("ri,ri->r", dg.conj(), dg).real
+    gamma = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    y = f - gamma[:, None] * (f - f_prev)
+    norms = np.linalg.norm(y, axis=-1)
+    fine = np.isfinite(norms) & (norms > 0.0)
+    return np.where(fine[:, None], y / np.where(fine, norms, 1.0)[:, None], f)
 
 
 def _ascent_candidates(
@@ -317,6 +357,7 @@ class _Runs(NamedTuple):
     converged: np.ndarray
     violations: np.ndarray  # monotonicity violations
     fallbacks: np.ndarray  # guard fallbacks
+    rejected: np.ndarray  # extrapolated candidates the guard turned down
     last: np.ndarray  # (r, d_in) last state
 
 
@@ -334,12 +375,17 @@ def _iterate(
     pseudo-power Γ^{p−1}, and an accepted candidate's spectrum is reused in
     the next step.  For p < 1 the candidate is the least eigenvector of
     M = Φ̂(Γ^{p−1}) (:func:`_candidates`), a second stacked ``eigh``.  For
-    p > 1 it is the shifted power candidate (:func:`_ascent_candidates`),
-    without an eigensolve of M, except on the exact path: when a power step
-    stalls, ``eigvalsh`` of that row's M decides whether the run ends
-    (:func:`_at_fixed_point`) or takes one exact eigenvector step, and a row
-    whose candidate the guard rejects takes exact steps from then on.  An
-    exact step that stalls ends its run, as every p < 1 stall does.
+    p > 1 it is the shifted power candidate f (:func:`_ascent_candidates`),
+    without an eigensolve of M.  A row whose last step was an accepted power
+    step keeps that step's state and its unmixed f, and tries the
+    extrapolated candidate (:func:`_extrapolate`) first; the rows whose
+    extrapolation the guard rejects fall back to f in one more stacked
+    ``eigh`` of their outputs, guarded as before.  The exact path stays:
+    when a power step stalls, ``eigvalsh`` of that row's M decides whether
+    the run ends (:func:`_at_fixed_point`) or takes one exact eigenvector
+    step, and a row whose candidate the guard rejects takes exact steps from
+    then on.  Exact steps and rejections clear a row's history.  An exact
+    step that stalls ends its run, as every p < 1 stall does.
 
     Runs leave the stack when they end, and the stack keeps only the live
     rows.  Every stacked operation works matrix by matrix (Φ̂ too, see
@@ -374,22 +420,45 @@ def _iterate(
     converged = np.zeros(r, dtype=bool)
     violations = np.zeros(r, dtype=int)
     fallbacks = np.zeros(r, dtype=int)
+    rejected = np.zeros(r, dtype=int)
     # the live stack: row j of each array below belongs to run rows[j]
     rows = np.arange(r)
     b, bt = psi, t  # best state and its Tr Γ^p
     stuck = np.zeros(r, dtype=bool)  # a candidate was rejected: exact steps
     confirm = np.zeros(r, dtype=bool)  # a power step stalled: next step exact
+    # the last step was an accepted power step from x_prev, whose (unmixed)
+    # power candidate was f_prev
+    hist = np.zeros(r, dtype=bool)
+    x_prev = f_prev = psi
 
     for it in range(1, max_iters + 1):
         if np.any(np.abs(tr) < 1e-14):
             raise ValueError("channel output has (numerically) zero trace")
         if ascent:
             exact = stuck | confirm
-            cand, m = _ascent_candidates(ch, w, v, psi, p, exact)
+            plain, m = _ascent_candidates(ch, w, v, psi, p, exact)
+            mix = hist & ~exact
+            cand = plain
+            if mix.any():
+                cand = plain.copy()
+                cand[mix] = _extrapolate(psi[mix], plain[mix], x_prev[mix], f_prev[mix])
         else:
             cand = _candidates(ch, w, v, p)
         wc, vc, tc, trc = _output_spectra(kraus, cand, p)
         ok = tc >= t - value_tol if ascent else tc <= t + value_tol
+        if ascent:
+            # an extrapolated candidate the guard rejects falls back to the
+            # plain one, decomposed and guarded in its own stack
+            retry = mix & ~ok
+            if retry.any():
+                rejected[rows[retry]] += 1
+                cand[retry] = plain[retry]
+                wc[retry], vc[retry], tc[retry], trc[retry] = _output_spectra(
+                    kraus, plain[retry], p
+                )
+                ok[retry] = tc[retry] >= t[retry] - value_tol
+            hist = ok & ~exact
+            x_prev, f_prev = psi, plain
         if ok.all():
             t_next, psi_next, w, v, tr = tc, cand, wc, vc, trc
         else:
@@ -422,14 +491,15 @@ def _iterate(
             iterations[done] = it
             converged[done] = True
             keep = ~stalled
-            rows, psi, t, w, v, tr, b, bt, stuck, confirm = (
-                x[keep] for x in (rows, psi, t, w, v, tr, b, bt, stuck, confirm)
+            rows, psi, t, w, v, tr, b, bt, stuck, confirm, hist, x_prev, f_prev = (
+                x[keep]
+                for x in (rows, psi, t, w, v, tr, b, bt, stuck, confirm, hist, x_prev, f_prev)
             )
             if not rows.size:
                 break
 
     best[rows], best_t[rows], last[rows] = b, bt, psi
-    return _Runs(best, best_t, iterations, converged, violations, fallbacks, last)
+    return _Runs(best, best_t, iterations, converged, violations, fallbacks, rejected, last)
 
 
 def opt2_step(
@@ -441,7 +511,8 @@ def opt2_step(
 
     With M = Φ̂[(Φ(ψψ†))^{p−1}], the candidate is M's least eigenvector
     for p < 1 and the shifted power candidate A^32 ψ, A ∝ M − μI, for p > 1
-    (see ``_iterate``).  It is accepted only if the objective Tr Φ(·)^p
+    (see ``_iterate``); one step has no history, so it never extrapolates.
+    The candidate is accepted only if the objective Tr Φ(·)^p
     does not move against the iteration direction by more than
     ``OptimizerConfig.value_tol``; otherwise ``psi`` comes back unchanged
     (the pseudo-power kernel fallback for singular outputs at p < 1).  The
@@ -571,6 +642,7 @@ def estimate_nu_p(
         converged=tuple(runs.converged.tolist()),
         monotonicity_violations=int(runs.violations.sum()),
         guard_fallbacks=int(runs.fallbacks.sum()),
+        extrapolations_rejected=int(runs.rejected.sum()),
         seed=cfg.seed,
         n_structured_seeds=n_structured,
         config=asdict(cfg),

@@ -245,44 +245,84 @@ def test_each_step_applies_the_adjoint_once_to_the_stack(monkeypatch):
     # the loop must reach M = adj(Gamma^(p-1)) through the channel layer:
     # one apply_adjoint call per stacked step.  At p < 1 the M eigensolve
     # then decomposes that stack; at p > 1 each step decomposes only the
-    # candidates' outputs, and M only for rows sent to the exact step
+    # candidates' outputs, then the plain candidates' outputs of the rows
+    # whose extrapolated candidate the guard rejected, and M only for rows
+    # sent to the exact step
     adjoint_shapes, m_shapes, out_shapes, exact_rows = [], [], [], []
+    events = []  # ("adjoint" | "extrapolate" | "out", rows), in call order
     apply_adjoint, eigh = chan.apply_adjoint, np.linalg.eigh
-    at_fixed_point = opt._at_fixed_point
+    at_fixed_point, extrapolate = opt._at_fixed_point, opt._extrapolate
 
     def counted_eigh(a):
         # d_in = 3, outputs are 4 x 4
-        (m_shapes if a.shape[-1] == 3 else out_shapes).append(a.shape[:-2])
+        if a.shape[-1] == 3:
+            m_shapes.append(a.shape[:-2])
+        else:
+            out_shapes.append(a.shape[:-2])
+            events.append(("out", len(a)))
         return eigh(a)
 
     def counted_adjoint(ch, x):
         adjoint_shapes.append(x.shape[:-2])
+        events.append(("adjoint", len(x)))
         return apply_adjoint(ch, x)
+
+    def counted_extrapolate(x, *args):
+        events.append(("extrapolate", len(x)))
+        return extrapolate(x, *args)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(chan, "apply_adjoint", counted_adjoint)
+    monkeypatch.setattr(opt, "_extrapolate", counted_extrapolate)
     phi = zoo.random_channel(3, 4, 3, seed=27)
 
     def run(p):
-        for shapes in (adjoint_shapes, m_shapes, out_shapes, exact_rows):
+        for shapes in (adjoint_shapes, m_shapes, out_shapes, exact_rows, events):
             shapes.clear()
         rep = opt.estimate_nu_p(phi, p, FAST)
         assert len(adjoint_shapes) == max(rep.iterations) > 1
         assert adjoint_shapes[0] == (FAST.restarts,)
-        assert out_shapes == [(FAST.restarts,)] + adjoint_shapes
+        assert events[0] == ("out", FAST.restarts)
+        # each step: the adjoint on the live stack, the extrapolated rows,
+        # the outputs of the whole stack, then those of the retried rows
+        steps, retried = [], 0
+        for kind, n in events[1:]:
+            if kind == "adjoint":
+                steps.append([n])
+            else:
+                steps[-1].append((kind, n))
+        for n, *rest in steps:
+            if rest and rest[0][0] == "extrapolate":
+                (_, e), *rest = rest
+                assert 1 <= e <= n
+            else:
+                e = 0
+            assert rest[0] == ("out", n)
+            if len(rest) > 1:
+                (kind, k), = rest[1:]
+                assert kind == "out" and 1 <= k <= e
+                retried += k
+        assert retried == rep.extrapolations_rejected
         return rep
 
-    run(0.5)
+    rep = run(0.5)
     assert adjoint_shapes == m_shapes
-    run(3.0)
-    assert m_shapes == []
-    # a stall short of the fixed point sends its row to one exact step
-    def never_there(shifted, *args):
-        at_fixed_point(shifted, *args)
-        exact_rows.append(len(shifted))
-        return np.zeros(len(shifted), dtype=bool)
+    assert rep.extrapolations_rejected == 0
+    assert all(kind != "extrapolate" for kind, _ in events)
+    # a stall short of the fixed point sends its row to one exact step, the
+    # only one that decomposes M
+    refuse = False
 
-    monkeypatch.setattr(opt, "_at_fixed_point", never_there)
+    def counted_at_fixed_point(m, *args):
+        there = at_fixed_point(m, *args) & (not refuse)
+        exact_rows.append(int((~there).sum()))
+        return there
+
+    monkeypatch.setattr(opt, "_at_fixed_point", counted_at_fixed_point)
+    rep = run(3.0)
+    assert rep.extrapolations_rejected > 0  # the retry stacks were checked
+    assert sum(math.prod(s) for s in m_shapes) == sum(exact_rows) < FAST.restarts
+    refuse = True
     rep = run(3.0)
     assert all(rep.converged)
     assert sum(math.prod(s) for s in m_shapes) == sum(exact_rows) >= FAST.restarts
@@ -330,15 +370,17 @@ def test_each_restart_matches_a_single_run_from_its_seed():
         (zoo.random_channel(3, 3, 2, seed=0), 0.5),  # singular outputs
     ):
         rep = opt.estimate_nu_p(phi, p, FAST)
-        fallbacks = 0
+        fallbacks = rejected = 0
         for i in range(FAST.restarts):
             run = opt.estimate_nu_p(phi, p, FAST, seeds=[_seed_state(3, FAST, i)])
             fallbacks += run.guard_fallbacks
+            rejected += run.extrapolations_rejected
             assert run.iterations == (rep.iterations[i],)
             assert run.converged == (rep.converged[i],)
             assert run.restart_values[0] == rep.restart_values[i]
             assert np.array_equal(run.restart_states[0], rep.restart_states[i])
         assert fallbacks == rep.guard_fallbacks
+        assert rejected == rep.extrapolations_rejected
 
 
 def test_guard_fallbacks_recorded_for_singular_outputs_below_one():
@@ -357,6 +399,22 @@ def test_guard_fallbacks_recorded_for_singular_outputs_below_one():
     assert np.array_equal(run.best_input, seed / np.linalg.norm(seed))
 
 
+def test_extrapolation_is_exact_on_a_geometric_residual():
+    # x_prev = z + a*e, f_prev = x = z + rho*a*e, f = z + rho^2*a*e: the
+    # residual shrinks by rho per step, and the secant step lands on z
+    rng = np.random.default_rng(60)
+    z = random_pure_state(4, rng)
+    e = random_pure_state(4, rng)
+    e -= np.vdot(z, e) * z
+    a, rho = 0.3 - 0.2j, 0.09
+    x_prev, x, f = (z + c * a * e for c in (1.0, rho, rho * rho))
+    y = opt._extrapolate(x[None], f[None], x_prev[None], x[None])[0]
+    assert np.abs(y - z).max() < 1e-14
+    # a vanishing residual difference leaves the plain candidate
+    y = opt._extrapolate(x[None], f[None], x[None], f[None])[0]
+    assert np.array_equal(y, f / np.linalg.norm(f))
+
+
 def _exact_step_check(ch, psi, p):
     """p·(λ_max(M) − ⟨ψ|M|ψ⟩) for M = adj(Φ(ψψ†)^(p−1)), and what the exact
     step, M's top eigenvector, gains in Tr Φ(·)^p over ψ."""
@@ -368,8 +426,9 @@ def _exact_step_check(ch, psi, p):
 
 
 # 2 -> 2 and 4 -> 4 channels with two Kraus operators whose restarts at
-# p = 1.01 end on a guard rejection: near p = 1 the support cutoff of
-# Gamma^(p-1) drops weight that the monotonicity argument counts
+# p = 1.01 ended on a guard rejection with plain power steps: near p = 1 the
+# support cutoff of Gamma^(p-1) drops weight that the monotonicity argument
+# counts.  With extrapolated steps the 2 -> 2 runs converge without one.
 REJECTING_AT_1_01 = (zoo.random_channel(2, 2, 2, seed=12), zoo.random_channel(4, 4, 2, seed=18))
 
 
@@ -406,17 +465,18 @@ def test_converged_restarts_above_one_end_at_a_fixed_point():
             if converged:
                 gap, gain = _exact_step_check(ch, psi, p)
                 assert gap <= tol or (rep.guard_fallbacks and gain <= tol), (ch.d_in, p, gap, gain)
-    assert rejected >= len(REJECTING_AT_1_01)
+    assert rejected >= 1  # the 4 -> 4 channel at p = 1.01
 
 
 def test_rejected_runs_at_1_01_converge():
     # a run whose candidate the guard rejects ends converged, on the exact
-    # step's rejection; the 3 runs of the 4 -> 4 channel that never see a
-    # rejection use up max_iters
-    for ch, n_converged in zip(REJECTING_AT_1_01, (25, 22)):
+    # step's rejection or at a confirmed stall; with extrapolated steps every
+    # run of both channels converges within max_iters, and only the 4 -> 4
+    # channel's runs still see rejections
+    for ch, n_fallbacks in zip(REJECTING_AT_1_01, (0, 38)):
         rep = opt.estimate_nu_p(ch, 1.01, opt.OptimizerConfig(restarts=25))
-        assert sum(rep.converged) == n_converged
-        assert rep.guard_fallbacks >= n_converged
+        assert sum(rep.converged) == 25
+        assert rep.guard_fallbacks == n_fallbacks
 
 
 @pytest.mark.parametrize("p", [1.01, 5.0])
@@ -717,8 +777,10 @@ def test_certificate_cannot_decide_against_unconverged_singles():
 
 
 def test_search_cannot_decide_against_unconverged_singles():
-    a = zoo.random_channel(2, 2, 2, seed=0)
-    cfg = dataclasses.replace(UNCONVERGED, tensor_restarts=40)
+    # one step, with no extrapolation: the singles stay unconverged while the
+    # tensor search already beats their product by the margin
+    a = zoo.random_channel(2, 2, 2, seed=3)
+    cfg = dataclasses.replace(UNCONVERGED, tensor_restarts=40, max_iters=1)
     rep = opt.mult_check(a, a, 3.0, cfg)
     assert rep.nu_product_lb > rep.product_of_singles * (1.0 + opt.VIOLATION_MARGIN)
     assert not rep.singles_converged
@@ -732,6 +794,19 @@ def test_search_cannot_decide_against_unconverged_singles():
 
 WW = chan.tensor(WH3, WH3)
 FULL = opt.OptimizerConfig(restarts=200)  # 82 structured seeds, then Haar
+
+
+def test_extrapolated_steps_shorten_the_wh3_tensor_search():
+    # plain power steps took 1 523 steps over these 200 restarts; the
+    # extrapolated ones must save a fifth of them, converge every restart,
+    # and keep the best value and the restart that reaches it first
+    rep = opt.estimate_nu_p(WW, 4.75, FULL)
+    assert sum(rep.iterations) <= 0.8 * 1523
+    assert all(rep.converged)
+    assert rep.monotonicity_violations == rep.guard_fallbacks == 0
+    assert 0 < rep.extrapolations_rejected < sum(rep.iterations)
+    assert rep.best_restart == 1
+    assert abs(rep.best_value - 0.3347260253061179) <= 1e-15
 
 
 @pytest.mark.parametrize("p", [0.5, 4.75])
