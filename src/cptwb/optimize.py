@@ -7,10 +7,10 @@ state ψ, one exact step maps ψ to the eigenvector of
 
     M(ψ) = Φ̂[ (Φ(ψψ†))^{p−1} ]
 
-with the *largest* eigenvalue when p > 1 and the *smallest* when p < 1
-(matrix powers are pseudo-powers on the numerical support).  The step is
-monotone in Tr Φ(ψψ†)^p — non-decreasing for p > 1, non-increasing for
-p < 1 — so the iteration climbs toward the maximal output p-norm
+with the *largest* eigenvalue when p > 1 and the *smallest* when p < 1.
+The step is monotone in Tr Φ(ψψ†)^p — non-decreasing for p > 1,
+non-increasing for p < 1 — so the iteration climbs toward the maximal
+output p-norm
 
     ν_p(Φ) = sup_ρ ‖Φ(ρ)‖_p        (p > 1)
 
@@ -21,14 +21,15 @@ S^p = (p/(1−p))·log‖·‖_p is decreasing in ‖·‖_p for p > 1 and incre
 for p < 1.  Pure inputs suffice: ‖Φ(ρ)‖_p is convex in ρ for p ≥ 1 and
 Tr Φ(ρ)^p is concave for p < 1, so the extremum sits on pure states.
 
-For p < 1 the matrix power has a negative exponent; on the kernel of a
-singular output the pseudo-power silently maps to zero, which makes
-kernel-escaping candidates look artificially cheap and can break the
-monotonicity proof.  The iteration therefore guards every step: a
-candidate is accepted only when the objective does not move against the
-iteration direction by more than ``value_tol``; otherwise the current
-state is kept (the stall registers as convergence).  ``opt2_step`` is one
-such step.
+For p > 1, Γ^p and Γ^{p−1} are plain powers of the output spectrum.  For
+p < 1 the matrix power has a negative exponent, and both are pseudo-powers
+on the numerical support: on the kernel of a singular output Γ^{p−1}
+silently maps to zero, which makes kernel-escaping candidates look
+artificially cheap and can break the monotonicity proof.  The iteration
+therefore guards every step: a candidate is accepted only when the
+objective does not move against the iteration direction by more than
+``value_tol``; otherwise the current state is kept (the stall registers as
+convergence).  ``opt2_step`` is one such step.
 
 For p > 1 the candidate is not M's eigenvector but a shifted power step,
 ψ' ∝ A^32 ψ with A = (M − μI)/Tr(M − μI), from five squarings of A.  The
@@ -46,10 +47,10 @@ second rung, the plain f_n, is then decomposed and guarded on those rows
 alone, and ``extrapolations_rejected`` counts them.  A run extrapolates only
 from two consecutive accepted power steps: its first step is plain, and an
 exact step or a guard rejection clears its history.  The exact eigenvector
-step stays as the fallback: a power step that stalls ends the run only when
-p·(λ_max(M) − ⟨ψ|M|ψ⟩) ≤ ``value_tol`` (from ``eigvalsh``, no
-eigenvectors), otherwise the next step is the exact one; and a run whose
-candidate the guard rejects takes exact steps from then on.
+step confirms a stall: a power step that stalls, or that the guard
+rejects, ends the run only when p·(λ_max(M) − ⟨ψ|M|ψ⟩) ≤ ``value_tol``
+(from ``eigvalsh``, no eigenvectors); otherwise the next step is the exact
+one.
 
 Multistart
 ----------
@@ -66,10 +67,10 @@ All restarts of one estimate advance together: the states form an
 ``(r, d_in)`` stack, each step decomposes the stacked outputs in one
 ``eigh`` call (for p < 1, the stacked M(ψ) in a second one; for p > 1,
 the plain candidates' outputs of the rows whose extrapolation the guard
-rejected, and M of the rows on the exact path), and a run leaves the stack
-when it ends.
-Each output is decomposed once; its spectrum gives both Tr Φ(ψψ†)^p and the
-pseudo-power, and an accepted candidate's spectrum serves the next step.
+rejected, and M of the rows taking an exact step), and a run leaves the
+stack when it ends.
+Each output is decomposed once; its spectrum gives both Tr Φ(ψψ†)^p and
+Γ^{p−1}, and an accepted candidate's spectrum serves the next step.
 Phases are fixed once, on the reported states: a p < 1 candidate comes with
 its phase fixed, and for p > 1 ``estimate_nu_p`` applies the same
 canonical phase to each restart's best state, which leaves a seed that
@@ -166,8 +167,9 @@ class OptimizerReport:
     largest over restarts when p > 1 (a lower bound of ν_p), the smallest
     when p < 1 (an upper bound of the infimum).  ``guard_fallbacks`` counts
     the steps whose candidate the guard rejected, so that the state was
-    kept; ``extrapolations_rejected`` counts the extrapolated p > 1
-    candidates the guard turned down before the plain one was tried.
+    kept and the step stalled (see ``_iterate``); ``extrapolations_rejected``
+    counts the extrapolated p > 1 candidates the guard turned down before
+    the plain one was tried.
     """
 
     p: float
@@ -189,8 +191,13 @@ class OptimizerReport:
 
 
 def output_trace_power(ch: chan.KrausChannel, psi: np.ndarray, p: float) -> float:
-    """Tr Φ(ψψ†)^p on the numerical support."""
-    return la.trace_power(chan.apply(ch, la._outer(psi)), p)
+    """Tr Φ(ψψ†)^p, computed as the search computes it (:func:`_powers`)."""
+    v = np.asarray(psi, dtype=np.complex128)
+    if v.shape != (ch.d_in,):
+        raise la.ShapeError(f"state has shape {v.shape}, expected ({ch.d_in},)")
+    if not (math.isfinite(p) and np.isfinite(v).all()):
+        raise ValueError(f"need a finite state and a finite order, got p = {p}")
+    return float(_output_spectra(np.stack(ch.kraus), v[None], p)[2][0])
 
 
 def _check_p(p: float):
@@ -210,27 +217,25 @@ def _output_spectra(kraus: np.ndarray, states: np.ndarray, p: float):
     kpsi = kpsi.reshape(-1, k, d_out)
     gamma = np.matmul(kpsi.swapaxes(-1, -2), kpsi.conj())
     w, v = la._spectrum(gamma, psd=True, what="channel output")
-    # summed largest first, as la.trace_power sums (the zeros off the support
-    # can still move the last bit)
-    t = np.sum(la._support_power(w, p)[..., ::-1], axis=-1)
+    # summed largest first: the order moves the last bit of every report
+    t = np.sum(_powers(w, p, p)[..., ::-1], axis=-1)
     return w, v, t, np.trace(gamma, axis1=-2, axis2=-1)
 
 
-def _candidates(
-    ch: chan.KrausChannel, w: np.ndarray, v: np.ndarray, p: float
-) -> np.ndarray:
-    """Each state's p < 1 candidate: the least eigenvector of
-    M = Φ̂(Γ^{p−1}), from Γ's spectrum ``(w, v)``, with its phase fixed.
+def _powers(w: np.ndarray, a: float, p: float) -> np.ndarray:
+    """``w**a`` of clamped output spectra ``(..., n)`` at order ``p`` (a = p
+    for Tr Γ^p, p − 1 for M's weights): plain powers for p > 1, where both
+    exponents are positive, and on the numerical support for p < 1, where
+    Γ^{p−1} has a negative one (see the ``linalg`` tolerance policy)."""
+    return w**a if p > 1.0 else la._support_power(w, a)
 
-    M comes from one ``channels.apply_adjoint`` call on the stack and then
-    gets the Hermiticity check and the symmetrization of every other
-    eigensolve.
-    """
-    g = la._pseudo_power(w, v, p - 1.0)
-    m = chan.apply_adjoint(ch, g)
-    del g  # freed before the eigensolve allocates its own stacks
+
+def _exact_candidates(m: np.ndarray, p: float) -> np.ndarray:
+    """The exact step of each M of the stack ``m``: its top eigenvector for
+    p > 1, its least one, phase-fixed, for p < 1, from one checked ``eigh``
+    (the Hermiticity check and the symmetrization of every eigensolve)."""
     _, vecs = la._spectrum(m, what="M(ψ)")
-    return la._canonical_phases(vecs[..., :1])[..., 0]
+    return vecs[..., -1] if p > 1.0 else la._canonical_phases(vecs[..., :1])[..., 0]
 
 
 #: Squarings in a p > 1 power candidate, which is A^(2^5) ψ = A^32 ψ.  On a
@@ -291,17 +296,17 @@ def _extrapolate(
 
 def _ascent_candidates(
     ch: chan.KrausChannel,
-    w: np.ndarray,
-    v: np.ndarray,
+    m: np.ndarray,
+    pw: np.ndarray,
     states: np.ndarray,
     p: float,
     exact: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each state's p > 1 candidate, and M = Φ̂(Γ^{p−1}).
+) -> np.ndarray:
+    """Each state's p > 1 candidate, from its M = Φ̂(Γ^{p−1}) and the
+    ascending weights ``pw`` of Γ^{p−1}.
 
-    M comes from Γ's spectrum ``(w, v)`` and one ``channels.apply_adjoint``
-    call on the stack.  The power candidate of :func:`_power_candidates`
-    takes the PSD M − μI, with μ the larger of two lower bounds of λ_min(M):
+    The power candidate of :func:`_power_candidates` takes the PSD M − μI,
+    with μ the larger of two lower bounds of λ_min(M):
     λ_min(Γ^{p−1})·λ_min(Φ̂(I)), since Γ^{p−1} ⪰ λ_min(Γ^{p−1})·I, and
     Gershgorin's min_i (M_ii − Σ_{j≠i} |M_ij|).  The shift matters near
     p = 1, where M ≈ c·I and powers of M itself barely move ψ; the
@@ -309,28 +314,20 @@ def _ascent_candidates(
     whose Φ̂ lifts λ_min(M) far above the first bound: at p = 3 the slowest
     of 10 restarts on ``near_depolarizing`` (d = 3, ε = 1e-3) took 474
     steps with the first bound alone, and 18 with both, as with the exact
-    step.  Rows flagged in ``exact`` take the exact step instead:
-    M's top eigenvector, from a checked ``eigh`` of their stack of M (not of
-    M − μI, whose entries can be too small for the relative Hermiticity
-    check).
+    step.  Rows flagged in ``exact`` take the exact step of their M (not of
+    M − μI, whose entries can be too small for the Hermiticity check).
     """
-    pw = la._support_power(w, p - 1.0)
-    m = chan.apply_adjoint(ch, la._from_spectrum(pw, v))
     diag = np.arange(m.shape[-1])
     dm = m[:, diag, diag].real
     gershgorin = (2.0 * dm - np.abs(m).sum(axis=-1)).min(axis=-1)
-    # pw ascends with w and is zero off the support, so pw[:, 0] is its least
+    # pw ascends with w, so pw[:, 0] is its least
     mu = np.maximum(pw[:, 0] * ch.adjoint_unit_min, gershgorin)
     shifted = m.copy()
     shifted[:, diag, diag] -= mu[:, None]
-    if not exact.any():
-        return _power_candidates(shifted, states), m
-    cand = np.empty_like(states)
-    power = ~exact
-    cand[power] = _power_candidates(shifted[power], states[power])
-    _, vecs = la._spectrum(m[exact], what="M(ψ)")
-    cand[exact] = vecs[..., -1]
-    return cand, m
+    cand = _power_candidates(shifted, states)
+    if exact.any():
+        cand[exact] = _exact_candidates(m[exact], p)
+    return cand
 
 
 def _at_fixed_point(
@@ -371,21 +368,21 @@ def _iterate(
     """Run guarded fixed-point iterations from every row of ``states`` at once.
 
     Each step decomposes the stacked outputs Γ of the candidates in one
-    ``eigh`` call; a state's output spectrum gives both its Tr Γ^p and the
-    pseudo-power Γ^{p−1}, and an accepted candidate's spectrum is reused in
-    the next step.  For p < 1 the candidate is the least eigenvector of
-    M = Φ̂(Γ^{p−1}) (:func:`_candidates`), a second stacked ``eigh``.  For
-    p > 1 it is the shifted power candidate f (:func:`_ascent_candidates`),
-    without an eigensolve of M.  A row whose last step was an accepted power
-    step keeps that step's state and its unmixed f, and tries the
-    extrapolated candidate (:func:`_extrapolate`) first; the rows whose
-    extrapolation the guard rejects fall back to f in one more stacked
-    ``eigh`` of their outputs, guarded as before.  The exact path stays:
-    when a power step stalls, ``eigvalsh`` of that row's M decides whether
-    the run ends (:func:`_at_fixed_point`) or takes one exact eigenvector
-    step, and a row whose candidate the guard rejects takes exact steps from
-    then on.  Exact steps and rejections clear a row's history.  An exact
-    step that stalls ends its run, as every p < 1 stall does.
+    ``eigh`` call; a state's output spectrum gives both its Tr Γ^p and
+    Γ^{p−1} (:func:`_powers`), and an accepted candidate's spectrum is
+    reused in the next step.  M = Φ̂(Γ^{p−1}) is one ``apply_adjoint`` call
+    on the stack.  For p < 1 the candidate is M's least eigenvector
+    (:func:`_exact_candidates`), a second stacked ``eigh``.  For p > 1 it is
+    the shifted power candidate f (:func:`_ascent_candidates`), without an
+    eigensolve of M.  A row whose last step was an accepted power step keeps
+    that step's state and its unmixed f, and tries the extrapolated
+    candidate (:func:`_extrapolate`) first; the rows whose extrapolation the
+    guard rejects fall back to f in one more stacked ``eigh`` of their
+    outputs, guarded as before.  A power step that stalls, a rejected one
+    included, ends its run only if ``eigvalsh`` of its M shows a fixed point
+    (:func:`_at_fixed_point`); otherwise the next step is the exact one.
+    Exact steps and rejections clear a row's history.  An exact step that
+    stalls ends its run, as every p < 1 stall does.
 
     Runs leave the stack when they end, and the stack keeps only the live
     rows.  Every stacked operation works matrix by matrix (Φ̂ too, see
@@ -424,8 +421,7 @@ def _iterate(
     # the live stack: row j of each array below belongs to run rows[j]
     rows = np.arange(r)
     b, bt = psi, t  # best state and its Tr Γ^p
-    stuck = np.zeros(r, dtype=bool)  # a candidate was rejected: exact steps
-    confirm = np.zeros(r, dtype=bool)  # a power step stalled: next step exact
+    exact = np.zeros(r, dtype=bool)  # a power step stalled: this step is exact
     # the last step was an accepted power step from x_prev, whose (unmixed)
     # power candidate was f_prev
     hist = np.zeros(r, dtype=bool)
@@ -434,16 +430,17 @@ def _iterate(
     for it in range(1, max_iters + 1):
         if np.any(np.abs(tr) < 1e-14):
             raise ValueError("channel output has (numerically) zero trace")
+        pw = _powers(w, p - 1.0, p)
+        m = chan.apply_adjoint(ch, la._from_spectrum(pw, v))  # M = Φ̂(Γ^{p−1})
         if ascent:
-            exact = stuck | confirm
-            plain, m = _ascent_candidates(ch, w, v, psi, p, exact)
+            plain = _ascent_candidates(ch, m, pw, psi, p, exact)
             mix = hist & ~exact
             cand = plain
             if mix.any():
                 cand = plain.copy()
                 cand[mix] = _extrapolate(psi[mix], plain[mix], x_prev[mix], f_prev[mix])
         else:
-            cand = _candidates(ch, w, v, p)
+            cand = _exact_candidates(m, p)
         wc, vc, tc, trc = _output_spectra(kraus, cand, p)
         ok = tc >= t - value_tol if ascent else tc <= t + value_tol
         if ascent:
@@ -468,7 +465,6 @@ def _iterate(
             v = np.where(ok[:, None, None], vc, v)
             tr = np.where(ok, trc, tr)
             fallbacks[rows[~ok]] += 1
-            stuck = stuck | ~ok
         step = t_next - t
         bad = sign * step < -value_tol  # should not happen: the step is guarded
         if bad.any():
@@ -478,12 +474,12 @@ def _iterate(
         b = np.where(gained[:, None], psi_next, b)
         stalled = np.abs(step) <= value_tol
         if ascent:
-            # a stalled power step ends the run only at a fixed point of the
-            # exact step; otherwise the next step is the exact one
-            confirm = stalled & ~exact
-            if confirm.any():
-                confirm[confirm] = ~_at_fixed_point(m[confirm], psi[confirm], p, value_tol)
-                stalled &= ~confirm
+            # a stalled power step (a rejected one too) ends the run only at
+            # a fixed point of the exact step; otherwise the next step is exact
+            exact = stalled & ~exact
+            if exact.any():
+                exact[exact] = ~_at_fixed_point(m[exact], psi[exact], p, value_tol)
+                stalled &= ~exact
         psi, t = psi_next, t_next
         if stalled.any():
             done = rows[stalled]
@@ -491,9 +487,8 @@ def _iterate(
             iterations[done] = it
             converged[done] = True
             keep = ~stalled
-            rows, psi, t, w, v, tr, b, bt, stuck, confirm, hist, x_prev, f_prev = (
-                x[keep]
-                for x in (rows, psi, t, w, v, tr, b, bt, stuck, confirm, hist, x_prev, f_prev)
+            rows, psi, t, w, v, tr, b, bt, exact, hist, x_prev, f_prev = (
+                x[keep] for x in (rows, psi, t, w, v, tr, b, bt, exact, hist, x_prev, f_prev)
             )
             if not rows.size:
                 break

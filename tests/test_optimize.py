@@ -31,6 +31,36 @@ def test_output_trace_power_closed_form():
         assert abs(opt.output_trace_power(phi, psi, p) - 2.0 ** (1 - p)) < 1e-12
 
 
+def test_output_trace_power_is_the_reported_objective():
+    # a bit flip with probability eps sends |0> to diag(1 - eps, eps): below
+    # the support cutoff, eps^p still weighs 7.9e-11 in Tr Gamma^p at
+    # p = 1.01, and |0> is a fixed point of the iteration
+    eps = 1e-10
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ch = chan.KrausChannel.from_kraus([math.sqrt(1.0 - eps) * np.eye(2), math.sqrt(eps) * x])
+    e0 = np.array([1.0, 0.0])
+    rep = opt.estimate_nu_p(ch, 1.01, seeds=[e0])
+    assert np.array_equal(rep.best_input, e0)
+    exact = (1.0 - eps) ** 1.01 + eps**1.01
+    assert abs(rep.best_trace_power - exact) <= 1e-15
+    assert opt.output_trace_power(ch, e0, 1.01) == rep.best_trace_power
+    # p < 1 takes powers on the support only
+    assert abs(opt.output_trace_power(ch, e0, 0.5) - (1.0 - eps) ** 0.5) <= 1e-15
+    with pytest.raises(la.ShapeError):
+        opt.output_trace_power(ch, np.ones(3), 2.0)
+    with pytest.raises(ValueError, match="finite state"):
+        opt.output_trace_power(ch, np.array([np.nan, 1.0]), 2.0)
+    with pytest.raises(ValueError, match="finite order"):
+        opt.output_trace_power(ch, e0, math.inf)
+
+
+def test_p_below_one_keeps_the_support_cutoff():
+    # Tr Gamma^p at p < 1 drops the eigenvalues below the rank cutoff; taking
+    # them in gives 1.83731 here
+    rep = opt.estimate_nu_p(zoo.random_channel(4, 4, 2, seed=1), 0.05)
+    assert abs(rep.best_trace_power - 1.818219879271175) <= 1e-12
+
+
 def test_opt2_step_rejects_bad_order_and_state():
     phi = zoo.depolarizing(2)
     psi = np.array([1.0, 0.0])
@@ -53,7 +83,7 @@ def test_opt2_step_monotone_both_directions():
         k = int(rng.integers(k_min, 5))
         phi = zoo.random_channel(d_in, d_out, k, seed=300 + trial)
         psi = random_pure_state(d_in, rng)
-        for p in (0.5, 1.5, 3.0, 5.0):
+        for p in (0.5, 1.01, 1.5, 3.0, 5.0):
             before = opt.output_trace_power(phi, psi, p)
             after_state = opt.opt2_step(phi, psi, p)
             after = opt.output_trace_power(phi, after_state, p)
@@ -415,21 +445,27 @@ def test_extrapolation_is_exact_on_a_geometric_residual():
     assert np.array_equal(y, f / np.linalg.norm(f))
 
 
-def _exact_step_check(ch, psi, p):
-    """p·(λ_max(M) − ⟨ψ|M|ψ⟩) for M = adj(Φ(ψψ†)^(p−1)), and what the exact
-    step, M's top eigenvector, gains in Tr Φ(·)^p over ψ."""
-    m = chan.apply_adjoint(ch, la.psd_power(chan.apply(ch, np.outer(psi, psi.conj())), p - 1.0))
-    w, v = la.herm_eig(m)
-    gap = p * (w[0] - np.vdot(psi, m @ psi).real)
-    gain = opt.output_trace_power(ch, v[:, 0], p) - opt.output_trace_power(ch, psi, p)
-    return gap, gain
+def _exact_step_gap(ch, psi, p):
+    """p·(λ_max(M) − ⟨ψ|M|ψ⟩) for M = adj(Φ(ψψ†)^(p−1)), built as the search
+    builds it at p > 1: plain powers of the clamped output spectrum.
+
+    The spectrum is the search's own: near p = 1 a roundoff eigenvalue of
+    ~1e-17 still weighs ~0.67, so an output assembled in another order moves
+    the gap at the 1e-12 level.
+    """
+    w, v, _, _ = opt._output_spectra(np.stack(ch.kraus), psi[None], p)
+    m = chan.apply_adjoint(ch, la._from_spectrum(w[0] ** (p - 1.0), v[0]))
+    return p * (np.linalg.eigvalsh(m)[-1] - np.vdot(psi, m @ psi).real)
 
 
-# 2 -> 2 and 4 -> 4 channels with two Kraus operators whose restarts at
-# p = 1.01 ended on a guard rejection with plain power steps: near p = 1 the
-# support cutoff of Gamma^(p-1) drops weight that the monotonicity argument
-# counts.  With extrapolated steps the 2 -> 2 runs converge without one.
-REJECTING_AT_1_01 = (zoo.random_channel(2, 2, 2, seed=12), zoo.random_channel(4, 4, 2, seed=18))
+# channels with two Kraus operators whose restarts at p = 1.01 ended on guard
+# rejections while M was built from Gamma^(p-1) cut to its numerical support:
+# near p = 1 the cutoff drops weight that the monotonicity argument counts
+REJECTING_AT_1_01 = (
+    zoo.random_channel(2, 2, 2, seed=12),
+    zoo.random_channel(4, 4, 2, seed=18),
+    zoo.random_channel(4, 3, 2, seed=15),
+)
 
 
 def _certificate_cases():
@@ -452,31 +488,26 @@ def _certificate_cases():
 
 
 def test_converged_restarts_above_one_end_at_a_fixed_point():
-    # a converged run at p > 1 ends where the exact step would stall: M's top
-    # eigenvector within the stall rule.  A run that ended on a guard
-    # rejection is where the exact step would be rejected.
+    # a converged run at p > 1 ends where the exact step would stall: the
+    # state it stopped at is M's top eigenvector within the stall rule, and
+    # no candidate is rejected on the way
     tol = opt.OptimizerConfig.value_tol
-    rejected = 0
     for ch, p, cfg in _certificate_cases():
-        rep = opt.estimate_nu_p(ch, p, cfg)
-        assert rep.monotonicity_violations == 0
-        rejected += rep.guard_fallbacks > 0
-        for psi, converged in zip(rep.restart_states, rep.converged):
-            if converged:
-                gap, gain = _exact_step_check(ch, psi, p)
-                assert gap <= tol or (rep.guard_fallbacks and gain <= tol), (ch.d_in, p, gap, gain)
-    assert rejected >= 1  # the 4 -> 4 channel at p = 1.01
+        queue, _ = opt._seed_queue(ch.d_in, cfg.seed, cfg.restarts)
+        runs = opt._iterate(ch, queue, p, cfg.max_iters, cfg.value_tol)
+        assert runs.violations.sum() == runs.fallbacks.sum() == 0, (ch.d_in, p)
+        for psi in runs.best[runs.converged]:
+            gap = _exact_step_gap(ch, psi, p)
+            assert gap <= tol, (ch.d_in, p, gap)
 
 
 def test_rejected_runs_at_1_01_converge():
-    # a run whose candidate the guard rejects ends converged, on the exact
-    # step's rejection or at a confirmed stall; with extrapolated steps every
-    # run of both channels converges within max_iters, and only the 4 -> 4
-    # channel's runs still see rejections
-    for ch, n_fallbacks in zip(REJECTING_AT_1_01, (0, 38)):
+    # with plain powers of the output spectrum M is the gradient of Tr Gamma^p:
+    # the guard rejects no step of these channels, and every run converges
+    for ch in REJECTING_AT_1_01:
         rep = opt.estimate_nu_p(ch, 1.01, opt.OptimizerConfig(restarts=25))
         assert sum(rep.converged) == 25
-        assert rep.guard_fallbacks == n_fallbacks
+        assert rep.guard_fallbacks == 0
 
 
 @pytest.mark.parametrize("p", [1.01, 5.0])
