@@ -33,16 +33,12 @@ print("monotonicity violations:", rep.monotonicity_violations)
 
 # The minimal output entropy of the transpose-shift channel is attained
 # on coherent pairs like (1, i, 0)/sqrt(2), giving log 3 - (2/3) log 2.
+# At p = 1 the same search climbs Tr Gamma log Gamma = -S directly.
 fss = zoo.fss_psi()
 rep1 = entropy.estimate_smin_p(fss, 1.0, cfg)
 want = math.log(3) - (2.0 / 3.0) * math.log(2)
 print(f"S_min = {rep1.value:.12f}   closed form {want:.12f}")
 print("argmin:", np.round(rep1.argmin, 6))
-
-# p = 1 is handled by a two-sided Renyi sandwich plus a direct von
-# Neumann evaluation at the argmin; the sandwich midpoint is also shipped
-# as a diagnostic.
-print(f"two-sided extrapolation: {rep1.extrapolated:.12f}")
 
 # At p = 0 the search minimizes output *rank*.
 rep0 = entropy.estimate_smin_p(fss, 0.0, cfg)

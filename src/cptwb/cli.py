@@ -4,7 +4,7 @@ Subcommands
 -----------
 ``info``         validate and classify a channel
 ``numax``        extremal output p-norm estimate (multistart fixed point)
-``smin``         minimal output Rényi-p entropy (p = 0, 1 handled specially)
+``smin``         minimal output Rényi-p entropy (p = 0 at the rank proxy)
 ``multcheck``    multiplicativity check for a pair of channels at one p
 ``multscan``     grid scan + bisection of the violation threshold
 ``decompose``    split a qubit-output channel into two Choi-rank-≤d_in halves
@@ -326,6 +326,7 @@ def cmd_numax(args) -> int:
             "max_iterations": int(max(rep.iterations)),
             "monotonicity_violations": rep.monotonicity_violations,
             "guard_fallbacks": rep.guard_fallbacks,
+            "extrapolations_rejected": rep.extrapolations_rejected,
             "best_input": _vec_json(rep.best_input),
             "config": rep.config,
             "tolerances": _tolerances(cfg),
@@ -344,7 +345,6 @@ def cmd_smin(args) -> int:
         {
             "p": rep.p,
             "value": rep.value,
-            "extrapolated": rep.extrapolated,
             "nu_value": rep.nu_value,
             "argmin": _vec_json(rep.argmin),
             "config": rep.config,

@@ -5,7 +5,7 @@ All entropies are in nats.  Rényi order p = 1 dispatches to von Neumann,
 p = 0 reports the log of the numerical rank; fractional orders use the
 clamped support spectrum so singular states are safe.  The minimal output
 quantities (``estimate_smin_p``, ``min_output_rank``) run the fixed-point
-search of :mod:`cptwb.optimize`.
+search of :mod:`cptwb.optimize`, at p = 1 on its von Neumann objective.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ class SminReport:
     p: float
     value: float
     argmin: np.ndarray
-    extrapolated: float | None
     nu_value: float | None
     config: dict
 
@@ -108,34 +107,14 @@ def estimate_smin_p(
 
     For p ≠ 1 this is (1/(1−p))·log of the extremal Tr Φ(ρ)^p from
     ``optimize.estimate_nu_p`` (max for p > 1, min for p < 1 — both
-    minimize S^p).  p = 1 runs the search at p ∈ {0.99, 1.01}, picks the
-    argmin with the smaller *direct von Neumann* output entropy
-    (stationarity makes the O(0.01) argmin error second order in the
-    value), and attaches the two-sided extrapolation (S^0.99 + S^1.01)/2
-    as a diagnostic.  p = 0 reports log of the minimal output rank at the
-    p = 0.05 proxy.
+    minimize S^p).  p = 1 runs the same search on the von Neumann
+    objective, maximizing Tr Φ(ρ) log Φ(ρ) = −S (see :mod:`cptwb.optimize`).
+    p = 0 reports log of the minimal output rank at the p = 0.05 proxy.
+    ``nu_value`` is the extremal output p-norm, None at p = 0 and 1.
     """
     cfg = config or opt.OptimizerConfig()
-    if p < 0:
-        raise ValueError(f"need p >= 0, got {p}")
-
-    if p == 1.0:
-        lo = opt.estimate_nu_p(ch, 0.99, cfg)
-        hi = opt.estimate_nu_p(ch, 1.01, cfg)
-        s_lo = math.log(lo.best_trace_power) / (1.0 - 0.99)
-        s_hi = math.log(hi.best_trace_power) / (1.0 - 1.01)
-        states = (lo.best_input, hi.best_input)
-        outs = chan.apply(ch, la._outer(np.array(states)))
-        cands = [(von_neumann(out), psi) for out, psi in zip(outs, states)]
-        value, argmin = min(cands, key=lambda t: t[0])
-        return SminReport(
-            p=1.0,
-            value=value,
-            argmin=argmin,
-            extrapolated=(s_lo + s_hi) / 2.0,
-            nu_value=None,
-            config=asdict(cfg),
-        )
+    if not (p >= 0 and math.isfinite(p)):
+        raise ValueError(f"need a finite p >= 0, got {p}")
 
     if p == 0.0:
         rank, state = min_output_rank(ch, config=cfg)
@@ -143,18 +122,16 @@ def estimate_smin_p(
             p=0.0,
             value=math.log(rank),
             argmin=state,
-            extrapolated=None,
             nu_value=None,
             config=asdict(cfg),
         )
 
-    report = opt.estimate_nu_p(ch, p, cfg)
-    value = math.log(report.best_trace_power) / (1.0 - p)
+    report = opt._multistart(ch, p, cfg)
+    t = report.best_trace_power
     return SminReport(
         p=p,
-        value=value,
+        value=-t if p == 1.0 else math.log(t) / (1.0 - p),
         argmin=report.best_input,
-        extrapolated=None,
-        nu_value=report.best_value,
+        nu_value=None if p == 1.0 else report.best_value,
         config=asdict(cfg),
     )

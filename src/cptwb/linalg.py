@@ -6,11 +6,12 @@ apply everywhere and cannot be set per call:
 
 * ``RANK_TOL`` (1e-8): an eigen- or singular value at or below ``RANK_TOL``
   times the largest of its spectrum is an exact zero.  ``_support`` is the
-  only code that applies it, so Choi ranks, minimal Kraus sets, numerical
+  only mask built from it, so Choi ranks, minimal Kraus sets, numerical
   ranks, pseudo-powers, trace powers and Rényi-0 ranks count one support.
-  The exception is ``optimize``'s search at p > 1 (``optimize._powers``):
+  The exception is ``optimize``'s search at p > 1 (``optimize._terms``):
   its exponents are positive, so w^a vanishes with w, while at p = 1.01 a
-  value at the cutoff still weighs (1e-8)^0.01 ≈ 0.83 in Γ^{p−1}.
+  value at the cutoff still weighs (1e-8)^0.01 ≈ 0.83 in Γ^{p−1}.  Its p = 1
+  weights log(max(w, c)/c), c = ``RANK_TOL``·w_max, are zero exactly off it.
 * ``PSD_CLAMP`` (1e-12): a nominally PSD matrix's eigenvalues that dip
   below zero by roundoff are clamped to zero, and one below the floor is an
   error.  There is one floor, ``-PSD_CLAMP * max(top, 0)`` relative to the

@@ -20,6 +20,9 @@ directions head for the minimal output Rényi entropy S^p_min, which
 S^p = (p/(1−p))·log‖·‖_p is decreasing in ‖·‖_p for p > 1 and increasing
 for p < 1.  Pure inputs suffice: ‖Φ(ρ)‖_p is convex in ρ for p ≥ 1 and
 Tr Φ(ρ)^p is concave for p < 1, so the extremum sits on pure states.
+At p = 1 the search climbs Tr Γ log Γ = −S, convex too, with the p > 1
+steps on M = Φ̂(L), L a cut-off log Γ (:func:`_terms`).  Only
+``entropy.estimate_smin_p`` runs it; the ν_p entry points reject p = 1.
 
 For p > 1, Γ^p and Γ^{p−1} are plain powers of the output spectrum.  For
 p < 1 the matrix power has a negative exponent, and both are pseudo-powers
@@ -31,7 +34,7 @@ objective does not move against the iteration direction by more than
 ``value_tol``; otherwise the current state is kept (the stall registers as
 convergence).  ``opt2_step`` is one such step.
 
-For p > 1 the candidate is not M's eigenvector but a shifted power step,
+For p ≥ 1 the candidate is not M's eigenvector but a shifted power step,
 ψ' ∝ A^32 ψ with A = (M − μI)/Tr(M − μI), from five squarings of A.  The
 shift μ is a lower bound of M's spectrum (the larger of
 λ_min(Γ^{p−1})·λ_min(Φ̂(I)) and Gershgorin's), so A is PSD,
@@ -65,14 +68,14 @@ canonical optimum is the one reported when it ties the best.
 
 All restarts of one estimate advance together: the states form an
 ``(r, d_in)`` stack, each step decomposes the stacked outputs in one
-``eigh`` call (for p < 1, the stacked M(ψ) in a second one; for p > 1,
+``eigh`` call (for p < 1, the stacked M(ψ) in a second one; for p ≥ 1,
 the plain candidates' outputs of the rows whose extrapolation the guard
 rejected, and M of the rows taking an exact step), and a run leaves the
 stack when it ends.
-Each output is decomposed once; its spectrum gives both Tr Φ(ψψ†)^p and
-Γ^{p−1}, and an accepted candidate's spectrum serves the next step.
+Each output is decomposed once; its spectrum gives both the objective and
+M, and an accepted candidate's spectrum serves the next step.
 Phases are fixed once, on the reported states: a p < 1 candidate comes with
-its phase fixed, and for p > 1 ``estimate_nu_p`` applies the same
+its phase fixed, and for p ≥ 1 ``estimate_nu_p`` applies the same
 canonical phase to each restart's best state, which leaves a seed that
 never moved bit for bit as it was.
 
@@ -165,11 +168,11 @@ class OptimizerReport:
 
     ``best_value`` is the output p-norm at the best state found: the
     largest over restarts when p > 1 (a lower bound of ν_p), the smallest
-    when p < 1 (an upper bound of the infimum).  ``guard_fallbacks`` counts
-    the steps whose candidate the guard rejected, so that the state was
-    kept and the step stalled (see ``_iterate``); ``extrapolations_rejected``
-    counts the extrapolated p > 1 candidates the guard turned down before
-    the plain one was tried.
+    when p < 1 (an upper bound of the infimum), Tr Γ log Γ at p = 1.
+    ``guard_fallbacks`` counts the steps whose candidate the guard rejected,
+    so that the state was kept and the step stalled (see ``_iterate``);
+    ``extrapolations_rejected`` counts the extrapolated p ≥ 1 candidates
+    the guard turned down before the plain one was tried.
     """
 
     p: float
@@ -191,13 +194,14 @@ class OptimizerReport:
 
 
 def output_trace_power(ch: chan.KrausChannel, psi: np.ndarray, p: float) -> float:
-    """Tr Φ(ψψ†)^p, computed as the search computes it (:func:`_powers`)."""
+    """Tr Φ(ψψ†)^p for p > 0 as the search takes it (:func:`_terms`), Tr Γ at p = 1."""
     v = np.asarray(psi, dtype=np.complex128)
     if v.shape != (ch.d_in,):
         raise la.ShapeError(f"state has shape {v.shape}, expected ({ch.d_in},)")
-    if not (math.isfinite(p) and np.isfinite(v).all()):
-        raise ValueError(f"need a finite state and a finite order, got p = {p}")
-    return float(_output_spectra(np.stack(ch.kraus), v[None], p)[2][0])
+    if not (p > 0.0 and math.isfinite(p) and np.isfinite(v).all()):
+        raise ValueError(f"need a finite state and a finite order p > 0, got p = {p}")
+    _, _, t, tr = _output_spectra(np.stack(ch.kraus), v[None], p)
+    return float(tr[0].real if p == 1.0 else t[0])
 
 
 def _check_p(p: float):
@@ -218,27 +222,36 @@ def _output_spectra(kraus: np.ndarray, states: np.ndarray, p: float):
     gamma = np.matmul(kpsi.swapaxes(-1, -2), kpsi.conj())
     w, v = la._spectrum(gamma, psd=True, what="channel output")
     # summed largest first: the order moves the last bit of every report
-    t = np.sum(_powers(w, p, p)[..., ::-1], axis=-1)
+    t = np.sum(_terms(w, p)[..., ::-1], axis=-1)
     return w, v, t, np.trace(gamma, axis1=-2, axis2=-1)
 
 
-def _powers(w: np.ndarray, a: float, p: float) -> np.ndarray:
-    """``w**a`` of clamped output spectra ``(..., n)`` at order ``p`` (a = p
-    for Tr Γ^p, p − 1 for M's weights): plain powers for p > 1, where both
-    exponents are positive, and on the numerical support for p < 1, where
-    Γ^{p−1} has a negative one (see the ``linalg`` tolerance policy)."""
+def _terms(w: np.ndarray, p: float, weights: bool = False) -> np.ndarray:
+    """Objective terms (summing to Tr Γ^p, or Tr Γ log Γ at p = 1) of clamped,
+    ascending spectra ``(..., n)``, or with ``weights`` the eigenvalues of
+    the L of M = Φ̂(L): w^p and w^{p−1}, plain for p > 1 and on the numerical
+    support for p < 1 (see the ``linalg`` tolerance policy); at p = 1, w log w
+    and log(max(w, c)/c), c = ``RANK_TOL``·w_max, zero off the support.  On
+    it L is the gradient log Γ + I less a multiple of I, and Φ̂(I) = I for a
+    trace-preserving Φ, so M has the gradient's eigenvectors and stall gap."""
+    if p == 1.0:
+        if weights:
+            c = la.RANK_TOL * w[..., -1:]
+            return np.log(np.maximum(w, c) / c)
+        return w * np.log(np.where(w > 0.0, w, 1.0))
+    a = p - 1.0 if weights else p
     return w**a if p > 1.0 else la._support_power(w, a)
 
 
 def _exact_candidates(m: np.ndarray, p: float) -> np.ndarray:
     """The exact step of each M of the stack ``m``: its top eigenvector for
-    p > 1, its least one, phase-fixed, for p < 1, from one checked ``eigh``
+    p ≥ 1, its least one, phase-fixed, for p < 1, from one checked ``eigh``
     (the Hermiticity check and the symmetrization of every eigensolve)."""
     _, vecs = la._spectrum(m, what="M(ψ)")
-    return vecs[..., -1] if p > 1.0 else la._canonical_phases(vecs[..., :1])[..., 0]
+    return vecs[..., -1] if p >= 1.0 else la._canonical_phases(vecs[..., :1])[..., 0]
 
 
-#: Squarings in a p > 1 power candidate, which is A^(2^5) ψ = A^32 ψ.  On a
+#: Squarings in a p ≥ 1 power candidate, which is A^(2^5) ψ = A^32 ψ.  On a
 #: survey of 46 channels with 25 restarts each at p = 1.01, 1.1, 1.5, 3 and 5,
 #: with extrapolated steps, 4 squarings left one more restart unconverged at
 #: p = 1.01 than 5 and one best value there 1.8e-12 (relative) lower; 3 did
@@ -302,12 +315,12 @@ def _ascent_candidates(
     p: float,
     exact: np.ndarray,
 ) -> np.ndarray:
-    """Each state's p > 1 candidate, from its M = Φ̂(Γ^{p−1}) and the
-    ascending weights ``pw`` of Γ^{p−1}.
+    """Each state's p ≥ 1 candidate, from its M = Φ̂(L) and the ascending,
+    nonnegative weights ``pw`` of L (:func:`_terms`).
 
     The power candidate of :func:`_power_candidates` takes the PSD M − μI,
     with μ the larger of two lower bounds of λ_min(M):
-    λ_min(Γ^{p−1})·λ_min(Φ̂(I)), since Γ^{p−1} ⪰ λ_min(Γ^{p−1})·I, and
+    λ_min(L)·λ_min(Φ̂(I)), since L ⪰ λ_min(L)·I, and
     Gershgorin's min_i (M_ii − Σ_{j≠i} |M_ij|).  The shift matters near
     p = 1, where M ≈ c·I and powers of M itself barely move ψ; the
     Gershgorin bound matters for channels close to the depolarizing one,
@@ -349,7 +362,7 @@ class _Runs(NamedTuple):
     """Per-row results of :func:`_iterate`, one entry per row of the stack."""
 
     best: np.ndarray  # (r, d_in) best visited state
-    best_t: np.ndarray  # its Tr Γ^p
+    best_t: np.ndarray  # its objective, Tr Γ^p (Tr Γ log Γ at p = 1)
     iterations: np.ndarray
     converged: np.ndarray
     violations: np.ndarray  # monotonicity violations
@@ -368,11 +381,11 @@ def _iterate(
     """Run guarded fixed-point iterations from every row of ``states`` at once.
 
     Each step decomposes the stacked outputs Γ of the candidates in one
-    ``eigh`` call; a state's output spectrum gives both its Tr Γ^p and
-    Γ^{p−1} (:func:`_powers`), and an accepted candidate's spectrum is
-    reused in the next step.  M = Φ̂(Γ^{p−1}) is one ``apply_adjoint`` call
-    on the stack.  For p < 1 the candidate is M's least eigenvector
-    (:func:`_exact_candidates`), a second stacked ``eigh``.  For p > 1 it is
+    ``eigh`` call; a state's output spectrum gives both its objective and
+    the L of M = Φ̂(L) (:func:`_terms`), and an accepted candidate's spectrum
+    is reused in the next step.  M is one ``apply_adjoint`` call on the
+    stack.  For p < 1 the candidate is M's least eigenvector
+    (:func:`_exact_candidates`), a second stacked ``eigh``.  For p ≥ 1 it is
     the shifted power candidate f (:func:`_ascent_candidates`), without an
     eigensolve of M.  A row whose last step was an accepted power step keeps
     that step's state and its unmixed f, and tries the extrapolated
@@ -392,7 +405,6 @@ def _iterate(
 
     Returns each row's results as arrays.
     """
-    _check_p(p)
     if max_iters < 1:
         raise ValueError(f"need max_iters >= 1, got {max_iters}")
     psi = np.array(states, dtype=np.complex128, ndmin=2)
@@ -408,7 +420,7 @@ def _iterate(
     r = len(psi)
 
     w, v, t, tr = _output_spectra(kraus, psi, p)
-    ascent = p > 1.0
+    ascent = p >= 1.0
     sign = 1.0 if ascent else -1.0
     # each row's results, written when it leaves the stack; a row still
     # there after max_iters ran every step
@@ -420,7 +432,7 @@ def _iterate(
     rejected = np.zeros(r, dtype=int)
     # the live stack: row j of each array below belongs to run rows[j]
     rows = np.arange(r)
-    b, bt = psi, t  # best state and its Tr Γ^p
+    b, bt = psi, t  # best state and its objective
     exact = np.zeros(r, dtype=bool)  # a power step stalled: this step is exact
     # the last step was an accepted power step from x_prev, whose (unmixed)
     # power candidate was f_prev
@@ -430,8 +442,8 @@ def _iterate(
     for it in range(1, max_iters + 1):
         if np.any(np.abs(tr) < 1e-14):
             raise ValueError("channel output has (numerically) zero trace")
-        pw = _powers(w, p - 1.0, p)
-        m = chan.apply_adjoint(ch, la._from_spectrum(pw, v))  # M = Φ̂(Γ^{p−1})
+        pw = _terms(w, p, weights=True)
+        m = chan.apply_adjoint(ch, la._from_spectrum(pw, v))  # M = Φ̂(L)
         if ascent:
             plain = _ascent_candidates(ch, m, pw, psi, p, exact)
             mix = hist & ~exact
@@ -513,6 +525,7 @@ def opt2_step(
     (the pseudo-power kernel fallback for singular outputs at p < 1).  The
     returned vector's phase is not fixed for p > 1.
     """
+    _check_p(p)
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if v.shape != (ch.d_in,):
         raise la.ShapeError(f"state has shape {v.shape}, expected ({ch.d_in},)")
@@ -585,10 +598,16 @@ def estimate_nu_p(
     it for p < 1) the report covers those restarts alone.  Otherwise the
     Haar seeds run as a second stack and the report is the one a single
     stack gives, field for field, since a restart's result depends only on
-    its index.
+    its index.  p = 1 is rejected.
     """
-    cfg = config or OptimizerConfig()
     _check_p(p)
+    return _multistart(ch, p, config or OptimizerConfig(), seeds, bound)
+
+
+def _multistart(
+    ch, p: float, cfg: OptimizerConfig, seeds=None, bound=None
+) -> OptimizerReport:
+    """:func:`estimate_nu_p` without the order check, so p = 1 too."""
     if seeds is None:
         if cfg.restarts < 1:
             raise ValueError("need at least one restart")
@@ -601,7 +620,7 @@ def estimate_nu_p(
     if bound is not None and 0 < n_structured < len(seeds):
         stages = [seeds[:n_structured], seeds[n_structured:]]
 
-    sign = 1.0 if p > 1.0 else -1.0
+    sign = 1.0 if p >= 1.0 else -1.0
     stage_runs: list[_Runs] = []
     best_t: list[float] = []
     best = 0
@@ -618,7 +637,7 @@ def estimate_nu_p(
 
     runs = _Runs(*map(np.concatenate, zip(*stage_runs)))
     states = runs.best
-    if p > 1.0:  # p < 1 candidates come with their phases fixed
+    if p >= 1.0:  # p < 1 candidates come with their phases fixed
         states = la._canonical_phases(states[..., None])[..., 0]
         # the rotation can leave ~1e-18 on the lead's imaginary part
         lead = la._first_significant(states[..., None])[..., 0]
@@ -626,7 +645,7 @@ def estimate_nu_p(
     values = tuple(t ** (1.0 / p) for t in best_t)
     return OptimizerReport(
         p=p,
-        direction="max" if p > 1.0 else "min",
+        direction="max" if p >= 1.0 else "min",
         best_value=values[best],
         best_trace_power=best_t[best],
         best_input=states[best],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cptwb import channels as chan
-from cptwb import cli, zoo
+from cptwb import cli, optimize as opt, zoo
 
 
 def run(argv, capsys):
@@ -150,6 +150,22 @@ def test_numax_closed_form(capsys):
     assert rep["monotonicity_violations"] == 0
 
 
+def test_numax_reports_extrapolation_rejections(capsys):
+    code, out, _ = run(
+        ["numax", "--family", "near_depolarizing", "--dim", "3", "--epsilon", "0.1",
+         "--p", "3", "--restarts", "12", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    rep = json.loads(out)
+    keys = list(rep)
+    assert keys.index("extrapolations_rejected") == keys.index("guard_fallbacks") + 1
+    lib = opt.estimate_nu_p(
+        zoo.near_depolarizing(3, 0.1), 3.0, opt.OptimizerConfig(**rep["config"])
+    )
+    assert rep["extrapolations_rejected"] == lib.extrapolations_rejected > 0
+
+
 def test_smin_transpose_shift_channel(capsys):
     code, out, _ = run(
         ["smin", "--family", "fss_psi", "--p", "1", "--restarts", "10",
@@ -160,7 +176,7 @@ def test_smin_transpose_shift_channel(capsys):
     rep = json.loads(out)
     want = np.log(3) - (2 / 3) * np.log(2)
     assert abs(rep["value"] - want) < 1e-6
-    assert rep["extrapolated"] is not None
+    assert rep["nu_value"] is None and "extrapolated" not in rep
 
 
 def test_smin_p0_reports_log_min_rank(capsys):

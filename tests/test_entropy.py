@@ -119,9 +119,39 @@ def test_estimate_smin_flat_family():
     for p in (0.0, 0.5, 1.0, 2.0, 5.0):
         rep = entropy.estimate_smin_p(phi, p, FAST)
         assert abs(rep.value - math.log(2)) < 1e-9, f"p={p}"
-    rep1 = entropy.estimate_smin_p(phi, 1.0, FAST)
-    assert rep1.extrapolated is not None
-    assert abs(rep1.extrapolated - math.log(2)) < 1e-3
+
+
+def test_smin_at_one_is_one_search_on_the_entropy(monkeypatch):
+    # p = 1 runs the fixed-point loop once, on Tr Gamma log Gamma itself
+    calls = []
+    real = optimize._iterate
+
+    def iterate(ch, states, p, *args):
+        calls.append(p)
+        return real(ch, states, p, *args)
+
+    monkeypatch.setattr(optimize, "_iterate", iterate)
+    ch = zoo.random_channel(3, 3, 2, seed=4)
+    rep = entropy.estimate_smin_p(ch, 1.0, FAST)
+    assert calls == [1.0]
+    assert rep.nu_value is None and not hasattr(rep, "extrapolated")
+    out = chan.apply(ch, la._outer(rep.argmin))
+    assert abs(rep.value - entropy.von_neumann(out)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_smin_at_one_reaches_pure_outputs(seed):
+    # two Kraus operators on C^4 -> C^4: some input has a pure output (the
+    # 4x4 pencil A_1 - z A_2 is singular at an eigenvalue z), so S_min = 0
+    ch = zoo.random_channel(4, 4, 2, seed=seed)
+    assert entropy.estimate_smin_p(ch, 1.0).value <= 1e-11
+
+
+def test_smin_at_one_minimizes_the_entropy_itself():
+    # the maximizer of Tr Gamma^1.01 has S = 0.3121267 here: a minimizer of
+    # a nearby Renyi entropy is not the von Neumann minimizer
+    ch = zoo.random_channel(3, 4, 3, seed=27)
+    assert entropy.estimate_smin_p(ch, 1.0).value <= 0.312122
 
 
 def test_estimate_smin_identity_is_zero():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cptwb import channels as chan
+from cptwb import entropy
 from cptwb import linalg as la
 from cptwb import optimize as opt
 from cptwb import zoo
@@ -52,6 +53,12 @@ def test_output_trace_power_is_the_reported_objective():
         opt.output_trace_power(ch, np.array([np.nan, 1.0]), 2.0)
     with pytest.raises(ValueError, match="finite order"):
         opt.output_trace_power(ch, e0, math.inf)
+    # the orders the search rejects, p <= 0, are rejected here too; p = 1 is
+    # Tr Gamma, not the Tr Gamma log Gamma the search climbs there
+    for p in (0.0, -1.0):
+        with pytest.raises(ValueError, match="finite order p > 0"):
+            opt.output_trace_power(ch, e0, p)
+    assert abs(opt.output_trace_power(ch, e0, 1.0) - 1.0) <= 1e-15
 
 
 def test_p_below_one_keeps_the_support_cutoff():
@@ -508,6 +515,24 @@ def test_rejected_runs_at_1_01_converge():
         rep = opt.estimate_nu_p(ch, 1.01, opt.OptimizerConfig(restarts=25))
         assert sum(rep.converged) == 25
         assert rep.guard_fallbacks == 0
+
+
+def test_entropy_runs_at_one_are_monotone_and_converge():
+    # p = 1 climbs Tr Gamma log Gamma = -S on the ladder of p > 1: on a small
+    # survey no step moves down, the guard rejects none, every restart
+    # converges, and each restart's value is -S of its output
+    rng = np.random.default_rng(61)
+    for trial in range(12):
+        d_in = int(rng.integers(2, 5))
+        d_out = int(rng.integers(2, 5))
+        k = int(rng.integers(-(-d_in // d_out), 5))
+        ch = zoo.random_channel(d_in, d_out, k, seed=700 + trial)
+        rep = opt._multistart(ch, 1.0, FAST)
+        assert rep.monotonicity_violations == rep.guard_fallbacks == 0, trial
+        assert all(rep.converged), trial
+        outs = chan.apply(ch, la._outer(np.array(rep.restart_states)))
+        s = np.array([entropy.von_neumann(out) for out in outs])
+        assert np.abs(np.array(rep.restart_values) + s).max() <= 1e-12, trial
 
 
 @pytest.mark.parametrize("p", [1.01, 5.0])
