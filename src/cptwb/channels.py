@@ -200,6 +200,12 @@ class ValidationReport:
 # Core maps
 # ---------------------------------------------------------------------------
 
+def _tp_residual(ch: KrausChannel) -> float:
+    """max|Σ A_k†A_k − I|, the trace-preservation residual."""
+    acc = sum(la.dagger(a) @ a for a in ch.kraus)
+    return float(np.abs(acc - np.eye(ch.d_in)).max())
+
+
 def validate_cpt(ch: KrausChannel, tol: float = 1e-10) -> ValidationReport:
     """Check trace preservation and complete positivity of a Kraus channel.
 
@@ -208,9 +214,7 @@ def validate_cpt(ch: KrausChannel, tol: float = 1e-10) -> ValidationReport:
     inputs) and that Σ A_k†A_k = I within ``tol`` (max-entry norm).
     A least eigenvalue below the PSD floor is reported, not raised.
     """
-    ident = np.eye(ch.d_in)
-    acc = sum(la.dagger(a) @ a for a in ch.kraus)
-    tp_residual = float(np.abs(acc - ident).max())
+    tp_residual = _tp_residual(ch)
     trace_preserving = tp_residual <= tol
 
     w, _ = ch.choi.spectrum
@@ -336,11 +340,16 @@ def compose(after: KrausChannel, first: KrausChannel) -> KrausChannel:
 
 
 def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    """Tensor product channel with Kraus set {A_i ⊗ B_j}."""
-    ops = tuple(la.kron(x, y) for x in a.kraus for y in b.kraus)
-    return KrausChannel(
-        d_in=a.d_in * b.d_in, d_out=a.d_out * b.d_out, kraus=ops
-    )
+    """Tensor product channel with Kraus set {A_i ⊗ B_j}, i major.
+
+    The whole set is one broadcast product of the two Kraus stacks, entry
+    for entry the ``np.kron`` of each pair.
+    """
+    d_in, d_out = a.d_in * b.d_in, a.d_out * b.d_out
+    x = np.stack(a.kraus)[:, None, :, None, :, None]  # (i, ·, r, ·, c, ·)
+    y = np.stack(b.kraus)[None, :, None, :, None, :]  # (·, j, ·, r', ·, c')
+    ops = (x * y).reshape(-1, d_out, d_in)
+    return KrausChannel(d_in=d_in, d_out=d_out, kraus=tuple(ops))
 
 
 def complement(ch: KrausChannel) -> KrausChannel:

@@ -21,6 +21,13 @@ Two constructions, plus a verifier for their common block form:
     the block grid), this splits the channel into an even mixture of two
     maps with Choi rank ≤ d_in (``szarek_split_choi``).
 
+Eigensolves: ``horn_vectors`` makes one ``eigh`` and reads its vectors.  A
+split makes one vector eigensolve, a stacked ``eigh`` of both diagonal
+blocks, whose spectra give P, D^{−1/2} and D^{1/2}; its PSD gate on A reads
+eigenvalues only (``eigvalsh``, or the cached Choi spectrum in
+``szarek_split_choi``), and A's top eigenvalue sets the floor the block
+spectra are clamped against.
+
 ``verify_ar4``
     Checks the combined block form: A (a d2×d2 grid of d1×d1 blocks,
     diagonal-block sum M) against factors X_1..X_{d2} of shape (d1·d2, d1)
@@ -147,22 +154,35 @@ def szarek_split(block, d1: int | None = None) -> Decomposition:
     # the one Hermiticity check: after it, A, its diagonal blocks and each
     # term [[A₁₁, X], [X†, A₂₂]] are exactly Hermitian
     a = la.check_hermitian(a, what="block matrix")
-    la._psd_eigh(a, "block matrix")  # PSD gate
-    return _split(a, d1)
+    # the PSD gate reads eigenvalues only; its top sets the blocks' floor
+    w = la._psd_clamp(np.linalg.eigvalsh(a), "block matrix")
+    return _split(a, d1, w[-1])
 
 
-def _split(a: np.ndarray, d1: int) -> Decomposition:
-    """:func:`szarek_split` of an exactly Hermitian PSD matrix, unchecked."""
+def _split(a: np.ndarray, d1: int, top: float) -> Decomposition:
+    """:func:`szarek_split` of an exactly Hermitian PSD matrix with largest
+    eigenvalue ``top``, unchecked.
+
+    The diagonal-block spectra are clamped against A's floor: by interlacing
+    no block eigenvalue lies below A's least one, while a block whose own top
+    is zero would have a floor of zero and reject roundoff below it.
+    """
     a12 = a[:d1, d1:]
     scale = max(float(np.abs(a).max()), 1e-300)
 
-    # one clamped spectrum and one support mask for the stack of both
-    # diagonal blocks give their support projectors and -1/2 and 1/2 powers
-    w, v = la._psd_eigh(np.stack((a[:d1, :d1], a[d1:, d1:])), "diagonal block")
+    # one eigensolve, one clamped spectrum and one support mask for both
+    # diagonal blocks give their support projectors and -1/2 and 1/2 powers,
+    # all six from one product
+    blocks = np.empty((2, d1, d1), dtype=np.complex128)
+    blocks[0], blocks[1] = a[:d1, :d1], a[d1:, d1:]
+    w, v = np.linalg.eigh(blocks)
+    w = la._psd_clamp(w, "diagonal block", top)
     support = la._support(w)
-    (p11, p22), (r11, r22), (s11, s22) = (
-        la._pseudo_power(w, v, x, support) for x in (0.0, -0.5, 0.5)
-    )
+    ws = w[support]
+    pw = np.zeros((3,) + w.shape)  # zero off the support for every exponent
+    for row, x in zip(pw, (0.0, -0.5, 0.5)):
+        row[support] = ws**x
+    (p11, p22), (r11, r22), (s11, s22) = la._from_spectrum(pw, v)
     resid = float(np.abs(p11 @ a12 @ p22 - a12).max())
     if resid > SUPPORT_TOL * scale:
         raise ValueError(
@@ -171,20 +191,22 @@ def _split(a: np.ndarray, d1: int) -> Decomposition:
         )
 
     u, s, vh = np.linalg.svd(r11 @ a12 @ r22)
-    theta = np.arccos(np.clip(s, 0.0, 1.0))  # a contraction up to roundoff
-
-    terms, factors = [], []
-    for sgn in (1.0, -1.0):
-        wm = (u * np.exp(sgn * 1j * theta)) @ vh
-        off = s11 @ wm @ s22
-        b = a.copy()
-        b[:d1, d1:] = off
-        b[d1:, :d1] = la.dagger(off)
-        x = np.empty((2 * d1, d1), dtype=np.complex128)
-        x[:d1] = s11
-        x[d1:] = s22 @ la.dagger(wm)
-        terms.append(b)
-        factors.append(x)
+    # singular values are >= 0, and W is a contraction up to roundoff
+    phase = np.exp(1j * np.arccos(np.minimum(s, 1.0)))
+    # the unitaries W_m = U·diag(e^{±iθ})·V†, both terms and both factors
+    # as stacks over m
+    wm = np.empty((2, d1, d1), dtype=np.complex128)
+    np.multiply(u, phase, out=wm[0])
+    np.multiply(u, np.conj(phase), out=wm[1])
+    wm = wm @ vh
+    off = s11 @ wm @ s22
+    terms = np.empty((2,) + a.shape, dtype=np.complex128)
+    terms[:] = a
+    terms[:, :d1, d1:] = off
+    terms[:, d1:, :d1] = np.conj(off).swapaxes(-1, -2)
+    factors = np.empty((2, 2 * d1, d1), dtype=np.complex128)
+    factors[:, :d1] = s11
+    factors[:, d1:] = s22 @ np.conj(wm).swapaxes(-1, -2)
     return Decomposition(
         terms=tuple(terms),
         weights=(0.5, 0.5),
@@ -210,8 +232,8 @@ def szarek_split_choi(choi: chan.ChoiMatrix) -> tuple[chan.ChoiMatrix, chan.Choi
     if choi.d_out != 2:
         raise la.ShapeError("szarek_split_choi needs a qubit-output channel")
     # the permuted matrix is exactly Hermitian, and the Choi spectrum is its own
-    la._psd_clamp(choi.spectrum[0].copy(), "block matrix")
-    dec = _split(_swap_legs(choi.matrix, choi.d_in, 2), choi.d_in)
+    w = la._psd_clamp(choi.spectrum[0].copy(), "block matrix")
+    dec = _split(_swap_legs(choi.matrix, choi.d_in, 2), choi.d_in, w[-1])
     halves = []
     for term in dec.terms:
         back = _swap_legs(term, 2, choi.d_in)

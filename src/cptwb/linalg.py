@@ -36,14 +36,23 @@ mapped to zero for every exponent, including negative ones.  Hermitian
 eigensolves go through private helpers, which also take stacks
 ``(..., n, n)``: ``_hermitian_part`` (the Hermiticity check and the
 symmetrization), ``_psd_clamp`` (the PSD floor and the clamp) and
-``_psd_eigh`` (``eigh`` plus ``_psd_clamp``); ``_spectrum`` chains them.  A
-symmetrized matrix is Hermitian to the last bit, and so is a matrix
-assembled from one (a principal block, [[A, X], [X†, B]], a leg
-permutation): it is not checked again.  A ``channels.ChoiMatrix`` is
-checked and symmetrized when it is built and decomposed once, on first use;
-a channel's Choi matrix, and its transfer matrix (``KrausChannel.transfer``,
-through which ``channels.apply_adjoint`` applies Φ̂), are built once, from
-read-only copies of its Kraus operators.  Choi readers clamp a copy of that
+``_psd_eigh`` (``eigh`` plus ``_psd_clamp``); ``_spectrum`` chains them.
+``_hermitian_part`` is also the one finiteness check: a matrix with a NaN or
+infinite entry raises ``ValueError`` there, before its Hermiticity is
+tested, and ``numerical_rank`` checks its input the same way.  ``eigh``
+runs where eigenvectors are read.  Three eigensolves read values only and
+take ``eigvalsh``: the PSD gate of ``decompose.szarek_split`` (clamped by
+``_psd_clamp``; its top eigenvalue is the ``top`` that sets the floor of
+the diagonal blocks), the stall confirmation in ``optimize`` and
+``channels.KrausChannel.adjoint_unit_min``.  ``psd_eigvals`` and its
+readers still take their values from ``eigh``.  A symmetrized matrix is
+Hermitian to the last bit, and so is a matrix assembled from one (a
+principal block, [[A, X], [X†, B]], a leg permutation): it is not checked
+again.  A ``channels.ChoiMatrix`` is checked and symmetrized when it is
+built and decomposed once, on first use; a channel's Choi matrix, and its
+transfer matrix (``KrausChannel.transfer``, through which
+``channels.apply_adjoint`` applies Φ̂), are built once, from read-only
+copies of its Kraus operators.  Choi readers clamp a copy of that
 spectrum; ``channels.validate_cpt`` and ``cptwb decompose`` read its least
 eigenvalue before the clamp.
 """
@@ -119,10 +128,12 @@ def _outer(psi: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
-    """Check a matrix or a stack ``(..., n, n)`` of them for Hermiticity
-    (each against its own largest entry) and return ``(a + a†) / 2``."""
+    """Check a matrix or a stack ``(..., n, n)`` of them for finiteness and
+    Hermiticity (each against its own largest entry) and return
+    ``(a + a†) / 2``."""
     ah = np.conj(a).swapaxes(-1, -2)
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    _require_finite(scale, what)
     dev = np.abs(a - ah).max(axis=(-2, -1), initial=0.0)
     bad = dev > HERM_TOL * scale  # an all-zero matrix has dev == 0: not bad
     if bad.any():
@@ -134,6 +145,12 @@ def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
     h = a + ah
     h /= 2.0
     return h
+
+
+def _require_finite(x: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless every entry of ``x`` is finite."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} has a non-finite entry")
 
 
 def check_hermitian(m, what: str = "matrix") -> np.ndarray:
@@ -170,16 +187,19 @@ def _psd_floor(top):
     return -PSD_CLAMP * np.maximum(top, 0.0)
 
 
-def _psd_clamp(w: np.ndarray, what: str) -> np.ndarray:
+def _psd_clamp(w: np.ndarray, what: str, top=None) -> np.ndarray:
     """Clamp ascending spectra ``(..., n)`` in place and return them.  An
-    eigenvalue below its spectrum's :func:`_psd_floor` raises
-    :class:`NotPSDError`; the others below zero become zero."""
+    eigenvalue below the :func:`_psd_floor` of ``top`` raises
+    :class:`NotPSDError`; the others below zero become zero.  ``top`` is each
+    spectrum's own largest eigenvalue unless given: spectra of principal
+    blocks are clamped against the floor of the whole matrix."""
     low = w[..., :1]
     if (low < 0.0).any():
-        floor = _psd_floor(w[..., -1:])
+        floor = _psd_floor(w[..., -1:] if top is None else top)
         bad = low < floor
         if bad.any():
             i = np.flatnonzero(bad)[0]
+            floor = np.broadcast_to(floor, low.shape)
             raise NotPSDError(
                 f"{what} has negative eigenvalue {low.flat[i]:.3e} "
                 f"(clamp window {floor.flat[i]:.3e})"
@@ -198,30 +218,18 @@ def _support(w: np.ndarray) -> np.ndarray:
     return w > RANK_TOL * w.max(axis=-1, keepdims=True, initial=0.0)
 
 
-def _support_power(
-    w: np.ndarray, a: float, support: np.ndarray | None = None
-) -> np.ndarray:
+def _support_power(w: np.ndarray, a: float) -> np.ndarray:
     """``w**a`` on the support of clamped spectra ``(..., n)``, zero off it
-    for every exponent, negative ones included.  A caller taking several
-    powers of one spectrum may pass its :func:`_support` mask."""
-    if support is None:
-        support = _support(w)
+    for every exponent, negative ones included."""
+    support = _support(w)
     pw = np.zeros_like(w)
     pw[support] = w[support] ** a
     return pw
 
 
-def _pseudo_power(
-    w: np.ndarray, v: np.ndarray, a: float, support: np.ndarray | None = None
-) -> np.ndarray:
-    """``V diag(w**a) V†`` on the support, for spectra from :func:`_psd_eigh`;
-    the zero weights stay in the product."""
-    return _from_spectrum(_support_power(w, a, support), v)
-
-
 def _from_spectrum(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``V diag(x) V†`` for eigenvalues ``x`` ``(..., n)`` and eigenvectors
-    ``v`` ``(..., n, n)``."""
+    ``v`` ``(..., n, n)``; ``x`` may stack several weight sets on ``v``."""
     return (v * x[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
 
 
@@ -279,7 +287,7 @@ def psd_power(m, a: float) -> np.ndarray:
     support projector.
     """
     w, v = _spectrum(as_matrix(m), psd=True, what="psd_power input")
-    return _pseudo_power(w, v, a)
+    return _from_spectrum(_support_power(w, a), v)
 
 
 def kron(a, b) -> np.ndarray:
@@ -316,7 +324,9 @@ def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
 
 def numerical_rank(m) -> int:
     """Number of singular values above ``RANK_TOL`` times the largest."""
-    s = np.linalg.svd(as_matrix(m), compute_uv=False)
+    a = as_matrix(m)
+    _require_finite(a, "numerical_rank input")
+    s = np.linalg.svd(a, compute_uv=False)
     return int(np.count_nonzero(_support(s)))
 
 

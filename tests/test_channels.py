@@ -184,6 +184,16 @@ def test_tensor_action_and_choi_rank_multiplicativity():
     assert ch.choi_rank(t) == ch.choi_rank(a) * ch.choi_rank(b)
 
 
+@pytest.mark.parametrize("dims", [((2, 2, 1), (3, 2, 3)), ((3, 2, 4), (2, 4, 2))])
+def test_tensor_kraus_set_is_the_kron_of_each_pair(dims):
+    a = zoo.random_channel(*dims[0], seed=21)
+    b = zoo.random_channel(*dims[1], seed=22)
+    t = ch.tensor(a, b)
+    want = [np.kron(x, y) for x in a.kraus for y in b.kraus]
+    assert len(t.kraus) == len(want)
+    assert all(np.array_equal(k, w) for k, w in zip(t.kraus, want))
+
+
 # ---------------------------------------------------------------------------
 # complement
 # ---------------------------------------------------------------------------

@@ -105,6 +105,19 @@ def test_kraus_file_with_bool_or_non_finite_entry_exits_2(entry, argv, tmp_path,
     assert "finite numbers" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["info"], ["numax", "--p", "3"]])
+def test_kraus_file_whose_products_overflow_exits_2(argv, tmp_path, capsys):
+    # finite entries whose products overflow: the Choi matrix and the
+    # outputs hold inf and NaN (numpy's overflow warnings are the input's)
+    kraus = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    f = tmp_path / "kraus.json"
+    f.write_text(json.dumps({"d_in": 2, "d_out": 2, "kraus": [kraus]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run([*argv, "--no-validate", "--input", str(f)], capsys)
+    assert code == 2 and out == ""
+    assert "non-finite entry" in err
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------

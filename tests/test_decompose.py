@@ -142,23 +142,27 @@ def test_szarek_split_random_blocks():
 
 
 def _count_checks_and_eigensolves(monkeypatch):
-    """Record every Hermiticity check and every ``eigh`` (by shape)."""
+    """Record every Hermiticity check and every eigensolve, in order: an
+    ``eigh`` by its shape, a values-only ``eigvalsh`` as ("eigvalsh", shape)."""
     checks, eighs = [], []
-    herm, eigh = la._hermitian_part, np.linalg.eigh
+    herm, eigh, eigvalsh = la._hermitian_part, np.linalg.eigh, np.linalg.eigvalsh
     monkeypatch.setattr(la, "_hermitian_part", lambda a, what: checks.append(what) or herm(a, what))
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: eighs.append(("eigvalsh", a.shape)) or eigvalsh(a)
+    )
     return checks, eighs
 
 
 def test_szarek_split_makes_three_eigensolves(monkeypatch):
-    # the PSD gate on A, then one stacked spectrum of both diagonal blocks;
-    # the blocks and the terms are exactly Hermitian once A is symmetrized,
-    # so nothing after the input is checked again
+    # the PSD gate on A reads eigenvalues only, then one stacked spectrum of
+    # both diagonal blocks; the blocks and the terms are exactly Hermitian
+    # once A is symmetrized, so nothing after the input is checked again
     checks, eighs = _count_checks_and_eigensolves(monkeypatch)
     a = _random_block_psd(3, np.random.default_rng(30))
     dec.szarek_split(a, d1=3)
     assert checks == ["block matrix"]
-    assert eighs == [(6, 6), (2, 3, 3)]
+    assert eighs == [("eigvalsh", (6, 6)), (2, 3, 3)]
 
 
 def test_horn_vectors_checks_once_and_decomposes_once(monkeypatch):
@@ -181,6 +185,21 @@ def test_szarek_split_flags_support_mismatch():
     )
     with pytest.raises(ValueError):
         dec.szarek_split(a, d1=2)
+
+
+def test_szarek_split_clamps_the_blocks_against_the_floor_of_a():
+    # the second diagonal block, diag(0, -4e-13), has top 0 and so a floor of
+    # its own of -0; A's floor is -PSD_CLAMP·0.5 = -5e-13, and by interlacing
+    # no block eigenvalue lies below A's least one
+    for low in (-4e-13, -8e-13):
+        for diag in ((0.5, 0.5, 0.0, low), (0.5, 0.0, 0.5, low)):
+            a = np.diag(diag)
+            if low < la._psd_floor(0.5):
+                with pytest.raises(la.NotPSDError):
+                    dec.szarek_split(a, d1=2)
+                continue
+            d = dec.szarek_split(a, d1=2)
+            assert np.abs(0.5 * (d.terms[0] + d.terms[1]) - a).max() < 1e-15
 
 
 def test_szarek_split_shape_errors():

@@ -162,3 +162,12 @@ def test_estimate_smin_identity_is_zero():
 def test_estimate_smin_rejects_negative_order():
     with pytest.raises(ValueError):
         entropy.estimate_smin_p(zoo.depolarizing(2), -1.0, FAST)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_estimate_smin_rejects_a_channel_that_is_not_trace_preserving(p):
+    # the adjoint is unital, not trace-preserving (Σ A†A − I up to 0.75):
+    # its "S_min" would be a functional of unnormalized outputs
+    phi = chan.adjoint(zoo.random_channel(2, 4, 2, seed=3))
+    with pytest.raises(ValueError, match="trace-preserving"):
+        entropy.estimate_smin_p(phi, p, FAST)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cptwb import linalg as la
+from cptwb import decompose, linalg as la
 
 
 def _random_hermitian(d, rng):
@@ -133,6 +133,28 @@ def test_non_finite_orders_are_rejected(p):
 # ---------------------------------------------------------------------------
 # tensor helpers
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        la.check_hermitian,
+        la.herm_eig,
+        la.psd_eigvals,
+        lambda m: la.psd_power(m, 0.5),
+        lambda m: la.trace_power(m, 2.0),
+        la.numerical_rank,
+        decompose.horn_vectors,
+    ],
+    ids=["check_hermitian", "herm_eig", "psd_eigvals", "psd_power", "trace_power",
+         "numerical_rank", "horn_vectors"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_matrices_are_rejected(read, bad):
+    # before any subtraction, so no RuntimeWarning fires either
+    m = np.diag([bad, 1.0]).astype(np.complex128)
+    with pytest.raises(ValueError, match="non-finite"):
+        read(m)
+
 
 def test_partial_trace_both_legs():
     rng = np.random.default_rng(5)
