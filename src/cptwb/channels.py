@@ -13,13 +13,17 @@ Conventions
   so the partial trace over the *output* leg of a CPT channel is I/d_in.
 * ``choi_to_kraus`` scales eigenvectors by sqrt(d_in · λ) to undo the 1/d_in
   normalization, and returns a minimal (rank-many) Kraus set.
-* Each object computes its Choi facts once, on first use: a channel its Choi
-  matrix (``KrausChannel.choi``), transfer matrix (``KrausChannel.transfer``,
+* A channel copies its Kraus operators once, into one read-only
+  ``(k, d_out, d_in)`` stack (``KrausChannel.kraus_stack``) whose rows are
+  ``KrausChannel.kraus``; they must be finite.
+* Each object computes its Choi facts once, on first use: a channel its
+  Choi matrix (``KrausChannel.choi``), transfer matrix (``KrausChannel.transfer``,
   which ``apply_adjoint`` reads) and λ_min(Φ̂(I))
   (``KrausChannel.adjoint_unit_min``, the shift bound of the p > 1 step in
   ``optimize``), a Choi matrix its unclamped spectrum
-  (``ChoiMatrix.spectrum``), which every Choi reader here reads.  The Kraus
-  operators are copied, must be finite and, like what is cached, are read-only.
+  (``ChoiMatrix.spectrum``), which every Choi reader here reads.  What is
+  cached is read-only.  A channel also holds ``optimize``'s bounded memo of
+  the output spectra of the seed stacks it has run from.
 * ``apply`` and ``apply_adjoint`` (the one Φ̂) act on a matrix or on each
   matrix of a stack ``(..., d, d)`` alone.
 
@@ -85,6 +89,8 @@ class KrausChannel:
 
     Construction does not enforce trace preservation — ``adjoint`` returns
     unital maps through the same type — call :func:`validate_cpt` to check.
+    The operators are copied once, into the read-only ``(k, d_out, d_in)``
+    stack ``kraus_stack``, and ``kraus`` holds its rows.
     """
 
     d_in: int
@@ -92,7 +98,7 @@ class KrausChannel:
     kraus: tuple
 
     def __post_init__(self):
-        ops = tuple(la.as_matrix(a).copy() for a in self.kraus)
+        ops = [la.as_matrix(a) for a in self.kraus]
         if not ops:
             raise ChannelValidationError("channel needs at least one Kraus operator")
         for a in ops:
@@ -100,10 +106,12 @@ class KrausChannel:
                 raise ChannelValidationError(
                     f"Kraus operator shape {a.shape} != ({self.d_out}, {self.d_in})"
                 )
-            if not np.isfinite(a).all():
-                raise ChannelValidationError("Kraus operators must be finite")
-            a.flags.writeable = False
-        object.__setattr__(self, "kraus", ops)
+        stack = np.array(ops)  # one copy; faster than np.stack for a few operators
+        if not np.isfinite(stack).all():
+            raise ChannelValidationError("Kraus operators must be finite")
+        stack.flags.writeable = False
+        object.__setattr__(self, "kraus", tuple(stack))
+        object.__setattr__(self, "kraus_stack", stack)
 
     @classmethod
     def from_kraus(cls, ops) -> "KrausChannel":
@@ -116,6 +124,12 @@ class KrausChannel:
 
     def __len__(self) -> int:
         return len(self.kraus)
+
+    @cached_property
+    def _seed_spectra(self) -> dict:
+        """``optimize``'s memo of the output spectra of the seed stacks this
+        channel has run from (see ``optimize._seed_spectra``)."""
+        return {}
 
     @cached_property
     def choi(self) -> "ChoiMatrix":
@@ -131,7 +145,7 @@ class KrausChannel:
         A_k[j,b], so vec Φ̂(X) = vec X · T with row-major vec.
         """
         k, n = len(self.kraus), self.d_out * self.d_in
-        flat = np.stack(self.kraus).reshape(k, n)  # flat[k, (i, a)] = A_k[i, a]
+        flat = self.kraus_stack.reshape(k, n)  # flat[k, (i, a)] = A_k[i, a]
         t = (np.conj(flat).T @ flat).reshape(self.d_out, self.d_in, self.d_out, self.d_in)
         t = t.transpose(0, 2, 1, 3).reshape(self.d_out**2, self.d_in**2)
         t.flags.writeable = False
@@ -142,7 +156,7 @@ class KrausChannel:
         """λ_min(Φ̂(I)), the least eigenvalue of Σ_k A_k†A_k, computed on
         first use: 1 up to roundoff for a trace-preserving map, so
         Φ̂(X) ⪰ x·λ_min(Φ̂(I))·I whenever X ⪰ x·I with x ≥ 0."""
-        ops = np.stack(self.kraus)
+        ops = self.kraus_stack
         return float(np.linalg.eigvalsh(np.einsum("kij,kil->jl", ops.conj(), ops))[0])
 
 
@@ -346,8 +360,8 @@ def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     for entry the ``np.kron`` of each pair.
     """
     d_in, d_out = a.d_in * b.d_in, a.d_out * b.d_out
-    x = np.stack(a.kraus)[:, None, :, None, :, None]  # (i, ·, r, ·, c, ·)
-    y = np.stack(b.kraus)[None, :, None, :, None, :]  # (·, j, ·, r', ·, c')
+    x = a.kraus_stack[:, None, :, None, :, None]  # (i, ·, r, ·, c, ·)
+    y = b.kraus_stack[None, :, None, :, None, :]  # (·, j, ·, r', ·, c')
     ops = (x * y).reshape(-1, d_out, d_in)
     return KrausChannel(d_in=d_in, d_out=d_out, kraus=tuple(ops))
 
@@ -361,10 +375,8 @@ def complement(ch: KrausChannel) -> KrausChannel:
     the number of Kraus operators in the *given* representation; feed a
     minimal set (``choi_to_kraus``) for the canonical complement.
     """
-    k = len(ch.kraus)
-    stacked = np.stack(ch.kraus)  # (k, d_out, d_in)
-    ops = tuple(stacked[:, i, :] for i in range(ch.d_out))  # each (k, d_in)
-    return KrausChannel(d_in=ch.d_in, d_out=k, kraus=ops)
+    ops = tuple(ch.kraus_stack[:, i, :] for i in range(ch.d_out))  # each (k, d_in)
+    return KrausChannel(d_in=ch.d_in, d_out=len(ch.kraus), kraus=ops)
 
 
 # ---------------------------------------------------------------------------

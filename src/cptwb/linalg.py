@@ -127,24 +127,36 @@ def _outer(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * np.conj(psi)[..., None, :]
 
 
+#: ½ as a 0-d array: numpy multiplies by it faster than by a Python float.
+_HALF = np.array(0.5)
+
+
 def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
     """Check a matrix or a stack ``(..., n, n)`` of them for finiteness and
     Hermiticity (each against its own largest entry) and return
-    ``(a + a†) / 2``."""
-    ah = np.conj(a).swapaxes(-1, -2)
-    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    ``a/2 + a†/2``.
+
+    Both the deviation and the sum are taken from the halves, so an entry
+    near the largest double does not overflow; halving is exact, so the
+    result and the verdict are those of ``(a + a†) / 2`` whenever the halves
+    are normal numbers.  ``a`` is complex128, halved as its real view: a
+    complex product would turn an infinite entry into NaN before the
+    finiteness check."""
+    half = (np.ascontiguousarray(a).view(np.float64) * _HALF).view(np.complex128)
+    hh = np.conj(half).swapaxes(-1, -2)
+    scale = np.abs(half).max(axis=(-2, -1), initial=0.0)
     _require_finite(scale, what)
-    dev = np.abs(a - ah).max(axis=(-2, -1), initial=0.0)
+    dev = np.abs(half - hh).max(axis=(-2, -1), initial=0.0)
     bad = dev > HERM_TOL * scale  # an all-zero matrix has dev == 0: not bad
     if bad.any():
         i = np.flatnonzero(bad)[0]
         raise NotHermitianError(
-            f"{what} is not Hermitian: max|m - m†| = "
-            f"{dev.flat[i]:.3e} > {HERM_TOL:.1e} * {scale.flat[i]:.3e}"
+            f"{what} is not Hermitian: max|m - m†|/2 = "
+            f"{dev.flat[i]:.3e} > {HERM_TOL:.1e} * max|m|/2 = "
+            f"{HERM_TOL:.1e} * {scale.flat[i]:.3e}"
         )
-    h = a + ah
-    h /= 2.0
-    return h
+    half += hh
+    return half
 
 
 def _require_finite(x: np.ndarray, what: str) -> None:

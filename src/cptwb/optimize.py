@@ -89,6 +89,19 @@ kept read-only in a small cache.  ``estimate_nu_p(..., seeds=states)`` runs
 exactly the given states as its restarts instead, so ``seeds=[ψ]`` is one
 run from ψ.
 
+The initial outputs of a seed stack do not depend on p.  Each channel keeps
+the spectra and traces of the ``_SEED_SPECTRA_MAX`` (8) stacks it has run
+from last, keyed by the stack's bytes (:func:`_seed_spectra`), and a run
+from a kept stack sums only Tr Γ^p again, exactly as the first run did.  A
+scan therefore decomposes each seed queue once per channel, and every
+report is the one a new channel gives, bit for bit.
+
+Each run ends with one status, reported per restart in
+``OptimizerReport.statuses``: ``converged`` (a step moved the objective by at
+most ``value_tol``, or a stalled p ≥ 1 power step passed the fixed-point
+test), ``guard_stall`` (the guard rejected an exact step, every p < 1
+rejection included) or ``max_iters``.  ``converged`` counts the first two.
+
 Multiplicativity
 ----------------
 ``mult_check`` compares a multistart search of A⊗B with ν̂_p(A)·ν̂_p(B),
@@ -106,6 +119,11 @@ when it beats the search by more than ``value_tol``.  A polished state is
 a real state, so its value is the same kind of bound the search reports;
 only "not violated" needs the search.  ``mult_scan`` carries the
 certificate of every violated row to the checks after it.
+
+``mult_scan`` builds A⊗B once and passes it to every check
+(``mult_check(..., tensor=...)``), so its transfer matrix, its λ_min(Φ̂(I))
+and its seed spectra are computed once per scan; A and B keep their own.
+It checks each distinct p once.
 
 The search gets the same threshold, ν̂_p(A)·ν̂_p(B)·(1 ± margin), as its
 ``bound``: its structured seeds run first, and when their best already
@@ -172,7 +190,10 @@ class OptimizerReport:
     ``guard_fallbacks`` counts the steps whose candidate the guard rejected,
     so that the state was kept and the step stalled (see ``_iterate``);
     ``extrapolations_rejected`` counts the extrapolated p ≥ 1 candidates
-    the guard turned down before the plain one was tried.
+    the guard turned down before the plain one was tried.  ``statuses``
+    says how each restart ended: ``converged``, ``guard_stall`` or
+    ``max_iters`` (see the module docstring); ``converged`` is true for the
+    first two.
     """
 
     p: float
@@ -185,6 +206,7 @@ class OptimizerReport:
     restart_states: tuple
     iterations: tuple
     converged: tuple
+    statuses: tuple
     monotonicity_violations: int
     guard_fallbacks: int
     extrapolations_rejected: int
@@ -200,7 +222,7 @@ def output_trace_power(ch: chan.KrausChannel, psi: np.ndarray, p: float) -> floa
         raise la.ShapeError(f"state has shape {v.shape}, expected ({ch.d_in},)")
     if not (p > 0.0 and math.isfinite(p) and np.isfinite(v).all()):
         raise ValueError(f"need a finite state and a finite order p > 0, got p = {p}")
-    _, _, t, tr = _output_spectra(np.stack(ch.kraus), v[None], p)
+    _, _, t, tr = _output_spectra(ch.kraus_stack, v[None], p)
     return float(tr[0].real if p == 1.0 else t[0])
 
 
@@ -221,9 +243,45 @@ def _output_spectra(kraus: np.ndarray, states: np.ndarray, p: float):
     kpsi = kpsi.reshape(-1, k, d_out)
     gamma = np.matmul(kpsi.swapaxes(-1, -2), kpsi.conj())
     w, v = la._spectrum(gamma, psd=True, what="channel output")
-    # summed largest first: the order moves the last bit of every report
-    t = np.sum(_terms(w, p)[..., ::-1], axis=-1)
-    return w, v, t, np.trace(gamma, axis1=-2, axis2=-1)
+    return w, v, _trace_powers(w, p), np.trace(gamma, axis1=-2, axis2=-1)
+
+
+def _trace_powers(w: np.ndarray, p: float) -> np.ndarray:
+    """Tr Γ^p (Tr Γ log Γ at p = 1) of clamped, ascending spectra ``(..., n)``,
+    summed largest first: the order moves the last bit of every report."""
+    return np.sum(_terms(w, p)[..., ::-1], axis=-1)
+
+
+#: Seed stacks per channel whose output spectra :func:`_seed_spectra` keeps,
+#: as many as ``_seed_queue`` keeps queues.
+_SEED_SPECTRA_MAX = 8
+
+
+def _seed_spectra(ch: chan.KrausChannel, states: np.ndarray, p: float):
+    """:func:`_output_spectra` of the seed stack ``states`` on ``ch``, from the
+    channel's memo when it has run from a stack with the same bytes before.
+
+    The memo keeps each stack's spectra and Tr Γ, which do not depend on p,
+    read-only; Tr Γ^p is summed from the spectrum by :func:`_trace_powers`,
+    as on a miss, so a hit changes no bit.  It holds the
+    ``_SEED_SPECTRA_MAX`` stacks used last.  A scan runs the same seed queues
+    at every order, so each is decomposed once per channel.
+    """
+    memo = ch._seed_spectra
+    key = states.tobytes()
+    facts = memo.pop(key, None)
+    if facts is None:
+        w, v, t, tr = _output_spectra(ch.kraus_stack, states, p)
+        facts = (w, v, tr)
+        for x in facts:
+            x.flags.writeable = False
+        if len(memo) >= _SEED_SPECTRA_MAX:
+            del memo[next(iter(memo))]  # the least recently used
+    else:
+        w, v, tr = facts
+        t = _trace_powers(w, p)
+    memo[key] = facts
+    return w, v, t, tr
 
 
 def _terms(w: np.ndarray, p: float, weights: bool = False) -> np.ndarray:
@@ -365,6 +423,7 @@ class _Runs(NamedTuple):
     best_t: np.ndarray  # its objective, Tr Γ^p (Tr Γ log Γ at p = 1)
     iterations: np.ndarray
     converged: np.ndarray
+    status: np.ndarray  # "converged", "guard_stall" or "max_iters"
     violations: np.ndarray  # monotonicity violations
     fallbacks: np.ndarray  # guard fallbacks
     rejected: np.ndarray  # extrapolated candidates the guard turned down
@@ -380,8 +439,9 @@ def _iterate(
 ) -> _Runs:
     """Run guarded fixed-point iterations from every row of ``states`` at once.
 
-    Each step decomposes the stacked outputs Γ of the candidates in one
-    ``eigh`` call; a state's output spectrum gives both its objective and
+    The initial outputs come from :func:`_seed_spectra`, decomposed once
+    per channel and stack.  Each step decomposes the stacked outputs Γ of
+    the candidates in one ``eigh`` call; a state's output spectrum gives both its objective and
     the L of M = Φ̂(L) (:func:`_terms`), and an accepted candidate's spectrum
     is reused in the next step.  M is one ``apply_adjoint`` call on the
     stack.  For p < 1 the candidate is M's least eigenvector
@@ -416,10 +476,10 @@ def _iterate(
         i = np.flatnonzero(bad)[0]
         raise ValueError(f"state {i} has norm {norms[i]}; need a finite, nonzero vector")
     psi /= norms[:, None]
-    kraus = np.stack(ch.kraus)
+    kraus = ch.kraus_stack
     r = len(psi)
 
-    w, v, t, tr = _output_spectra(kraus, psi, p)
+    w, v, t, tr = _seed_spectra(ch, psi, p)
     ascent = p >= 1.0
     sign = 1.0 if ascent else -1.0
     # each row's results, written when it leaves the stack; a row still
@@ -427,13 +487,16 @@ def _iterate(
     best, best_t, last = np.empty_like(psi), np.empty_like(t), np.empty_like(psi)
     iterations = np.full(r, max_iters)
     converged = np.zeros(r, dtype=bool)
+    status = np.full(r, "max_iters", dtype=object)
     violations = np.zeros(r, dtype=int)
     fallbacks = np.zeros(r, dtype=int)
     rejected = np.zeros(r, dtype=int)
     # the live stack: row j of each array below belongs to run rows[j]
     rows = np.arange(r)
     b, bt = psi, t  # best state and its objective
-    exact = np.zeros(r, dtype=bool)  # a power step stalled: this step is exact
+    # this step is exact: every p < 1 step, a p >= 1 one after a stalled
+    # power step
+    exact = np.full(r, not ascent)
     # the last step was an accepted power step from x_prev, whose (unmixed)
     # power candidate was f_prev
     hist = np.zeros(r, dtype=bool)
@@ -485,6 +548,9 @@ def _iterate(
         bt = np.where(gained, t_next, bt)
         b = np.where(gained[:, None], psi_next, b)
         stalled = np.abs(step) <= value_tol
+        # a run that ends here on a rejected power step passed the fixed-point
+        # test below; one that ends on a rejected exact step did not
+        guard_stall = exact & ~ok
         if ascent:
             # a stalled power step (a rejected one too) ends the run only at
             # a fixed point of the exact step; otherwise the next step is exact
@@ -498,6 +564,7 @@ def _iterate(
             best[done], best_t[done], last[done] = b[stalled], bt[stalled], psi[stalled]
             iterations[done] = it
             converged[done] = True
+            status[done] = np.where(guard_stall[stalled], "guard_stall", "converged")
             keep = ~stalled
             rows, psi, t, w, v, tr, b, bt, exact, hist, x_prev, f_prev = (
                 x[keep] for x in (rows, psi, t, w, v, tr, b, bt, exact, hist, x_prev, f_prev)
@@ -506,7 +573,9 @@ def _iterate(
                 break
 
     best[rows], best_t[rows], last[rows] = b, bt, psi
-    return _Runs(best, best_t, iterations, converged, violations, fallbacks, rejected, last)
+    return _Runs(
+        best, best_t, iterations, converged, status, violations, fallbacks, rejected, last
+    )
 
 
 def opt2_step(
@@ -654,6 +723,7 @@ def _multistart(
         restart_states=tuple(states),
         iterations=tuple(runs.iterations.tolist()),
         converged=tuple(runs.converged.tolist()),
+        statuses=tuple(runs.status.tolist()),
         monotonicity_violations=int(runs.violations.sum()),
         guard_fallbacks=int(runs.fallbacks.sum()),
         extrapolations_rejected=int(runs.rejected.sum()),
@@ -722,12 +792,25 @@ class ScanReport:
     bracket: tuple | None
 
 
+def _tensor_dim(a: chan.KrausChannel, b: chan.KrausChannel) -> int:
+    """d_in(A)·d_in(B), or ``ValueError`` above ``TENSOR_DIM_MAX``."""
+    tensor_dim = a.d_in * b.d_in
+    if tensor_dim > TENSOR_DIM_MAX:
+        raise ValueError(
+            f"tensor input dimension {tensor_dim} exceeds "
+            f"TENSOR_DIM_MAX = {TENSOR_DIM_MAX} (runtime grows sharply)"
+        )
+    return tensor_dim
+
+
 def mult_check(
     a: chan.KrausChannel,
     b: chan.KrausChannel,
     p: float,
     config: OptimizerConfig | None = None,
     certificates=(),
+    *,
+    tensor: chan.KrausChannel | None = None,
 ) -> MultReport:
     """Compare the tensor-product search against the product of singles.
 
@@ -739,14 +822,18 @@ def mult_check(
     A violation needs converged single estimates; without them neither
     shortcut is taken and ``violated`` is false.  A pair whose tensor input
     dimension exceeds ``TENSOR_DIM_MAX`` raises ``ValueError`` first.
+
+    ``tensor`` is ``channels.tensor(a, b)`` when the caller already has it
+    (``mult_scan`` passes one object to all its checks, so what the channel
+    caches serves every order); it is built here otherwise.  A channel on
+    other spaces raises ``ShapeError``.
     """
     cfg = config or OptimizerConfig()
-    tensor_dim = a.d_in * b.d_in
-    if tensor_dim > TENSOR_DIM_MAX:
-        raise ValueError(
-            f"tensor input dimension {tensor_dim} exceeds "
-            f"TENSOR_DIM_MAX = {TENSOR_DIM_MAX} (runtime grows sharply)"
-        )
+    tensor_dim = _tensor_dim(a, b)
+    if tensor is None:
+        tensor = chan.tensor(a, b)
+    elif (tensor.d_in, tensor.d_out) != (tensor_dim, a.d_out * b.d_out):
+        raise la.ShapeError("tensor is not a channel on the spaces of A⊗B")
     rep_a = estimate_nu_p(a, p, cfg)
     rep_b = rep_a if b is a else estimate_nu_p(b, p, cfg)
     product = rep_a.best_value * rep_b.best_value
@@ -759,7 +846,6 @@ def mult_check(
     def violates(value: float) -> bool:
         return bound is not None and sign * (value - bound) > 0.0
 
-    tensor = chan.tensor(a, b)
     tensor_cfg = replace(cfg, restarts=cfg.tensor_restarts)
     estimates = [rep_a] if b is a else [rep_a, rep_b]
     polished = None
@@ -814,21 +900,24 @@ def mult_scan(
     positive; bisection also stops once the bracket holds no float between
     its ends.
 
-    Points are checked in order (the grid ascending, then each midpoint),
-    and every violated row's certificate goes to the ``mult_check`` calls
-    after it (bit-identical certificates once).  A later point whose
+    Points are checked in order (the distinct grid points ascending, then
+    each midpoint), all on one A⊗B built here, and every violated row's
+    certificate goes to the ``mult_check`` calls after it (bit-identical
+    certificates once).  A later point whose
     polished certificates already certify a violation skips the tensor
     search; each row's ``decided_by`` says which way it was decided.
     """
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
-    grid = sorted(float(p) for p in p_grid)
+    grid = sorted({float(p) for p in p_grid})
     if not grid:
         raise ValueError("empty p grid")
+    _tensor_dim(a, b)
+    tensor = chan.tensor(a, b)
     certificates: list[np.ndarray] = []
 
     def check(p: float) -> MultReport:
-        r = mult_check(a, b, p, config, certificates=tuple(certificates))
+        r = mult_check(a, b, p, config, certificates=tuple(certificates), tensor=tensor)
         if r.violated and not any(np.array_equal(r.certificate, c) for c in certificates):
             certificates.append(r.certificate)
         return r

@@ -21,6 +21,14 @@ def test_kraus_channel_shape_checks():
         ch.KrausChannel(2, 2, ())
 
 
+def test_kraus_stack_is_built_once_and_read_only():
+    phi = zoo.random_channel(3, 4, 5, seed=2)
+    stack = phi.kraus_stack
+    assert stack is phi.kraus_stack
+    assert stack.shape == (5, 4, 3) and not stack.flags.writeable
+    assert stack.tobytes() == np.stack(phi.kraus).tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_kraus_channel_rejects_non_finite_operators(bad):
     # a NaN operator used to reach the optimizer, which reported

@@ -156,6 +156,23 @@ def test_non_finite_matrices_are_rejected(read, bad):
         read(m)
 
 
+def test_entries_near_the_largest_double_do_not_overflow():
+    # the check and the symmetrization work on a/2 and a†/2: no RuntimeWarning
+    assert np.array_equal(la.psd_eigvals(np.diag([1e308, 1.0])), [1e308, 1.0])
+    with pytest.raises(la.NotHermitianError):
+        la.check_hermitian([[1e308 + 1e308j, 0.0], [0.0, 1.0]])
+
+
+def test_symmetrization_is_the_half_sum_to_the_last_bit():
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 5, 9):
+        h = _random_hermitian(d, rng)
+        a = h + 1e-14 * _random_hermitian(d, rng) * 1j  # within HERM_TOL
+        for m in (a, np.asfortranarray(a), a.T.conj()):
+            got = la.check_hermitian(m)
+            assert got.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+
+
 def test_partial_trace_both_legs():
     rng = np.random.default_rng(5)
     a = _random_psd(2, rng)

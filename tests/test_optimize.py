@@ -2,6 +2,7 @@
 and the multiplicativity checks."""
 
 import dataclasses
+import functools
 import math
 import types
 
@@ -275,7 +276,9 @@ def test_opt2_step_makes_three_eigensolves(monkeypatch):
     assert len(calls) == 3
     calls.clear()
     opt.opt2_step(phi, psi, 3.0)
-    assert calls == [(1, 4, 4), (1, 4, 4)]  # outputs only (d_out = 4)
+    # outputs only (d_out = 4): the candidate's, since psi's own comes from
+    # the spectra phi kept from the p = 0.5 step
+    assert calls == [(1, 4, 4)]
 
 
 def test_each_step_applies_the_adjoint_once_to_the_stack(monkeypatch):
@@ -311,12 +314,13 @@ def test_each_step_applies_the_adjoint_once_to_the_stack(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(chan, "apply_adjoint", counted_adjoint)
     monkeypatch.setattr(opt, "_extrapolate", counted_extrapolate)
-    phi = zoo.random_channel(3, 4, 3, seed=27)
 
     def run(p):
         for shapes in (adjoint_shapes, m_shapes, out_shapes, exact_rows, events):
             shapes.clear()
-        rep = opt.estimate_nu_p(phi, p, FAST)
+        # a new channel each time: one that has run from the seed queue keeps
+        # its initial outputs' spectra
+        rep = opt.estimate_nu_p(zoo.random_channel(3, 4, 3, seed=27), p, FAST)
         assert len(adjoint_shapes) == max(rep.iterations) > 1
         assert adjoint_shapes[0] == (FAST.restarts,)
         assert events[0] == ("out", FAST.restarts)
@@ -658,7 +662,7 @@ def test_mult_scan_bisection_stops_at_float_spacing(monkeypatch):
     # below the float spacing of the bracket, a midpoint is one of its ends
     calls = []
 
-    def check(a, b, p, config=None, certificates=()):
+    def check(a, b, p, config=None, certificates=(), tensor=None):
         calls.append(p)
         if len(calls) > 200:
             raise AssertionError("bisection does not stop")
@@ -688,7 +692,7 @@ def test_mult_scan_without_violation_has_no_threshold():
 def _scan_without_certificates(cfg, monkeypatch):
     real = opt.mult_check
 
-    def fresh(a, b, p, config=None, certificates=()):
+    def fresh(a, b, p, config=None, certificates=(), tensor=None):
         return real(a, b, p, config)
 
     with monkeypatch.context() as m:
@@ -699,7 +703,7 @@ def _scan_without_certificates(cfg, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 7919])
 def test_scan_with_certificates_matches_scan_without(seed, monkeypatch):
     cfg = opt.OptimizerConfig(seed=seed)
-    carried = opt.mult_scan(WH3, WH3, (4.5, 5.0), cfg, resolution=0.01)
+    carried = _default_wh3_scan(seed)[0]
     fresh = _scan_without_certificates(cfg, monkeypatch)
     assert [r.p for r in carried.rows] == [r.p for r in fresh.rows]
     assert [r.violated for r in carried.rows] == [r.violated for r in fresh.rows]
@@ -808,6 +812,128 @@ def test_tensor_restarts_run_counts_the_queue_restarts():
     stale = opt.mult_check(WH3, WH3, 4.75, FAST, certificates=[cert])
     assert stale.decided_by == "search"
     assert stale.tensor_restarts_run == FAST.tensor_restarts
+
+
+# ---------------------------------------------------------------------------
+# what does not depend on p is computed once per scan
+# ---------------------------------------------------------------------------
+
+def _bits(x):
+    """A report's fields, nested, with arrays as bytes and floats as hex."""
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(y) for y in x)
+    if isinstance(x, dict):
+        return tuple(sorted((k, _bits(v)) for k, v in x.items()))
+    return float.hex(x) if isinstance(x, float) else x
+
+
+@functools.lru_cache(maxsize=None)
+def _default_wh3_scan(seed):
+    """A default-config WH3 scan over [4.5, 5] from a new channel, and each
+    stack of outputs it decomposed as (Kraus bytes, states bytes, rows)."""
+    stacks = []
+    real = opt._output_spectra
+
+    def counted(kraus, states, p):
+        stacks.append((kraus.tobytes(), states.tobytes(), len(states)))
+        return real(kraus, states, p)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(opt, "_output_spectra", counted)
+        wh3 = zoo.werner_holevo(3)
+        scan = opt.mult_scan(wh3, wh3, (4.5, 5.0), opt.OptimizerConfig(seed=seed))
+    return scan, stacks
+
+
+def test_a_scan_decomposes_each_seed_stack_once():
+    scan, stacks = _default_wh3_scan(0)
+    assert len(scan.rows) == 8
+    # without the memo each row decomposes the initial outputs of its
+    # singles' and its tensor's seeds again, 5 334 outputs in all
+    assert sum(n for *_, n in stacks) <= 4502
+    keys = [(kraus, states) for kraus, states, _ in stacks]
+    assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_scan_rows_do_not_depend_on_the_memo(seed, monkeypatch):
+    real = opt.mult_check
+
+    def on_copies(a, b, p, config=None, certificates=(), tensor=None):
+        # new channels, so new tensor channels too: every memo starts empty
+        assert a is b
+        c = chan.KrausChannel.from_kraus(a.kraus)
+        assert not c._seed_spectra
+        return real(c, c, p, config, certificates)
+
+    monkeypatch.setattr(opt, "mult_check", on_copies)
+    wh3 = zoo.werner_holevo(3)
+    defeated = opt.mult_scan(wh3, wh3, (4.5, 5.0), opt.OptimizerConfig(seed=seed))
+    scan = _default_wh3_scan(seed)[0]
+    assert [r.p for r in scan.rows] == [r.p for r in defeated.rows]
+    for row, other in zip(scan.rows, defeated.rows):
+        assert _bits(row) == _bits(other), row.p
+    assert _bits(scan) == _bits(defeated)
+
+
+def test_seed_spectra_memo_is_bounded_and_read_only():
+    phi = zoo.random_channel(3, 3, 2, seed=4)
+    cfg = dataclasses.replace(FAST, restarts=12, max_iters=20)  # 3 Haar seeds
+    for seed in range(20):
+        opt.estimate_nu_p(phi, 3.0, dataclasses.replace(cfg, seed=seed))
+    memo = phi._seed_spectra
+    assert len(memo) == opt._SEED_SPECTRA_MAX
+    # keyed by the normalized states' bytes: the eight used last, oldest first
+    queues = [opt._seed_queue(3, seed, 12)[0] for seed in range(12, 20)]
+    keys = [(q / np.linalg.norm(q, axis=1)[:, None]).tobytes() for q in queues]
+    assert list(memo) == keys
+    for w, v, tr in memo.values():
+        assert not (w.flags.writeable or v.flags.writeable or tr.flags.writeable)
+
+
+def test_direct_mult_check_does_not_depend_on_the_memo():
+    a = zoo.werner_holevo(3)
+    first = opt.mult_check(a, a, 4.9, FAST)  # fills a's memo
+    again = opt.mult_check(a, a, 4.9, FAST)
+    ww = chan.tensor(a, a)
+    opt.mult_check(a, a, 5.0, FAST, tensor=ww)  # fills the memo of ww
+    shared = opt.mult_check(a, a, 4.9, FAST, tensor=ww)
+    assert a._seed_spectra and ww._seed_spectra
+    assert _bits(first) == _bits(again) == _bits(shared)
+    with pytest.raises(la.ShapeError):
+        opt.mult_check(a, a, 4.9, FAST, tensor=a)
+
+
+def test_mult_scan_checks_each_distinct_order_once_on_one_tensor(monkeypatch):
+    calls = []
+
+    def check(a, b, p, config=None, certificates=(), tensor=None):
+        calls.append((p, tensor))
+        return types.SimpleNamespace(p=p, violated=False, certificate=np.array([p]))
+
+    monkeypatch.setattr(opt, "mult_check", check)
+    scan = opt.mult_scan(WH3, WH3, [2.0, 2.0, 2.5, 2.0])
+    assert [p for p, _ in calls] == [r.p for r in scan.rows] == [2.0, 2.5]
+    tensor = calls[0][1]
+    assert tensor.d_in == 9 and all(t is tensor for _, t in calls)
+
+
+def test_each_restart_reports_how_it_ended():
+    # at p = 0.5 every restart on this channel ends on a guard rejection,
+    # which counts as convergence
+    stalls = opt.estimate_nu_p(zoo.random_channel(4, 4, 3, seed=0), 0.5, FAST)
+    assert stalls.statuses == ("guard_stall",) * FAST.restarts
+    assert all(stalls.converged)
+    phi = zoo.random_channel(3, 4, 3, seed=1)
+    done = opt.estimate_nu_p(phi, 3.0, FAST)
+    assert done.statuses == ("converged",) * FAST.restarts
+    cut = opt.estimate_nu_p(phi, 3.0, dataclasses.replace(FAST, max_iters=3))
+    assert cut.statuses == ("max_iters",) * FAST.restarts
+    assert not any(cut.converged)
 
 
 # ---------------------------------------------------------------------------
