@@ -83,14 +83,15 @@ class ChannelValidationError(ValueError):
     """Channel data is structurally or numerically invalid."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A CP map given by its Kraus operators (shape checks only).
 
     Construction does not enforce trace preservation — ``adjoint`` returns
     unital maps through the same type — call :func:`validate_cpt` to check.
     The operators are copied once, into the read-only ``(k, d_out, d_in)``
-    stack ``kraus_stack``, and ``kraus`` holds its rows.
+    stack ``kraus_stack``, and ``kraus`` holds its rows.  Channels compare
+    and hash by identity, as the memos they carry are per object.
     """
 
     d_in: int
@@ -160,10 +161,11 @@ class KrausChannel:
         return float(np.linalg.eigvalsh(np.einsum("kij,kil->jl", ops.conj(), ops))[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Trace-normalized Choi matrix with legs ordered (input ⊗ output),
-    checked for Hermiticity once and stored symmetrized and read-only."""
+    checked for Hermiticity once and stored symmetrized and read-only;
+    compared and hashed by identity."""
 
     d_in: int
     d_out: int

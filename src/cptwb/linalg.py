@@ -35,17 +35,18 @@ matrices are pseudo-powers: the kernel (numerically rank-deficient part) is
 mapped to zero for every exponent, including negative ones.  Hermitian
 eigensolves go through private helpers, which also take stacks
 ``(..., n, n)``: ``_hermitian_part`` (the Hermiticity check and the
-symmetrization), ``_psd_clamp`` (the PSD floor and the clamp) and
-``_psd_eigh`` (``eigh`` plus ``_psd_clamp``); ``_spectrum`` chains them.
-``_hermitian_part`` is also the one finiteness check: a matrix with a NaN or
-infinite entry raises ``ValueError`` there, before its Hermiticity is
-tested, and ``numerical_rank`` checks its input the same way.  ``eigh``
-runs where eigenvectors are read.  Three eigensolves read values only and
-take ``eigvalsh``: the PSD gate of ``decompose.szarek_split`` (clamped by
-``_psd_clamp``; its top eigenvalue is the ``top`` that sets the floor of
-the diagonal blocks), the stall confirmation in ``optimize`` and
-``channels.KrausChannel.adjoint_unit_min``.  ``psd_eigvals`` and its
-readers still take their values from ``eigh``.  A symmetrized matrix is
+symmetrization) and ``_psd_clamp`` (the PSD floor and the clamp);
+``_spectrum`` chains them around ``eigh``.  ``_hermitian_part`` is also the
+one finiteness check: a matrix with a NaN or infinite entry raises
+``ValueError`` there, before its Hermiticity is tested, and
+``numerical_rank`` checks its input the same way.  ``eigh`` runs where
+eigenvectors are read.  Four eigensolves read values only and take
+``eigvalsh``: ``psd_eigvals`` (read by ``trace_power``, ``schatten_p`` and
+``entropy``'s von Neumann and Rényi entropies), the PSD gate of
+``decompose.szarek_split`` (its top eigenvalue is the ``top`` that sets the
+floor of the diagonal blocks), the stall confirmation in ``optimize`` and
+``channels.KrausChannel.adjoint_unit_min``; ``_psd_clamp`` clamps the first
+two.  A symmetrized matrix is
 Hermitian to the last bit, and so is a matrix assembled from one (a
 principal block, [[A, X], [X†, B]], a leg permutation): it is not checked
 again.  A ``channels.ChoiMatrix`` is checked and symmetrized when it is
@@ -179,18 +180,12 @@ def check_hermitian(m, what: str = "matrix") -> np.ndarray:
 
 def _spectrum(m, psd: bool = False, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """``(w, v)`` of a checked and symmetrized matrix or stack ``(..., n, n)``,
-    eigenvalues *ascending*; with ``psd``, clamped by :func:`_psd_eigh`."""
+    eigenvalues *ascending*; with ``psd``, clamped by :func:`_psd_clamp`."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"{what} must be square, got shape {a.shape}")
-    h = _hermitian_part(a, what)
-    return _psd_eigh(h, what) if psd else np.linalg.eigh(h)
-
-
-def _psd_eigh(h: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of an exactly Hermitian matrix or stack, unchecked, clamped."""
-    w, v = np.linalg.eigh(h)
-    return _psd_clamp(w, what), v
+    w, v = np.linalg.eigh(_hermitian_part(a, what))
+    return (_psd_clamp(w, what) if psd else w), v
 
 
 def _psd_floor(top):
@@ -286,8 +281,7 @@ def psd_eigvals(m, what: str = "matrix") -> np.ndarray:
 
     Raises :class:`NotPSDError` below the PSD floor (:func:`_psd_floor`).
     """
-    w, _ = _spectrum(as_matrix(m), psd=True, what=what)
-    return w[::-1]
+    return _psd_clamp(np.linalg.eigvalsh(check_hermitian(m, what)), what)[::-1]
 
 
 def psd_power(m, a: float) -> np.ndarray:

@@ -32,7 +32,9 @@ artificially cheap and can break the monotonicity proof.  The iteration
 therefore guards every step: a candidate is accepted only when the
 objective does not move against the iteration direction by more than
 ``value_tol``; otherwise the current state is kept (the stall registers as
-convergence).  ``opt2_step`` is one such step.
+convergence).  ``monotonicity_violations`` re-checks each kept value
+against the one before it, so it can fire only where the guard and the
+re-check round a boundary value differently.
 
 For p ≥ 1 the candidate is not M's eigenvector but a shifted power step,
 ψ' ∝ A^32 ψ with A = (M − μI)/Tr(M − μI), from five squarings of A.  The
@@ -57,37 +59,34 @@ one.
 
 Multistart
 ----------
-``estimate_nu_p`` runs the iteration from a deterministic seed queue:
-the maximally entangled state (when d_in is a perfect square > 1),
-computational basis states, coherent pairs (e_j ± i·e_k)/√2, then seeded
-Haar-random states up to the restart budget.  Each Haar restart draws
-from the stream (seed, restart_index), so its result depends only on its
-index.  The reduction keeps the best value, breaking ties within
-``value_tol`` by restart index — with the canonical seeds queued first, a
-canonical optimum is the one reported when it ties the best.
+``estimate_nu_p`` runs the iteration from a deterministic seed queue
+(:func:`_seed_queue`): the maximally entangled state (when d_in is a
+perfect square > 1), computational basis states, coherent pairs
+(e_j ± i·e_k)/√2, then seeded Haar-random states up to the restart budget,
+restart i drawing from the stream (seed, i).  The queue depends only on
+(d_in, seed, restarts); it is built once per key and kept read-only in a
+small cache.  ``estimate_nu_p(..., seeds=states)`` runs exactly the given
+states as its restarts instead, so ``seeds=[ψ]`` is one run from ψ.  The
+reduction keeps the best value, breaking ties within ``value_tol`` by
+restart index — with the canonical seeds queued first, a canonical optimum
+is the one reported when it ties the best.
 
 All restarts of one estimate advance together: the states form an
 ``(r, d_in)`` stack, each step decomposes the stacked outputs in one
 ``eigh`` call (for p < 1, the stacked M(ψ) in a second one; for p ≥ 1,
 the plain candidates' outputs of the rows whose extrapolation the guard
 rejected, and M of the rows taking an exact step), and a run leaves the
-stack when it ends.
-Each output is decomposed once; its spectrum gives both the objective and
-M, and an accepted candidate's spectrum serves the next step.
-Phases are fixed once, on the reported states: a p < 1 candidate comes with
-its phase fixed, and for p ≥ 1 ``estimate_nu_p`` applies the same
-canonical phase to each restart's best state, which leaves a seed that
-never moved bit for bit as it was.
-
-Φ̂ is ``channels.apply_adjoint`` on the stack: one ``(1, d_out²) @ T``
-product per state with the channel's cached transfer matrix
-T = Σ_k conj(A_k) ⊗ A_k, or a loop over the Kraus operators above
-``channels.TRANSFER_DIM_MAX``.  The stacked operations act matrix by
-matrix, so a restart's result still depends only on its index.  The seed
-queue depends only on (d_in, seed, restarts); it is built once per key and
-kept read-only in a small cache.  ``estimate_nu_p(..., seeds=states)`` runs
-exactly the given states as its restarts instead, so ``seeds=[ψ]`` is one
-run from ψ.
+stack when it ends.  Each output is decomposed once; its spectrum gives
+both the objective and M, and an accepted candidate's spectrum serves the
+next step.  Φ̂ is ``channels.apply_adjoint`` on the stack: one
+``(1, d_out²) @ T`` product per state with the channel's cached transfer
+matrix T = Σ_k conj(A_k) ⊗ A_k, or a loop over the Kraus operators above
+``channels.TRANSFER_DIM_MAX``.  Every stacked operation acts matrix by
+matrix, so a restart's result depends only on its seed, not on the rows
+beside it.  Phases are fixed once, on the reported states: a p < 1
+candidate comes with its phase fixed, and for p ≥ 1 ``estimate_nu_p``
+applies the same canonical phase to each restart's best state, which
+leaves a seed that never moved bit for bit as it was.
 
 The initial outputs of a seed stack do not depend on p.  Each channel keeps
 the spectra and traces of the ``_SEED_SPECTRA_MAX`` (8) stacks it has run
@@ -155,8 +154,6 @@ __all__ = [
     "MultReport",
     "ScanReport",
     "output_trace_power",
-    "opt2_step",
-    "multistart_seeds",
     "estimate_nu_p",
     "mult_check",
     "mult_scan",
@@ -188,12 +185,12 @@ class OptimizerReport:
     largest over restarts when p > 1 (a lower bound of ν_p), the smallest
     when p < 1 (an upper bound of the infimum), Tr Γ log Γ at p = 1.
     ``guard_fallbacks`` counts the steps whose candidate the guard rejected,
-    so that the state was kept and the step stalled (see ``_iterate``);
+    so that the state was kept and the step stalled;
     ``extrapolations_rejected`` counts the extrapolated p ≥ 1 candidates
     the guard turned down before the plain one was tried.  ``statuses``
     says how each restart ended: ``converged``, ``guard_stall`` or
-    ``max_iters`` (see the module docstring); ``converged`` is true for the
-    first two.
+    ``max_iters`` (see the module docstring); ``converged`` holds
+    ``status != "max_iters"`` for each.
     """
 
     p: float
@@ -224,11 +221,6 @@ def output_trace_power(ch: chan.KrausChannel, psi: np.ndarray, p: float) -> floa
         raise ValueError(f"need a finite state and a finite order p > 0, got p = {p}")
     _, _, t, tr = _output_spectra(ch.kraus_stack, v[None], p)
     return float(tr[0].real if p == 1.0 else t[0])
-
-
-def _check_p(p: float):
-    if not (p > 0.0 and math.isfinite(p)) or p == 1.0:
-        raise ValueError(f"the iteration needs a finite p > 0, p != 1; got {p}")
 
 
 def _output_spectra(kraus: np.ndarray, states: np.ndarray, p: float):
@@ -422,7 +414,6 @@ class _Runs(NamedTuple):
     best: np.ndarray  # (r, d_in) best visited state
     best_t: np.ndarray  # its objective, Tr Γ^p (Tr Γ log Γ at p = 1)
     iterations: np.ndarray
-    converged: np.ndarray
     status: np.ndarray  # "converged", "guard_stall" or "max_iters"
     violations: np.ndarray  # monotonicity violations
     fallbacks: np.ndarray  # guard fallbacks
@@ -437,33 +428,16 @@ def _iterate(
     max_iters: int,
     value_tol: float,
 ) -> _Runs:
-    """Run guarded fixed-point iterations from every row of ``states`` at once.
+    """Run the guarded iteration of the module docstring from every row of
+    ``states`` (one state or an ``(r, d_in)`` stack, normalized here) for
+    at most ``max_iters`` steps; returns each row's results as the arrays of
+    :class:`_Runs`.
 
-    The initial outputs come from :func:`_seed_spectra`, decomposed once
-    per channel and stack.  Each step decomposes the stacked outputs Γ of
-    the candidates in one ``eigh`` call; a state's output spectrum gives both its objective and
-    the L of M = Φ̂(L) (:func:`_terms`), and an accepted candidate's spectrum
-    is reused in the next step.  M is one ``apply_adjoint`` call on the
-    stack.  For p < 1 the candidate is M's least eigenvector
-    (:func:`_exact_candidates`), a second stacked ``eigh``.  For p ≥ 1 it is
-    the shifted power candidate f (:func:`_ascent_candidates`), without an
-    eigensolve of M.  A row whose last step was an accepted power step keeps
-    that step's state and its unmixed f, and tries the extrapolated
-    candidate (:func:`_extrapolate`) first; the rows whose extrapolation the
-    guard rejects fall back to f in one more stacked ``eigh`` of their
-    outputs, guarded as before.  A power step that stalls, a rejected one
-    included, ends its run only if ``eigvalsh`` of its M shows a fixed point
-    (:func:`_at_fixed_point`); otherwise the next step is the exact one.
-    Exact steps and rejections clear a row's history.  An exact step that
-    stalls ends its run, as every p < 1 stall does.
-
-    Runs leave the stack when they end, and the stack keeps only the live
-    rows.  Every stacked operation works matrix by matrix (Φ̂ too, see
-    ``channels.apply_adjoint``), so a row's result does not depend on which
-    other rows share the stack.  A zero or non-finite state, or
-    ``max_iters < 1``, raises ``ValueError`` before any eigensolve.
-
-    Returns each row's results as arrays.
+    Rows are independent: every stacked operation works matrix by matrix,
+    so a row's results do not depend on which rows share the stack.  States
+    of the wrong length raise ``ShapeError``, and a zero or non-finite state
+    or ``max_iters < 1`` raises ``ValueError``, before any eigensolve; an
+    output of (numerically) zero trace raises ``ValueError``.
     """
     if max_iters < 1:
         raise ValueError(f"need max_iters >= 1, got {max_iters}")
@@ -486,7 +460,6 @@ def _iterate(
     # there after max_iters ran every step
     best, best_t, last = np.empty_like(psi), np.empty_like(t), np.empty_like(psi)
     iterations = np.full(r, max_iters)
-    converged = np.zeros(r, dtype=bool)
     status = np.full(r, "max_iters", dtype=object)
     violations = np.zeros(r, dtype=int)
     fallbacks = np.zeros(r, dtype=int)
@@ -563,7 +536,6 @@ def _iterate(
             done = rows[stalled]
             best[done], best_t[done], last[done] = b[stalled], bt[stalled], psi[stalled]
             iterations[done] = it
-            converged[done] = True
             status[done] = np.where(guard_stall[stalled], "guard_stall", "converged")
             keep = ~stalled
             rows, psi, t, w, v, tr, b, bt, exact, hist, x_prev, f_prev = (
@@ -573,74 +545,36 @@ def _iterate(
                 break
 
     best[rows], best_t[rows], last[rows] = b, bt, psi
-    return _Runs(
-        best, best_t, iterations, converged, status, violations, fallbacks, rejected, last
-    )
-
-
-def opt2_step(
-    ch: chan.KrausChannel,
-    psi: np.ndarray,
-    p: float,
-) -> np.ndarray:
-    """One guarded fixed-point step; returns the next unit vector.
-
-    With M = Φ̂[(Φ(ψψ†))^{p−1}], the candidate is M's least eigenvector
-    for p < 1 and the shifted power candidate A^32 ψ, A ∝ M − μI, for p > 1
-    (see ``_iterate``); one step has no history, so it never extrapolates.
-    The candidate is accepted only if the objective Tr Φ(·)^p
-    does not move against the iteration direction by more than
-    ``OptimizerConfig.value_tol``; otherwise ``psi`` comes back unchanged
-    (the pseudo-power kernel fallback for singular outputs at p < 1).  The
-    returned vector's phase is not fixed for p > 1.
-    """
-    _check_p(p)
-    v = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if v.shape != (ch.d_in,):
-        raise la.ShapeError(f"state has shape {v.shape}, expected ({ch.d_in},)")
-    norm = np.linalg.norm(v)
-    if not abs(norm - 1.0) <= 1e-8:  # NaN fails this too
-        raise ValueError(f"state norm {norm:.3e} is not 1")
-    return _iterate(ch, v, p, 1, OptimizerConfig.value_tol).last[0]
-
-
-def multistart_seeds(d: int, config: OptimizerConfig) -> list[np.ndarray]:
-    """The deterministic structured seed queue (before Haar fill-in).
-
-    Order: the maximally entangled state when d = m² with m > 1,
-    computational basis states, coherent pairs (e_j ± i·e_k)/√2 for j < k.
-    Truncated to the restart budget.
-    """
-    seeds: list[np.ndarray] = []
-    m = math.isqrt(d)
-    if m * m == d and m > 1:
-        beta = np.zeros(d, dtype=np.complex128)
-        for j in range(m):
-            beta[j * m + j] = 1.0
-        seeds.append(beta / np.linalg.norm(beta))
-    eye = np.eye(d, dtype=np.complex128)
-    seeds.extend(eye[:, j] for j in range(d))
-    for j in range(d):
-        for k in range(j + 1, d):
-            for sgn in (1.0, -1.0):
-                v = np.zeros(d, dtype=np.complex128)
-                v[j] = 1.0
-                v[k] = sgn * 1j
-                seeds.append(v / np.sqrt(2.0))
-    return seeds[: config.restarts]
+    return _Runs(best, best_t, iterations, status, violations, fallbacks, rejected, last)
 
 
 @functools.lru_cache(maxsize=8)
 def _seed_queue(d: int, seed: int, restarts: int) -> tuple[np.ndarray, int]:
     """The ``(restarts, d)`` seed queue of ``estimate_nu_p``, read-only, and
-    how many of its seeds are structured."""
-    structured = multistart_seeds(d, OptimizerConfig(restarts=restarts, seed=seed))
-    haar = [
-        random_pure_state(d, rng_from(seed, i)) for i in range(len(structured), restarts)
-    ]
+    how many of its seeds are structured (see the module docstring): the
+    maximally entangled state when d = m² with m > 1, the computational
+    basis and the coherent pairs (e_j ± i·e_k)/√2, j < k, cut to
+    ``restarts``, then Haar states, seed i from the stream (seed, i)."""
+    structured = []
+    m = math.isqrt(d)
+    if m * m == d and m > 1:
+        beta = np.zeros(d, dtype=np.complex128)
+        beta[:: m + 1] = 1.0  # e_j ⊗ e_j is entry j·m + j
+        structured.append(beta / np.linalg.norm(beta))
+    structured.extend(np.eye(d, dtype=np.complex128))
+    for j in range(d):
+        for k in range(j + 1, d):
+            for sgn in (1.0, -1.0):
+                v = np.zeros(d, dtype=np.complex128)
+                v[j] = 1.0
+                v[k] = sgn * 1j  # -1.0 * 1j is -0.0 - 1j: the memo keys on its bytes
+                structured.append(v / np.sqrt(2.0))
+    structured = structured[:restarts]
+    n = len(structured)
+    haar = [random_pure_state(d, rng_from(seed, i)) for i in range(n, restarts)]
     queue = np.array(structured + haar)
     queue.flags.writeable = False
-    return queue, len(structured)
+    return queue, n
 
 
 def estimate_nu_p(
@@ -669,7 +603,8 @@ def estimate_nu_p(
     stack gives, field for field, since a restart's result depends only on
     its index.  p = 1 is rejected.
     """
-    _check_p(p)
+    if not (p > 0.0 and math.isfinite(p)) or p == 1.0:
+        raise ValueError(f"the iteration needs a finite p > 0, p != 1; got {p}")
     return _multistart(ch, p, config or OptimizerConfig(), seeds, bound)
 
 
@@ -712,6 +647,7 @@ def _multistart(
         lead = la._first_significant(states[..., None])[..., 0]
         states.imag[np.arange(len(states)), lead] = 0.0
     values = tuple(t ** (1.0 / p) for t in best_t)
+    statuses = tuple(runs.status.tolist())
     return OptimizerReport(
         p=p,
         direction="max" if p >= 1.0 else "min",
@@ -722,8 +658,8 @@ def _multistart(
         restart_values=values,
         restart_states=tuple(states),
         iterations=tuple(runs.iterations.tolist()),
-        converged=tuple(runs.converged.tolist()),
-        statuses=tuple(runs.status.tolist()),
+        converged=tuple(s != "max_iters" for s in statuses),
+        statuses=statuses,
         monotonicity_violations=int(runs.violations.sum()),
         guard_fallbacks=int(runs.fallbacks.sum()),
         extrapolations_rejected=int(runs.rejected.sum()),

@@ -29,6 +29,15 @@ def test_kraus_stack_is_built_once_and_read_only():
     assert stack.tobytes() == np.stack(phi.kraus).tobytes()
 
 
+def test_channels_and_choi_matrices_compare_and_hash_by_identity():
+    # the generated __eq__ and __hash__ would compare and hash arrays, and raise
+    a, b = zoo.werner_holevo(3), zoo.werner_holevo(3)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert a.choi == a.choi and a.choi != b.choi
+    assert len({a.choi, b.choi}) == 2
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_kraus_channel_rejects_non_finite_operators(bad):
     # a NaN operator used to reach the optimizer, which reported
