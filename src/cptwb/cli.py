@@ -6,7 +6,8 @@ Subcommands
 ``numax``        extremal output p-norm estimate (multistart fixed point)
 ``smin``         minimal output Rényi-p entropy (p = 0 at the rank proxy)
 ``multcheck``    multiplicativity check for a pair of channels at one p
-``multscan``     grid scan + bisection of the violation threshold
+``multscan``     grid scan, then the violation threshold placed from the
+                 certificate's gap curve (bisection as the fallback)
 ``decompose``    split a qubit-output channel into two Choi-rank-≤d_in halves
 ``extremality``  extremality classification, optional perturbation to extreme
 ``complement``   emit the complementary channel as channel JSON
@@ -439,6 +440,8 @@ def cmd_multscan(args) -> int:
             "rows": rows,
             "threshold": scan.threshold,
             "bracket": list(scan.bracket) if scan.bracket else None,
+            "placed_by": scan.placed_by,
+            "gap_evaluations": scan.gap_evaluations,
             "config": asdict(cfg),
             "tolerances": _tolerances(cfg, mult=True),
         }
@@ -597,7 +600,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "multscan",
         parents=[common, optflags, tensorflags],
-        help="threshold scan over Renyi orders",
+        help="threshold scan over Renyi orders: a grid, then the onset "
+        "placed from the gap curve's root, or by bisection",
     )
     _add_channel_source(p)
     _add_channel_source(p, suffix="b")
@@ -605,7 +609,10 @@ def _build_parser() -> _Parser:
         "--p-grid", required=True, metavar="START:STOP:STEP",
         help=f"stop included; at most {P_GRID_MAX} points",
     )
-    p.add_argument("--resolution", type=float, default=0.01)
+    p.add_argument(
+        "--resolution", type=float, default=0.01,
+        help="widest final bracket of the threshold (default 0.01)",
+    )
     p.set_defaults(func=cmd_multscan)
 
     p = sub.add_parser(

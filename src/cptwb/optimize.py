@@ -122,7 +122,22 @@ certificate of every violated row to the checks after it.
 ``mult_scan`` builds A⊗B once and passes it to every check
 (``mult_check(..., tensor=...)``), so its transfer matrix, its λ_min(Φ̂(I))
 and its seed spectra are computed once per scan; A and B keep their own.
-It checks each distinct p once.
+It checks each distinct p once.  When two neighbouring grid points bracket
+the violation onset, it places the threshold from the carried
+certificates' gap curve
+
+    g(p) = ±(log‖(A⊗B)(cc†)‖_p − log(ν̂_p(A)·ν̂_p(B)·(1 ± margin))),
+
+c the best of the certificates polished at p and the sign flipped for
+p < 1, so that g > 0 says what ``violated`` says.  g is smooth where one
+certificate stays best, and an evaluation costs the two single estimates,
+whose seed spectra the channels keep, and one polish: a few milliseconds,
+where each "not violated" row costs a full tensor search.  A safeguarded
+Illinois regula falsi finds g's root in the bracket, and two checks, half
+a ``resolution`` either side of it, confirm it.  When they disagree, or
+no certificate is carried, or g does not change sign, the scan bisects
+the part of the bracket still open.  Only ``mult_check`` gives verdicts:
+the evaluations of g are not rows.
 
 The search gets the same threshold, ν̂_p(A)·ν̂_p(B)·(1 ± margin), as its
 ``bound``: its structured seeds run first, and when their best already
@@ -721,11 +736,22 @@ class MultReport:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Grid + bisection multiplicativity scan over Rényi orders."""
+    """Multiplicativity scan over Rényi orders: a grid of checks, then the
+    violation onset narrowed to ``resolution`` (see :func:`mult_scan`).
+
+    ``placed_by`` says how the final bracket was reached: ``"grid"`` when
+    two grid points already bracket the onset within ``resolution``,
+    ``"gap_root"`` when the two checks beside the root of the certificates'
+    gap curve do, ``"bisection"`` otherwise; it is ``None`` without an
+    onset.  ``gap_evaluations`` counts the evaluations of the gap curve;
+    they are not rows.
+    """
 
     rows: tuple
     threshold: float | None
     bracket: tuple | None
+    placed_by: str | None
+    gap_evaluations: int
 
 
 def _tensor_dim(a: chan.KrausChannel, b: chan.KrausChannel) -> int:
@@ -737,6 +763,12 @@ def _tensor_dim(a: chan.KrausChannel, b: chan.KrausChannel) -> int:
             f"TENSOR_DIM_MAX = {TENSOR_DIM_MAX} (runtime grows sharply)"
         )
     return tensor_dim
+
+
+def _violation_bound(product: float, p: float) -> float:
+    """The tensor value that a violation must pass at order p, above it for
+    p > 1 and below it for p < 1: ν̂_p(A)·ν̂_p(B)·(1 ± ``VIOLATION_MARGIN``)."""
+    return product * (1.0 + math.copysign(VIOLATION_MARGIN, p - 1.0))
 
 
 def mult_check(
@@ -777,7 +809,7 @@ def mult_check(
     # tensor value beyond the product would not show a violation
     singles_converged = all(rep_a.converged) and all(rep_b.converged)
     sign = 1.0 if p > 1.0 else -1.0
-    bound = product * (1.0 + sign * VIOLATION_MARGIN) if singles_converged else None
+    bound = _violation_bound(product, p) if singles_converged else None
 
     def violates(value: float) -> bool:
         return bound is not None and sign * (value - bound) > 0.0
@@ -820,6 +852,65 @@ def mult_check(
     )
 
 
+#: The gap curve's root is searched until its bracket is at most this share
+#: of ``resolution`` wide, so each confirming check, half a ``resolution``
+#: from the point found, is at least a quarter ``resolution`` from g's root.
+#: On the default WH3 scan that takes three evaluations inside the bracket;
+#: a tighter tolerance moves the threshold by 4e-8 and takes three more.
+_GAP_ROOT_TOL = 0.25
+
+#: Evaluations of the gap curve inside the bracket after which the root
+#: search takes its last secant point.
+_GAP_STEPS_MAX = 14
+
+
+def _onset(rows: dict, lo: float = 0.0, hi: float = math.inf):
+    """The first pair of neighbouring orders in [lo, hi] among the checked
+    ``rows`` ({p: MultReport}) whose verdicts go from not violated to
+    violated, or ``None``.  A pair on both sides of p = 1 is no onset: the
+    verdict's direction flips there."""
+    ps = sorted(p for p in rows if lo <= p <= hi)
+    for x, y in zip(ps, ps[1:]):
+        if (x > 1.0) == (y > 1.0) and not rows[x].violated and rows[y].violated:
+            return x, y
+    return None
+
+
+def _illinois(g, a: float, b: float, tol: float, steps: int) -> float | None:
+    """A root of g in [a, b] by the Illinois variant of regula falsi (Dowell
+    and Jarratt, BIT 11 (1971) 168), or ``None`` unless g(a) ≤ 0 < g(b).
+
+    After g(a) and g(b), each step evaluates g at the secant point of the
+    bracket, or at its midpoint when roundoff puts that point outside, and
+    keeps the sign change; an end that stays twice running has its g
+    halved, so that both ends close in.  It stops once the bracket is at
+    most ``tol`` wide, or after ``steps`` steps, and returns the last secant
+    point.
+    """
+    ga, gb = g(a), g(b)
+    if not ga <= 0.0 < gb:
+        return None
+    n, side = 0, 0
+    while True:
+        x = (a * gb - b * ga) / (gb - ga)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        if b - a <= tol or n == steps:
+            return x
+        gx = g(x)
+        n += 1
+        if gx > 0.0:
+            b, gb = x, gx
+            if side == 1:
+                ga *= 0.5
+            side = 1
+        else:
+            a, ga = x, gx
+            if side == -1:
+                gb *= 0.5
+            side = -1
+
+
 def mult_scan(
     a: chan.KrausChannel,
     b: chan.KrausChannel,
@@ -827,60 +918,111 @@ def mult_scan(
     config: OptimizerConfig | None = None,
     resolution: float = 0.01,
 ) -> ScanReport:
-    """Run mult_check on a grid and bisect the first violation onset.
+    """Run mult_check on a grid and place the first violation onset.
 
-    When adjacent grid points flip from non-violated to violated, the
-    threshold is bisected to within ``resolution`` and reported as the
-    final bracket midpoint; all evaluated points (grid and bisection)
-    appear in ``rows`` sorted by p.  ``resolution`` must be finite and
-    positive; bisection also stops once the bracket holds no float between
-    its ends.
+    The onset is the first pair of neighbouring grid points, both on one
+    side of p = 1, that goes from not violated to violated.  It is narrowed
+    to a bracket at most ``resolution`` wide, and the threshold is the
+    bracket's midpoint; all evaluated points appear in ``rows`` sorted by
+    p.  ``resolution`` must be finite and positive, and every grid point
+    finite, positive and not 1; both are checked before any
+    ``mult_check``.
 
     Points are checked in order (the distinct grid points ascending, then
-    each midpoint), all on one A⊗B built here, and every violated row's
-    certificate goes to the ``mult_check`` calls after it (bit-identical
-    certificates once).  A later point whose
-    polished certificates already certify a violation skips the tensor
-    search; each row's ``decided_by`` says which way it was decided.
+    each point the placement asks for), all on one A⊗B built here, and
+    every violated row's certificate goes to the ``mult_check`` calls after
+    it (bit-identical certificates once).  A later point whose polished
+    certificates already certify a violation skips the tensor search; each
+    row's ``decided_by`` says which way it was decided.
+
+    The placement (module docstring, "Multiplicativity") finds the root of
+    the gap curve g of the carried certificates, each evaluation reusing a
+    row's product of singles where there is one, and checks the points half
+    a ``resolution`` below and above it, clipped to the bracket.  If the
+    lower is not violated and the upper is, they are the bracket
+    (``placed_by == "gap_root"``).  Otherwise, and when no certificate is
+    carried or g does not change sign, the scan bisects the first onset
+    among the rows in the grid's bracket (``"bisection"``), stopping also
+    once that bracket holds no float between its ends.
     """
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
-    grid = sorted({float(p) for p in p_grid})
-    if not grid:
+    points = [float(p) for p in p_grid]
+    if not points:
         raise ValueError("empty p grid")
+    for p in points:
+        if not (p > 0.0 and math.isfinite(p)) or p == 1.0:
+            raise ValueError(f"grid points must be finite, > 0 and != 1; got {p}")
     _tensor_dim(a, b)
+    cfg = config or OptimizerConfig()
+    tensor_cfg = replace(cfg, restarts=cfg.tensor_restarts)
     tensor = chan.tensor(a, b)
     certificates: list[np.ndarray] = []
+    rows: dict = {}
 
     def check(p: float) -> MultReport:
-        r = mult_check(a, b, p, config, certificates=tuple(certificates), tensor=tensor)
-        if r.violated and not any(np.array_equal(r.certificate, c) for c in certificates):
-            certificates.append(r.certificate)
-        return r
+        if p not in rows:
+            r = mult_check(a, b, p, config, certificates=tuple(certificates), tensor=tensor)
+            # only an input state of A⊗B can be polished
+            if (
+                r.violated
+                and np.shape(r.certificate) == (tensor.d_in,)
+                and not any(np.array_equal(r.certificate, c) for c in certificates)
+            ):
+                certificates.append(r.certificate)
+            rows[p] = r
+        return rows[p]
 
-    rows = {p: check(p) for p in grid}
+    def gap(p: float) -> float:
+        """g(p) of the module docstring, > 0 exactly where the polished
+        certificates pass the violation bound."""
+        nonlocal evaluations
+        evaluations += 1
+        if p in rows:
+            product = rows[p].product_of_singles
+        else:
+            nu_a = estimate_nu_p(a, p, cfg).best_value
+            product = nu_a * (nu_a if b is a else estimate_nu_p(b, p, cfg).best_value)
+        polished = estimate_nu_p(tensor, p, tensor_cfg, seeds=tuple(certificates))
+        bound = _violation_bound(product, p)
+        return math.copysign(1.0, p - 1.0) * (math.log(polished.best_value) - math.log(bound))
 
-    bracket = None
-    for lo, hi in zip(grid, grid[1:]):
-        if not rows[lo].violated and rows[hi].violated:
-            bracket = (lo, hi)
-            break
+    for p in sorted(set(points)):
+        check(p)
 
-    threshold = None
+    bracket, threshold, placed_by, evaluations = _onset(rows), None, None, 0
     if bracket is not None:
         lo, hi = bracket
-        while hi - lo > resolution:
-            mid = (lo + hi) / 2.0
-            if mid in (lo, hi):
-                break
-            r = check(mid)
-            rows[mid] = r
-            if r.violated:
-                hi = mid
-            else:
-                lo = mid
+        placed_by = "grid"
+        if hi - lo > resolution:
+            placed_by = "bisection"
+            root = None
+            if certificates:
+                root = _illinois(gap, lo, hi, resolution * _GAP_ROOT_TOL, _GAP_STEPS_MAX)
+            if root is not None:
+                lower = max(lo, root - resolution / 2.0)
+                upper = min(hi, root + resolution / 2.0)
+                while upper - lower > resolution:
+                    upper = math.nextafter(upper, lower)
+                if not check(lower).violated and check(upper).violated:
+                    placed_by = "gap_root"
+                lo, hi = _onset(rows, lo, hi)
+            while hi - lo > resolution:
+                mid = (lo + hi) / 2.0
+                if mid in (lo, hi):
+                    break
+                if check(mid).violated:
+                    hi = mid
+                else:
+                    lo = mid
         threshold = (lo + hi) / 2.0
         bracket = (lo, hi)
 
     ordered = tuple(rows[p] for p in sorted(rows))
-    return ScanReport(rows=ordered, threshold=threshold, bracket=bracket)
+    return ScanReport(
+        rows=ordered,
+        threshold=threshold,
+        bracket=bracket,
+        placed_by=placed_by,
+        gap_evaluations=evaluations,
+    )

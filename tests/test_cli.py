@@ -298,14 +298,17 @@ def test_multscan_non_positive_resolution_exits_2(capsys):
 
 
 def test_multscan_rows_record_how_each_verdict_was_reached(capsys):
-    code, out, _ = run(
-        ["multscan", "--family", "werner_holevo", "--dim", "3",
-         "--p-grid", "4.5:5.0:0.5", "--restarts", "8", "--tensor-restarts", "12",
-         "--resolution", "0.1", "--format", "json"],
-        capsys,
-    )
+    argv = ["multscan", "--family", "werner_holevo", "--dim", "3",
+            "--p-grid", "4.5:5.0:0.5", "--restarts", "8", "--tensor-restarts", "12",
+            "--resolution", "0.1", "--format", "json"]
+    code, out, _ = run(argv, capsys)
     assert code == 0
-    rows = json.loads(out)["rows"]
+    assert run(argv, capsys)[1] == out
+    rep = json.loads(out)
+    # the threshold sits between the checks beside the gap curve's root
+    assert rep["placed_by"] == "gap_root" and rep["gap_evaluations"] >= 3
+    assert len(rep["rows"]) == 4
+    rows = rep["rows"]
     decided = {r["p"]: r["decided_by"] for r in rows}
     assert decided[4.5] == decided[5.0] == "search"  # no certificate yet
     assert set(decided.values()) == {"search", "certificate"}

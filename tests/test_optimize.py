@@ -9,6 +9,7 @@ import types
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from cptwb import channels as chan
 from cptwb import entropy
@@ -645,6 +646,18 @@ def test_mult_check_enforces_tensor_dim_cap(monkeypatch):
         opt.mult_check(wh17, wh17, 5.0, FAST)
 
 
+def _wh3_onset():
+    """The order above which β beats every product input of WH3⊗WH3, to 50
+    digits.  (W⊗W)(ββ†) has spectrum {1/3, 1/12 (8 times)} and a product
+    input gives at most (1/2, 1/2, 0)⊗(1/2, 1/2, 0), so β wins exactly when
+    3^{−p} + 8·12^{−p} > 4^{1−p}."""
+    with mp.workdps(50):
+        return mp.findroot(lambda p: 3**-p + 8 * 12**-p - 4 ** (1 - p), 4.78)
+
+
+P_STAR = float(_wh3_onset())
+
+
 def test_mult_scan_finds_wh3_threshold_coarsely():
     cfg = opt.OptimizerConfig(restarts=8, max_iters=300, seed=0, tensor_restarts=12)
     scan = opt.mult_scan(
@@ -686,6 +699,70 @@ def test_mult_scan_bisection_stops_at_float_spacing(monkeypatch):
     lo, hi = scan.bracket
     assert np.nextafter(lo, hi) == hi
     assert len(calls) < 2 + 64
+    # no certificate is a state of A⊗B, so there is no gap curve to follow
+    assert (scan.placed_by, scan.gap_evaluations) == ("bisection", 0)
+    # a grid bracket within the resolution is the bracket
+    calls.clear()
+    scan = opt.mult_scan(phi, phi, [4.785, 4.79, 4.795])
+    assert calls == [4.785, 4.79, 4.795]
+    assert scan.bracket == (4.79, 4.795)
+    assert (scan.placed_by, scan.gap_evaluations) == ("grid", 0)
+
+
+@pytest.mark.parametrize(
+    "grid", [[4.5, float("inf")], [float("nan"), 5.0], [0.0, 5.0], [-2.0, 5.0], [0.5, 1.0]]
+)
+def test_mult_scan_rejects_bad_grid_points_before_any_check(grid, monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("mult_check reached")
+
+    monkeypatch.setattr(opt, "mult_check", no_check)
+    with pytest.raises(ValueError, match="grid points"):
+        opt.mult_scan(WH3, WH3, grid)
+
+
+def _verdicts_flip_at(onset, calls):
+    """A mult_check double: the real check, recorded in ``calls``, with
+    violated = p > onset."""
+    real = opt.mult_check
+
+    def check(a, b, p, config=None, certificates=(), tensor=None):
+        calls.append(p)
+        r = real(a, b, p, config, certificates, tensor=tensor)
+        return dataclasses.replace(r, violated=p > onset)
+
+    return check
+
+
+def test_mult_scan_takes_no_onset_across_p_1(monkeypatch):
+    # the verdict's direction flips at p = 1, so (0.5, 1.5) brackets nothing,
+    # and nothing is checked at p = 1
+    calls = []
+    monkeypatch.setattr(opt, "mult_check", _verdicts_flip_at(0.9, calls))
+    scan = opt.mult_scan(WH3, WH3, (0.5, 1.5), FAST)
+    assert calls == [0.5, 1.5]
+    assert scan.bracket is scan.threshold is scan.placed_by is None
+    assert scan.gap_evaluations == 0
+
+
+@pytest.mark.parametrize("onset", [4.7, 4.79])
+def test_a_disagreeing_confirmation_falls_back_to_bisection(onset, monkeypatch):
+    # the double's verdicts flip at `onset`, away from the root of the real
+    # gap curve (4.7823): at 4.7 the check below the root is violated, at
+    # 4.79 the one above it is not
+    calls = []
+    monkeypatch.setattr(opt, "mult_check", _verdicts_flip_at(onset, calls))
+    scan = opt.mult_scan(WH3, WH3, (4.5, 5.0), FAST, resolution=0.01)
+    assert abs(calls[2] - (P_STAR - 0.005)) < 1e-4  # the lower confirmation
+    assert scan.placed_by == "bisection" and scan.gap_evaluations >= 3
+    lo, hi = scan.bracket
+    assert lo < onset < hi and hi - lo <= 0.01
+    # the bracket is a pair of neighbouring rows, not violated then violated
+    ps = [r.p for r in scan.rows]
+    i = ps.index(lo)
+    assert ps[i + 1] == hi
+    assert not scan.rows[i].violated and scan.rows[i + 1].violated
+    assert len(set(calls)) == len(calls) == len(scan.rows)
 
 
 def test_mult_scan_without_violation_has_no_threshold():
@@ -717,14 +794,18 @@ def test_scan_with_certificates_matches_scan_without(seed, monkeypatch):
     cfg = opt.OptimizerConfig(seed=seed)
     carried = _default_wh3_scan(seed)[0]
     fresh = _scan_without_certificates(cfg, monkeypatch)
+    # each fresh row is a plain mult_check at its p; the fresh scan still
+    # follows the gap curve of the certificates its rows return, so both
+    # scans check the same orders
     assert [r.p for r in carried.rows] == [r.p for r in fresh.rows]
     assert [r.violated for r in carried.rows] == [r.violated for r in fresh.rows]
     assert carried.threshold == fresh.threshold
     assert carried.bracket == fresh.bracket
     assert abs(carried.threshold - 4.79) <= 0.02
     assert all(r.decided_by == "search" for r in fresh.rows)
-    decided = [r.decided_by for r in carried.rows]
-    assert decided.count("certificate") >= 3
+    # the grid's ends, then the checks below and above the gap curve's root
+    assert carried.placed_by == fresh.placed_by == "gap_root"
+    assert [r.decided_by for r in carried.rows] == ["search", "search", "certificate", "search"]
     assert all(r.monotonicity_violations == 0 for r in carried.rows)
     _assert_same_fields(carried.rows[-1], fresh.rows[-1], opt.MultReport)  # p = 5
     ww = chan.tensor(WH3, WH3)
@@ -863,12 +944,27 @@ def _default_wh3_scan(seed):
 
 def test_a_scan_decomposes_each_seed_stack_once():
     scan, stacks = _default_wh3_scan(0)
-    assert len(scan.rows) == 8
-    # without the memo each row decomposes the initial outputs of its
-    # singles' and its tensor's seeds again, 5 334 outputs in all
-    assert sum(n for *_, n in stacks) <= 4502
+    assert len(scan.rows) == 4
+    # without the memo each row and each evaluation of the gap curve
+    # decomposes the initial outputs of its seeds again, 3 787 outputs in all
+    assert sum(n for *_, n in stacks) <= 3199
     keys = [(kraus, states) for kraus, states, _ in stacks]
     assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_default_wh3_scan_brackets_the_closed_form_onset(seed):
+    with mp.workdps(50):
+        assert mp.nstr(_wh3_onset(), 18) == "4.78231124020691732"
+    scan = _default_wh3_scan(seed)[0]
+    lo, hi = scan.bracket
+    assert lo < P_STAR < hi
+    assert hi - lo <= 0.01
+    assert scan.placed_by == "gap_root"
+    cfg = opt.OptimizerConfig(seed=seed)
+    for row in scan.rows:
+        assert row.violated == opt.mult_check(WH3, WH3, row.p, cfg).violated, row.p
+        assert row.monotonicity_violations == 0
 
 
 @pytest.mark.parametrize("seed", [0, 7919])
