@@ -17,13 +17,10 @@ Conventions
   ``(k, d_out, d_in)`` stack (``KrausChannel.kraus_stack``) whose rows are
   ``KrausChannel.kraus``; they must be finite.
 * Each object computes its Choi facts once, on first use: a channel its
-  Choi matrix (``KrausChannel.choi``), transfer matrix (``KrausChannel.transfer``,
-  which ``apply_adjoint`` reads) and λ_min(Φ̂(I))
-  (``KrausChannel.adjoint_unit_min``, the shift bound of the p > 1 step in
-  ``optimize``), a Choi matrix its unclamped spectrum
-  (``ChoiMatrix.spectrum``), which every Choi reader here reads.  What is
-  cached is read-only.  A channel also holds ``optimize``'s bounded memo of
-  the output spectra of the seed stacks it has run from.
+  Choi matrix (``KrausChannel.choi``) and transfer matrix
+  (``KrausChannel.transfer``, which ``apply_adjoint`` reads), a Choi matrix
+  its unclamped spectrum (``ChoiMatrix.spectrum``), which every Choi reader
+  here reads.  What is cached is read-only.
 * ``apply`` and ``apply_adjoint`` (the one Φ̂) act on a matrix or on each
   matrix of a stack ``(..., d, d)`` alone.
 
@@ -91,7 +88,7 @@ class KrausChannel:
     unital maps through the same type — call :func:`validate_cpt` to check.
     The operators are copied once, into the read-only ``(k, d_out, d_in)``
     stack ``kraus_stack``, and ``kraus`` holds its rows.  Channels compare
-    and hash by identity, as the memos they carry are per object.
+    and hash by identity, as what they cache is per object.
     """
 
     d_in: int
@@ -127,12 +124,6 @@ class KrausChannel:
         return len(self.kraus)
 
     @cached_property
-    def _seed_spectra(self) -> dict:
-        """``optimize``'s memo of the output spectra of the seed stacks this
-        channel has run from (see ``optimize._seed_spectra``)."""
-        return {}
-
-    @cached_property
     def choi(self) -> "ChoiMatrix":
         """The Choi matrix (:func:`kraus_to_choi`), built on first use."""
         return kraus_to_choi(self)
@@ -151,14 +142,6 @@ class KrausChannel:
         t = t.transpose(0, 2, 1, 3).reshape(self.d_out**2, self.d_in**2)
         t.flags.writeable = False
         return t
-
-    @cached_property
-    def adjoint_unit_min(self) -> float:
-        """λ_min(Φ̂(I)), the least eigenvalue of Σ_k A_k†A_k, computed on
-        first use: 1 up to roundoff for a trace-preserving map, so
-        Φ̂(X) ⪰ x·λ_min(Φ̂(I))·I whenever X ⪰ x·I with x ≥ 0."""
-        ops = self.kraus_stack
-        return float(np.linalg.eigvalsh(np.einsum("kij,kil->jl", ops.conj(), ops))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -548,7 +531,7 @@ def channel_to_json(ch: KrausChannel) -> dict:
     }
 
 
-def channel_from_json(data: dict, validate: bool = True, tol: float = 1e-10) -> KrausChannel:
+def channel_from_json(data: dict, validate: bool = True) -> KrausChannel:
     """Load a channel from its JSON dict, validating CPT unless told not to."""
     if not isinstance(data, dict):
         raise ChannelValidationError("channel JSON must be an object")
@@ -566,7 +549,7 @@ def channel_from_json(data: dict, validate: bool = True, tol: float = 1e-10) -> 
         raise ChannelValidationError(f"bad Kraus matrix encoding: {exc}") from exc
     ch = KrausChannel(d_in=d_in, d_out=d_out, kraus=ops)
     if validate:
-        report = validate_cpt(ch, tol=tol)
+        report = validate_cpt(ch)
         if not report.ok:
             raise ChannelValidationError(
                 "channel failed CPT validation: " + "; ".join(report.messages)

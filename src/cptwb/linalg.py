@@ -21,9 +21,9 @@ apply everywhere and cannot be set per call:
 * ``HERM_TOL`` (1e-12): a matrix is Hermitian when ``max|m - m†|`` is at
   most ``HERM_TOL`` times its largest entry.
 
-Thresholds that stay parameters: ``tol`` of ``channels.validate_cpt`` and
-``channels.channel_from_json`` (1e-10 on Σ A_k†A_k − I), because the tests
-and demo 05 validate decomposition halves at 1e-8; ``tol`` of
+Thresholds that stay parameters: ``tol`` of ``channels.validate_cpt``
+(1e-10 on Σ A_k†A_k − I), because the tests and demo 05 validate
+decomposition halves at 1e-8; ``tol`` of
 ``decompose.verify_ar4`` and ``channels.verify_degrading``, the residual
 bound each verifier checks; and ``optimize.OptimizerConfig.value_tol``,
 an *absolute* 1e-12 on trace powers that the CLI prints with its config.
@@ -40,13 +40,12 @@ symmetrization) and ``_psd_clamp`` (the PSD floor and the clamp);
 one finiteness check: a matrix with a NaN or infinite entry raises
 ``ValueError`` there, before its Hermiticity is tested, and
 ``numerical_rank`` checks its input the same way.  ``eigh`` runs where
-eigenvectors are read.  Four eigensolves read values only and take
+eigenvectors are read.  Three eigensolves read values only and take
 ``eigvalsh``: ``psd_eigvals`` (read by ``trace_power``, ``schatten_p`` and
 ``entropy``'s von Neumann and Rényi entropies), the PSD gate of
 ``decompose.szarek_split`` (its top eigenvalue is the ``top`` that sets the
-floor of the diagonal blocks), the stall confirmation in ``optimize`` and
-``channels.KrausChannel.adjoint_unit_min``; ``_psd_clamp`` clamps the first
-two.  A symmetrized matrix is
+floor of the diagonal blocks) and the stall confirmation in ``optimize``;
+``_psd_clamp`` clamps the first two.  A symmetrized matrix is
 Hermitian to the last bit, and so is a matrix assembled from one (a
 principal block, [[A, X], [X†, B]], a leg permutation): it is not checked
 again.  A ``channels.ChoiMatrix`` is checked and symmetrized when it is

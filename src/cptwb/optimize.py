@@ -38,18 +38,18 @@ re-check round a boundary value differently.
 
 For p ≥ 1 the candidate is not M's eigenvector but a shifted power step,
 ψ' ∝ A^32 ψ with A = (M − μI)/Tr(M − μI), from five squarings of A.  The
-shift μ is a lower bound of M's spectrum (the larger of
-λ_min(Γ^{p−1})·λ_min(Φ̂(I)) and Gershgorin's), so A is PSD,
-⟨ψ'|M|ψ'⟩ ≥ ⟨ψ|M|ψ⟩, and Tr Φ(ρ)^p, which is convex, cannot fall: the step
-is monotone for the same reason as the exact one.  Near p = 1, M ≈ c·I,
-and without the shift the powers would barely move ψ.  The power map
-converges linearly, so a step tries a ladder of two candidates.  The first
-is the Anderson (secant) extrapolation of depth 1, y ∝ f_n − γ(f_n − f_{n−1})
-with f = A^32 x the power candidate of the state x and γ the least-squares
-coefficient of the residuals f − x (Walker and Ni, SIAM J. Numer. Anal. 49
-(2011) 1715).  y is not provably monotone, so the guard may reject it; the
-second rung, the plain f_n, is then decomposed and guarded on those rows
-alone, and ``extrapolations_rejected`` counts them.  A run extrapolates only
+shift μ is a lower bound of M's spectrum (Gershgorin's, floored at 0: M is
+PSD), so A is PSD, ⟨ψ'|M|ψ'⟩ ≥ ⟨ψ|M|ψ⟩, and Tr Φ(ρ)^p, which is convex,
+cannot fall: the step is monotone for the same reason as the exact one.
+Near p = 1, M ≈ c·I, and without the shift the powers would barely move ψ.
+The power map converges linearly, so a step tries a ladder of two
+candidates.  The first is the Anderson (secant) extrapolation of depth 1,
+y ∝ f_n − γ(f_n − f_{n−1}) with f = A^32 x the power candidate of the
+state x and γ the least-squares coefficient of the residuals f − x (Walker
+and Ni, SIAM J. Numer. Anal. 49 (2011) 1715).  y is not provably
+monotone, so the guard may reject it; the second rung, the plain f_n, is
+then decomposed and guarded on those rows alone, and
+``extrapolations_rejected`` counts them.  A run extrapolates only
 from two consecutive accepted power steps: its first step is plain, and an
 exact step or a guard rejection clears its history.  The exact eigenvector
 step confirms a stall: a power step that stalls, or that the guard
@@ -88,12 +88,14 @@ candidate comes with its phase fixed, and for p ≥ 1 ``estimate_nu_p``
 applies the same canonical phase to each restart's best state, which
 leaves a seed that never moved bit for bit as it was.
 
-The initial outputs of a seed stack do not depend on p.  Each channel keeps
-the spectra and traces of the ``_SEED_SPECTRA_MAX`` (8) stacks it has run
-from last, keyed by the stack's bytes (:func:`_seed_spectra`), and a run
-from a kept stack sums only Tr Γ^p again, exactly as the first run did.  A
-scan therefore decomposes each seed queue once per channel, and every
-report is the one a new channel gives, bit for bit.
+The initial outputs of a seed stack do not depend on p.  For each channel
+the module keeps the spectra and traces of the ``_SEED_SPECTRA_MAX`` (8)
+stacks it has run from last, keyed by the stack's bytes
+(:func:`_seed_spectra`), in a store that holds its channels weakly, so a
+channel's memo dies with it.  A run from a kept stack sums only Tr Γ^p
+again, exactly as the first run did.  A scan therefore decomposes each seed
+queue once per channel, and every report is the one a new channel gives,
+bit for bit.
 
 Each run ends with one status, reported per restart in
 ``OptimizerReport.statuses``: ``converged`` (a step moved the objective by at
@@ -120,24 +122,32 @@ only "not violated" needs the search.  ``mult_scan`` carries the
 certificate of every violated row to the checks after it.
 
 ``mult_scan`` builds A⊗B once and passes it to every check
-(``mult_check(..., tensor=...)``), so its transfer matrix, its λ_min(Φ̂(I))
-and its seed spectra are computed once per scan; A and B keep their own.
-It checks each distinct p once.  When two neighbouring grid points bracket
-the violation onset, it places the threshold from the carried
-certificates' gap curve
+(``mult_check(..., tensor=...)``), so its transfer matrix and its seed
+spectra are computed once per scan; A and B keep their own.  It checks
+each distinct grid point once, in ascending order.  The onset is the first
+pair of neighbouring checked points, both on one side of p = 1 (where the
+verdict's direction flips), that goes from not violated to violated; when
+the grid's pair is at most ``resolution`` apart it is the bracket
+(``placed_by == "grid"``).  Otherwise the scan places the threshold from
+the carried certificates' gap curve
 
     g(p) = ±(log‖(A⊗B)(cc†)‖_p − log(ν̂_p(A)·ν̂_p(B)·(1 ± margin))),
 
 c the best of the certificates polished at p and the sign flipped for
 p < 1, so that g > 0 says what ``violated`` says.  g is smooth where one
 certificate stays best, and an evaluation costs the two single estimates,
-whose seed spectra the channels keep, and one polish: a few milliseconds,
-where each "not violated" row costs a full tensor search.  A safeguarded
-Illinois regula falsi finds g's root in the bracket, and two checks, half
-a ``resolution`` either side of it, confirm it.  When they disagree, or
-no certificate is carried, or g does not change sign, the scan bisects
-the part of the bracket still open.  Only ``mult_check`` gives verdicts:
-the evaluations of g are not rows.
+whose seed spectra are kept, and one polish: a few milliseconds, where
+each "not violated" row costs a full tensor search; at a checked point g
+reuses the row's product of singles.  A safeguarded Illinois regula falsi
+(:func:`_illinois`) finds g's root in the bracket, and two checks, half a
+``resolution`` below and above it and clipped to the bracket, confirm it:
+if the lower is not violated and the upper is, they are the bracket
+(``"gap_root"``).  When they disagree, or no certificate is carried, or g
+does not change sign, the scan bisects the first onset among its rows
+inside the grid's bracket (``"bisection"``), until the bracket is at most
+``resolution`` wide or holds no float between its ends.  The threshold is
+the bracket's midpoint.  Only ``mult_check`` gives verdicts: the
+evaluations of g are not rows.
 
 The search gets the same threshold, ν̂_p(A)·ν̂_p(B)·(1 ± margin), as its
 ``bound``: its structured seeds run first, and when their best already
@@ -154,6 +164,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
@@ -263,10 +274,15 @@ def _trace_powers(w: np.ndarray, p: float) -> np.ndarray:
 #: as many as ``_seed_queue`` keeps queues.
 _SEED_SPECTRA_MAX = 8
 
+#: Each channel's memo of :func:`_seed_spectra`, {stack bytes: facts} from
+#: the least to the most recently used; it dies with its channel.
+_SEED_SPECTRA = weakref.WeakKeyDictionary()
+
 
 def _seed_spectra(ch: chan.KrausChannel, states: np.ndarray, p: float):
     """:func:`_output_spectra` of the seed stack ``states`` on ``ch``, from the
-    channel's memo when it has run from a stack with the same bytes before.
+    channel's memo in ``_SEED_SPECTRA`` when it has run from a stack with the
+    same bytes before.
 
     The memo keeps each stack's spectra and Tr Γ, which do not depend on p,
     read-only; Tr Γ^p is summed from the spectrum by :func:`_trace_powers`,
@@ -274,7 +290,7 @@ def _seed_spectra(ch: chan.KrausChannel, states: np.ndarray, p: float):
     ``_SEED_SPECTRA_MAX`` stacks used last.  A scan runs the same seed queues
     at every order, so each is decomposed once per channel.
     """
-    memo = ch._seed_spectra
+    memo = _SEED_SPECTRA.setdefault(ch, {})
     key = states.tobytes()
     facts = memo.pop(key, None)
     if facts is None:
@@ -373,33 +389,24 @@ def _extrapolate(
 
 
 def _ascent_candidates(
-    ch: chan.KrausChannel,
-    m: np.ndarray,
-    pw: np.ndarray,
-    states: np.ndarray,
-    p: float,
-    exact: np.ndarray,
+    m: np.ndarray, states: np.ndarray, p: float, exact: np.ndarray
 ) -> np.ndarray:
-    """Each state's p ≥ 1 candidate, from its M = Φ̂(L) and the ascending,
-    nonnegative weights ``pw`` of L (:func:`_terms`).
+    """Each state's p ≥ 1 candidate, from its M = Φ̂(L) (:func:`_terms`).
 
     The power candidate of :func:`_power_candidates` takes the PSD M − μI,
-    with μ the larger of two lower bounds of λ_min(M):
-    λ_min(L)·λ_min(Φ̂(I)), since L ⪰ λ_min(L)·I, and
-    Gershgorin's min_i (M_ii − Σ_{j≠i} |M_ij|).  The shift matters near
-    p = 1, where M ≈ c·I and powers of M itself barely move ψ; the
-    Gershgorin bound matters for channels close to the depolarizing one,
-    whose Φ̂ lifts λ_min(M) far above the first bound: at p = 3 the slowest
-    of 10 restarts on ``near_depolarizing`` (d = 3, ε = 1e-3) took 474
-    steps with the first bound alone, and 18 with both, as with the exact
-    step.  Rows flagged in ``exact`` take the exact step of their M (not of
-    M − μI, whose entries can be too small for the Hermiticity check).
+    with μ = max(0, min_i (M_ii − Σ_{j≠i} |M_ij|)): Gershgorin's lower bound
+    of λ_min(M), floored at 0, which bounds it too since L ⪰ 0 makes M
+    PSD.  A negative bound would only damp the step.  The shift matters
+    near p = 1, where M ≈ c·I and powers of M itself barely move ψ, and for
+    channels close to the depolarizing one, whose Φ̂ lifts λ_min(M): at
+    p = 3 the slowest of 10 restarts on ``near_depolarizing`` (d = 3,
+    ε = 1e-3) takes 15 steps, and 186 with the shift λ_min(L)·λ_min(Φ̂(I))
+    instead.  Rows flagged in ``exact`` take the exact step of their M (not
+    of M − μI, whose entries can be too small for the Hermiticity check).
     """
     diag = np.arange(m.shape[-1])
     dm = m[:, diag, diag].real
-    gershgorin = (2.0 * dm - np.abs(m).sum(axis=-1)).min(axis=-1)
-    # pw ascends with w, so pw[:, 0] is its least
-    mu = np.maximum(pw[:, 0] * ch.adjoint_unit_min, gershgorin)
+    mu = np.maximum((2.0 * dm - np.abs(m).sum(axis=-1)).min(axis=-1), 0.0)
     shifted = m.copy()
     shifted[:, diag, diag] -= mu[:, None]
     cand = _power_candidates(shifted, states)
@@ -493,10 +500,9 @@ def _iterate(
     for it in range(1, max_iters + 1):
         if np.any(np.abs(tr) < 1e-14):
             raise ValueError("channel output has (numerically) zero trace")
-        pw = _terms(w, p, weights=True)
-        m = chan.apply_adjoint(ch, la._from_spectrum(pw, v))  # M = Φ̂(L)
+        m = chan.apply_adjoint(ch, la._from_spectrum(_terms(w, p, weights=True), v))
         if ascent:
-            plain = _ascent_candidates(ch, m, pw, psi, p, exact)
+            plain = _ascent_candidates(m, psi, p, exact)
             mix = hist & ~exact
             cand = plain
             if mix.any():
@@ -736,15 +742,15 @@ class MultReport:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Multiplicativity scan over Rényi orders: a grid of checks, then the
-    violation onset narrowed to ``resolution`` (see :func:`mult_scan`).
+    """Multiplicativity scan over Rényi orders (:func:`mult_scan`): the
+    checked ``rows``, and the violation onset's ``bracket`` and its midpoint
+    ``threshold``, both ``None`` without an onset.
 
-    ``placed_by`` says how the final bracket was reached: ``"grid"`` when
-    two grid points already bracket the onset within ``resolution``,
-    ``"gap_root"`` when the two checks beside the root of the certificates'
-    gap curve do, ``"bisection"`` otherwise; it is ``None`` without an
-    onset.  ``gap_evaluations`` counts the evaluations of the gap curve;
-    they are not rows.
+    ``placed_by`` says how the bracket was reached, ``"grid"``,
+    ``"gap_root"`` or ``"bisection"`` (module docstring,
+    "Multiplicativity"), and is ``None`` without an onset;
+    ``gap_evaluations`` counts the evaluations of the gap curve, which are
+    not rows.
     """
 
     rows: tuple
@@ -920,10 +926,10 @@ def mult_scan(
 ) -> ScanReport:
     """Run mult_check on a grid and place the first violation onset.
 
-    The onset is the first pair of neighbouring grid points, both on one
-    side of p = 1, that goes from not violated to violated.  It is narrowed
-    to a bracket at most ``resolution`` wide, and the threshold is the
-    bracket's midpoint; all evaluated points appear in ``rows`` sorted by
+    The onset is narrowed to a bracket at most ``resolution`` wide (or as
+    narrow as floats allow), and the threshold is the bracket's midpoint;
+    how it is found and placed is in the module docstring,
+    "Multiplicativity".  Every checked point appears in ``rows``, sorted by
     p.  ``resolution`` must be finite and positive, and every grid point
     finite, positive and not 1; both are checked before any
     ``mult_check``.
@@ -934,16 +940,6 @@ def mult_scan(
     it (bit-identical certificates once).  A later point whose polished
     certificates already certify a violation skips the tensor search; each
     row's ``decided_by`` says which way it was decided.
-
-    The placement (module docstring, "Multiplicativity") finds the root of
-    the gap curve g of the carried certificates, each evaluation reusing a
-    row's product of singles where there is one, and checks the points half
-    a ``resolution`` below and above it, clipped to the bracket.  If the
-    lower is not violated and the upper is, they are the bracket
-    (``placed_by == "gap_root"``).  Otherwise, and when no certificate is
-    carried or g does not change sign, the scan bisects the first onset
-    among the rows in the grid's bracket (``"bisection"``), stopping also
-    once that bracket holds no float between its ends.
     """
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")

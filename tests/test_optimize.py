@@ -3,6 +3,7 @@ and the multiplicativity checks."""
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import math
 import types
@@ -506,7 +507,8 @@ def _certificate_cases():
     for ch in REJECTING_AT_1_01:
         yield ch, 1.01, opt.OptimizerConfig(restarts=25)
     unital = chan.adjoint(zoo.random_channel(2, 4, 2, seed=3))  # not trace-preserving
-    assert 0.0 < unital.adjoint_unit_min < 0.9
+    ops = unital.kraus_stack
+    assert 0.0 < np.linalg.eigvalsh(np.einsum("kij,kil->jl", ops.conj(), ops))[0] < 0.9
     for p in (1.5, 3.0):
         yield unital, p, FAST
 
@@ -561,6 +563,61 @@ def test_power_step_keeps_the_state_when_m_is_a_multiple_of_the_identity(p):
         rep = opt.estimate_nu_p(zoo.depolarizing(d), p, FAST)
     assert rep.iterations == (1,) * FAST.restarts and all(rep.converged)
     assert abs(rep.best_value - d ** ((1.0 - p) / p)) < 1e-12
+
+
+def test_floored_shift_bounds_m_and_the_power_step_climbs(monkeypatch):
+    # mu = max(0, Gershgorin's bound) is below lambda_min(M), since M = Phi-hat(L)
+    # with L >= 0 is PSD: on the stacks M of real p >= 1 runs (p = 1 log weights
+    # and a map that is not trace-preserving among them), M - mu*I has no
+    # eigenvalue below the PSD floor and no power candidate lowers <psi|M|psi>
+    calls = []
+    real_ascent, real_power = opt._ascent_candidates, opt._power_candidates
+
+    def ascent(m, states, p, exact):
+        calls.append([m])
+        return real_ascent(m, states, p, exact)
+
+    def power(shifted, states):
+        cand = real_power(shifted, states)
+        calls[-1] += [shifted, states, cand]
+        return cand
+
+    monkeypatch.setattr(opt, "_ascent_candidates", ascent)
+    monkeypatch.setattr(opt, "_power_candidates", power)
+    unital = chan.adjoint(zoo.random_channel(2, 4, 2, seed=3))  # not trace-preserving
+    cases = [(unital, 1.5), (unital, 3.0)]
+    for seed in (90, 91):
+        ch = zoo.random_channel(3, 3, 2, seed=seed)
+        cases += [(ch, p) for p in (1.0, 1.01, 5.0)]
+    floored = shifted_up = 0
+    for ch, p in cases:
+        calls.clear()
+        opt._multistart(ch, p, FAST)
+        assert calls, (ch.d_in, p)
+        for m, shifted, states, cand in calls:
+            diag = np.arange(m.shape[-1])
+            bound = (2.0 * m[:, diag, diag].real - np.abs(m).sum(axis=-1)).min(axis=-1)
+            negative = bound < 0.0
+            # the floor acts: M is passed on unshifted
+            assert np.array_equal(shifted[negative], m[negative])
+            floored += int(negative.sum())
+            shifted_up += int((~negative).sum())
+            top = np.linalg.eigvalsh(m)[:, -1]
+            assert (np.linalg.eigvalsh(shifted)[:, 0] >= la._psd_floor(top)).all(), p
+            before = np.einsum("ri,rij,rj->r", states.conj(), m, states).real
+            after = np.einsum("ri,rij,rj->r", cand.conj(), m, cand).real
+            assert (after - before >= -1e-14 * top).all(), p
+    assert floored > 0 and shifted_up > 0
+
+
+def test_seed_spectra_memo_dies_with_its_channel():
+    ch = zoo.random_channel(2, 2, 2, seed=5)
+    opt.estimate_nu_p(ch, 3.0, FAST)
+    held = len(opt._SEED_SPECTRA)
+    assert opt._SEED_SPECTRA[ch]
+    del ch
+    gc.collect()
+    assert len(opt._SEED_SPECTRA) == held - 1
 
 
 @pytest.mark.parametrize("epsilon", [1e-3, 1e-5])
@@ -975,7 +1032,7 @@ def test_scan_rows_do_not_depend_on_the_memo(seed, monkeypatch):
         # new channels, so new tensor channels too: every memo starts empty
         assert a is b
         c = chan.KrausChannel.from_kraus(a.kraus)
-        assert not c._seed_spectra
+        assert c not in opt._SEED_SPECTRA
         return real(c, c, p, config, certificates)
 
     monkeypatch.setattr(opt, "mult_check", on_copies)
@@ -993,7 +1050,7 @@ def test_seed_spectra_memo_is_bounded_and_read_only():
     cfg = dataclasses.replace(FAST, restarts=12, max_iters=20)  # 3 Haar seeds
     for seed in range(20):
         opt.estimate_nu_p(phi, 3.0, dataclasses.replace(cfg, seed=seed))
-    memo = phi._seed_spectra
+    memo = opt._SEED_SPECTRA[phi]
     assert len(memo) == opt._SEED_SPECTRA_MAX
     # keyed by the normalized states' bytes: the eight used last, oldest first
     queues = [opt._seed_queue(3, seed, 12)[0] for seed in range(12, 20)]
@@ -1010,7 +1067,7 @@ def test_direct_mult_check_does_not_depend_on_the_memo():
     ww = chan.tensor(a, a)
     opt.mult_check(a, a, 5.0, FAST, tensor=ww)  # fills the memo of ww
     shared = opt.mult_check(a, a, 4.9, FAST, tensor=ww)
-    assert a._seed_spectra and ww._seed_spectra
+    assert opt._SEED_SPECTRA[a] and opt._SEED_SPECTRA[ww]
     assert _bits(first) == _bits(again) == _bits(shared)
     with pytest.raises(la.ShapeError):
         opt.mult_check(a, a, 4.9, FAST, tensor=a)

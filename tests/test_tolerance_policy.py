@@ -11,6 +11,7 @@ from cptwb import channels as chan
 from cptwb import decompose as dec
 from cptwb import entropy
 from cptwb import linalg as la
+from cptwb import optimize as opt
 from cptwb import zoo
 
 
@@ -75,12 +76,12 @@ REMOVED = {
 }
 
 #: The verifiers whose ``tol`` stays a parameter (see the linalg docstring).
-TOL_ALLOWED = {"validate_cpt", "channel_from_json", "verify_ar4", "verify_degrading"}
+TOL_ALLOWED = {"validate_cpt", "verify_ar4", "verify_degrading"}
 
 
 def test_no_public_function_takes_a_cutoff_override():
     offenders = []
-    for mod in (la, chan, dec, entropy, zoo):
+    for mod in (la, chan, dec, entropy, opt, zoo):
         for name, fn in vars(mod).items():
             if name.startswith("_") or not inspect.isfunction(fn):
                 continue
