@@ -324,6 +324,8 @@ def cmd_numax(args) -> int:
             "n_restarts": cfg.restarts,
             "n_structured_seeds": rep.n_structured_seeds,
             "all_converged": bool(all(rep.converged)),
+            # all_converged counts guard stalls too; this says how runs ended
+            "statuses": {s: rep.statuses.count(s) for s in opt.STATUSES},
             "max_iterations": int(max(rep.iterations)),
             "monotonicity_violations": rep.monotonicity_violations,
             "guard_fallbacks": rep.guard_fallbacks,
@@ -442,7 +444,7 @@ def cmd_multscan(args) -> int:
             "bracket": list(scan.bracket) if scan.bracket else None,
             "placed_by": scan.placed_by,
             "gap_evaluations": scan.gap_evaluations,
-            "config": asdict(cfg),
+            "config": dict(vars(cfg)),
             "tolerances": _tolerances(cfg, mult=True),
         }
     )

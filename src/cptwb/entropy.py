@@ -11,7 +11,7 @@ search of :mod:`cptwb.optimize`, at p = 1 on its von Neumann objective.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +132,7 @@ def estimate_smin_p(
             value=math.log(rank),
             argmin=state,
             nu_value=None,
-            config=asdict(cfg),
+            config=dict(vars(cfg)),
         )
 
     report = opt._multistart(ch, p, cfg)
@@ -142,5 +142,5 @@ def estimate_smin_p(
         value=-t if p == 1.0 else math.log(t) / (1.0 - p),
         argmin=report.best_input,
         nu_value=None if p == 1.0 else report.best_value,
-        config=asdict(cfg),
+        config=dict(vars(cfg)),
     )

@@ -51,11 +51,16 @@ monotone, so the guard may reject it; the second rung, the plain f_n, is
 then decomposed and guarded on those rows alone, and
 ``extrapolations_rejected`` counts them.  A run extrapolates only
 from two consecutive accepted power steps: its first step is plain, and an
-exact step or a guard rejection clears its history.  The exact eigenvector
-step confirms a stall: a power step that stalls, or that the guard
-rejects, ends the run only when p·(λ_max(M) − ⟨ψ|M|ψ⟩) ≤ ``value_tol``
-(from ``eigvalsh``, no eigenvectors); otherwise the next step is the exact
-one.
+exact step or a guard rejection clears its history.
+
+A p ≥ 1 run ends at a fixed-point test, before its step.  By convexity
+the plain step gains at least p·(⟨f|M|f⟩ − ⟨ψ|M|ψ⟩) in Tr Γ^p, f the power
+candidate; a row where that bound is at most ``value_tol`` is tested on
+the M it already has, and ends when p·(λ_max(M) − ⟨ψ|M|ψ⟩) ≤ ``value_tol``
+(from ``eigvalsh``, no eigenvectors), before any candidate output is
+decomposed.  A row that fails the test takes the exact eigenvector step in
+the same pass, and so does a row whose plain candidate the guard rejects,
+so that no run repeats a rejected step.
 
 Multistart
 ----------
@@ -74,9 +79,9 @@ is the one reported when it ties the best.
 All restarts of one estimate advance together: the states form an
 ``(r, d_in)`` stack, each step decomposes the stacked outputs in one
 ``eigh`` call (for p < 1, the stacked M(ψ) in a second one; for p ≥ 1,
-the plain candidates' outputs of the rows whose extrapolation the guard
-rejected, and M of the rows taking an exact step), and a run leaves the
-stack when it ends.  Each output is decomposed once; its spectrum gives
+M of the rows taking an exact step, and the outputs of the rows whose
+candidate the guard rejected, at their next candidate), and a run leaves
+the stack when it ends.  Each output is decomposed once; its spectrum gives
 both the objective and M, and an accepted candidate's spectrum serves the
 next step.  Φ̂ is ``channels.apply_adjoint`` on the stack: one
 ``(1, d_out²) @ T`` product per state with the channel's cached transfer
@@ -98,10 +103,12 @@ queue once per channel, and every report is the one a new channel gives,
 bit for bit.
 
 Each run ends with one status, reported per restart in
-``OptimizerReport.statuses``: ``converged`` (a step moved the objective by at
-most ``value_tol``, or a stalled p ≥ 1 power step passed the fixed-point
-test), ``guard_stall`` (the guard rejected an exact step, every p < 1
-rejection included) or ``max_iters``.  ``converged`` counts the first two.
+``OptimizerReport.statuses``: ``converged`` (a p ≥ 1 run passed the
+fixed-point test at its end state; a p < 1 step moved the objective by at
+most ``value_tol``), ``guard_stall`` (the guard rejected an exact step,
+every p < 1 rejection included) or ``max_iters``.  ``converged`` counts
+the first two.  ``iterations`` counts passes: each builds M once, and the
+last pass of a converged p ≥ 1 run builds M and tests it, but takes no step.
 
 Multiplicativity
 ----------------
@@ -165,7 +172,7 @@ from __future__ import annotations
 import functools
 import math
 import weakref
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -203,6 +210,10 @@ class OptimizerConfig:
     tensor_restarts: int = 200
 
 
+#: How a restart can end, in the order reports tally them (module docstring).
+STATUSES = ("converged", "guard_stall", "max_iters")
+
+
 @dataclass(frozen=True)
 class OptimizerReport:
     """Multistart outcome for one channel and one Rényi order.
@@ -210,13 +221,16 @@ class OptimizerReport:
     ``best_value`` is the output p-norm at the best state found: the
     largest over restarts when p > 1 (a lower bound of ν_p), the smallest
     when p < 1 (an upper bound of the infimum), Tr Γ log Γ at p = 1.
-    ``guard_fallbacks`` counts the steps whose candidate the guard rejected,
-    so that the state was kept and the step stalled;
-    ``extrapolations_rejected`` counts the extrapolated p ≥ 1 candidates
-    the guard turned down before the plain one was tried.  ``statuses``
-    says how each restart ended: ``converged``, ``guard_stall`` or
-    ``max_iters`` (see the module docstring); ``converged`` holds
-    ``status != "max_iters"`` for each.
+    ``iterations`` counts each restart's passes, its last pass included.
+    ``guard_fallbacks`` counts the plain and exact candidates the guard
+    rejected: a rejected plain candidate sends its row to the exact step in
+    the same pass, and a rejected exact one keeps the state and ends the
+    run.  ``extrapolations_rejected`` counts the extrapolated p ≥ 1
+    candidates the guard turned down before the plain one was tried.
+    ``statuses`` says how each restart ended, one of ``STATUSES``:
+    ``converged`` (for p ≥ 1: at a state that passed the fixed-point test),
+    ``guard_stall`` or ``max_iters`` (see the module docstring);
+    ``converged`` holds ``status != "max_iters"`` for each.
     """
 
     p: float
@@ -388,46 +402,45 @@ def _extrapolate(
     return np.where(fine[:, None], y / np.where(fine, norms, 1.0)[:, None], f)
 
 
-def _ascent_candidates(
-    m: np.ndarray, states: np.ndarray, p: float, exact: np.ndarray
-) -> np.ndarray:
-    """Each state's p ≥ 1 candidate, from its M = Φ̂(L) (:func:`_terms`).
+def _ascent_candidates(m: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Each state's p ≥ 1 power candidate, from its M = Φ̂(L) (:func:`_terms`).
 
-    The power candidate of :func:`_power_candidates` takes the PSD M − μI,
-    with μ = max(0, min_i (M_ii − Σ_{j≠i} |M_ij|)): Gershgorin's lower bound
-    of λ_min(M), floored at 0, which bounds it too since L ⪰ 0 makes M
-    PSD.  A negative bound would only damp the step.  The shift matters
-    near p = 1, where M ≈ c·I and powers of M itself barely move ψ, and for
-    channels close to the depolarizing one, whose Φ̂ lifts λ_min(M): at
-    p = 3 the slowest of 10 restarts on ``near_depolarizing`` (d = 3,
-    ε = 1e-3) takes 15 steps, and 186 with the shift λ_min(L)·λ_min(Φ̂(I))
-    instead.  Rows flagged in ``exact`` take the exact step of their M (not
-    of M − μI, whose entries can be too small for the Hermiticity check).
+    :func:`_power_candidates` takes the PSD M − μI, with
+    μ = max(0, min_i (M_ii − Σ_{j≠i} |M_ij|)): Gershgorin's lower bound of
+    λ_min(M), floored at 0, which bounds it too since L ⪰ 0 makes M PSD.  A
+    negative bound would only damp the step.  The shift matters near p = 1,
+    where M ≈ c·I and powers of M itself barely move ψ, and for channels
+    close to the depolarizing one, whose Φ̂ lifts λ_min(M): at p = 3 the
+    slowest of 10 restarts on ``near_depolarizing`` (d = 3, ε = 1e-3) takes
+    15 steps, and 186 with the shift λ_min(L)·λ_min(Φ̂(I)) instead.  The
+    exact step takes M itself (:func:`_exact_candidates`), not M − μI, whose
+    entries can be too small for the Hermiticity check.
     """
     diag = np.arange(m.shape[-1])
     dm = m[:, diag, diag].real
     mu = np.maximum((2.0 * dm - np.abs(m).sum(axis=-1)).min(axis=-1), 0.0)
     shifted = m.copy()
     shifted[:, diag, diag] -= mu[:, None]
-    cand = _power_candidates(shifted, states)
-    if exact.any():
-        cand[exact] = _exact_candidates(m[exact], p)
-    return cand
+    return _power_candidates(shifted, states)
+
+
+def _expect(m: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """⟨ψ|M|ψ⟩ for each row ψ of ``states`` and its M in the stack ``m``."""
+    return np.einsum("ri,rij,rj->r", states.conj(), m, states).real
 
 
 def _at_fixed_point(
     m: np.ndarray, states: np.ndarray, p: float, value_tol: float
 ) -> np.ndarray:
-    """Whether each state ψ is its M's top eigenvector within the stall rule,
-    p·(λ_max(M) − ⟨ψ|M|ψ⟩) ≤ ``value_tol``, from ``eigvalsh`` of the stack
-    ``m``.
+    """Whether each state ψ passes the fixed-point test that ends a p ≥ 1
+    run, p·(λ_max(M) − ⟨ψ|M|ψ⟩) ≤ ``value_tol``, from ``eigvalsh`` of the
+    stack ``m``.
 
     By convexity the exact step gains at least p·(λ_max − ⟨ψ|M|ψ⟩) in
-    Tr Γ^p, so past this bound it would not stall.
+    Tr Γ^p, so a state that fails the test is not a fixed point within
+    ``value_tol``, and :func:`_iterate` sends it to the exact step.
     """
-    top = np.linalg.eigvalsh(m)[:, -1]
-    at = np.einsum("ri,rij,rj->r", states.conj(), m, states).real
-    return p * (top - at) <= value_tol
+    return p * (np.linalg.eigvalsh(m)[:, -1] - _expect(m, states)) <= value_tol
 
 
 class _Runs(NamedTuple):
@@ -436,7 +449,7 @@ class _Runs(NamedTuple):
     best: np.ndarray  # (r, d_in) best visited state
     best_t: np.ndarray  # its objective, Tr Γ^p (Tr Γ log Γ at p = 1)
     iterations: np.ndarray
-    status: np.ndarray  # "converged", "guard_stall" or "max_iters"
+    status: np.ndarray  # one of STATUSES
     violations: np.ndarray  # monotonicity violations
     fallbacks: np.ndarray  # guard fallbacks
     rejected: np.ndarray  # extrapolated candidates the guard turned down
@@ -479,52 +492,80 @@ def _iterate(
     ascent = p >= 1.0
     sign = 1.0 if ascent else -1.0
     # each row's results, written when it leaves the stack; a row still
-    # there after max_iters ran every step
+    # there after max_iters ran every pass
     best, best_t, last = np.empty_like(psi), np.empty_like(t), np.empty_like(psi)
     iterations = np.full(r, max_iters)
     status = np.full(r, "max_iters", dtype=object)
-    violations = np.zeros(r, dtype=int)
-    fallbacks = np.zeros(r, dtype=int)
-    rejected = np.zeros(r, dtype=int)
+    violations, fallbacks, rejected = np.zeros((3, r), dtype=int)
     # the live stack: row j of each array below belongs to run rows[j]
     rows = np.arange(r)
     b, bt = psi, t  # best state and its objective
-    # this step is exact: every p < 1 step, a p >= 1 one after a stalled
-    # power step
-    exact = np.full(r, not ascent)
     # the last step was an accepted power step from x_prev, whose (unmixed)
     # power candidate was f_prev
     hist = np.zeros(r, dtype=bool)
     x_prev = f_prev = psi
+
+    def leave(stop, how, *extra):
+        """End the runs of the rows flagged in ``stop`` at pass ``it`` with
+        the status ``how``: keep their results, and cut them from the stack
+        and from ``extra``."""
+        nonlocal rows, psi, t, w, v, tr, b, bt, hist, x_prev, f_prev
+        done = rows[stop]
+        best[done], best_t[done], last[done] = b[stop], bt[stop], psi[stop]
+        iterations[done], status[done] = it, how
+        rows, psi, t, w, v, tr, b, bt, hist, x_prev, f_prev, *extra = (
+            x[~stop] for x in (rows, psi, t, w, v, tr, b, bt, hist, x_prev, f_prev, *extra)
+        )
+        return extra
+
+    def retry(sel, c, count):
+        """Count the rejected candidates of the p ≥ 1 rows ``sel`` in
+        ``count``, then decompose those rows again at their next candidates
+        ``c``, and guard them."""
+        count[rows[sel]] += 1
+        cand[sel] = c
+        wc[sel], vc[sel], tc[sel], trc[sel] = _output_spectra(kraus, c, p)
+        ok[sel] = tc[sel] >= t[sel] - value_tol
 
     for it in range(1, max_iters + 1):
         if np.any(np.abs(tr) < 1e-14):
             raise ValueError("channel output has (numerically) zero trace")
         m = chan.apply_adjoint(ch, la._from_spectrum(_terms(w, p, weights=True), v))
         if ascent:
-            plain = _ascent_candidates(m, psi, p, exact)
+            plain = _ascent_candidates(m, psi)
+            # the plain step gains at least p·(⟨f|M|f⟩ − ⟨ψ|M|ψ⟩) in Tr Γ^p: a
+            # row where that is at most value_tol ends here if it passes the
+            # fixed-point test, before any output is decomposed, and takes
+            # the exact step if it fails
+            exact = p * (_expect(m, plain) - _expect(m, psi)) <= value_tol
+            if exact.any():
+                fixed = exact.copy()
+                fixed[exact] = _at_fixed_point(m[exact], psi[exact], p, value_tol)
+                if fixed.any():
+                    m, plain, exact = leave(fixed, "converged", m, plain, exact & ~fixed)
+                    if not rows.size:
+                        break
             mix = hist & ~exact
-            cand = plain
+            cand = plain.copy()
             if mix.any():
-                cand = plain.copy()
                 cand[mix] = _extrapolate(psi[mix], plain[mix], x_prev[mix], f_prev[mix])
+            if exact.any():
+                cand[exact] = _exact_candidates(m[exact], p)
         else:
             cand = _exact_candidates(m, p)
         wc, vc, tc, trc = _output_spectra(kraus, cand, p)
         ok = tc >= t - value_tol if ascent else tc <= t + value_tol
         if ascent:
-            # an extrapolated candidate the guard rejects falls back to the
-            # plain one, decomposed and guarded in its own stack
-            retry = mix & ~ok
-            if retry.any():
-                rejected[rows[retry]] += 1
-                cand[retry] = plain[retry]
-                wc[retry], vc[retry], tc[retry], trc[retry] = _output_spectra(
-                    kraus, plain[retry], p
-                )
-                ok[retry] = tc[retry] >= t[retry] - value_tol
-            hist = ok & ~exact
-            x_prev, f_prev = psi, plain
+            # a rejected candidate falls to the next rung in its own stack: an
+            # extrapolated one to the plain one, a plain one to the exact
+            # step, so that no run repeats a rejected step
+            fall = mix & ~ok
+            if fall.any():
+                retry(fall, plain[fall], rejected)
+            hist, x_prev, f_prev = ok & ~exact, psi, plain
+            fall = ~(ok | exact)
+            if fall.any():
+                retry(fall, _exact_candidates(m[fall], p), fallbacks)
         if ok.all():
             t_next, psi_next, w, v, tr = tc, cand, wc, vc, trc
         else:
@@ -541,27 +582,13 @@ def _iterate(
         gained = sign * (t_next - bt) > 0.0
         bt = np.where(gained, t_next, bt)
         b = np.where(gained[:, None], psi_next, b)
-        stalled = np.abs(step) <= value_tol
-        # a run that ends here on a rejected power step passed the fixed-point
-        # test below; one that ends on a rejected exact step did not
-        guard_stall = exact & ~ok
-        if ascent:
-            # a stalled power step (a rejected one too) ends the run only at
-            # a fixed point of the exact step; otherwise the next step is exact
-            exact = stalled & ~exact
-            if exact.any():
-                exact[exact] = ~_at_fixed_point(m[exact], psi[exact], p, value_tol)
-                stalled &= ~exact
         psi, t = psi_next, t_next
-        if stalled.any():
-            done = rows[stalled]
-            best[done], best_t[done], last[done] = b[stalled], bt[stalled], psi[stalled]
-            iterations[done] = it
-            status[done] = np.where(guard_stall[stalled], "guard_stall", "converged")
-            keep = ~stalled
-            rows, psi, t, w, v, tr, b, bt, exact, hist, x_prev, f_prev = (
-                x[keep] for x in (rows, psi, t, w, v, tr, b, bt, exact, hist, x_prev, f_prev)
-            )
+        # a rejected exact step ends the run; a p < 1 run also ends on a step
+        # that moves the objective by at most value_tol, a p ≥ 1 run only at
+        # the fixed-point test
+        stop = ~ok if ascent else np.abs(step) <= value_tol
+        if stop.any():
+            leave(stop, np.where(ok[stop], "converged", "guard_stall"))
             if not rows.size:
                 break
 
@@ -686,7 +713,7 @@ def _multistart(
         extrapolations_rejected=int(runs.rejected.sum()),
         seed=cfg.seed,
         n_structured_seeds=n_structured,
-        config=asdict(cfg),
+        config=dict(vars(cfg)),
     )
 
 
@@ -854,7 +881,7 @@ def mult_check(
         tensor_dim=tensor_dim,
         seed=cfg.seed,
         monotonicity_violations=sum(r.monotonicity_violations for r in estimates),
-        config=asdict(cfg),
+        config=dict(vars(cfg)),
     )
 
 

@@ -179,6 +179,35 @@ def test_numax_reports_extrapolation_rejections(capsys):
     assert rep["extrapolations_rejected"] == lib.extrapolations_rejected > 0
 
 
+@pytest.mark.parametrize(
+    "p, max_iters, tally",
+    [
+        # every run ends on a guard rejection, which all_converged counts
+        ("0.5", "500", {"converged": 0, "guard_stall": 12, "max_iters": 0}),
+        ("3", "500", {"converged": 12, "guard_stall": 0, "max_iters": 0}),
+        ("3", "2", {"converged": 0, "guard_stall": 0, "max_iters": 12}),
+    ],
+)
+def test_numax_tallies_how_the_runs_ended(p, max_iters, tally, tmp_path, capsys):
+    ch = zoo.random_channel(4, 4, 3, seed=0)
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(chan.channel_to_json(ch)))
+    argv = ["numax", "--input", str(path), "--p", p, "--restarts", "12",
+            "--max-iters", max_iters, "--format", "json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    rep = json.loads(out)
+    keys = list(rep)
+    assert keys.index("statuses") == keys.index("all_converged") + 1
+    assert rep["statuses"] == tally
+    assert rep["all_converged"] is (tally["max_iters"] == 0)
+    lib = opt.estimate_nu_p(ch, float(p), opt.OptimizerConfig(**rep["config"]))
+    assert sum(rep["statuses"].values()) == len(lib.statuses) == 12
+    assert all(lib.statuses.count(s) == n for s, n in tally.items())
+    _, again, _ = run(argv, capsys)
+    assert again == out
+
+
 def test_smin_transpose_shift_channel(capsys):
     code, out, _ = run(
         ["smin", "--family", "fss_psi", "--p", "1", "--restarts", "10",
