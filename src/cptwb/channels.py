@@ -53,6 +53,7 @@ __all__ = [
     "ChannelValidationError",
     "PerturbResult",
     "MAX_HALVINGS",
+    "TP_TOL",
     "TRANSFER_DIM_MAX",
     "DegradingReport",
     "validate_cpt",
@@ -205,7 +206,11 @@ def _tp_residual(ch: KrausChannel) -> float:
     return float(np.abs(acc - np.eye(ch.d_in)).max())
 
 
-def validate_cpt(ch: KrausChannel, tol: float = 1e-10) -> ValidationReport:
+#: Default bound on the trace-preservation residual max|Σ A_k†A_k − I|.
+TP_TOL = 1e-10
+
+
+def validate_cpt(ch: KrausChannel, tol: float = TP_TOL) -> ValidationReport:
     """Check trace preservation and complete positivity of a Kraus channel.
 
     Complete positivity of a Kraus-form map is automatic; what is actually
@@ -397,7 +402,8 @@ def is_generalized_extreme(ch: KrausChannel) -> bool:
 
 def classify(ch: KrausChannel) -> ChannelMeta:
     """Choi rank plus both extremality flags in one record."""
-    return ChannelMeta(choi_rank(ch), is_extreme(ch), is_generalized_extreme(ch))
+    rank, _, extreme = _extremality(ch)
+    return ChannelMeta(rank, extreme, rank <= ch.d_in)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,13 @@ Channels come from ``--input FILE`` (channel JSON: ``{"d_in", "d_out",
 plus the family's parameters (``--dim``, ``--x``, ``--alpha``,
 ``--epsilon``, ``--unitaries-file``, ``--seed``; see ``zoo.FAMILIES``).
 
+Each ``cmd_*`` computes its result and returns the report body with an
+exit code; ``main`` finishes every report in one place.  It refuses
+``--format csv`` on a subcommand without a table before the command runs,
+prepends the head (``command``, ``version``, ``seed``), renders the report
+(CSV rows are multscan's ``rows``, or multcheck's report as its one row),
+writes it to stdout or ``--output`` and returns the code.
+
 Exit codes: 0 success (a reported violation or non-convergence is data,
 not an error), 2 invalid input, 3 numerical failure, 64 bad usage.
 Output is deterministic: identical invocations produce identical bytes,
@@ -134,6 +141,9 @@ def _render_text(report: dict) -> str:
 
 CSV_COLUMNS = ("p", "nu_a", "nu_b", "nu_ab_lb", "gap", "violated")
 
+#: The subcommands with a table, the only ones ``--format csv`` renders.
+_CSV_COMMANDS = ("multcheck", "multscan")
+
 
 def _render_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
@@ -149,15 +159,12 @@ def _render_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _emit(args, report: dict, csv_rows: list[dict] | None = None):
+def _emit(args, report: dict):
     if args.format == "json":
         text = _render_json(report)
     elif args.format == "csv":
-        if csv_rows is None:
-            raise UsageError(
-                "--format csv is only available for multcheck and multscan"
-            )
-        text = _render_csv(csv_rows)
+        # multscan's table is its rows; multcheck's one row is its report
+        text = _render_csv(report.get("rows", [report]))
     else:
         text = _render_text(report)
     if args.output:
@@ -270,92 +277,68 @@ def _config(args) -> opt.OptimizerConfig:
     return opt.OptimizerConfig(**given)
 
 
-def _tolerances(cfg: opt.OptimizerConfig, mult: bool = False) -> dict:
-    """The optimizer reports' ``tolerances``; multiplicativity adds its margin."""
-    tol = {"value_tol": cfg.value_tol}
-    if mult:
-        tol["violation_margin"] = opt.VIOLATION_MARGIN
-    return tol
-
-
-def _head(command: str, args, desc: dict | None = None) -> dict:
-    head = {"command": command, "version": __version__, "seed": args.seed}
-    if desc is not None:
-        head["channel"] = desc
-    return head
+def _shape(ch: chan.KrausChannel) -> dict:
+    return {"d_in": ch.d_in, "d_out": ch.d_out, "n_kraus": len(ch)}
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_info(args) -> int:
+def cmd_info(args) -> tuple[dict, int]:
     # info's report *is* the validation gate, so loading skips it
     ch, desc = _load_channel(args, validate=False)
     rep = chan.validate_cpt(ch)
-    report = _head("info", args, desc)
-    report.update(
-        {
-            "d_in": ch.d_in,
-            "d_out": ch.d_out,
-            "n_kraus": len(ch),
-            "validation": {**asdict(rep), "tolerance": 1e-10},
-        }
-    )
-    report["classification"] = asdict(chan.classify(ch)) if rep.choi_psd else None
+    report = {
+        "channel": desc,
+        **_shape(ch),
+        "validation": {**asdict(rep), "tolerance": chan.TP_TOL},
+        "classification": asdict(chan.classify(ch)) if rep.choi_psd else None,
+    }
     if args.dump_kraus:
         report["kraus"] = chan.channel_to_json(ch)["kraus"]
-    _emit(args, report)
-    return EXIT_OK if (rep.ok or args.no_validate) else EXIT_INVALID
+    return report, EXIT_OK if (rep.ok or args.no_validate) else EXIT_INVALID
 
 
-def cmd_numax(args) -> int:
+def cmd_numax(args) -> tuple[dict, int]:
     ch, desc = _load_channel(args)
     cfg = _config(args)
     rep = opt.estimate_nu_p(ch, args.p, cfg)
-    report = _head("numax", args, desc)
-    report.update(
-        {
-            "p": rep.p,
-            "direction": rep.direction,
-            "best_value": rep.best_value,
-            "best_trace_power": rep.best_trace_power,
-            "best_restart": rep.best_restart,
-            "n_restarts": cfg.restarts,
-            "n_structured_seeds": rep.n_structured_seeds,
-            "all_converged": bool(all(rep.converged)),
-            # all_converged counts guard stalls too; this says how runs ended
-            "statuses": {s: rep.statuses.count(s) for s in opt.STATUSES},
-            "max_iterations": int(max(rep.iterations)),
-            "monotonicity_violations": rep.monotonicity_violations,
-            "guard_fallbacks": rep.guard_fallbacks,
-            "extrapolations_rejected": rep.extrapolations_rejected,
-            "best_input": _vec_json(rep.best_input),
-            "config": rep.config,
-            "tolerances": _tolerances(cfg),
-        }
-    )
-    _emit(args, report)
-    return EXIT_OK
+    return {
+        "channel": desc,
+        "p": rep.p,
+        "direction": rep.direction,
+        "best_value": rep.best_value,
+        "best_trace_power": rep.best_trace_power,
+        "best_restart": rep.best_restart,
+        "n_restarts": cfg.restarts,
+        "n_structured_seeds": rep.n_structured_seeds,
+        "all_converged": bool(all(rep.converged)),
+        # all_converged counts guard stalls too; this says how runs ended
+        "statuses": {s: rep.statuses.count(s) for s in opt.STATUSES},
+        "max_iterations": int(max(rep.iterations)),
+        "monotonicity_violations": rep.monotonicity_violations,
+        "guard_fallbacks": rep.guard_fallbacks,
+        "extrapolations_rejected": rep.extrapolations_rejected,
+        "best_input": _vec_json(rep.best_input),
+        "config": rep.config,
+        "tolerances": {"value_tol": cfg.value_tol},
+    }, EXIT_OK
 
 
-def cmd_smin(args) -> int:
+def cmd_smin(args) -> tuple[dict, int]:
     ch, desc = _load_channel(args)
     cfg = _config(args)
     rep = entropy.estimate_smin_p(ch, args.p, cfg)
-    report = _head("smin", args, desc)
-    report.update(
-        {
-            "p": rep.p,
-            "value": rep.value,
-            "nu_value": rep.nu_value,
-            "argmin": _vec_json(rep.argmin),
-            "config": rep.config,
-            "tolerances": _tolerances(cfg),
-        }
-    )
-    _emit(args, report)
-    return EXIT_OK
+    return {
+        "channel": desc,
+        "p": rep.p,
+        "value": rep.value,
+        "nu_value": rep.nu_value,
+        "argmin": _vec_json(rep.argmin),
+        "config": rep.config,
+        "tolerances": {"value_tol": cfg.value_tol},
+    }, EXIT_OK
 
 
 def _mult_row(r: opt.MultReport) -> dict:
@@ -378,30 +361,25 @@ def _load_pair(args):
     return ch_a, desc_a, ch_b, desc_b
 
 
-def cmd_multcheck(args) -> int:
+def cmd_multcheck(args) -> tuple[dict, int]:
     ch_a, desc_a, ch_b, desc_b = _load_pair(args)
     cfg = _config(args)
     r = opt.mult_check(ch_a, ch_b, args.p, cfg)
-    report = _head("multcheck", args)
-    report.update(
-        {
-            "channel_a": desc_a,
-            "channel_b": desc_b,
-            "p": r.p,
-            "nu_a": r.nu_a,
-            "nu_b": r.nu_b,
-            "nu_ab_lb": r.nu_product_lb,
-            "product_of_singles": r.product_of_singles,
-            "gap": r.gap,
-            "violated": r.violated,
-            "tensor_dim": r.tensor_dim,
-            "certificate": _vec_json(r.certificate),
-            "config": r.config,
-            "tolerances": _tolerances(cfg, mult=True),
-        }
-    )
-    _emit(args, report, csv_rows=[_mult_row(r)])
-    return EXIT_OK
+    return {
+        "channel_a": desc_a,
+        "channel_b": desc_b,
+        "p": r.p,
+        "nu_a": r.nu_a,
+        "nu_b": r.nu_b,
+        "nu_ab_lb": r.nu_product_lb,
+        "product_of_singles": r.product_of_singles,
+        "gap": r.gap,
+        "violated": r.violated,
+        "tensor_dim": r.tensor_dim,
+        "certificate": _vec_json(r.certificate),
+        "config": r.config,
+        "tolerances": {"value_tol": cfg.value_tol, "violation_margin": opt.VIOLATION_MARGIN},
+    }, EXIT_OK
 
 
 def _parse_p_grid(text: str) -> list[float]:
@@ -426,33 +404,27 @@ def _parse_p_grid(text: str) -> list[float]:
     return [v for v in grid if v <= stop + 1e-12]  # stop is included up to roundoff
 
 
-def cmd_multscan(args) -> int:
+def cmd_multscan(args) -> tuple[dict, int]:
     ch_a, desc_a, ch_b, desc_b = _load_pair(args)
     cfg = _config(args)
     grid = _parse_p_grid(args.p_grid)
     scan = opt.mult_scan(ch_a, ch_b, grid, cfg, resolution=args.resolution)
-    rows = [{**_mult_row(r), "decided_by": r.decided_by} for r in scan.rows]
-    report = _head("multscan", args)
-    report.update(
-        {
-            "channel_a": desc_a,
-            "channel_b": desc_b,
-            "p_grid": args.p_grid,
-            "resolution": args.resolution,
-            "rows": rows,
-            "threshold": scan.threshold,
-            "bracket": list(scan.bracket) if scan.bracket else None,
-            "placed_by": scan.placed_by,
-            "gap_evaluations": scan.gap_evaluations,
-            "config": dict(vars(cfg)),
-            "tolerances": _tolerances(cfg, mult=True),
-        }
-    )
-    _emit(args, report, csv_rows=rows)
-    return EXIT_OK
+    return {
+        "channel_a": desc_a,
+        "channel_b": desc_b,
+        "p_grid": args.p_grid,
+        "resolution": args.resolution,
+        "rows": [{**_mult_row(r), "decided_by": r.decided_by} for r in scan.rows],
+        "threshold": scan.threshold,
+        "bracket": list(scan.bracket) if scan.bracket else None,
+        "placed_by": scan.placed_by,
+        "gap_evaluations": scan.gap_evaluations,
+        "config": dict(vars(cfg)),
+        "tolerances": {"value_tol": cfg.value_tol, "violation_margin": opt.VIOLATION_MARGIN},
+    }, EXIT_OK
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[dict, int]:
     ch, desc = _load_channel(args)
     h1, h2 = dec.szarek_split_choi(ch.choi)
     mixture = (h1.matrix + h2.matrix) / 2.0
@@ -474,32 +446,20 @@ def cmd_decompose(args) -> int:
             entry["kraus"] = chan.channel_to_json(chan.choi_to_kraus(half))["kraus"]
         halves.append(entry)
 
-    report = _head("decompose", args, desc)
-    report.update(
-        {
-            "d_in": ch.d_in,
-            "d_out": ch.d_out,
-            "choi_rank": chan.choi_rank(ch),
-            "mixture_residual": residual,
-            "halves": halves,
-            "tolerances": {"support_tol": dec.SUPPORT_TOL, "rank_tol": la.RANK_TOL},
-        }
-    )
-    _emit(args, report)
-    return EXIT_OK
+    return {
+        "channel": desc,
+        "d_in": ch.d_in,
+        "d_out": ch.d_out,
+        "choi_rank": chan.choi_rank(ch),
+        "mixture_residual": residual,
+        "halves": halves,
+        "tolerances": {"support_tol": dec.SUPPORT_TOL, "rank_tol": la.RANK_TOL},
+    }, EXIT_OK
 
 
-def cmd_extremality(args) -> int:
+def cmd_extremality(args) -> tuple[dict, int]:
     ch, desc = _load_channel(args)
-    report = _head("extremality", args, desc)
-    report.update(
-        {
-            "d_in": ch.d_in,
-            "d_out": ch.d_out,
-            "n_kraus": len(ch),
-            "classification": asdict(chan.classify(ch)),
-        }
-    )
+    report = {"channel": desc, **_shape(ch), "classification": asdict(chan.classify(ch))}
     if args.perturb is not None:
         res = chan.perturb_to_extreme(ch, epsilon0=args.perturb, seed=args.seed)
         pert = {
@@ -515,27 +475,20 @@ def cmd_extremality(args) -> int:
         report["perturbation"] = pert
     if args.dump_kraus:
         report["kraus"] = chan.channel_to_json(ch)["kraus"]
-    _emit(args, report)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_complement(args) -> int:
+def cmd_complement(args) -> tuple[dict, int]:
     ch, desc = _load_channel(args)
     comp = chan.complement(chan._extremality(ch)[1])
     val = chan.validate_cpt(comp)
-    report = _head("complement", args, desc)
-    report.update(
-        {
-            "d_in": comp.d_in,
-            "d_out": comp.d_out,
-            "n_kraus": len(comp),
-            "validation_ok": val.ok,
-            "tp_residual": val.tp_residual,
-            "channel_json": chan.channel_to_json(comp),
-        }
-    )
-    _emit(args, report)
-    return EXIT_OK
+    return {
+        "channel": desc,
+        **_shape(comp),
+        "validation_ok": val.ok,
+        "tp_residual": val.tp_residual,
+        "channel_json": chan.channel_to_json(comp),
+    }, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +607,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
             raise UsageError("missing subcommand (see cptwb --help)")
-        return args.func(args)
+        if args.format == "csv" and args.subcommand not in _CSV_COMMANDS:
+            only = " and ".join(_CSV_COMMANDS)
+            raise UsageError(f"--format csv is only available for {only}")
+        body, code = args.func(args)
+        head = {"command": args.subcommand, "version": __version__, "seed": args.seed}
+        _emit(args, {**head, **body})
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -113,13 +113,13 @@ def estimate_smin_p(
     ``nu_value`` is the extremal output p-norm, None at p = 0 and 1.
 
     For p > 0 the channel must be trace-preserving (Σ A_k†A_k = I within
-    1e-10, the default ``tol`` of ``channels.validate_cpt``): the value is a
-    functional of Φ(ρ), an entropy only when Tr Φ(ρ) = 1.
+    ``channels.TP_TOL``, the default ``tol`` of ``channels.validate_cpt``):
+    the value is a functional of Φ(ρ), an entropy only when Tr Φ(ρ) = 1.
     """
     cfg = config or opt.OptimizerConfig()
     if not (p >= 0 and math.isfinite(p)):
         raise ValueError(f"need a finite p >= 0, got {p}")
-    if p > 0.0 and (resid := chan._tp_residual(ch)) > 1e-10:
+    if p > 0.0 and (resid := chan._tp_residual(ch)) > chan.TP_TOL:
         raise ValueError(
             "estimate_smin_p needs a trace-preserving channel at p > 0: "
             f"sum A†A deviates from identity by {resid:.3e}"

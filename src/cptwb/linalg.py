@@ -22,8 +22,9 @@ apply everywhere and cannot be set per call:
   most ``HERM_TOL`` times its largest entry.
 
 Thresholds that stay parameters: ``tol`` of ``channels.validate_cpt``
-(1e-10 on Σ A_k†A_k − I), because the tests and demo 05 validate
-decomposition halves at 1e-8; ``tol`` of
+(default ``channels.TP_TOL``, 1e-10 on Σ A_k†A_k − I, the one bound
+``entropy.estimate_smin_p`` requires and ``cptwb info`` reports), because
+the tests and demo 05 validate decomposition halves at 1e-8; ``tol`` of
 ``decompose.verify_ar4`` and ``channels.verify_degrading``, the residual
 bound each verifier checks; and ``optimize.OptimizerConfig.value_tol``,
 an *absolute* 1e-12 on trace powers that the CLI prints with its config.

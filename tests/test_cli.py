@@ -145,6 +145,39 @@ def test_missing_input_file_exits_2(capsys):
     assert err
 
 
+def test_csv_on_a_tableless_command_exits_64_before_loading(capsys):
+    code, out, err = run(
+        ["numax", "--input", "/nonexistent/ch.json", "--p", "2", "--format", "csv"],
+        capsys,
+    )
+    assert code == 64
+    assert out == ""
+    assert "--format csv is only available" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "--family", "depolarizing", "--dim", "2"],
+        ["numax", "--family", "depolarizing", "--dim", "2", "--p", "2"],
+        ["smin", "--family", "depolarizing", "--dim", "2", "--p", "2"],
+        ["multcheck", "--family", "depolarizing", "--dim", "2", "--p", "2"],
+        ["multscan", "--family", "depolarizing", "--dim", "2", "--p-grid", "2:2:1"],
+        ["decompose", "--family", "depolarizing", "--dim", "2"],
+        ["extremality", "--family", "identity", "--dim", "2"],
+        ["complement", "--family", "identity", "--dim", "2"],
+    ],
+)
+def test_every_report_opens_with_the_same_head(argv, capsys):
+    mult = argv[0].startswith("mult")
+    fast = ["--restarts", "2", "--tensor-restarts", "2"] if mult else []
+    code, out, _ = run(argv + fast + ["--seed", "7", "--format", "json"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert list(rep)[:3] == ["command", "version", "seed"]
+    assert (rep["command"], rep["version"], rep["seed"]) == (argv[0], cli.__version__, 7)
+
+
 # ---------------------------------------------------------------------------
 # numax / smin
 # ---------------------------------------------------------------------------

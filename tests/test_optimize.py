@@ -7,6 +7,7 @@ import gc
 import hashlib
 import math
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -638,11 +639,13 @@ def test_floored_shift_bounds_m_and_the_power_step_climbs(monkeypatch):
 def test_seed_spectra_memo_dies_with_its_channel():
     ch = zoo.random_channel(2, 2, 2, seed=5)
     opt.estimate_nu_p(ch, 3.0, FAST)
-    held = len(opt._SEED_SPECTRA)
-    assert opt._SEED_SPECTRA[ch]
+    memo, alive = opt._SEED_SPECTRA[ch], weakref.ref(ch)
+    assert memo
     del ch
     gc.collect()
-    assert len(opt._SEED_SPECTRA) == held - 1
+    # other tests' channels may die in the same collection: look at this one
+    assert alive() is None
+    assert all(m is not memo for m in opt._SEED_SPECTRA.values())
 
 
 @pytest.mark.parametrize("epsilon", [1e-3, 1e-5])
