@@ -19,11 +19,13 @@ plus the family's parameters (``--dim``, ``--x``, ``--alpha``,
 ``--epsilon``, ``--unitaries-file``, ``--seed``; see ``zoo.FAMILIES``).
 
 Each ``cmd_*`` computes its result and returns the report body with an
-exit code; ``main`` finishes every report in one place.  It refuses
-``--format csv`` on a subcommand without a table before the command runs,
-prepends the head (``command``, ``version``, ``seed``), renders the report
-(CSV rows are multscan's ``rows``, or multcheck's report as its one row),
-writes it to stdout or ``--output`` and returns the code.
+exit code; ``main`` finishes every report in one place.  Before the command
+runs it refuses ``--format csv`` on a subcommand without a table, and an
+``--output`` path that cannot be written (exit 2), without creating or
+truncating the file.  After it, ``main`` prepends the head (``command``,
+``version``, ``seed``), renders the report (CSV rows are multscan's
+``rows``, or multcheck's report as its one row), writes it to stdout or
+``--output`` and returns the code.
 
 Exit codes: 0 success (a reported violation or non-convergence is data,
 not an error), 2 invalid input, 3 numerical failure, 64 bad usage.
@@ -39,6 +41,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -157,6 +160,19 @@ def _render_csv(rows: list[dict]) -> str:
             ]
         )
     return buf.getvalue()
+
+
+def _check_output(path: str):
+    """Raise ``OSError`` unless ``path`` could be written: it is no directory,
+    its directory exists, and the file (or, for a new one, its directory) is
+    writable.  The file is neither created nor truncated."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--output {path!r} is a directory")
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"--output directory {folder!r} does not exist")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise PermissionError(f"--output {path!r} is not writable")
 
 
 def _emit(args, report: dict):
@@ -610,6 +626,8 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.subcommand not in _CSV_COMMANDS:
             only = " and ".join(_CSV_COMMANDS)
             raise UsageError(f"--format csv is only available for {only}")
+        if args.output:
+            _check_output(args.output)
         body, code = args.func(args)
         head = {"command": args.subcommand, "version": __version__, "seed": args.seed}
         _emit(args, {**head, **body})

@@ -2,12 +2,12 @@
 
 Each test is a single pass/fail gate with its tolerances pinned inline;
 run ``pytest -v tests/test_acceptance.py`` to get one line per criterion.
-Criterion 15 records its findings as a warning so they appear in the run
-summary; its pass is gated only on producing the report.
+Criterion 15 records its findings as the test's ``user_properties`` (the
+list behind pytest's ``record_property``), which travel in its test report;
+its pass is gated only on producing the report.
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -244,7 +244,7 @@ def test_criterion_14_renyi_limits():
         assert abs(entropy.renyi(rho, 1.0 - 1e-4) - s1) < 1e-3, trial
 
 
-def test_criterion_15_d4_cycle_channel_report():
+def test_criterion_15_d4_cycle_channel_report(request):
     cycles = [(1, 2, 3), (1, 3, 4), (1, 4, 2), (2, 4, 3)]
     phi = zoo.shift_subunitary(4, zoo.cycle_window_unitaries(4, cycles))
     assert chan.validate_cpt(phi).ok
@@ -263,7 +263,9 @@ def test_criterion_15_d4_cycle_channel_report():
         "tensor_beta_output_rank": tensor_beta_rank,
         "tensor_target": 10,
     }
-    warnings.warn(f"d=4 cycle-window channel report: {report}")
+    # appended directly: the ``record_property`` fixture warns under
+    # ``--junitxml``'s default xunit2 family, and warnings are errors here
+    request.node.user_properties.extend(report.items())
     # the gate is that the report exists with integer entries; whether the
     # targets are met is data, recorded above
     assert isinstance(single_rank, int) and 1 <= single_rank <= 4

@@ -196,19 +196,22 @@ def test_numax_closed_form(capsys):
     assert rep["monotonicity_violations"] == 0
 
 
-def test_numax_reports_extrapolation_rejections(capsys):
+def test_numax_reports_extrapolation_rejections(tmp_path, capsys):
+    # near p = 1 the power residual of a random channel contracts slowly, and
+    # some of the extrapolations it allows are still turned down
+    ch = zoo.random_channel(3, 3, 2, seed=700)
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(chan.channel_to_json(ch)))
     code, out, _ = run(
-        ["numax", "--family", "near_depolarizing", "--dim", "3", "--epsilon", "0.1",
-         "--p", "3", "--restarts", "12", "--format", "json"],
+        ["numax", "--input", str(path), "--p", "1.01", "--restarts", "12",
+         "--format", "json"],
         capsys,
     )
     assert code == 0
     rep = json.loads(out)
     keys = list(rep)
     assert keys.index("extrapolations_rejected") == keys.index("guard_fallbacks") + 1
-    lib = opt.estimate_nu_p(
-        zoo.near_depolarizing(3, 0.1), 3.0, opt.OptimizerConfig(**rep["config"])
-    )
+    lib = opt.estimate_nu_p(ch, 1.01, opt.OptimizerConfig(**rep["config"]))
     assert rep["extrapolations_rejected"] == lib.extrapolations_rejected > 0
 
 
@@ -642,3 +645,32 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert code == 0
     assert out2 == ""
     assert dest.read_text() == out
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_exits_2_before_the_command(where, tmp_path, capsys, monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("mult_check reached")
+
+    monkeypatch.setattr(opt, "mult_check", no_check)
+    dest = "/nonexistent/dir/out.txt" if where == "missing directory" else str(tmp_path)
+    code, out, err = run(
+        ["multscan", "--family", "werner_holevo", "--dim", "3", "--p-grid", "4:5:0.25",
+         "--output", dest],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --output") and "Traceback" not in err
+
+
+def test_output_is_neither_created_nor_truncated_before_the_command(tmp_path, capsys):
+    # the check reads the destination; only a finished report writes it
+    argv = ["numax", "--input", "/nonexistent/ch.json", "--p", "2", "--output"]
+    new, kept = tmp_path / "new.txt", tmp_path / "kept.txt"
+    kept.write_text("earlier report\n")
+    for dest in (new, kept):
+        code, _, _ = run([*argv, str(dest)], capsys)
+        assert code == 2
+    assert not new.exists()
+    assert kept.read_text() == "earlier report\n"

@@ -496,6 +496,26 @@ def test_extrapolation_is_exact_on_a_geometric_residual():
     assert np.array_equal(y, f / np.linalg.norm(f))
 
 
+def test_only_rows_whose_power_residual_contracted_extrapolate(monkeypatch):
+    # a row takes the extrapolated candidate only when ||f - x|| fell below
+    # ||f_prev - x_prev||; any other row takes the plain one in that pass
+    extrapolate = opt._extrapolate
+    rows = 0
+
+    def gated(x, f, x_prev, f_prev):
+        nonlocal rows
+        rows += len(x)
+        grown = np.linalg.norm(f - x, axis=-1) >= np.linalg.norm(f_prev - x_prev, axis=-1)
+        assert not grown.any()
+        return extrapolate(x, f, x_prev, f_prev)
+
+    monkeypatch.setattr(opt, "_extrapolate", gated)
+    for ch in (zoo.random_channel(3, 3, 2, seed=700), zoo.random_channel(4, 3, 3, seed=22)):
+        for p in (1.01, 1.5, 5.0):
+            opt.estimate_nu_p(ch, p, FAST)
+    assert rows > 0
+
+
 def _exact_step_gap(ch, psi, p):
     """p·(λ_max(M) − ⟨ψ|M|ψ⟩) for M = adj(Φ(ψψ†)^(p−1)), built as the search
     builds it at p > 1: plain powers of the clamped output spectrum.
@@ -1066,7 +1086,9 @@ def _eigensolves(fn):
 def test_a_warm_scan_repeats_its_eigensolves_exactly():
     # after a warm-up scan the memo holds every seed stack; each p >= 1 run
     # ends at the fixed-point test, before its last candidate is decomposed
-    # (3 149 eigh matrices before that, 2 293 after, at seed 0)
+    # (3 149 eigh matrices before that, 2 293 after, at seed 0), and only rows
+    # whose power residual contracted extrapolate (2 077: fewer rejected
+    # extrapolations decompose a second output)
     wh3 = zoo.werner_holevo(3)
 
     def scan():
@@ -1077,7 +1099,7 @@ def test_a_warm_scan_repeats_its_eigensolves_exactly():
     again, counts_again = _eigensolves(scan)
     assert counts == counts_again
     matrices = {name: sum(map(math.prod, shapes)) for name, shapes in counts.items()}
-    assert matrices["eigh"] <= 2300 and matrices["eigvalsh"] <= 839
+    assert matrices["eigh"] <= 2080 and matrices["eigvalsh"] <= 839
     assert _bits(first.rows) == _bits(again.rows)
 
 
@@ -1266,6 +1288,18 @@ def test_extrapolated_steps_shorten_the_wh3_tensor_search():
     assert 0 < rep.extrapolations_rejected < sum(rep.iterations)
     assert rep.best_restart == 1
     assert abs(rep.best_value - 0.3347260253061179) <= 1e-15
+
+
+def test_the_residual_gate_cuts_rejections_on_the_wh3_haar_stack():
+    # the Haar stack of the default p = 4.5 tensor search turned down 94
+    # extrapolations when every row with a history extrapolated, 78 of them
+    # on rows whose power residual had grown; under the gate it turns down 18
+    queue, n_structured = opt._seed_queue(WW.d_in, FULL.seed, FULL.restarts)
+    rep = opt.estimate_nu_p(WW, 4.5, FULL, seeds=queue[n_structured:])
+    assert len(rep.iterations) == 118
+    assert all(rep.converged)
+    assert rep.monotonicity_violations == rep.guard_fallbacks == 0
+    assert 0 < rep.extrapolations_rejected <= 20
 
 
 @pytest.mark.parametrize("p", [0.5, 4.75])
