@@ -31,42 +31,52 @@ silently maps to zero, which makes kernel-escaping candidates look
 artificially cheap and can break the monotonicity proof.  The iteration
 therefore guards every step: a candidate is accepted only when the
 objective does not move against the iteration direction by more than
-``value_tol``; otherwise the current state is kept (the stall registers as
+``value_tol``; otherwise the row falls down the candidate ladder (below),
+and below its last rung it keeps its state (the stall registers as
 convergence).  ``monotonicity_violations`` re-checks each kept value
 against the one before it, so it can fire only where the guard and the
 re-check round a boundary value differently.
 
-For p ≥ 1 the candidate is not M's eigenvector but a shifted power step,
+For p ≥ 1 the exact step has a cheaper stand-in, a shifted power step,
 ψ' ∝ A^32 ψ with A = (M − μI)/Tr(M − μI), from five squarings of A.  The
 shift μ is a lower bound of M's spectrum (Gershgorin's, floored at 0: M is
 PSD), so A is PSD, ⟨ψ'|M|ψ'⟩ ≥ ⟨ψ|M|ψ⟩, and Tr Φ(ρ)^p, which is convex,
 cannot fall: the step is monotone for the same reason as the exact one.
 Near p = 1, M ≈ c·I, and without the shift the powers would barely move ψ.
-The power map converges linearly, so a step tries a ladder of two
-candidates.  The first is the Anderson (secant) extrapolation of depth 1,
-y ∝ f_n − γ(f_n − f_{n−1}) with f = A^32 x the power candidate of the
-state x and γ the least-squares coefficient of the residuals f − x (Walker
-and Ni, SIAM J. Numer. Anal. 49 (2011) 1715).  y is not provably
-monotone, so the guard may reject it; the second rung, the plain f_n, is
-then decomposed and guarded on those rows alone, and
-``extrapolations_rejected`` counts them.  A run extrapolates only
-from two consecutive accepted power steps: its first step is plain, and an
-exact step or a guard rejection clears its history.  It also extrapolates
-only while its power residual contracts, ‖f_n − x_n‖ < ‖f_{n−1} − x_{n−1}‖;
-any other row takes the plain candidate in that pass, and falls to the
-exact step if the guard rejects it.  Where the residual grew the secant
-model is poor: on the 118 Haar restarts of the default WH3⊗WH3 search at
-p = 4.5, such rows gave 78 of the 94 rejected extrapolations (each costs its
-row a second output decomposition), and the gate leaves 18.
 
-A p ≥ 1 run ends at a fixed-point test, before its step.  By convexity
-the plain step gains at least p·(⟨f|M|f⟩ − ⟨ψ|M|ψ⟩) in Tr Γ^p, f the power
-candidate; a row where that bound is at most ``value_tol`` is tested on
-the M it already has, and ends when p·(λ_max(M) − ⟨ψ|M|ψ⟩) ≤ ``value_tol``
-(from ``eigvalsh``, no eigenvectors), before any candidate output is
-decomposed.  A row that fails the test takes the exact eigenvector step in
-the same pass, and so does a row whose plain candidate the guard rejects,
-so that no run repeats a rejected step.
+The candidate ladder
+--------------------
+Every step takes its candidate from one fixed ladder of three rungs:
+0, the Anderson (secant) extrapolation of depth 1, y ∝ f_n − γ(f_n − f_{n−1})
+with f = A^32 x the power candidate of the state x and γ the least-squares
+coefficient of the residuals f − x (Walker and Ni, SIAM J. Numer. Anal. 49
+(2011) 1715), which is not provably monotone; 1, the plain f_n; 2, the exact
+step.  A p < 1 row has no power rungs and starts every pass on the exact
+one, the last.  A p ≥ 1 row starts where two screens put it.  First the
+fixed-point test, which ends a p ≥ 1 run: by convexity the plain step gains
+at least p·(⟨f|M|f⟩ − ⟨ψ|M|ψ⟩) in Tr Γ^p, so a row where that bound is at
+most ``value_tol`` is tested on the M it already has, and ends when
+p·(λ_max(M) − ⟨ψ|M|ψ⟩) ≤ ``value_tol`` (from ``eigvalsh``, no
+eigenvectors), before any candidate output is decomposed; if it fails, it
+starts on the exact rung.  Then the residual gate: a row whose last step
+was an accepted power step (so a run's first step is plain, and an exact
+step clears its history) starts extrapolated when its power residual
+contracts, ‖f_n − x_n‖ < ‖f_{n−1} − x_{n−1}‖, and plain otherwise.  Where
+the residual grew the secant model is poor: on the 118 Haar restarts of the
+default WH3⊗WH3 search at p = 4.5, such rows gave 78 of the 94 rejected
+extrapolations (each costs its row a second output decomposition), and the
+gate leaves 18.
+
+A pass builds every row's first candidate, decomposes all their outputs in
+one stacked call, and guards them with one test for both directions,
+sign·Tr Γ'^p ≥ sign·Tr Γ^p − ``value_tol`` with Γ' the candidate's output
+and sign +1 for p ≥ 1, −1 below.  A row rejected on rung k falls to rung
+k + 1 in the same pass, and only those rows are built, decomposed and
+guarded again, so that no run repeats a rejected step.  A row rejected on
+the exact rung keeps its state and ends as ``guard_stall``.  At p > 1
+convexity makes a plain candidate past the fixed-point screen gain more
+than ``value_tol``, so, up to rounding, the guard rejects only extrapolated
+candidates there; below p = 1 it rejects only exact ones.
 
 Multistart
 ----------
@@ -83,15 +93,16 @@ restart index — with the canonical seeds queued first, a canonical optimum
 is the one reported when it ties the best.
 
 All restarts of one estimate advance together: the states form an
-``(r, d_in)`` stack, each step decomposes the stacked outputs in one
-``eigh`` call (for p < 1, the stacked M(ψ) in a second one; for p ≥ 1,
-M of the rows taking an exact step, and the outputs of the rows whose
-candidate the guard rejected, at their next candidate), and a run leaves
-the stack when it ends.  Each output is decomposed once; its spectrum gives
-both the objective and M, and an accepted candidate's spectrum serves the
-next step.  Φ̂ is ``channels.apply_adjoint`` on the stack: one
-``(1, d_out²) @ T`` product per state with the channel's cached transfer
-matrix T = Σ_k conj(A_k) ⊗ A_k, or a loop over the Kraus operators above
+``(r, d_in)`` stack, and each pass decomposes M of the rows starting on
+the exact rung in one ``eigh`` call (every row, for p < 1) and all first
+candidates' outputs in a second; each fall to the next rung adds one for
+the outputs of the rows that fell, after one for their M when they fall to
+the exact rung.  A run leaves the stack when it ends.  Each output is
+decomposed once; its spectrum gives both the objective and M, and an
+accepted candidate's spectrum serves the next step.  Φ̂ is
+``channels.apply_adjoint`` on the stack: one ``(1, d_out²) @ T`` product
+per state with the channel's cached transfer matrix
+T = Σ_k conj(A_k) ⊗ A_k, or a loop over the Kraus operators above
 ``channels.TRANSFER_DIM_MAX``.  Every stacked operation acts matrix by
 matrix, so a restart's result depends only on its seed, not on the rows
 beside it.  Phases are fixed once, on the reported states: a p < 1
@@ -111,9 +122,9 @@ bit for bit.
 Each run ends with one status, reported per restart in
 ``OptimizerReport.statuses``: ``converged`` (a p ≥ 1 run passed the
 fixed-point test at its end state; a p < 1 step moved the objective by at
-most ``value_tol``), ``guard_stall`` (the guard rejected an exact step,
-every p < 1 rejection included) or ``max_iters``.  ``converged`` counts
-the first two.  ``iterations`` counts passes: each builds M once, and the
+most ``value_tol``), ``guard_stall`` (the guard rejected the row on the
+exact rung, the last) or ``max_iters``.  ``converged`` counts the first
+two.  ``iterations`` counts passes: each builds M once, and the
 last pass of a converged p ≥ 1 run builds M and tests it, but takes no step.
 
 Multiplicativity
@@ -228,12 +239,12 @@ class OptimizerReport:
     largest over restarts when p > 1 (a lower bound of ν_p), the smallest
     when p < 1 (an upper bound of the infimum), Tr Γ log Γ at p = 1.
     ``iterations`` counts each restart's passes, its last pass included.
-    ``guard_fallbacks`` counts the plain and exact candidates the guard
-    rejected: a rejected plain candidate sends its row to the exact step in
-    the same pass, and a rejected exact one keeps the state and ends the
-    run.  ``extrapolations_rejected`` counts the extrapolated p ≥ 1
-    candidates the guard turned down before the plain one was tried; only
-    rows whose power residual contracted over their last step extrapolate.
+    Both counts are of guard rejections on the candidate ladder (module
+    docstring): ``guard_fallbacks`` on the plain rung, whose rows fall to
+    the exact rung in the same pass, and on the exact rung, whose rows keep
+    their state and end; ``extrapolations_rejected`` on the extrapolated
+    rung, whose rows fall to the plain rung.  Only p ≥ 1 rows whose power
+    residual contracted over their last step start extrapolated.
     ``statuses`` says how each restart ended, one of ``STATUSES``:
     ``converged`` (for p ≥ 1: at a state that passed the fixed-point test),
     ``guard_stall`` or ``max_iters`` (see the module docstring);
@@ -478,8 +489,9 @@ def _iterate(
     Rows are independent: every stacked operation works matrix by matrix,
     so a row's results do not depend on which rows share the stack.  States
     of the wrong length raise ``ShapeError``, and a zero or non-finite state
-    or ``max_iters < 1`` raises ``ValueError``, before any eigensolve; an
-    output of (numerically) zero trace raises ``ValueError``.
+    or ``max_iters < 1`` raises ``ValueError``, before any eigensolve; a
+    current state whose output has |Tr Γ| < 1e-14, an absolute bound, raises
+    ``ValueError`` at the start of its pass.
     """
     if max_iters < 1:
         raise ValueError(f"need max_iters >= 1, got {max_iters}")
@@ -507,43 +519,44 @@ def _iterate(
     # the live stack: row j of each array below belongs to run rows[j]
     rows = np.arange(r)
     b, bt = psi, t  # best state and its objective
-    # the last step was an accepted power step from x_prev, whose (unmixed)
+    # each row's rung of the ladder, 0 extrapolated, 1 plain or 2 exact: in a
+    # pass the one it is on, between passes the one its last step was
+    # accepted on (2 before any step); a p < 1 row is always on 2.  A row
+    # whose last step was on rung 0 or 1 stepped from x_prev, whose (unmixed)
     # power candidate was f_prev
-    hist = np.zeros(r, dtype=bool)
+    rung = np.full(r, 2)
     x_prev = f_prev = psi
 
     def leave(stop, how, *extra):
         """End the runs of the rows flagged in ``stop`` at pass ``it`` with
         the status ``how``: keep their results, and cut them from the stack
         and from ``extra``."""
-        nonlocal rows, psi, t, w, v, tr, b, bt, hist, x_prev, f_prev
+        nonlocal rows, psi, t, w, v, tr, b, bt, rung, x_prev, f_prev
         done = rows[stop]
         best[done], best_t[done], last[done] = b[stop], bt[stop], psi[stop]
         iterations[done], status[done] = it, how
-        rows, psi, t, w, v, tr, b, bt, hist, x_prev, f_prev, *extra = (
-            x[~stop] for x in (rows, psi, t, w, v, tr, b, bt, hist, x_prev, f_prev, *extra)
+        rows, psi, t, w, v, tr, b, bt, rung, x_prev, f_prev, *extra = (
+            x[~stop] for x in (rows, psi, t, w, v, tr, b, bt, rung, x_prev, f_prev, *extra)
         )
         return extra
 
-    def retry(sel, c, count):
-        """Count the rejected candidates of the p ≥ 1 rows ``sel`` in
-        ``count``, then decompose those rows again at their next candidates
-        ``c``, and guard them."""
-        count[rows[sel]] += 1
-        cand[sel] = c
-        wc[sel], vc[sel], tc[sel], trc[sel] = _output_spectra(kraus, c, p)
-        ok[sel] = tc[sel] >= t[sel] - value_tol
+    def candidates(sel, k):
+        """The candidates of the rows ``sel`` on rung ``k``."""
+        if k == 0:
+            return _extrapolate(psi[sel], plain[sel], x_prev[sel], f_prev[sel])
+        return plain[sel] if k == 1 else _exact_candidates(m[sel], p)
 
     for it in range(1, max_iters + 1):
         if np.any(np.abs(tr) < 1e-14):
             raise ValueError("channel output has (numerically) zero trace")
         m = chan.apply_adjoint(ch, la._from_spectrum(_terms(w, p, weights=True), v))
+        plain = psi  # no power rungs below p = 1
         if ascent:
             plain = _ascent_candidates(m, psi)
             # the plain step gains at least p·(⟨f|M|f⟩ − ⟨ψ|M|ψ⟩) in Tr Γ^p: a
             # row where that is at most value_tol ends here if it passes the
-            # fixed-point test, before any output is decomposed, and takes
-            # the exact step if it fails
+            # fixed-point test, before any output is decomposed, and starts
+            # on the exact rung if it fails
             exact = p * (_expect(m, plain) - _expect(m, psi)) <= value_tol
             if exact.any():
                 fixed = exact.copy()
@@ -554,47 +567,41 @@ def _iterate(
                         break
             # extrapolate only where the power residual contracted
             residual = np.linalg.norm(plain - psi, axis=-1)
-            mix = hist & ~exact & (residual < np.linalg.norm(f_prev - x_prev, axis=-1))
-            cand = plain.copy()
-            if mix.any():
-                cand[mix] = _extrapolate(psi[mix], plain[mix], x_prev[mix], f_prev[mix])
-            if exact.any():
-                cand[exact] = _exact_candidates(m[exact], p)
-        else:
-            cand = _exact_candidates(m, p)
+            mix = (rung < 2) & (residual < np.linalg.norm(f_prev - x_prev, axis=-1))
+            rung = np.where(exact, 2, np.where(mix, 0, 1))
+        cand = plain.copy()  # rung 1's candidates; rungs 0 and 2 build theirs
+        for k in (0, 2):
+            on = rung == k
+            if on.any():
+                on = ... if on.all() else on  # views, not copies, of a whole stack
+                cand[on] = candidates(on, k)
         wc, vc, tc, trc = _output_spectra(kraus, cand, p)
-        ok = tc >= t - value_tol if ascent else tc <= t + value_tol
-        if ascent:
-            # a rejected candidate falls to the next rung in its own stack: an
-            # extrapolated one to the plain one, a plain one to the exact
-            # step, so that no run repeats a rejected step
-            fall = mix & ~ok
+        ok = sign * tc >= sign * t - value_tol
+        # a row the guard rejects falls to the next rung in its own stack, so
+        # that no run repeats a rejected step
+        for k in range(3) if not ok.all() else ():
+            fall = (rung == k) & ~ok
             if fall.any():
-                retry(fall, plain[fall], rejected)
-            hist, x_prev, f_prev = ok & ~exact, psi, plain
-            fall = ~(ok | exact)
-            if fall.any():
-                retry(fall, _exact_candidates(m[fall], p), fallbacks)
-        if ok.all():
-            t_next, psi_next, w, v, tr = tc, cand, wc, vc, trc
-        else:
-            t_next = np.where(ok, tc, t)
-            psi_next = np.where(ok[:, None], cand, psi)
-            w = np.where(ok[:, None], wc, w)
-            v = np.where(ok[:, None, None], vc, v)
-            tr = np.where(ok, trc, tr)
-            fallbacks[rows[~ok]] += 1
-        step = t_next - t
+                (rejected if k == 0 else fallbacks)[rows[fall]] += 1
+                if k == 2:  # no rung below: the row keeps its state and leaves
+                    cand[fall], tc[fall] = psi[fall], t[fall]
+                else:
+                    rung[fall] = k + 1
+                    cand[fall] = candidates(fall, k + 1)
+                    wc[fall], vc[fall], tc[fall], trc[fall] = _output_spectra(kraus, cand[fall], p)
+                    ok[fall] = sign * tc[fall] >= sign * t[fall] - value_tol
+        x_prev, f_prev = psi, plain
+        step = tc - t
         bad = sign * step < -value_tol  # should not happen: the step is guarded
         if bad.any():
             violations[rows[bad]] += 1
-        gained = sign * (t_next - bt) > 0.0
-        bt = np.where(gained, t_next, bt)
-        b = np.where(gained[:, None], psi_next, b)
-        psi, t = psi_next, t_next
-        # a rejected exact step ends the run; a p < 1 run also ends on a step
-        # that moves the objective by at most value_tol, a p ≥ 1 run only at
-        # the fixed-point test
+        gained = sign * (tc - bt) > 0.0
+        bt = np.where(gained, tc, bt)
+        b = np.where(gained[:, None], cand, b)
+        psi, t, w, v, tr = cand, tc, wc, vc, trc
+        # a rejected step on the last rung ends the run; a p < 1 run also ends
+        # on a step that moves the objective by at most value_tol, a p ≥ 1 run
+        # only at the fixed-point test
         stop = ~ok if ascent else np.abs(step) <= value_tol
         if stop.any():
             leave(stop, np.where(ok[stop], "converged", "guard_stall"))

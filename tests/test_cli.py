@@ -118,6 +118,17 @@ def test_kraus_file_whose_products_overflow_exits_2(argv, tmp_path, capsys):
     assert "non-finite entry" in err
 
 
+@pytest.mark.parametrize("p", ["3", "0.5"])
+def test_numax_refuses_a_zero_trace_output(p, tmp_path, capsys):
+    # not trace-preserving, so only --no-validate lets it in; e_1 maps to zero
+    ch = chan.KrausChannel.from_kraus([np.diag([1.0, 0.0])])
+    f = tmp_path / "zero.json"
+    f.write_text(json.dumps(chan.channel_to_json(ch)))
+    code, out, err = run(["numax", "--input", str(f), "--no-validate", "--p", p], capsys)
+    assert code == 2 and out == ""
+    assert "zero trace" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------

@@ -1143,6 +1143,61 @@ def test_a_lower_eigenvector_of_its_m_takes_the_exact_step_at_once(monkeypatch):
     assert run.best_t[0] == 1.0
 
 
+def test_a_row_rejected_on_every_rung_above_p_1_keeps_its_seed(monkeypatch):
+    # by convexity a plain candidate past the fixed-point screen gains, so no
+    # real run at p > 1 reaches the bottom of the ladder from the plain rung.
+    # Here every candidate's output reads 1 lower in Tr Gamma^p, so the guard
+    # rejects each one.  On the stochastic channel above, e_1 is a fixed point
+    # and ends at once; e_0 fails the fixed-point test and starts on the exact
+    # rung; two Haar states start plain and fall to the exact rung.  Each of
+    # the three keeps its seed and ends as guard_stall after one pass
+    P = np.array([[0.5, 1.0, 0.0], [0.3, 0.0, 0.5], [0.2, 0.0, 0.5]])
+    ch = chan.KrausChannel.from_kraus(
+        [math.sqrt(P[i, j]) * np.outer(np.eye(3)[i], np.eye(3)[j])
+         for i in range(3) for j in range(3) if P[i, j] > 0.0]
+    )
+    p = 3.0
+    haar = [random_pure_state(3, rng_from(0, i)) for i in (0, 1)]
+    seeds = np.array([*np.eye(3, dtype=complex)[:2], *haar])
+    psi = seeds / np.linalg.norm(seeds, axis=1)[:, None]  # as the search normalizes
+    real = opt._output_spectra
+    w, v, t, _ = real(ch.kraus_stack, psi, p)
+    ms = chan.apply_adjoint(ch, la._from_spectrum(opt._terms(w, p, weights=True), v))
+    seen, exact = [], opt._exact_candidates
+
+    def lowered(kraus, states, p):
+        w, v, t, tr = real(kraus, states, p)
+        return w, v, t - 1.0, tr
+
+    def recorded(m, p):
+        seen.append([next(j for j, mj in enumerate(ms) if np.array_equal(x, mj)) for x in m])
+        return exact(m, p)
+
+    # the seeds' own outputs are decomposed as they are
+    monkeypatch.setattr(opt, "_seed_spectra", lambda c, states, p: real(c.kraus_stack, states, p))
+    monkeypatch.setattr(opt, "_output_spectra", lowered)
+    monkeypatch.setattr(opt, "_exact_candidates", recorded)
+    run = opt._iterate(ch, seeds, p, 10, 1e-12)
+    # the first pass builds e_0's exact step, then that of the rows whose
+    # plain candidate the guard rejected
+    assert seen == [[0], [2, 3]]
+    assert run.status.tolist() == ["guard_stall", "converged", "guard_stall", "guard_stall"]
+    assert run.iterations.tolist() == [1] * 4
+    assert run.fallbacks.tolist() == [1, 0, 2, 2]  # each rejected rung
+    assert run.rejected.tolist() == [0] * 4
+    assert np.array_equal(run.last, psi) and np.array_equal(run.best, psi)
+    assert np.array_equal(run.best_t, t)
+
+
+@pytest.mark.parametrize("p", [3.0, 0.5])
+def test_a_seed_with_a_zero_trace_output_is_refused(p):
+    # a map that is not trace-preserving can send a state to zero: here the
+    # basis seed e_1
+    ch = chan.KrausChannel.from_kraus([np.diag([1.0, 0.0])])
+    with pytest.raises(ValueError, match="zero trace"):
+        opt.estimate_nu_p(ch, p)
+
+
 @pytest.mark.parametrize("seed", [0, 7919])
 def test_default_wh3_scan_brackets_the_closed_form_onset(seed):
     with mp.workdps(50):
