@@ -1,6 +1,10 @@
 """Rank-bounded decompositions of states and block matrices.
 
-Two constructions, plus a verifier for their common block form:
+Two constructions, plus a verifier for their common block form.  Every
+function takes plain matrices: a block matrix is a d2×d2 grid of d1×d1
+blocks, legs ordered (grid ⊗ block) as :func:`linalg.kron` makes them, and
+the block size d1 is always given (``szarek_split``) or fixed by the
+factors (``verify_ar4``).
 
 ``horn_vectors``
     Any d×d density matrix A = Q·diag(w)·Q† equals (1/d) Σ_m x_m x_m† with
@@ -31,7 +35,9 @@ spectra are clamped against.
 ``verify_ar4``
     Checks the combined block form: A (a d2×d2 grid of d1×d1 blocks,
     diagonal-block sum M) against factors X_1..X_{d2} of shape (d1·d2, d1)
-    with A = (1/d2) Σ_m X_m X_m† and Σ_j X_jm X_jm† = M for every m.
+    with A = (1/d2) Σ_m X_m X_m† and Σ_j X_jm X_jm† = M for every m.  Both
+    block sums are partial traces over the grid leg,
+    ``linalg.partial_trace(·, (d2, d1), keep=1)`` of A and of X_m X_m†.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from . import linalg as la
 from . import channels as chan
 
 __all__ = [
-    "BlockMatrix",
     "Decomposition",
     "AR4Report",
     "SUPPORT_TOL",
@@ -61,41 +66,13 @@ SUPPORT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class BlockMatrix:
-    """A (d1·d2)×(d1·d2) matrix viewed as a d2×d2 grid of d1×d1 blocks."""
-
-    d1: int
-    d2: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = la.as_matrix(self.matrix)
-        n = self.d1 * self.d2
-        if m.shape != (n, n):
-            raise la.ShapeError(
-                f"block matrix shape {m.shape} != ({n}, {n})"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    def block(self, j: int, k: int) -> np.ndarray:
-        d1 = self.d1
-        return self.matrix[j * d1 : (j + 1) * d1, k * d1 : (k + 1) * d1]
-
-    @property
-    def diagonal_block_sum(self) -> np.ndarray:
-        return sum(self.block(j, j) for j in range(self.d2))
-
-
-@dataclass(frozen=True)
 class Decomposition:
-    """Terms with uniform weights and a common rank bound.
+    """The two halves of a split, A = (term₁ + term₂)/2, each of rank ≤ d1.
 
     ``factors`` holds the X_m with term = X_m X_m†; they feed verify_ar4.
     """
 
     terms: tuple
-    weights: tuple
-    rank_bound: int
     factors: tuple
 
 
@@ -131,26 +108,20 @@ def horn_vectors(a) -> list[np.ndarray]:
     return [x[:, m].copy() for m in range(d)]
 
 
-def szarek_split(block, d1: int | None = None) -> Decomposition:
-    """Split a PSD 2×2-block matrix into two rank-≤d1 PSD halves.
+def szarek_split(a, d1: int) -> Decomposition:
+    """Split a PSD 2×2-block matrix (blocks d1×d1) into two rank-≤d1 PSD
+    halves.
 
-    Accepts a :class:`BlockMatrix` with d2 = 2 or a raw matrix plus
-    ``d1``.  Both output terms keep A's diagonal blocks exactly, so any
-    constraint carried by those blocks (e.g. trace preservation of a Choi
-    matrix) survives the split.
+    Both output terms keep A's diagonal blocks exactly, so any constraint
+    carried by those blocks (e.g. trace preservation of a Choi matrix)
+    survives the split.  ``d1`` must be a positive integer and A of shape
+    (2·d1, 2·d1).
     """
-    if isinstance(block, BlockMatrix):
-        if block.d2 != 2:
-            raise la.ShapeError("szarek_split needs a 2×2 block grid")
-        a, d1 = block.matrix, block.d1
-    else:
-        if d1 is None:
-            raise ValueError("pass a BlockMatrix or a matrix together with d1")
-        a = la.as_matrix(block)
-        if a.shape != (2 * d1, 2 * d1):
-            raise la.ShapeError(
-                f"matrix shape {a.shape} incompatible with d1={d1}"
-            )
+    if isinstance(d1, bool) or not isinstance(d1, (int, np.integer)) or d1 < 1:
+        raise ValueError(f"d1 must be a positive integer, got {d1!r}")
+    a = la.as_matrix(a)
+    if a.shape != (2 * d1, 2 * d1):
+        raise la.ShapeError(f"matrix shape {a.shape} incompatible with d1={d1}")
     # the one Hermiticity check: after it, A, its diagonal blocks and each
     # term [[A₁₁, X], [X†, A₂₂]] are exactly Hermitian
     a = la.check_hermitian(a, what="block matrix")
@@ -207,12 +178,7 @@ def _split(a: np.ndarray, d1: int, top: float) -> Decomposition:
     factors = np.empty((2, 2 * d1, d1), dtype=np.complex128)
     factors[:, :d1] = s11
     factors[:, d1:] = s22 @ np.conj(wm).swapaxes(-1, -2)
-    return Decomposition(
-        terms=tuple(terms),
-        weights=(0.5, 0.5),
-        rank_bound=d1,
-        factors=tuple(factors),
-    )
+    return Decomposition(terms=tuple(terms), factors=tuple(factors))
 
 
 def _swap_legs(m: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -244,10 +210,11 @@ def szarek_split_choi(choi: chan.ChoiMatrix) -> tuple[chan.ChoiMatrix, chan.Choi
 def verify_ar4(a, factors, rank_bound: int, tol: float = 1e-8) -> AR4Report:
     """Verify the combined block-decomposition form (see module docstring).
 
-    ``a`` is a BlockMatrix (or raw matrix with d2 = len(factors) inferred
-    from the factor shapes); ``factors`` are the d2 matrices X_m of shape
-    (d1·d2, d1); checks A = (1/d2) Σ X_m X_m†, the per-term diagonal-block
-    sums against M = Σ_j A_jj, and numerical_rank(X_m) ≤ rank_bound.
+    ``factors`` are the d2 matrices X_m of shape (d1·d2, d1), which fix the
+    grid: d1 is their width and d2 their number; ``a`` is a matrix of shape
+    (d1·d2, d1·d2).  Checks A = (1/d2) Σ X_m X_m†, each term's block sum
+    Σ_j X_jm X_jm† against M = Σ_j A_jj, and numerical_rank(X_m) ≤
+    rank_bound.
     """
     facs = [la.as_matrix(x) for x in factors]
     d2 = len(facs)
@@ -260,24 +227,21 @@ def verify_ar4(a, factors, rank_bound: int, tol: float = 1e-8) -> AR4Report:
         raise la.ShapeError(
             f"factor height {n} != d1*d2 = {d1 * d2} (d1 from factor width)"
         )
-    bm = a if isinstance(a, BlockMatrix) else BlockMatrix(d1=d1, d2=d2, matrix=a)
-    if (bm.d1, bm.d2) != (d1, d2):
-        raise la.ShapeError("block grid does not match the factor shapes")
+    a = la.as_matrix(a)
+    if a.shape != (n, n):
+        raise la.ShapeError(f"matrix shape {a.shape} != ({n}, {n}) of the factor grid")
 
-    recon = sum(x @ la.dagger(x) for x in facs) / d2
-    rec_resid = float(np.abs(recon - bm.matrix).max())
-
-    m_target = bm.diagonal_block_sum
-    term_residuals = []
-    for x in facs:
-        acc = np.zeros((d1, d1), dtype=np.complex128)
-        for j in range(d2):
-            blk = x[j * d1 : (j + 1) * d1, :]
-            acc += blk @ la.dagger(blk)
-        term_residuals.append(float(np.abs(acc - m_target).max()))
+    grams = [x @ la.dagger(x) for x in facs]
+    rec_resid = float(np.abs(sum(grams) / d2 - a).max())
+    # block sums are partial traces over the grid leg, which comes first
+    m_target = la.partial_trace(a, (d2, d1), keep=1)
+    term_residuals = tuple(
+        float(np.abs(la.partial_trace(g, (d2, d1), keep=1) - m_target).max())
+        for g in grams
+    )
 
     ranks = tuple(la.numerical_rank(x) for x in facs)
-    scale = max(float(np.abs(bm.matrix).max()), 1e-300)
+    scale = max(float(np.abs(a).max()), 1e-300)
     ok = (
         rec_resid <= tol * scale
         and all(r <= tol * scale for r in term_residuals)
@@ -286,7 +250,7 @@ def verify_ar4(a, factors, rank_bound: int, tol: float = 1e-8) -> AR4Report:
     return AR4Report(
         ok=bool(ok),
         reconstruction_residual=rec_resid,
-        term_residuals=tuple(term_residuals),
+        term_residuals=term_residuals,
         ranks=ranks,
         rank_bound=rank_bound,
     )

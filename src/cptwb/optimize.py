@@ -69,10 +69,13 @@ gate leaves 18.
 
 A pass builds every row's first candidate, decomposes all their outputs in
 one stacked call, and guards them with one test for both directions,
-sign·Tr Γ'^p ≥ sign·Tr Γ^p − ``value_tol`` with Γ' the candidate's output
-and sign +1 for p ≥ 1, −1 below.  A row rejected on rung k falls to rung
-k + 1 in the same pass, and only those rows are built, decomposed and
-guarded again, so that no run repeats a rejected step.  A row rejected on
+sign·Tr Γ'^p ≥ sign·Tr Γ^p − ``value_tol`` and |Tr Γ'| ≥ 1e-14, with Γ' the
+candidate's output and sign +1 for p ≥ 1, −1 below.  The trace term always
+holds for a trace-preserving map; for one that is not, it keeps a p < 1 run
+out of the map's kernel, where a zero output would look cheapest.  A row
+rejected on rung k falls to rung k + 1 in the same pass, and only those
+rows are built, decomposed and guarded again, so that no run repeats a
+rejected step.  A row rejected on
 the exact rung keeps its state and ends as ``guard_stall``.  At p > 1
 convexity makes a plain candidate past the fixed-point screen gain more
 than ``value_tol``, so, up to rounding, the guard rejects only extrapolated
@@ -461,6 +464,11 @@ def _at_fixed_point(
     return p * (np.linalg.eigvalsh(m)[:, -1] - _expect(m, states)) <= value_tol
 
 
+#: an output with |Tr Γ| below this absolute bound counts as zero: a seed
+#: with one is refused, and the guard turns down a candidate with one
+_ZERO_TRACE = 1e-14
+
+
 class _Runs(NamedTuple):
     """Per-row results of :func:`_iterate`, one entry per row of the stack."""
 
@@ -490,8 +498,10 @@ def _iterate(
     so a row's results do not depend on which rows share the stack.  States
     of the wrong length raise ``ShapeError``, and a zero or non-finite state
     or ``max_iters < 1`` raises ``ValueError``, before any eigensolve; a
-    current state whose output has |Tr Γ| < 1e-14, an absolute bound, raises
-    ``ValueError`` at the start of its pass.
+    seed whose output has |Tr Γ| < 1e-14, an absolute bound, raises
+    ``ValueError`` before the first pass.  The guard also turns down every
+    candidate whose output has |Tr Γ'| < 1e-14, so no run steps into the
+    kernel of a map that is not trace-preserving.
     """
     if max_iters < 1:
         raise ValueError(f"need max_iters >= 1, got {max_iters}")
@@ -508,6 +518,8 @@ def _iterate(
     r = len(psi)
 
     w, v, t, tr = _seed_spectra(ch, psi, p)
+    if np.any(np.abs(tr) < _ZERO_TRACE):
+        raise ValueError("channel output has (numerically) zero trace")
     ascent = p >= 1.0
     sign = 1.0 if ascent else -1.0
     # each row's results, written when it leaves the stack; a row still
@@ -546,9 +558,12 @@ def _iterate(
             return _extrapolate(psi[sel], plain[sel], x_prev[sel], f_prev[sel])
         return plain[sel] if k == 1 else _exact_candidates(m[sel], p)
 
+    def guard(tc, t, trc):
+        """Whether candidates of objective ``tc`` and output trace ``trc``
+        may replace states of objective ``t``."""
+        return (sign * tc >= sign * t - value_tol) & (np.abs(trc) >= _ZERO_TRACE)
+
     for it in range(1, max_iters + 1):
-        if np.any(np.abs(tr) < 1e-14):
-            raise ValueError("channel output has (numerically) zero trace")
         m = chan.apply_adjoint(ch, la._from_spectrum(_terms(w, p, weights=True), v))
         plain = psi  # no power rungs below p = 1
         if ascent:
@@ -576,7 +591,7 @@ def _iterate(
                 on = ... if on.all() else on  # views, not copies, of a whole stack
                 cand[on] = candidates(on, k)
         wc, vc, tc, trc = _output_spectra(kraus, cand, p)
-        ok = sign * tc >= sign * t - value_tol
+        ok = guard(tc, t, trc)
         # a row the guard rejects falls to the next rung in its own stack, so
         # that no run repeats a rejected step
         for k in range(3) if not ok.all() else ():
@@ -589,7 +604,7 @@ def _iterate(
                     rung[fall] = k + 1
                     cand[fall] = candidates(fall, k + 1)
                     wc[fall], vc[fall], tc[fall], trc[fall] = _output_spectra(kraus, cand[fall], p)
-                    ok[fall] = sign * tc[fall] >= sign * t[fall] - value_tol
+                    ok[fall] = guard(tc[fall], t[fall], trc[fall])
         x_prev, f_prev = psi, plain
         step = tc - t
         bad = sign * step < -value_tol  # should not happen: the step is guarded

@@ -129,6 +129,15 @@ def test_numax_refuses_a_zero_trace_output(p, tmp_path, capsys):
     assert "zero trace" in err and "Traceback" not in err
 
 
+def test_numax_at_p_below_1_keeps_out_of_a_kernel_no_seed_reaches(tmp_path, capsys):
+    # no seed of this map has a zero output, but its kernel holds e_0 - e_1
+    ch = chan.KrausChannel.from_kraus([np.array([[1.0, 1.0], [0.0, 0.0]]) / np.sqrt(2)])
+    f = tmp_path / "kernel.json"
+    f.write_text(json.dumps(chan.channel_to_json(ch)))
+    code, out, err = run(["numax", "--input", str(f), "--no-validate", "--p", "0.5"], capsys)
+    assert code == 0 and out and err == ""
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------

@@ -95,23 +95,12 @@ def test_horn_vectors_rejects_bad_trace_and_negativity():
 # two-term block split
 # ---------------------------------------------------------------------------
 
-def test_block_matrix_accessors():
-    rng = np.random.default_rng(62)
-    m = _random_block_psd(2, rng)
-    bm = dec.BlockMatrix(2, 2, m)
-    assert np.abs(bm.block(0, 1) - m[0:2, 2:4]).max() == 0.0
-    assert np.abs(bm.diagonal_block_sum - (m[0:2, 0:2] + m[2:4, 2:4])).max() == 0.0
-    with pytest.raises(la.ShapeError):
-        dec.BlockMatrix(3, 2, m)
-
-
 def test_szarek_split_scalar_blocks():
     # d1 = 1: A = [[1, c], [c, 1]]/2 splits into two rank-one halves with
     # off-diagonal phases e^{±iθ}, cos θ = c
     c = 0.6
     a = np.array([[1.0, c], [c, 1.0]]) / 2.0
     d = dec.szarek_split(a, d1=1)
-    assert d.weights == (0.5, 0.5)
     mix = 0.5 * (d.terms[0] + d.terms[1])
     assert np.abs(mix - a).max() < 1e-12
     for term in d.terms:
@@ -126,7 +115,7 @@ def test_szarek_split_random_blocks():
         d1 = int(rng.integers(1, 7))
         rank = int(rng.integers(1, 2 * d1 + 1))
         a = _random_block_psd(d1, rng, rank=rank)
-        d = dec.szarek_split(dec.BlockMatrix(d1, 2, a))
+        d = dec.szarek_split(a, d1)
         mix = 0.5 * (d.terms[0] + d.terms[1])
         scale = max(np.abs(a).max(), 1.0)
         assert np.abs(mix - a).max() < 1e-9 * scale
@@ -203,12 +192,17 @@ def test_szarek_split_clamps_the_blocks_against_the_floor_of_a():
 
 
 def test_szarek_split_shape_errors():
-    with pytest.raises(ValueError):
-        dec.szarek_split(np.eye(4))  # no d1
     with pytest.raises(la.ShapeError):
         dec.szarek_split(np.eye(6), d1=2)
-    with pytest.raises(la.ShapeError):
-        dec.szarek_split(dec.BlockMatrix(2, 3, np.eye(6)))
+
+
+@pytest.mark.parametrize("d1", [0, 1.5, True])
+def test_szarek_split_rejects_a_d1_that_is_not_a_positive_integer(d1, monkeypatch):
+    # refused before any eigensolve, whatever the matrix
+    _, eighs = _count_checks_and_eigensolves(monkeypatch)
+    with pytest.raises(ValueError, match="positive integer"):
+        dec.szarek_split(np.zeros((0, 0)) if d1 == 0 else np.eye(2), d1=d1)
+    assert eighs == []
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +237,7 @@ def test_verify_ar4_on_block_factors():
     rng = np.random.default_rng(64)
     d1 = 3
     a = _random_block_psd(d1, rng)
-    d = dec.szarek_split(dec.BlockMatrix(d1, 2, a))
+    d = dec.szarek_split(a, d1)
     rep = dec.verify_ar4(a, d.factors, rank_bound=d1)
     assert rep.ok
     assert rep.reconstruction_residual < 1e-9
@@ -254,8 +248,38 @@ def test_verify_ar4_flags_corruption():
     rng = np.random.default_rng(65)
     d1 = 2
     a = _random_block_psd(d1, rng)
-    d = dec.szarek_split(dec.BlockMatrix(d1, 2, a))
+    d = dec.szarek_split(a, d1)
     bad = list(d.factors)
     bad[0] = bad[0] + 0.05
     rep = dec.verify_ar4(a, bad, rank_bound=d1)
     assert not rep.ok
+
+
+def _dft_grid(b):
+    """A = (I₃/3) ⊗ B and its factors X_m = f_m ⊗ B^{1/2}, f_m column m of
+    the unitary DFT matrix F₃/√3: a d2 = 3 grid of blocks B/3."""
+    f = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    root = la.psd_power(b, 0.5)
+    return np.kron(np.eye(3) / 3, b), [np.kron(f[:, [m]], root) for m in range(3)]
+
+
+def test_verify_ar4_on_a_three_block_grid():
+    # Σ_m f_m f_m† = I₃ gives A = (1/3) Σ_m X_m X_m†, and each X_m X_m† has
+    # diagonal blocks B/3, which sum to M = B; the grid is the first leg
+    b = random_density(2, rng_from(68))
+    a, facs = _dft_grid(b)
+    rep = dec.verify_ar4(a, facs, rank_bound=2)
+    assert rep.ok and rep.ranks == (2, 2, 2)
+    with pytest.raises(la.ShapeError):  # the factors fix a 6×6 grid
+        dec.verify_ar4(a[:4, :4], facs, rank_bound=2)
+    # with the legs swapped, A's 2×2 diagonal blocks no longer sum to B
+    assert not dec.verify_ar4(np.kron(b, np.eye(3) / 3), facs, rank_bound=2).ok
+    # scaling X_1's first block by 1.5 moves that block of X_1 X_1† by
+    # 1.25·B/3, so term 1 alone misses M
+    bad = list(facs)
+    bad[1] = facs[1].copy()
+    bad[1][:2] *= 1.5
+    rep = dec.verify_ar4(a, bad, rank_bound=2)
+    assert not rep.ok
+    assert abs(rep.term_residuals[1] - 1.25 * np.abs(b).max() / 3) < 1e-15
+    assert rep.term_residuals[0] <= 1e-15 and rep.term_residuals[2] <= 1e-15

@@ -1198,6 +1198,17 @@ def test_a_seed_with_a_zero_trace_output_is_refused(p):
         opt.estimate_nu_p(ch, p)
 
 
+def test_the_guard_keeps_a_p_below_1_run_out_of_the_kernel():
+    # no seed has a zero output, but the least eigenvector of M lies in the
+    # kernel, spanned by e_0 - e_1, where Tr Γ^p = 0 looks cheapest: the
+    # guard turns that exact step down, and every run stalls on its seed
+    ch = chan.KrausChannel.from_kraus([np.array([[1.0, 1.0], [0.0, 0.0]]) / np.sqrt(2)])
+    rep = opt.estimate_nu_p(ch, 0.5)
+    assert set(rep.statuses) == {"guard_stall"}
+    assert rep.best_value > 0.0
+    assert rep.monotonicity_violations == 0
+
+
 @pytest.mark.parametrize("seed", [0, 7919])
 def test_default_wh3_scan_brackets_the_closed_form_onset(seed):
     with mp.workdps(50):
