@@ -25,7 +25,10 @@ factors (``verify_ar4``).
     the block grid), this splits the channel into an even mixture of two
     maps with Choi rank ≤ d_in (``szarek_split_choi``).
 
-Eigensolves: ``horn_vectors`` makes one ``eigh`` and reads its vectors.  A
+Eigensolves: ``horn_vectors`` makes one ``eigh`` and reads its vectors; its
+DFT matrix F is built once per d and kept read-only in a cache of the 8
+most recent d (``_dft``): building it takes an outer product, a mod and a
+complex exp, about 6 µs at d = 5, two thirds of the eigensolve.  A
 split makes one vector eigensolve, a stacked ``eigh`` of both diagonal
 blocks, whose spectra give P, D^{−1/2} and D^{1/2}; its PSD gate on A reads
 eigenvalues only (``eigvalsh``, or the cached Choi spectrum in
@@ -43,6 +46,7 @@ spectra are clamped against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +57,7 @@ __all__ = [
     "Decomposition",
     "AR4Report",
     "SUPPORT_TOL",
+    "TRACE_TOL",
     "horn_vectors",
     "szarek_split",
     "szarek_split_choi",
@@ -63,6 +68,10 @@ __all__ = [
 #: blocks' supports: ``P₁₁·A₁₂·P₂₂`` may miss ``A₁₂`` by at most this times
 #: the largest entry of A.
 SUPPORT_TOL = 1e-8
+
+#: ``horn_vectors`` refuses a density matrix whose eigenvalues sum to more
+#: than this away from 1.
+TRACE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -94,18 +103,28 @@ def horn_vectors(a) -> list[np.ndarray]:
     the module docstring) with A = (1/d) Σ_m x_m x_m†, eigenvalues w in
     descending order.  A maximally mixed input yields an orthonormal basis,
     a pure state d copies of its vector; kernel eigenvalues of roundoff size
-    ε enter as √ε, which moves no norm and no reconstruction beyond ε.
+    ε enter as √ε, which moves no norm and no reconstruction beyond ε.  The
+    trace must be 1 within ``TRACE_TOL``; a 0×0 matrix has trace 0.
     """
     w, q = la._spectrum(la.as_matrix(a), psd=True, what="density matrix")
-    w, q = w[::-1], la._canonical_phases(q[:, ::-1])
+    w = w[::-1]
     tr = float(w.sum())
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"horn_vectors needs trace 1, got {tr:.6f}")
-    d = len(w)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(
+            f"horn_vectors needs trace 1 within TRACE_TOL = {TRACE_TOL:g}, got {tr!r}"
+        )
+    x = (la._canonical_phases(q[:, ::-1]) * np.sqrt(w)) @ _dft(len(w))
+    return list(x.T.copy())
+
+
+@lru_cache(maxsize=8)
+def _dft(d: int) -> np.ndarray:
+    """The read-only d×d DFT matrix F_jm = e^{2πi·jm/d}, jm reduced mod d to
+    keep the phases exact."""
     r = np.arange(d)
-    # F_jm = e^{2πi·jm/d}, with jm reduced mod d to keep the phases exact
-    x = (q * np.sqrt(w)) @ np.exp((2j * np.pi / d) * (np.outer(r, r) % d))
-    return [x[:, m].copy() for m in range(d)]
+    f = np.exp((2j * np.pi / d) * (np.outer(r, r) % d))
+    f.flags.writeable = False
+    return f
 
 
 def szarek_split(a, d1: int) -> Decomposition:
@@ -142,26 +161,29 @@ def _split(a: np.ndarray, d1: int, top: float) -> Decomposition:
     scale = max(float(np.abs(a).max()), 1e-300)
 
     # one eigensolve, one clamped spectrum and one support mask for both
-    # diagonal blocks give their support projectors and -1/2 and 1/2 powers,
-    # all six from one product
-    blocks = np.empty((2, d1, d1), dtype=np.complex128)
-    blocks[0], blocks[1] = a[:d1, :d1], a[d1:, d1:]
+    # diagonal blocks (read through a view of A) give their support
+    # projectors and -1/2 and 1/2 powers, all six from one product
+    blocks = a.reshape(2, d1, 2, d1).diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
     w, v = np.linalg.eigh(blocks)
     w = la._psd_clamp(w, "diagonal block", top)
     support = la._support(w)
     ws = w[support]
     pw = np.zeros((3,) + w.shape)  # zero off the support for every exponent
-    for row, x in zip(pw, (0.0, -0.5, 0.5)):
-        row[support] = ws**x
-    (p11, p22), (r11, r22), (s11, s22) = la._from_spectrum(pw, v)
-    resid = float(np.abs(p11 @ a12 @ p22 - a12).max())
+    pw[0] = support  # weight 1 on the support: the projectors
+    pw[1][support] = ws**-0.5
+    pw[2][support] = ws**0.5
+    powers = la._from_spectrum(pw, v)
+    # P₁₁·A₁₂·P₂₂ and W = R₁₁·A₁₂·R₂₂ as one stack
+    supported, w12 = powers[:2, 0] @ a12 @ powers[:2, 1]
+    resid = float(np.abs(supported - a12).max())
     if resid > SUPPORT_TOL * scale:
         raise ValueError(
             "off-diagonal block is not supported on the diagonal-block "
             f"supports (residual {resid:.3e}); input is degenerate"
         )
 
-    u, s, vh = np.linalg.svd(r11 @ a12 @ r22)
+    s11, s22 = powers[2]
+    u, s, vh = np.linalg.svd(w12)
     # singular values are >= 0, and W is a contraction up to roundoff
     phase = np.exp(1j * np.arccos(np.minimum(s, 1.0)))
     # the unitaries W_m = U·diag(e^{±iθ})·V†, both terms and both factors
@@ -171,8 +193,7 @@ def _split(a: np.ndarray, d1: int, top: float) -> Decomposition:
     np.multiply(u, np.conj(phase), out=wm[1])
     wm = wm @ vh
     off = s11 @ wm @ s22
-    terms = np.empty((2,) + a.shape, dtype=np.complex128)
-    terms[:] = a
+    terms = np.array((a, a))
     terms[:, :d1, d1:] = off
     terms[:, d1:, :d1] = np.conj(off).swapaxes(-1, -2)
     factors = np.empty((2, 2 * d1, d1), dtype=np.complex128)

@@ -91,6 +91,40 @@ def test_horn_vectors_rejects_bad_trace_and_negativity():
         dec.horn_vectors(np.diag([1.2, -0.2]))
 
 
+def test_horn_vectors_trace_bound_is_trace_tol():
+    assert dec.TRACE_TOL == 1e-8
+    rho = np.diag([0.5, 0.3, 0.2])
+    # the message names the bound and shows the trace to its last digit
+    with pytest.raises(ValueError, match=r"TRACE_TOL = 1e-08, got 1\.00000002$"):
+        dec.horn_vectors(rho * (1 + 2e-8))
+    assert len(dec.horn_vectors(rho * (1 + 5e-9))) == 3
+
+
+def test_horn_vectors_of_an_empty_matrix_is_a_trace_error():
+    with pytest.raises(ValueError, match="needs trace 1 .*, got 0.0"):
+        dec.horn_vectors(np.zeros((0, 0)))
+
+
+def test_the_dft_matrix_is_cached_read_only():
+    for d in range(1, 10):
+        f = dec._dft(d)
+        assert f is dec._dft(d)
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0, 0] = 0.0
+        jm = np.outer(np.arange(d), np.arange(d)) % d
+        assert np.abs(f - np.exp(2j * np.pi * jm / d)).max() < 1e-15
+
+
+def test_writing_a_horn_vector_moves_no_other_output():
+    rho = random_density(4, rng_from(33), rank=3)
+    xs = dec.horn_vectors(rho)
+    before = [x.copy() for x in xs]
+    xs[0][:] = 7.0
+    assert all(np.array_equal(x, y) for x, y in zip(xs[1:], before[1:]))
+    assert all(np.array_equal(x, y) for x, y in zip(dec.horn_vectors(rho), before))
+
+
 # ---------------------------------------------------------------------------
 # two-term block split
 # ---------------------------------------------------------------------------

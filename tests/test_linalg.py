@@ -58,6 +58,11 @@ def test_herm_eig_descending_and_canonical():
             assert abs(col[idx].imag) < 1e-10
 
 
+def test_herm_eig_of_an_empty_matrix_is_empty():
+    w, v = la.herm_eig(np.zeros((0, 0)))
+    assert w.shape == (0,) and v.shape == (0, 0)
+
+
 def test_herm_eig_deterministic():
     rng = np.random.default_rng(2)
     m = _random_hermitian(6, rng)
@@ -171,6 +176,100 @@ def test_symmetrization_is_the_half_sum_to_the_last_bit():
         for m in (a, np.asfortranarray(a), a.T.conj()):
             got = la.check_hermitian(m)
             assert got.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the eigensolve wrappers act on each matrix of a stack alone
+# ---------------------------------------------------------------------------
+
+def _layouts(stack):
+    """A stack ``(k, d, d)`` C-ordered, Fortran-ordered and as the
+    conjugate transposes of its matrices (a strided view)."""
+    return [
+        np.ascontiguousarray(stack),
+        np.asfortranarray(stack),
+        stack.conj().swapaxes(-1, -2),
+    ]
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _psd_stacks(rng):
+    """Stacks of four PSD matrices of rank 1, ⌈d/2⌉ and d, d = 1..9, in each
+    layout: rank-deficient ones have eigenvalues just below zero."""
+    for d in range(1, 10):
+        mats = [_random_psd(d, rng, rank=r) for r in (1, (d + 1) // 2, d, 1)]
+        yield from _layouts(np.array(mats))
+
+
+def test_stacked_hermitian_part_is_each_matrix_alone():
+    rng = np.random.default_rng(40)
+    for d in range(1, 10):
+        # within HERM_TOL of Hermitian, so the symmetrization moves bits
+        mats = np.array([_random_hermitian(d, rng) for _ in range(8)])
+        for stack in _layouts(mats[:4] + 1e-14j * mats[4:]):
+            got = la._hermitian_part(stack, "m")
+            for i, m in enumerate(stack):
+                assert _bits(got[i]) == _bits(la._hermitian_part(m, "m"))
+
+
+def test_stacked_psd_clamp_is_each_spectrum_alone():
+    rng = np.random.default_rng(41)
+    negative = 0
+    for stack in _psd_stacks(rng):
+        spectra = np.linalg.eigvalsh(stack)
+        negative += int((spectra[:, 0] < 0.0).sum())
+        for w in (spectra, np.asfortranarray(spectra)):
+            for top in (None, 2.0 * spectra.max()):
+                got = la._psd_clamp(w.copy(order="K"), "m", top)
+                for i, row in enumerate(w):
+                    assert _bits(got[i]) == _bits(la._psd_clamp(row.copy(), "m", top))
+    assert negative > 20  # the clamp had work to do
+
+
+def test_stacked_canonical_phases_is_each_matrix_alone():
+    rng = np.random.default_rng(42)
+    for stack in _psd_stacks(rng):
+        _, v = np.linalg.eigh(stack)
+        for vecs in (v, v[..., ::-1], v[..., :1]) + tuple(_layouts(v)[1:]):
+            got = la._canonical_phases(vecs)
+            for i, m in enumerate(vecs):
+                assert _bits(got[i]) == _bits(la._canonical_phases(m))
+
+
+def _raised(f, *args):
+    with pytest.raises(ValueError) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("fault", ["non-finite", "non-Hermitian"])
+def test_a_faulty_matrix_raises_in_a_stack_as_alone(fault):
+    rng = np.random.default_rng(43)
+    for d in range(1, 10):
+        mats = np.array([_random_hermitian(d, rng) for _ in range(4)])
+        if fault == "non-finite":
+            mats[2, d - 1, 0] = np.inf
+        else:
+            mats[2, d - 1, 0] += 1e-9 * (1 + 1j)  # skew for d = 1
+        for stack in _layouts(mats):
+            alone = _raised(la._hermitian_part, stack[2], "m")
+            kind = ValueError if fault == "non-finite" else la.NotHermitianError
+            assert alone[0] is kind
+            assert _raised(la._hermitian_part, stack, "m") == alone
+
+
+def test_a_non_psd_spectrum_raises_in_a_stack_as_alone():
+    rng = np.random.default_rng(44)
+    for stack in _psd_stacks(rng):
+        spectra = np.linalg.eigvalsh(stack)
+        spectra[2, 0] = -1e-6 * spectra[2, -1]
+        for top in (None, spectra[2, -1]):
+            alone = _raised(la._psd_clamp, spectra[2].copy(), "m", top)
+            assert alone[0] is la.NotPSDError
+            assert _raised(la._psd_clamp, spectra.copy(), "m", top) == alone
 
 
 def test_partial_trace_both_legs():
