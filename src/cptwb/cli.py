@@ -18,6 +18,16 @@ Channels come from ``--input FILE`` (channel JSON: ``{"d_in", "d_out",
 plus the family's parameters (``--dim``, ``--x``, ``--alpha``,
 ``--epsilon``, ``--unitaries-file``, ``--seed``; see ``zoo.FAMILIES``).
 
+``_build_parser`` is the one place a subcommand's flags are declared.  Each
+flag belongs to one flag group, declared once: ``common`` (``--seed``,
+``--no-validate``, ``--format``, ``--output`` and the channel source, which
+every subcommand takes), ``pair`` (the ``-b`` channel source), ``order``
+(``--p``), ``search`` (``--restarts``, ``--max-iters``), ``tensor``
+(``--tensor-restarts``), ``dump`` (``--dump-kraus``), ``scan``
+(``--p-grid``, ``--resolution``) and ``perturb`` (``--perturb``).  Its
+subcommand table gives each subcommand one row, which names the groups it
+takes.
+
 Each ``cmd_*`` computes its result and returns the report body with an
 exit code; ``main`` finishes every report in one place.  Before the command
 runs it refuses ``--format csv`` on a subcommand without a table, and an
@@ -28,7 +38,8 @@ truncating the file.  After it, ``main`` prepends the head (``command``,
 ``--output`` and returns the code.
 
 Exit codes: 0 success (a reported violation or non-convergence is data,
-not an error), 2 invalid input, 3 numerical failure, 64 bad usage.
+not an error), 2 invalid input, 3 numerical failure or running out of
+memory, 64 bad usage.
 Output is deterministic: identical invocations produce identical bytes,
 floats are rendered to 12 significant digits, and JSON keys keep a fixed
 order.
@@ -512,24 +523,51 @@ def cmd_complement(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
+    """The ``cptwb`` parser.  Each flag is declared once, in one group, and
+    each subcommand is one row of ``commands``: its handler, the groups it
+    takes besides ``common``, and its help line."""
+    common, pair, order, search, tensor, dump, scan, perturb = (
+        _Parser(add_help=False) for _ in range(8)
+    )
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     common.add_argument(
         "--no-validate", action="store_true", help="skip the CPT validation gate"
     )
-    common.add_argument(
-        "--format", choices=("json", "csv", "text"), default="text"
-    )
+    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--output", metavar="FILE", help="write the report to FILE")
-
+    _add_channel_source(common)  # every subcommand reads a channel
+    _add_channel_source(pair, suffix="b")
+    order.add_argument("--p", type=float, required=True)
     defaults = opt.OptimizerConfig()
-    optflags = _Parser(add_help=False)
-    optflags.add_argument("--restarts", type=int, default=defaults.restarts)
-    optflags.add_argument("--max-iters", type=int, default=defaults.max_iters)
-
-    tensorflags = _Parser(add_help=False)
-    tensorflags.add_argument(
-        "--tensor-restarts", type=int, default=defaults.tensor_restarts
+    search.add_argument("--restarts", type=int, default=defaults.restarts)
+    search.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    tensor.add_argument("--tensor-restarts", type=int, default=defaults.tensor_restarts)
+    dump.add_argument("--dump-kraus", action="store_true")
+    scan.add_argument(
+        "--p-grid", required=True, metavar="START:STOP:STEP",
+        help=f"stop included; at most {P_GRID_MAX} points",
+    )
+    scan.add_argument(
+        "--resolution", type=float, default=0.01,
+        help="widest final bracket of the threshold (default 0.01)",
+    )
+    perturb.add_argument(
+        "--perturb", type=float, metavar="EPS0",
+        help="perturb a generalized-extreme channel to a true extreme point",
+    )
+    commands = (
+        ("info", cmd_info, [dump], "validate and classify"),
+        ("numax", cmd_numax, [search, order], "extremal output p-norm"),
+        ("smin", cmd_smin, [search, order], "minimal output Renyi entropy"),
+        ("multcheck", cmd_multcheck, [search, tensor, pair, order],
+         "multiplicativity check at one p"),
+        ("multscan", cmd_multscan, [search, tensor, pair, scan],
+         "threshold scan over Renyi orders: a grid, then the onset "
+         "placed from the gap curve's root, or by bisection"),
+        ("decompose", cmd_decompose, [dump],
+         "split a qubit-output channel into rank-bounded halves"),
+        ("extremality", cmd_extremality, [perturb, dump], "extremality classification"),
+        ("complement", cmd_complement, [], "emit the complementary channel"),
     )
 
     parser = _Parser(
@@ -538,82 +576,8 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"cptwb {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
-
-    p = sub.add_parser("info", parents=[common], help="validate and classify")
-    _add_channel_source(p)
-    p.add_argument("--dump-kraus", action="store_true")
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser(
-        "numax", parents=[common, optflags], help="extremal output p-norm"
-    )
-    _add_channel_source(p)
-    p.add_argument("--p", type=float, required=True)
-    p.set_defaults(func=cmd_numax)
-
-    p = sub.add_parser(
-        "smin", parents=[common, optflags], help="minimal output Renyi entropy"
-    )
-    _add_channel_source(p)
-    p.add_argument("--p", type=float, required=True)
-    p.set_defaults(func=cmd_smin)
-
-    p = sub.add_parser(
-        "multcheck",
-        parents=[common, optflags, tensorflags],
-        help="multiplicativity check at one p",
-    )
-    _add_channel_source(p)
-    _add_channel_source(p, suffix="b")
-    p.add_argument("--p", type=float, required=True)
-    p.set_defaults(func=cmd_multcheck)
-
-    p = sub.add_parser(
-        "multscan",
-        parents=[common, optflags, tensorflags],
-        help="threshold scan over Renyi orders: a grid, then the onset "
-        "placed from the gap curve's root, or by bisection",
-    )
-    _add_channel_source(p)
-    _add_channel_source(p, suffix="b")
-    p.add_argument(
-        "--p-grid", required=True, metavar="START:STOP:STEP",
-        help=f"stop included; at most {P_GRID_MAX} points",
-    )
-    p.add_argument(
-        "--resolution", type=float, default=0.01,
-        help="widest final bracket of the threshold (default 0.01)",
-    )
-    p.set_defaults(func=cmd_multscan)
-
-    p = sub.add_parser(
-        "decompose",
-        parents=[common],
-        help="split a qubit-output channel into rank-bounded halves",
-    )
-    _add_channel_source(p)
-    p.add_argument("--dump-kraus", action="store_true")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser(
-        "extremality", parents=[common], help="extremality classification"
-    )
-    _add_channel_source(p)
-    p.add_argument(
-        "--perturb",
-        type=float,
-        metavar="EPS0",
-        help="perturb a generalized-extreme channel to a true extreme point",
-    )
-    p.add_argument("--dump-kraus", action="store_true")
-    p.set_defaults(func=cmd_extremality)
-
-    p = sub.add_parser(
-        "complement", parents=[common], help="emit the complementary channel"
-    )
-    _add_channel_source(p)
-    p.set_defaults(func=cmd_complement)
-
+    for name, func, groups, what in commands:
+        sub.add_parser(name, parents=[common, *groups], help=what).set_defaults(func=func)
     return parser
 
 
@@ -635,6 +599,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"numerical error: out of memory. {exc}".rstrip(), file=sys.stderr)
+        return EXIT_NUMERICAL
     # LinAlgError subclasses ValueError, so the numerical branch goes first.
     except (RuntimeError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -110,15 +110,16 @@ def estimate_smin_p(
     minimize S^p).  p = 1 runs the same search on the von Neumann
     objective, maximizing Tr Φ(ρ) log Φ(ρ) = −S (see :mod:`cptwb.optimize`).
     p = 0 reports log of the minimal output rank at the p = 0.05 proxy.
-    ``nu_value`` is the extremal output p-norm, None at p = 0 and 1.
+    ``nu_value`` is the extremal output p-norm, None at p = 0 and 1.  A
+    p > 0 must have a finite 1/p.
 
     For p > 0 the channel must be trace-preserving (Σ A_k†A_k = I within
     ``channels.TP_TOL``, the default ``tol`` of ``channels.validate_cpt``):
     the value is a functional of Φ(ρ), an entropy only when Tr Φ(ρ) = 1.
     """
     cfg = config or opt.OptimizerConfig()
-    if not (p >= 0 and math.isfinite(p)):
-        raise ValueError(f"need a finite p >= 0, got {p}")
+    if not (p == 0.0 or la._finite_order(p)):
+        raise ValueError(f"need p = 0, or a finite p > 0 and 1/p; got {p}")
     if p > 0.0 and (resid := chan._tp_residual(ch)) > chan.TP_TOL:
         raise ValueError(
             "estimate_smin_p needs a trace-preserving channel at p > 0: "

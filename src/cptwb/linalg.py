@@ -368,14 +368,20 @@ def numerical_rank(m) -> int:
     return int(np.count_nonzero(_support(s)))
 
 
+def _finite_order(p: float) -> bool:
+    """Whether ``p > 0`` and both p and 1/p are finite: a p-norm's root
+    1/p overflows to inf at a subnormal p such as 1e-320."""
+    return p > 0.0 and math.isfinite(p) and math.isfinite(1.0 / float(p))
+
+
 def schatten_p(m, p: float) -> float:
     """Schatten p-(quasi)norm ``(Σ λ^p)^(1/p)`` of a PSD matrix.
 
     Computed from the clamped eigenvalues restricted to the numerical
     support, so 0 < p < 1 (a quasi-norm) is safe on singular inputs.
     """
-    if not (p > 0 and np.isfinite(p)):
-        raise ValueError(f"schatten_p requires a finite p > 0, got {p}")
+    if not _finite_order(p):
+        raise ValueError(f"schatten_p requires a finite p > 0 and 1/p, got {p}")
     return trace_power(m, p) ** (1.0 / p)
 
 

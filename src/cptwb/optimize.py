@@ -680,10 +680,10 @@ def estimate_nu_p(
     it for p < 1) the report covers those restarts alone.  Otherwise the
     Haar seeds run as a second stack and the report is the one a single
     stack gives, field for field, since a restart's result depends only on
-    its index.  p = 1 is rejected.
+    its index.  p = 1 is rejected, and so is a p whose 1/p is not finite.
     """
-    if not (p > 0.0 and math.isfinite(p)) or p == 1.0:
-        raise ValueError(f"the iteration needs a finite p > 0, p != 1; got {p}")
+    if not la._finite_order(p) or p == 1.0:
+        raise ValueError(f"the iteration needs a finite p > 0 and 1/p, p != 1; got {p}")
     return _multistart(ch, p, config or OptimizerConfig(), seeds, bound)
 
 
@@ -989,8 +989,8 @@ def mult_scan(
     how it is found and placed is in the module docstring,
     "Multiplicativity".  Every checked point appears in ``rows``, sorted by
     p.  ``resolution`` must be finite and positive, and every grid point
-    finite, positive and not 1; both are checked before any
-    ``mult_check``.
+    finite, positive and not 1, with a finite 1/p; both are checked before
+    any ``mult_check``.
 
     Points are checked in order (the distinct grid points ascending, then
     each point the placement asks for), all on one A⊗B built here, and
@@ -1005,8 +1005,8 @@ def mult_scan(
     if not points:
         raise ValueError("empty p grid")
     for p in points:
-        if not (p > 0.0 and math.isfinite(p)) or p == 1.0:
-            raise ValueError(f"grid points must be finite, > 0 and != 1; got {p}")
+        if not la._finite_order(p) or p == 1.0:
+            raise ValueError(f"grid points need a finite p > 0 and 1/p, p != 1; got {p}")
     _tensor_dim(a, b)
     cfg = config or OptimizerConfig()
     tensor_cfg = replace(cfg, restarts=cfg.tensor_restarts)

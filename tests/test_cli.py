@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end (in-process)."""
 
+import argparse
 import json
 import signal
 
@@ -157,6 +158,50 @@ def test_usage_errors_exit_64(capsys):
         code, _, err = run(argv, capsys)
         assert code == 64, argv
         assert err  # the reason lands on stderr
+
+
+# The CLI surface, written out.  Every subcommand takes the common options
+# (help, --seed, --no-validate, --format, --output and one channel source);
+# each row lists its handler, its other options, its required options and
+# the defaults of its optimizer and scan flags.
+_SOURCE = ("--input", "--spec-file", "--family", "--dim", "--x", "--alpha", "--epsilon",
+           "--unitaries-file")
+_COMMON = ("-h", "--help", "--seed", "--no-validate", "--format", "--output", *_SOURCE)
+_PAIR = tuple(f"{s}-b" for s in _SOURCE)
+_SEARCH = {"--restarts": 50, "--max-iters": 500}
+_TENSOR = {**_SEARCH, "--tensor-restarts": 200}
+_SURFACE = {
+    "info": (cli.cmd_info, ("--dump-kraus",), (), {}),
+    "numax": (cli.cmd_numax, ("--p", *_SEARCH), ("--p",), _SEARCH),
+    "smin": (cli.cmd_smin, ("--p", *_SEARCH), ("--p",), _SEARCH),
+    "multcheck": (cli.cmd_multcheck, ("--p", *_PAIR, *_TENSOR), ("--p",), _TENSOR),
+    "multscan": (
+        cli.cmd_multscan,
+        ("--p-grid", "--resolution", *_PAIR, *_TENSOR),
+        ("--p-grid",),
+        {**_TENSOR, "--resolution": 0.01},
+    ),
+    "decompose": (cli.cmd_decompose, ("--dump-kraus",), (), {}),
+    "extremality": (cli.cmd_extremality, ("--perturb", "--dump-kraus"), (), {}),
+    "complement": (cli.cmd_complement, (), (), {}),
+}
+
+
+def test_parser_surface_is_pinned():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(_SURFACE)
+    tracked = ("--seed", "--restarts", "--max-iters", "--tensor-restarts", "--resolution",
+               "--format")
+    for name, (func, extra, required, defaults) in _SURFACE.items():
+        actions = {s: a for a in sub.choices[name]._actions for s in a.option_strings}
+        assert sorted(actions) == sorted(_COMMON + extra), name
+        assert sorted(s for s, a in actions.items() if a.required) == sorted(required), name
+        got = {s: actions[s].default for s in tracked if s in actions}
+        assert got == {"--seed": 0, "--format": "text", **defaults}, name
+        assert actions["--format"].choices == ("json", "csv", "text"), name
+        assert [actions[s].nargs for s in actions if s.startswith("--alpha")] in ([2], [2, 2])
+        assert sub.choices[name].get_default("func") is func, name
 
 
 def test_missing_input_file_exits_2(capsys):
@@ -317,6 +362,48 @@ def test_infinite_order_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "finite p" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["numax", "--p", "1e-320"], ["smin", "--p", "1e-320"], ["multcheck", "--p", "1e-320"],
+     ["multscan", "--p-grid", "1e-320:1e-320:1"]],
+)
+def test_an_order_whose_reciprocal_overflows_exits_2(argv, capsys):
+    # 1/1e-320 is inf: the reported norm would read Infinity and the gap NaN
+    code, out, err = run(
+        [*argv, "--family", "werner_holevo", "--dim", "3", "--restarts", "2",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "1/p" in err and "Traceback" not in err
+
+
+def test_a_small_order_with_a_finite_reciprocal_still_runs(capsys):
+    code, out, _ = run(
+        ["numax", "--family", "werner_holevo", "--dim", "3", "--p", "1e-3",
+         "--restarts", "2", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert "Infinity" not in out and "NaN" not in out
+    # every pure input of WH(3) is optimal: nu_p = 2^((1 - p)/p)
+    assert json.loads(out)["best_value"] == pytest.approx(2.0**999, rel=1e-9)
+
+
+def test_running_out_of_memory_exits_3(capsys, monkeypatch):
+    # a real huge dimension may be overcommitted and then hang, so the
+    # allocation failure is injected into the CPT check that info runs
+    def no_memory(ch):
+        raise MemoryError()
+
+    monkeypatch.setattr(chan, "validate_cpt", no_memory)
+    code, out, err = run(["info", "--family", "depolarizing", "--dim", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "numerical error: out of memory.\n"
 
 
 @pytest.mark.parametrize("max_iters", ["0", "-5"])

@@ -164,6 +164,15 @@ def test_estimate_smin_rejects_negative_order():
         entropy.estimate_smin_p(zoo.depolarizing(2), -1.0, FAST)
 
 
+def test_estimate_smin_rejects_an_order_whose_reciprocal_overflows():
+    # 1/1e-320 is inf, so the norm's root would too; 1e-3 still runs
+    with pytest.raises(ValueError, match="1/p"):
+        entropy.estimate_smin_p(zoo.depolarizing(2), 1e-320, FAST)
+    rep = entropy.estimate_smin_p(zoo.werner_holevo(3), 1e-3, FAST)
+    assert abs(rep.value - math.log(2.0)) < 1e-9
+    assert math.isfinite(rep.nu_value)
+
+
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
 def test_estimate_smin_rejects_a_channel_that_is_not_trace_preserving(p):
     # the adjoint is unital, not trace-preserving (Σ A†A − I up to 0.75):

@@ -125,6 +125,14 @@ def test_schatten_p_rejects_nonpositive_p():
         la.schatten_p(np.eye(2), 0.0)
 
 
+def test_schatten_p_rejects_an_order_whose_reciprocal_overflows():
+    m = np.diag([0.5, 0.5])
+    with pytest.raises(ValueError, match="1/p, got 1e-320"):
+        la.schatten_p(m, 1e-320)
+    # (2 * 0.5^p)^(1/p) = 2^(1/p - 1)
+    assert la.schatten_p(m, 1e-3) == pytest.approx(2.0**999, rel=1e-9)
+
+
 @pytest.mark.parametrize("p", [float("inf"), -float("inf"), float("nan")])
 def test_non_finite_orders_are_rejected(p):
     # the ∞-norm of diag(0.5, 0.5) is 0.5, yet (Tr m^p)^(1/p) would read 1.0

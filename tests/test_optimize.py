@@ -169,9 +169,15 @@ def test_structured_seed_bytes_are_pinned(d):
     assert minus[1].imag < 0.0 and np.signbit(minus[1].real)
 
 
-def test_estimate_nu_p_rejects_bad_orders():
+def test_estimate_nu_p_rejects_bad_orders(monkeypatch):
     phi = zoo.depolarizing(2)
-    for p in (0.0, 1.0, -3.0):
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigensolve reached")
+
+    # 1e-320 is finite, but its 1/p is not: the norm's root would read inf
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for p in (0.0, 1.0, -3.0, 1e-320):
         with pytest.raises(ValueError):
             opt.estimate_nu_p(phi, p, FAST)
 
@@ -825,7 +831,9 @@ def test_mult_scan_bisection_stops_at_float_spacing(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "grid", [[4.5, float("inf")], [float("nan"), 5.0], [0.0, 5.0], [-2.0, 5.0], [0.5, 1.0]]
+    "grid",
+    [[4.5, float("inf")], [float("nan"), 5.0], [0.0, 5.0], [-2.0, 5.0], [0.5, 1.0],
+     [4.5, 1e-320]],
 )
 def test_mult_scan_rejects_bad_grid_points_before_any_check(grid, monkeypatch):
     def no_check(*args, **kwargs):
