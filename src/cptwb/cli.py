@@ -441,7 +441,11 @@ def cmd_multscan(args) -> tuple[dict, int]:
         "channel_b": desc_b,
         "p_grid": args.p_grid,
         "resolution": args.resolution,
-        "rows": [{**_mult_row(r), "decided_by": r.decided_by} for r in scan.rows],
+        "rows": [
+            {**_mult_row(r), "decided_by": r.decided_by,
+             "continued": r.continued_restarts, "fresh": r.fresh_restarts}
+            for r in scan.rows
+        ],
         "threshold": scan.threshold,
         "bracket": list(scan.bracket) if scan.bracket else None,
         "placed_by": scan.placed_by,
@@ -533,16 +537,34 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--no-validate", action="store_true", help="skip the CPT validation gate"
     )
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    common.add_argument(
+        "--format", choices=("json", "csv", "text"), default="text",
+        help="report format (default text; csv only for multcheck and multscan)",
+    )
     common.add_argument("--output", metavar="FILE", help="write the report to FILE")
     _add_channel_source(common)  # every subcommand reads a channel
     _add_channel_source(pair, suffix="b")
-    order.add_argument("--p", type=float, required=True)
+    order.add_argument("--p", type=float, required=True, help="Renyi order p")
     defaults = opt.OptimizerConfig()
-    search.add_argument("--restarts", type=int, default=defaults.restarts)
-    search.add_argument("--max-iters", type=int, default=defaults.max_iters)
-    tensor.add_argument("--tensor-restarts", type=int, default=defaults.tensor_restarts)
-    dump.add_argument("--dump-kraus", action="store_true")
+    search.add_argument(
+        "--restarts", type=int, default=defaults.restarts,
+        help=f"fixed-point runs per single-channel search, structured seeds first "
+        f"(default {defaults.restarts})",
+    )
+    search.add_argument(
+        "--max-iters", type=int, default=defaults.max_iters,
+        help=f"most passes per run (default {defaults.max_iters})",
+    )
+    tensor.add_argument(
+        "--tensor-restarts", type=int, default=defaults.tensor_restarts,
+        help=f"fixed-point runs per search of the tensor product "
+        f"(default {defaults.tensor_restarts}); in multscan, later searches above "
+        f"p = 1 continue from a neighbouring row's end states plus "
+        f"{opt._FRESH_SEEDS} fresh Haar seeds",
+    )
+    dump.add_argument(
+        "--dump-kraus", action="store_true", help="include the Kraus operators in the report"
+    )
     scan.add_argument(
         "--p-grid", required=True, metavar="START:STOP:STEP",
         help=f"stop included; at most {P_GRID_MAX} points",

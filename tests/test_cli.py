@@ -393,6 +393,28 @@ def test_a_small_order_with_a_finite_reciprocal_still_runs(capsys):
     assert json.loads(out)["best_value"] == pytest.approx(2.0**999, rel=1e-9)
 
 
+def test_a_norm_out_of_float_range_exits_3_naming_the_order(capsys):
+    code, out, err = run(
+        ["numax", "--family", "werner_holevo", "--dim", "3", "--p", "1e-4",
+         "--restarts", "2"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical error:") and "Traceback" not in err
+    assert "p = 0.0001" in err and "Tr Γ^p" in err
+
+
+def test_every_flag_has_help_text():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, command in sub.choices.items():
+        for action in command._actions:
+            assert action.help, (name, action.option_strings)
+    tensor = {s: a for a in sub.choices["multscan"]._actions for s in a.option_strings}
+    assert "32 fresh Haar seeds" in tensor["--tensor-restarts"].help
+
+
 def test_running_out_of_memory_exits_3(capsys, monkeypatch):
     # a real huge dimension may be overcommitted and then hang, so the
     # allocation failure is injected into the CPT check that info runs
@@ -485,6 +507,20 @@ def test_multscan_rows_record_how_each_verdict_was_reached(capsys):
     assert decided[4.5] == decided[5.0] == "search"  # no certificate yet
     assert set(decided.values()) == {"search", "certificate"}
     assert all(r["violated"] for r in rows if r["decided_by"] == "certificate")
+    # 12 tensor restarts are all structured seeds, so no search is continued
+    assert all(r["continued"] == r["fresh"] == 0 for r in rows)
+
+
+def test_multscan_rows_count_continued_and_fresh_restarts(capsys):
+    code, out, _ = run(
+        ["multscan", "--family", "werner_holevo", "--dim", "3", "--p-grid", "4.5:5.0:0.5",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    counts = [(r["continued"], r["fresh"]) for r in json.loads(out)["rows"]]
+    # the gap root's lower check continues from the p = 4.5 row
+    assert counts == [(0, 0), (86, 32), (0, 0), (0, 0)]
 
 
 def test_multcheck_second_channel_flags(capsys):

@@ -808,11 +808,13 @@ def test_mult_scan_bisection_stops_at_float_spacing(monkeypatch):
     # below the float spacing of the bracket, a midpoint is one of its ends
     calls = []
 
-    def check(a, b, p, config=None, certificates=(), tensor=None):
+    def check(a, b, p, config=None, certificates=(), tensor=None, haar=None):
         calls.append(p)
         if len(calls) > 200:
             raise AssertionError("bisection does not stop")
-        return types.SimpleNamespace(violated=p > 4.79, certificate=np.array([p]))
+        return types.SimpleNamespace(
+            violated=p > 4.79, certificate=np.array([p]), search_states=()
+        )
 
     monkeypatch.setattr(opt, "mult_check", check)
     phi = zoo.werner_holevo(3)
@@ -849,9 +851,9 @@ def _verdicts_flip_at(onset, calls):
     violated = p > onset."""
     real = opt.mult_check
 
-    def check(a, b, p, config=None, certificates=(), tensor=None):
+    def check(a, b, p, config=None, certificates=(), tensor=None, haar=None):
         calls.append(p)
-        r = real(a, b, p, config, certificates, tensor=tensor)
+        r = real(a, b, p, config, certificates, tensor=tensor, haar=haar)
         return dataclasses.replace(r, violated=p > onset)
 
     return check
@@ -904,8 +906,8 @@ def test_mult_scan_without_violation_has_no_threshold():
 def _scan_without_certificates(cfg, monkeypatch):
     real = opt.mult_check
 
-    def fresh(a, b, p, config=None, certificates=(), tensor=None):
-        return real(a, b, p, config)
+    def fresh(a, b, p, config=None, certificates=(), tensor=None, haar=None):
+        return real(a, b, p, config, haar=haar)
 
     with monkeypatch.context() as m:
         m.setattr(opt, "mult_check", fresh)
@@ -1094,9 +1096,10 @@ def _eigensolves(fn):
 def test_a_warm_scan_repeats_its_eigensolves_exactly():
     # after a warm-up scan the memo holds every seed stack; each p >= 1 run
     # ends at the fixed-point test, before its last candidate is decomposed
-    # (3 149 eigh matrices before that, 2 293 after, at seed 0), and only rows
+    # (3 149 eigh matrices before that, 2 293 after, at seed 0), only rows
     # whose power residual contracted extrapolate (2 077: fewer rejected
-    # extrapolations decompose a second output)
+    # extrapolations decompose a second output), and the gap root's lower
+    # check continues from the p = 4.5 row's end states (1 530)
     wh3 = zoo.werner_holevo(3)
 
     def scan():
@@ -1107,7 +1110,7 @@ def test_a_warm_scan_repeats_its_eigensolves_exactly():
     again, counts_again = _eigensolves(scan)
     assert counts == counts_again
     matrices = {name: sum(map(math.prod, shapes)) for name, shapes in counts.items()}
-    assert matrices["eigh"] <= 2080 and matrices["eigvalsh"] <= 839
+    assert matrices["eigh"] <= 1533 and matrices["eigvalsh"] <= 839
     assert _bits(first.rows) == _bits(again.rows)
 
 
@@ -1236,12 +1239,12 @@ def test_default_wh3_scan_brackets_the_closed_form_onset(seed):
 def test_scan_rows_do_not_depend_on_the_memo(seed, monkeypatch):
     real = opt.mult_check
 
-    def on_copies(a, b, p, config=None, certificates=(), tensor=None):
+    def on_copies(a, b, p, config=None, certificates=(), tensor=None, haar=None):
         # new channels, so new tensor channels too: every memo starts empty
         assert a is b
         c = chan.KrausChannel.from_kraus(a.kraus)
         assert c not in opt._SEED_SPECTRA
-        return real(c, c, p, config, certificates)
+        return real(c, c, p, config, certificates, haar=haar)
 
     monkeypatch.setattr(opt, "mult_check", on_copies)
     wh3 = zoo.werner_holevo(3)
@@ -1284,9 +1287,11 @@ def test_direct_mult_check_does_not_depend_on_the_memo():
 def test_mult_scan_checks_each_distinct_order_once_on_one_tensor(monkeypatch):
     calls = []
 
-    def check(a, b, p, config=None, certificates=(), tensor=None):
+    def check(a, b, p, config=None, certificates=(), tensor=None, haar=None):
         calls.append((p, tensor))
-        return types.SimpleNamespace(p=p, violated=False, certificate=np.array([p]))
+        return types.SimpleNamespace(
+            p=p, violated=False, certificate=np.array([p]), search_states=()
+        )
 
     monkeypatch.setattr(opt, "mult_check", check)
     scan = opt.mult_scan(WH3, WH3, [2.0, 2.0, 2.5, 2.0])
@@ -1408,8 +1413,8 @@ def _one_stack(monkeypatch):
     """Make mult_check's estimates ignore ``bound``: one stack per search."""
     real = opt.estimate_nu_p
 
-    def estimate(ch, p, config=None, *, seeds=None, bound=None):
-        return real(ch, p, config, seeds=seeds)
+    def estimate(ch, p, config=None, *, seeds=None, bound=None, haar=None):
+        return real(ch, p, config, seeds=seeds, haar=haar)
 
     monkeypatch.setattr(opt, "estimate_nu_p", estimate)
 
@@ -1438,8 +1443,14 @@ def test_default_wh3_check_at_p5_stops_after_the_structured_seeds(monkeypatch):
     assert staged.singles_converged
     assert staged.tensor_restarts_run == 82
     assert one.tensor_restarts_run == opt.OptimizerConfig().tensor_restarts
+    # the staged search ran no Haar seed, so it has no Haar end states
+    assert staged.search_states == () and len(one.search_states) == 200 - 82
     _assert_same_fields(
-        dataclasses.replace(staged, tensor_restarts_run=one.tensor_restarts_run),
+        dataclasses.replace(
+            staged,
+            tensor_restarts_run=one.tensor_restarts_run,
+            search_states=one.search_states,
+        ),
         one,
         opt.MultReport,
     )
@@ -1469,3 +1480,140 @@ def test_all_structured_queue_runs_one_stack(monkeypatch):
     assert rep.violated
     assert stacks == [24]
     assert rep.tensor_restarts_run == 24
+
+
+# ---------------------------------------------------------------------------
+# tensor searches continued along a scan
+# ---------------------------------------------------------------------------
+
+def _recorded_scan(a, b, grid, cfg, monkeypatch, *, drop_haar=False):
+    """mult_scan through a mult_check double that records the ``haar`` of
+    each check by p, and passes it on unless ``drop_haar``."""
+    real, haars = opt.mult_check, {}
+
+    def check(a, b, p, config=None, certificates=(), tensor=None, haar=None):
+        haars[p] = haar
+        return real(
+            a, b, p, config, certificates, tensor=tensor, haar=None if drop_haar else haar
+        )
+
+    with monkeypatch.context() as m:
+        m.setattr(opt, "mult_check", check)
+        return opt.mult_scan(a, b, grid, cfg), haars
+
+
+def _answers(scan):
+    """What a scan decides, with every tensor value by its bits."""
+    rows = [(r.p, r.violated, r.decided_by, float.hex(r.nu_product_lb)) for r in scan.rows]
+    return rows, scan.threshold, scan.bracket, scan.placed_by
+
+
+PAIR = (zoo.random_channel(3, 3, 2, seed=5), zoo.random_channel(3, 3, 3, seed=6))
+
+
+@pytest.mark.parametrize(
+    "pair, grid, seed",
+    [((WH3, WH3), (4.5, 5.0), 0), ((WH3, WH3), (4.5, 5.0), 7919),
+     (PAIR, (1.5, 3.0, 5.0), 0), (PAIR, (0.3, 0.6, 0.9), 0)],
+    ids=["wh3-seed0", "wh3-seed7919", "pair-above-1", "pair-below-1"],
+)
+def test_continuation_keeps_the_scans_answers(pair, grid, seed, monkeypatch):
+    cfg = opt.OptimizerConfig(seed=seed)
+    scan, haars = _recorded_scan(*pair, grid, cfg, monkeypatch)
+    plain, _ = _recorded_scan(*pair, grid, cfg, monkeypatch, drop_haar=True)
+    assert _answers(scan) == _answers(plain)
+    assert [r.continued_restarts for r in plain.rows] == [0] * len(plain.rows)
+    # above 1 every check after the first searched row continues; below 1
+    # none does: there a continued search beat single estimates that ended
+    # on guard stalls, and gave this grid a violation at p = 0.9
+    searched = [r.p for r in scan.rows if r.search_states]
+    above = sorted(p for p in haars if p > 1.0)
+    assert [p for p in above if haars[p] is not None] == [p for p in above if p != searched[0]]
+    assert all(haars[p] is None for p in haars if p < 1.0)
+    assert any(r.continued_restarts for r in scan.rows) == bool(above)
+
+
+def test_continued_rows_draw_fresh_seeds_and_count_them(monkeypatch):
+    cfg = opt.OptimizerConfig(seed=0)
+    passes, real = {}, opt.estimate_nu_p
+
+    def estimate(ch, p, config=None, **kwargs):
+        rep = real(ch, p, config, **kwargs)
+        if kwargs.get("haar") is not None:
+            passes[p] = sum(rep.iterations)
+        return rep
+
+    monkeypatch.setattr(opt, "estimate_nu_p", estimate)
+    scan, haars = _recorded_scan(WH3, WH3, (4.5, 5.0), cfg, monkeypatch)
+    rows = {r.p: r for r in scan.rows}
+    first, stopped, lower, upper = (rows[p] for p in haars)  # in the order checked
+    assert (first.p, stopped.p) == (4.5, 5.0) and lower.p < upper.p
+    assert haars[first.p] is None and first.continued_restarts == first.fresh_restarts == 0
+    n_haar = cfg.tensor_restarts - 82
+    assert len(first.search_states) == n_haar
+    # p = 5 stops after its structured seeds and hands nothing on
+    assert stopped.tensor_restarts_run == 82 and stopped.search_states == ()
+    assert (stopped.continued_restarts, stopped.fresh_restarts) == (0, 0)
+    # the gap root's lower check continues from p = 4.5, the nearest searched
+    # row: its end states, less their last 32, then 32 fresh Haar states
+    assert lower.decided_by == "search" and lower.tensor_restarts_run == cfg.tensor_restarts
+    assert (lower.continued_restarts, lower.fresh_restarts) == (n_haar - 32, 32)
+    kept, _ = haars[lower.p]
+    assert np.array_equal(kept, first.search_states[: n_haar - 32])
+    assert passes[lower.p] <= 450  # 1 089 from the queue's own Haar seeds
+    # every check after the first drew 32 states, from the streams after the
+    # queue's, in the order checked
+    fresh = [haars[p][1] for p in haars if haars[p] is not None]
+    assert [len(f) for f in fresh] == [32, 32, 32]
+    drawn = np.concatenate(fresh)
+    for k, state in enumerate(drawn):
+        expected = random_pure_state(9, rng_from(cfg.seed, cfg.tensor_restarts + k))
+        assert np.array_equal(state, expected)
+    queue = opt._seed_queue(9, cfg.seed, cfg.tensor_restarts)[0]
+    everything = np.concatenate([queue, drawn])
+    assert len(np.unique(everything.round(12), axis=0)) == len(everything)
+
+
+def test_a_continued_search_takes_the_nearest_searched_row_ties_to_the_lower(monkeypatch):
+    # each double row hands on 40 "end states" that carry its p; without a
+    # certificate of A⊗B the onset is bisected, and each midpoint is as far
+    # from the ends of its bracket
+    sources = {}
+
+    def check(a, b, p, config=None, certificates=(), tensor=None, haar=None):
+        sources[p] = None if haar is None else haar[0][0, 0]
+        ends = tuple(np.full(9, p, dtype=complex) for _ in range(40))
+        return types.SimpleNamespace(
+            violated=p > 4.79, certificate=np.array([p]), search_states=ends
+        )
+
+    monkeypatch.setattr(opt, "mult_check", check)
+    scan = opt.mult_scan(WH3, WH3, (4.5, 5.0), resolution=0.2)
+    assert scan.placed_by == "bisection"
+    assert sources == {4.5: None, 5.0: 4.5, 4.75: 4.5, 4.875: 4.75}
+
+
+def test_haar_replaces_the_queues_haar_part():
+    phi = zoo.random_channel(3, 3, 2, seed=8)
+    cfg = dataclasses.replace(FAST, restarts=20)
+    queue, n = opt._seed_queue(3, cfg.seed, cfg.restarts)
+    plain = opt.estimate_nu_p(phi, 3.0, cfg)
+    _assert_same_fields(
+        opt.estimate_nu_p(phi, 3.0, cfg, haar=queue[n:]), plain, opt.OptimizerReport
+    )
+    other = [random_pure_state(3, rng_from(99, i)) for i in range(n, cfg.restarts)]
+    rep = opt.estimate_nu_p(phi, 3.0, cfg, haar=other)
+    given = opt.estimate_nu_p(phi, 3.0, cfg, seeds=np.concatenate([queue[:n], other]))
+    assert rep.n_structured_seeds == n and rep.restart_values == given.restart_values
+    with pytest.raises(ValueError, match="haar has shape"):
+        opt.estimate_nu_p(phi, 3.0, cfg, haar=other[1:])
+    with pytest.raises(ValueError, match="cannot go with seeds"):
+        opt.estimate_nu_p(phi, 3.0, cfg, seeds=queue, haar=other)
+
+
+def test_a_norm_out_of_float_range_names_p_and_the_trace_power():
+    # every output of WH3 has spectrum (1/2, 1/2, 0): Tr Γ^p ≈ 2 at p = 1e-4,
+    # and 2 ** 1e4 overflows a float
+    cfg = dataclasses.replace(FAST, restarts=2)
+    with pytest.raises(OverflowError, match=r"p = 0\.0001 .*Tr Γ\^p = "):
+        opt.estimate_nu_p(WH3, 1e-4, cfg)

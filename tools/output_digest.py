@@ -15,6 +15,11 @@ Areas:
 
 * ``wh3_scan``: the default WH3 ``mult_scan`` over 4.5–5.0 at seeds 0 and
   7919;
+* ``wh3_answers``: only what those two scans decide: each row's p,
+  ``violated``, ``decided_by``, ``nu_product_lb`` and
+  ``product_of_singles``, and each scan's threshold, bracket and
+  ``placed_by``.  A search change that keeps the answers keeps this line
+  while ``wh3_scan``, which covers every field, moves;
 * ``survey``: ``estimate_nu_p`` with 25 restarts on twelve seeded
   ``random_channel``s at p ∈ {0.1, 0.5, 1.5, 5};
 * ``decompose``: ``horn_vectors`` (d = 1..8) and ``szarek_split``
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import importlib
 import struct
@@ -94,12 +100,26 @@ def _unitary(rng, d: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+@functools.lru_cache(maxsize=1)  # wh3_answers reads the same two scans
 def area_wh3_scan(cptwb):
     opt, zoo = cptwb.optimize, cptwb.zoo
     wh3 = zoo.werner_holevo(3)
     return [
         opt.mult_scan(wh3, wh3, (4.5, 5.0), opt.OptimizerConfig(seed=s), resolution=0.01)
         for s in (0, 7919)
+    ]
+
+
+def area_wh3_answers(cptwb):
+    return [
+        (
+            [(r.p, r.violated, r.decided_by, r.nu_product_lb, r.product_of_singles)
+             for r in scan.rows],
+            scan.threshold,
+            scan.bracket,
+            scan.placed_by,
+        )
+        for scan in area_wh3_scan(cptwb)
     ]
 
 
@@ -184,6 +204,7 @@ def area_linalg(cptwb):
 
 AREAS = {
     "wh3_scan": area_wh3_scan,
+    "wh3_answers": area_wh3_answers,
     "survey": area_survey,
     "decompose": area_decompose,
     "channels": area_channels,
