@@ -23,6 +23,9 @@ Conventions
   here reads.  What is cached is read-only.
 * ``apply`` and ``apply_adjoint`` (the one Φ̂) act on a matrix or on each
   matrix of a stack ``(..., d, d)`` alone.
+* ``tensor`` records its two factors (``KrausChannel.factors``), and
+  ``apply_adjoint`` applies Φ̂ of a product factor by factor, never through
+  the product's own transfer matrix.
 
 Extremality
 -----------
@@ -89,12 +92,15 @@ class KrausChannel:
     unital maps through the same type — call :func:`validate_cpt` to check.
     The operators are copied once, into the read-only ``(k, d_out, d_in)``
     stack ``kraus_stack``, and ``kraus`` holds its rows.  Channels compare
-    and hash by identity, as what they cache is per object.
+    and hash by identity, as what they cache is per object.  ``factors`` is
+    ``(A, B)`` on a channel that :func:`tensor` built from A and B, and
+    ``()`` on every other channel; it is not a field.
     """
 
     d_in: int
     d_out: int
     kraus: tuple
+    factors = ()
 
     def __post_init__(self):
         ops = [la.as_matrix(a) for a in self.kraus]
@@ -267,22 +273,55 @@ def apply_adjoint(ch: KrausChannel, x) -> np.ndarray:
     """Adjoint action Φ̂(X) = Σ_k A_k† X A_k of a d_out × d_out matrix or of
     each matrix of a stack ``(..., d_out, d_out)``.
 
-    When d_in·d_out ≤ ``TRANSFER_DIM_MAX`` each matrix is one
-    ``(1, d_out²) @ T`` product with :attr:`KrausChannel.transfer`: a single
-    GEMM over the whole stack would be faster, but BLAS may sum a row in a
-    different order depending on how many rows there are, and a matrix's
-    bits must not depend on the rest of the stack.  Above the limit Φ̂ loops
-    over the Kraus operators.
+    The channel's structure picks the path (:func:`_adjoint_rows`).  When
+    d_in·d_out ≤ ``TRANSFER_DIM_MAX`` each matrix is one ``(1, d_out²) @ T``
+    product with :attr:`KrausChannel.transfer`: a single GEMM over the whole
+    stack would be faster, but BLAS may sum a row in a different order
+    depending on how many rows there are, and a matrix's bits must not
+    depend on the rest of the stack.  Above the limit Φ̂ loops over the
+    Kraus operators.  A product from :func:`tensor` takes neither path
+    itself: each factor's Φ̂ acts on that factor's legs, so Φ̂ of WH3⊗WH3
+    costs 2·9³ = 1 458 complex multiply-adds per matrix instead of 9⁴ = 6 561,
+    and the product's transfer matrix is never built.  A product loaded
+    from JSON has lost its factors and takes the transfer path, whose last
+    bits can differ.
     """
     m = _operands(x, ch.d_out)
     lead = m.shape[:-2]
+    rows = _adjoint_rows(ch, m.reshape(*lead, 1, ch.d_out**2))
+    return rows.reshape(*lead, ch.d_in, ch.d_in)
+
+
+def _adjoint_rows(ch: KrausChannel, v: np.ndarray) -> np.ndarray:
+    """Φ̂ of each row of the stack ``v`` ``(..., n, d_out²)``, a d_out × d_out
+    matrix in row-major vec; returns ``(..., n, d_in²)``.
+
+    Each ``(n, ·)`` matrix of the stack is computed alone, and n is set by
+    the channel's structure, not by the stack.  A product A⊗B views each row
+    in (i_A j_A),(i_B j_B) leg order, a ``(d_A², d_B²)`` matrix, and applies
+    Φ̂_B to its rows, then Φ̂_A to the rows of its transpose, each factor by
+    this function (so a factor that is a product is split again); any other
+    channel takes its transfer matrix or its Kraus loop.
+    """
+    lead, n = v.shape[:-2], v.shape[-2]
+    if ch.factors:
+        a, b = ch.factors
+        x = v.reshape(*lead, n, a.d_out, b.d_out, a.d_out, b.d_out)
+        x = x.swapaxes(-3, -2).reshape(*lead, n * a.d_out**2, b.d_out**2)
+        x = _adjoint_rows(b, x).reshape(*lead, n, a.d_out**2, b.d_in**2)
+        # a view for n = 1: the transfer product reads the transpose in place
+        x = x.swapaxes(-1, -2).reshape(*lead, n * b.d_in**2, a.d_out**2)
+        x = _adjoint_rows(a, x).reshape(*lead, n, b.d_in, b.d_in, a.d_in, a.d_in)
+        # legs (i_B j_B),(i_A j_A) back to (i_A i_B),(j_A j_B)
+        k = len(lead) + 1
+        return x.transpose(*range(k), k + 2, k, k + 3, k + 1).reshape(*lead, n, ch.d_in**2)
     if ch.d_in * ch.d_out <= TRANSFER_DIM_MAX:
-        vec = m.reshape(*lead, 1, ch.d_out**2)
-        return (vec @ ch.transfer).reshape(*lead, ch.d_in, ch.d_in)
-    out = np.zeros(lead + (ch.d_in, ch.d_in), dtype=np.complex128)
+        return v @ ch.transfer
+    m = v.reshape(*lead, n, ch.d_out, ch.d_out)
+    out = np.zeros(lead + (n, ch.d_in, ch.d_in), dtype=np.complex128)
     for a in ch.kraus:
         out += la.dagger(a) @ m @ a
-    return out
+    return out.reshape(*lead, n, ch.d_in**2)
 
 
 def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
@@ -344,16 +383,22 @@ def compose(after: KrausChannel, first: KrausChannel) -> KrausChannel:
 
 
 def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    """Tensor product channel with Kraus set {A_i ⊗ B_j}, i major.
+    """Tensor product channel with Kraus set {A_i ⊗ B_j}, i major, that
+    records ``(a, b)`` as its ``factors``.
 
     The whole set is one broadcast product of the two Kraus stacks, entry
-    for entry the ``np.kron`` of each pair.
+    for entry the ``np.kron`` of each pair.  Through the factors
+    :func:`apply_adjoint` applies Φ̂_A ⊗ Φ̂_B one factor at a time; a copy of
+    the product that lacks them (``channel_from_json`` of its JSON, say)
+    takes the transfer path instead, and its Φ̂ can differ in the last bits.
     """
     d_in, d_out = a.d_in * b.d_in, a.d_out * b.d_out
     x = a.kraus_stack[:, None, :, None, :, None]  # (i, ·, r, ·, c, ·)
     y = b.kraus_stack[None, :, None, :, None, :]  # (·, j, ·, r', ·, c')
     ops = (x * y).reshape(-1, d_out, d_in)
-    return KrausChannel(d_in=d_in, d_out=d_out, kraus=tuple(ops))
+    product = KrausChannel(d_in=d_in, d_out=d_out, kraus=tuple(ops))
+    object.__setattr__(product, "factors", (a, b))
+    return product
 
 
 def complement(ch: KrausChannel) -> KrausChannel:

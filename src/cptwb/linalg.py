@@ -40,7 +40,10 @@ symmetrization) and ``_psd_clamp`` (the PSD floor and the clamp);
 ``_spectrum`` chains them around ``eigh``.  ``_hermitian_part`` is also the
 one finiteness check: a matrix with a NaN or infinite entry raises
 ``ValueError`` there, before its Hermiticity is tested, and
-``numerical_rank`` checks its input the same way.  ``eigh`` runs where
+``numerical_rank`` checks its input the same way.  The one exception is a
+channel output in ``optimize``'s search: a Gram matrix, Hermitian by
+construction, symmetrized by ``_halves`` as ``_hermitian_part`` does it,
+and tested for finiteness on its trace.  ``eigh`` runs where
 eigenvectors are read.  Three eigensolves read values only and take
 ``eigvalsh``: ``psd_eigvals`` (read by ``trace_power``, ``schatten_p`` and
 ``entropy``'s von Neumann and Rényi entropies), the PSD gate of
@@ -52,10 +55,10 @@ principal block, [[A, X], [X†, B]], a leg permutation): it is not checked
 again.  A ``channels.ChoiMatrix`` is checked and symmetrized when it is
 built and decomposed once, on first use; a channel's Choi matrix, and its
 transfer matrix (``KrausChannel.transfer``, through which
-``channels.apply_adjoint`` applies Φ̂), are built once, from read-only
-copies of its Kraus operators.  Choi readers clamp a copy of that
-spectrum; ``channels.validate_cpt`` and ``cptwb decompose`` read its least
-eigenvalue before the clamp.
+``channels.apply_adjoint`` applies Φ̂, factor by factor on a product), are
+built once, from read-only copies of its Kraus operators.  Choi readers
+clamp a copy of that spectrum; ``channels.validate_cpt`` and
+``cptwb decompose`` read its least eigenvalue before the clamp.
 
 On the small matrices this package works with, numpy's per-call overhead,
 not LAPACK, sets the price of an eigensolve.  On a 4×4 matrix (2-CPU VM,
@@ -146,19 +149,27 @@ def _outer(psi: np.ndarray) -> np.ndarray:
 _HALF = np.array(0.5)
 
 
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a/2``, a new array, and ``a†/2`` of a complex128 matrix or stack
+    ``(..., n, n)``; ``half += hh`` then makes the symmetrized ``a/2 + a†/2``.
+
+    ``a`` is halved as its real view, which is exact: a complex product
+    would turn an infinite entry into NaN."""
+    half = (np.ascontiguousarray(a).view(np.float64) * _HALF).view(np.complex128)
+    return half, np.conj(half).swapaxes(-1, -2)
+
+
 def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
     """Check a matrix or a stack ``(..., n, n)`` of them for finiteness and
     Hermiticity (each against its own largest entry) and return
     ``a/2 + a†/2``.
 
-    Both the deviation and the sum are taken from the halves, so an entry
-    near the largest double does not overflow; halving is exact, so the
-    result and the verdict are those of ``(a + a†) / 2`` whenever the halves
-    are normal numbers.  ``a`` is complex128, halved as its real view: a
-    complex product would turn an infinite entry into NaN before the
-    finiteness check.  A single matrix's two tests are scalar compares."""
-    half = (np.ascontiguousarray(a).view(np.float64) * _HALF).view(np.complex128)
-    hh = np.conj(half).swapaxes(-1, -2)
+    Both the deviation and the sum are taken from the :func:`_halves`, so an
+    entry near the largest double does not overflow; halving is exact, so
+    the result and the verdict are those of ``(a + a†) / 2`` whenever the
+    halves are normal numbers, and an infinite entry is still infinite at
+    the finiteness check.  A single matrix's two tests are scalar compares."""
+    half, hh = _halves(a)
     one = half.ndim == 2
     scale = np.abs(half).max(axis=(-2, -1), initial=0.0)
     _require_finite(scale, what)

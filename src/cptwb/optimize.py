@@ -102,11 +102,16 @@ candidates' outputs in a second; each fall to the next rung adds one for
 the outputs of the rows that fell, after one for their M when they fall to
 the exact rung.  A run leaves the stack when it ends.  Each output is
 decomposed once; its spectrum gives both the objective and M, and an
-accepted candidate's spectrum serves the next step.  Φ̂ is
-``channels.apply_adjoint`` on the stack: one ``(1, d_out²) @ T`` product
-per state with the channel's cached transfer matrix
-T = Σ_k conj(A_k) ⊗ A_k, or a loop over the Kraus operators above
-``channels.TRANSFER_DIM_MAX``.  Every stacked operation acts matrix by
+accepted candidate's spectrum serves the next step.  An output Γ = WᵀW̄
+is a Gram matrix, Hermitian by construction, so it is symmetrized without
+the Hermiticity test of other eigensolves (:func:`_output_spectra`).  Φ̂ is
+``channels.apply_adjoint`` on the stack, and the channel's structure picks
+its path: for a plain channel, one ``(1, d_out²) @ T`` product per state
+with the cached transfer matrix T = Σ_k conj(A_k) ⊗ A_k, or a loop over
+the Kraus operators above ``channels.TRANSFER_DIM_MAX``; for a product
+A⊗B from ``channels.tensor``, such as the tensor search's, Φ̂_B and then
+Φ̂_A each on its own legs, 1 458 complex multiply-adds per state on
+WH3⊗WH3 instead of 6 561.  Every stacked operation acts matrix by
 matrix, so a restart's result depends only on its seed, not on the rows
 beside it.  Phases are fixed once, on the reported states: a p < 1
 candidate comes with its phase fixed, and for p ≥ 1 ``estimate_nu_p``
@@ -149,9 +154,10 @@ only "not violated" needs the search.  ``mult_scan`` carries the
 certificate of every violated row to the checks after it.
 
 ``mult_scan`` builds A⊗B once and passes it to every check
-(``mult_check(..., tensor=...)``), so its transfer matrix and its seed
-spectra are computed once per scan; A and B keep their own.  It checks
-each distinct grid point once, in ascending order.  The onset is the first
+(``mult_check(..., tensor=...)``), so its seed spectra are computed once
+per scan; A and B keep their own, and their transfer matrices, through
+which Φ̂ of A⊗B acts.  It checks each distinct grid point once, in
+ascending order.  The onset is the first
 pair of neighbouring checked points, both on one side of p = 1 (where the
 verdict's direction flips), that goes from not violated to violated; when
 the grid's pair is at most ``resolution`` apart it is the bracket
@@ -193,10 +199,13 @@ seeds).  A later row above 1 takes them from the nearest such row in p,
 ties going to the lower p, as the Haar part of its queue
 (``mult_check(..., haar=...)``): all but the last ``_FRESH_SEEDS`` (32),
 whose slots take fresh Haar states from the streams (seed,
-``tensor_restarts`` + k), k counting the fresh states the scan has drawn,
-so that no fresh state repeats the queue or an earlier row.  The
-structured seeds stay first, so the ``bound`` staging and the seed-spectra
-memo work as before, and the restart count stays ``tensor_restarts``.
+``tensor_restarts`` + k), k counting the streams earlier continued rows
+took, so that no fresh state repeats the queue or an earlier row.  A row
+takes its streams when it is checked, but draws from them only when its
+Haar part runs: the default WH3 scan takes 96 streams and draws 32
+states.  The structured seeds stay first, so the ``bound`` staging and the
+seed-spectra memo work as before, and the restart count stays
+``tensor_restarts``.
 On WH3⊗WH3 the Haar restarts end on a few Schmidt orbits that are fixed
 points at every p, so a continued run ends after a pass or two: the gap
 root's lower check of the default WH3 scan (p ≈ 4.777) takes 442 passes
@@ -308,17 +317,27 @@ def output_trace_power(ch: chan.KrausChannel, psi: np.ndarray, p: float) -> floa
 
 def _output_spectra(kraus: np.ndarray, states: np.ndarray, p: float):
     """(eigenvalues, eigenvectors, Tr Γ^p, Tr Γ) of Γ = Φ(ψψ†) for every row
-    ψ of ``states``, from one stacked, PSD-checked eigendecomposition.
+    ψ of ``states``, from one stacked, PSD-clamped eigendecomposition.
 
     With the Kraus set stacked as ``(k, d_out, d_in)``, row j of W = K ψ is
-    A_j ψ, so Γ = Wᵀ W̄: Γ_il = Σ_j (A_j ψ)_i conj(A_j ψ)_l.
+    A_j ψ, so Γ = Wᵀ W̄: Γ_il = Σ_j (A_j ψ)_i conj(A_j ψ)_l.  A Gram matrix
+    is Hermitian by construction, so Γ is not tested for it; ``eigh`` takes
+    Γ/2 + Γ†/2, bit for bit as ``la._hermitian_part`` makes it.  Finiteness
+    is tested on Tr Γ: |Γ_il| ≤ (Γ_ii Γ_ll)^½, so an entry that overflows,
+    or a NaN in W, shows on the diagonal, and a non-finite output raises
+    ``ValueError`` as the check of every other eigensolve does.
     """
     k, d_out, d_in = kraus.shape
     kpsi = np.matmul(kraus.reshape(k * d_out, d_in), states[..., None])
     kpsi = kpsi.reshape(-1, k, d_out)
     gamma = np.matmul(kpsi.swapaxes(-1, -2), kpsi.conj())
-    w, v = la._spectrum(gamma, psd=True, what="channel output")
-    return w, v, _trace_powers(w, p), np.trace(gamma, axis1=-2, axis2=-1)
+    tr = np.trace(gamma, axis1=-2, axis2=-1)
+    la._require_finite(tr, "channel output")
+    half, hh = la._halves(gamma)
+    half += hh
+    w, v = np.linalg.eigh(half)
+    w = la._psd_clamp(w, "channel output")
+    return w, v, _trace_powers(w, p), tr
 
 
 def _trace_powers(w: np.ndarray, p: float) -> np.ndarray:
@@ -707,9 +726,11 @@ def estimate_nu_p(
 
     ``haar`` replaces the queue's Haar part: the structured seeds run as
     before, then these states, as many as the Haar seeds they replace
-    (``mult_scan`` continues a search this way).  It cannot go with
-    ``seeds``.  A norm beyond the float range raises ``OverflowError``
-    naming p and Tr Γ^p.
+    (``mult_scan`` continues a search this way).  It is a stack, or a
+    callable that returns one, called only when the Haar part runs, so
+    that states a ``bound`` makes unneeded are not drawn; either is checked
+    for its shape when it runs.  It cannot go with ``seeds``.  A norm
+    beyond the float range raises ``OverflowError`` naming p and Tr Γ^p.
     """
     if not la._finite_order(p) or p == 1.0:
         raise ValueError(f"the iteration needs a finite p > 0 and 1/p, p != 1; got {p}")
@@ -727,6 +748,15 @@ def _norm(t: float, p: float) -> float:
         ) from None
 
 
+def _haar_part(haar, shape: tuple) -> np.ndarray:
+    """The states of ``haar`` (a stack, or a callable that returns one) as a
+    complex stack, or ``ValueError`` unless it has ``shape``."""
+    h = np.asarray(haar() if callable(haar) else haar, dtype=np.complex128)
+    if h.shape != shape:
+        raise ValueError(f"haar has shape {h.shape}, expected {shape}")
+    return h
+
+
 def _multistart(
     ch, p: float, cfg: OptimizerConfig, seeds=None, bound=None, haar=None
 ) -> OptimizerReport:
@@ -735,28 +765,27 @@ def _multistart(
         if cfg.restarts < 1:
             raise ValueError("need at least one restart")
         seeds, n_structured = _seed_queue(ch.d_in, cfg.seed, cfg.restarts)
+        rest = seeds[n_structured:]
         if haar is not None:
-            haar = np.asarray(haar, dtype=np.complex128)
-            if haar.shape != seeds[n_structured:].shape:
-                raise ValueError(
-                    f"haar has shape {haar.shape}, expected {seeds[n_structured:].shape}"
-                )
-            seeds = np.concatenate([seeds[:n_structured], haar])
+            rest = functools.partial(_haar_part, haar, rest.shape)
     else:
         if haar is not None:
             raise ValueError("haar replaces part of the seed queue; it cannot go with seeds")
         if not len(seeds):
             raise ValueError("need at least one seed")
         n_structured = 0
-    stages = [seeds]
+    # each stage a stack, or a callable that gives one when the stage runs
     if bound is not None and 0 < n_structured < len(seeds):
-        stages = [seeds[:n_structured], seeds[n_structured:]]
+        stages = [seeds[:n_structured], rest]
+    else:
+        stages = [seeds if haar is None else np.concatenate([seeds[:n_structured], rest()])]
 
     sign = 1.0 if p >= 1.0 else -1.0
     stage_runs: list[_Runs] = []
     best_t: list[float] = []
     best = 0
     for stage in stages:
+        stage = stage() if callable(stage) else stage
         stage_runs.append(_iterate(ch, stage, p, cfg.max_iters, cfg.value_tol))
         for t in stage_runs[-1].best_t.tolist():
             best_t.append(t)
@@ -920,10 +949,12 @@ def mult_check(
     caches serves every order); it is built here otherwise.  A channel on
     other spaces raises ``ShapeError``.
 
-    ``haar``, a pair (continued, fresh) of state stacks, replaces the Haar
-    part of the tensor search's queue with the continued states followed by
-    the fresh ones (``estimate_nu_p(..., haar=...)``); when that part runs,
-    the report counts both (``mult_scan`` continues its searches this way).
+    ``haar``, a pair (continued, fresh) of a state stack and a callable
+    that returns the fresh states, replaces the Haar part of the tensor
+    search's queue with the continued states followed by the fresh ones
+    (``estimate_nu_p(..., haar=...)``).  ``fresh`` is called only when that
+    part runs, and then the report counts both (``mult_scan`` continues
+    its searches this way).
     """
     cfg = config or OptimizerConfig()
     tensor_dim = _tensor_dim(a, b)
@@ -953,12 +984,16 @@ def mult_check(
     if polished is not None and violates(polished.best_value):
         rep_ab, decided_by, tensor_restarts_run = polished, "certificate", 0
     else:
-        queue_haar = None if haar is None else np.concatenate(haar)
+        queue_haar = None
+        if haar is not None:
+            kept, fresh = haar
+            queue_haar = lambda: np.concatenate([kept, fresh()])
         rep_ab = estimate_nu_p(tensor, p, tensor_cfg, bound=bound, haar=queue_haar)
         decided_by, tensor_restarts_run = "search", len(rep_ab.restart_values)
         search_states = rep_ab.restart_states[rep_ab.n_structured_seeds :]
         if search_states and haar is not None:
-            continued_restarts, fresh_restarts = map(len, haar)
+            continued_restarts = len(kept)
+            fresh_restarts = len(search_states) - continued_restarts
         estimates.append(rep_ab)
         # a polished state replaces the search's best only when it beats it
         # by more than value_tol, the tie rule of estimate_nu_p
@@ -1098,28 +1133,33 @@ def mult_scan(
     tensor = chan.tensor(a, b)
     certificates: list[np.ndarray] = []
     rows: dict = {}
-    fresh_drawn = 0
+    fresh_streams = 0
 
     def continued(p: float):
         """The Haar part of the tensor queue at p as ``mult_check`` takes it,
-        (continued states, fresh states), or ``None`` for the queue's own:
-        for p > 1, the end states of the nearest row above 1 whose search
-        ran its Haar part (ties to the lower p), less their last
-        ``_FRESH_SEEDS``, and as many Haar states from streams that no queue
-        and no earlier row has used."""
-        nonlocal fresh_drawn
+        (continued states, a callable that draws the fresh states), or
+        ``None`` for the queue's own: for p > 1, the end states of the
+        nearest row above 1 whose search ran its Haar part (ties to the
+        lower p), less their last ``_FRESH_SEEDS``, and as many Haar states
+        from streams that no queue and no earlier row has used.  The streams
+        are taken here, so a row that draws nothing still uses them up."""
+        nonlocal fresh_streams
         searched = [q for q in rows if q > 1.0 and len(rows[q].search_states)]
         if p < 1.0 or not searched:
             return None
         ends = rows[min(searched, key=lambda q: (abs(q - p), q))].search_states
         n_fresh = min(_FRESH_SEEDS, len(ends))
-        start = cfg.tensor_restarts + fresh_drawn
-        fresh_drawn += n_fresh
-        fresh = [
-            random_pure_state(tensor.d_in, rng_from(cfg.seed, start + k)) for k in range(n_fresh)
-        ]
+        start = cfg.tensor_restarts + fresh_streams
+        fresh_streams += n_fresh
+
+        def fresh() -> np.ndarray:
+            return np.array([
+                random_pure_state(tensor.d_in, rng_from(cfg.seed, start + k))
+                for k in range(n_fresh)
+            ])
+
         kept = np.reshape(ends[: len(ends) - n_fresh], (-1, tensor.d_in))
-        return kept, np.array(fresh)
+        return kept, fresh
 
     def check(p: float) -> MultReport:
         if p not in rows:

@@ -46,6 +46,17 @@ def test_kraus_channel_rejects_non_finite_operators(bad):
         ch.KrausChannel.from_kraus([np.diag([bad, 1.0])])
 
 
+def test_validate_cpt_refuses_a_map_that_misses_trace_preservation_by_1e_6():
+    # Σ A†A = (1 + 1e-6)·I: far below the 0.5 of a visibly wrong map, far
+    # above the roundoff of a real channel
+    wh3 = zoo.werner_holevo(3)
+    scaled = ch.KrausChannel.from_kraus([np.sqrt(1.0 + 1e-6) * a for a in wh3.kraus])
+    rep = ch.validate_cpt(scaled)
+    assert not rep.ok and not rep.trace_preserving and rep.choi_psd
+    assert abs(rep.tp_residual - 1e-6) <= 1e-12
+    assert ch.validate_cpt(wh3).ok
+
+
 def test_validate_cpt_accepts_unitary_and_flags_junk():
     u = haar_unitary(3, rng_from(11))
     rep = ch.validate_cpt(ch.KrausChannel.from_kraus([u]))
@@ -116,6 +127,40 @@ def test_apply_and_apply_adjoint_act_on_each_matrix_of_a_stack(phi):
             ch.apply(phi, bad)
     with pytest.raises(la.ShapeError):
         ch.apply_adjoint(phi, np.zeros((2, phi.d_out + 1, phi.d_out + 1)))
+
+
+def _products():
+    a, b = zoo.random_channel(2, 3, 2, seed=30), zoo.random_channel(3, 2, 3, seed=31)
+    yield ch.tensor(a, b)  # 2→3 ⊗ 3→2
+    yield ch.tensor(zoo.random_channel(3, 3, 2, seed=32), zoo.random_channel(2, 4, 2, seed=33))
+    yield ch.tensor(ch.tensor(a, b), zoo.random_channel(2, 2, 3, seed=34))  # (A⊗B)⊗C
+    big = zoo.random_channel(17, 16, 2, seed=35)  # above TRANSFER_DIM_MAX
+    assert big.d_in * big.d_out > ch.TRANSFER_DIM_MAX
+    yield ch.tensor(zoo.random_channel(2, 2, 2, seed=36), big)
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["matrix", "stack", "stack-2d"])
+@pytest.mark.parametrize("phi", list(_products()), ids=["2-3x3-2", "3-3x2-4", "nested", "kraus-loop"])
+def test_apply_adjoint_of_a_product_goes_factor_by_factor(phi, lead):
+    # the full Kraus set of A⊗B is the reference; each matrix of a stack is
+    # bit for bit the matrix computed alone
+    assert phi.factors and "transfer" not in phi.__dict__
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=lead + (phi.d_out,) * 2) + 1j * rng.normal(size=lead + (phi.d_out,) * 2)
+    m = ch.apply_adjoint(phi, x)
+    assert m.shape == lead + (phi.d_in, phi.d_in)
+    for i in np.ndindex(*lead):
+        kraus_sum = sum(la.dagger(a) @ x[i] @ a for a in phi.kraus)
+        assert np.abs(m[i] - kraus_sum).max() <= 1e-13 * np.abs(kraus_sum).max()
+        if lead:
+            assert np.array_equal(m[i], ch.apply_adjoint(phi, x[i]))
+    assert "transfer" not in phi.__dict__
+    # a copy from JSON has lost its factors and takes the transfer path or
+    # the Kraus loop of the whole product
+    copy = ch.channel_from_json(ch.channel_to_json(phi), validate=False)
+    assert copy.factors == ()
+    plain = ch.apply_adjoint(copy, x)
+    assert np.abs(plain - m).max() <= 1e-13 * np.abs(plain).max()
 
 
 # ---------------------------------------------------------------------------

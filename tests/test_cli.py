@@ -119,6 +119,16 @@ def test_kraus_file_whose_products_overflow_exits_2(argv, tmp_path, capsys):
     assert "non-finite entry" in err
 
 
+def test_numax_refuses_a_map_that_misses_trace_preservation_by_1e_6(tmp_path, capsys):
+    wh3 = zoo.werner_holevo(3)
+    ch = chan.KrausChannel.from_kraus([np.sqrt(1.0 + 1e-6) * a for a in wh3.kraus])
+    f = tmp_path / "scaled.json"
+    f.write_text(json.dumps(chan.channel_to_json(ch)))
+    code, out, err = run(["numax", "--input", str(f), "--p", "3"], capsys)
+    assert code == 2 and out == ""
+    assert "failed CPT validation" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("p", ["3", "0.5"])
 def test_numax_refuses_a_zero_trace_output(p, tmp_path, capsys):
     # not trace-preserving, so only --no-validate lets it in; e_1 maps to zero
