@@ -74,10 +74,12 @@ def min_output_rank(ch: chan.KrausChannel, config=None) -> tuple[int, np.ndarray
 
     Runs the fixed-point optimizer at the small Rényi order 0.05, where
     minimizing Tr Φ(ρ)^p is a smooth proxy for minimizing rank, and
-    reports the smallest ``numerical_rank`` among the converged outputs,
-    together with the input achieving it (the first, in restart order, on
-    a tie).  The outputs come from one ``channels.apply`` call on the stack
-    of restart states, and their singular values from one ``svd`` call.
+    reports the smallest ``numerical_rank`` among the outputs of every
+    restart's reported state, converged or not, since the rank of any
+    state's output bounds the minimum, together with the input achieving
+    it (the first, in restart order, on a tie).  The outputs come from one
+    ``channels.apply`` call on the stack of restart states, and their
+    singular values from one ``svd`` call.
     """
     report = opt.estimate_nu_p(ch, 0.05, config=config)
     outs = chan.apply(ch, la._outer(np.array(report.restart_states)))

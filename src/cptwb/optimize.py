@@ -113,10 +113,10 @@ A⊗B from ``channels.tensor``, such as the tensor search's, Φ̂_B and then
 Φ̂_A each on its own legs, 1 458 complex multiply-adds per state on
 WH3⊗WH3 instead of 6 561.  Every stacked operation acts matrix by
 matrix, so a restart's result depends only on its seed, not on the rows
-beside it.  Phases are fixed once, on the reported states: a p < 1
-candidate comes with its phase fixed, and for p ≥ 1 ``estimate_nu_p``
-applies the same canonical phase to each restart's best state, which
-leaves a seed that never moved bit for bit as it was.
+beside it.  Phases are fixed once, on the reported states, in both
+directions: ``estimate_nu_p`` turns the first significant entry of each
+restart's end state positive real (``linalg._canonical_phases``), which
+leaves a structured seed that never moved bit for bit as it was.
 
 The initial outputs of a seed stack do not depend on p.  For each channel
 the module keeps the spectra and traces of the ``_SEED_SPECTRA_MAX`` (8)
@@ -132,7 +132,10 @@ Each run ends with one status, reported per restart in
 fixed-point test at its end state; a p < 1 step moved the objective by at
 most ``value_tol``), ``guard_stall`` (the guard rejected the row on the
 exact rung, the last) or ``max_iters``.  ``converged`` counts the first
-two.  ``iterations`` counts passes: each builds M once, and the
+two.  A restart reports one state, the one it ended on, whose status it
+reports, and that state's value; a step the guard accepted may have lost
+up to ``value_tol``, so the value can lie that far behind the best the run
+visited.  ``iterations`` counts passes: each builds M once, and the
 last pass of a converged p ≥ 1 run builds M and tests it, but takes no step.
 
 Multiplicativity
@@ -194,9 +197,9 @@ no violation (``singles_converged`` is false).
 
 Above p = 1, ``mult_scan`` continues each tensor search from the one
 before it.  A row whose search ran its Haar part hands on its Haar end
-states (``MultReport.search_states``, its best states after the structured
-seeds).  A later row above 1 takes them from the nearest such row in p,
-ties going to the lower p, as the Haar part of its queue
+states (``MultReport.search_states``, the end states of its restarts after
+the structured seeds).  A later row above 1 takes them from the nearest
+such row in p, ties going to the lower p, as the Haar part of its queue
 (``mult_check(..., haar=...)``): all but the last ``_FRESH_SEEDS`` (32),
 whose slots take fresh Haar states from the streams (seed,
 ``tensor_restarts`` + k), k counting the streams earlier continued rows
@@ -283,6 +286,9 @@ class OptimizerReport:
     ``converged`` (for p ≥ 1: at a state that passed the fixed-point test),
     ``guard_stall`` or ``max_iters`` (see the module docstring);
     ``converged`` holds ``status != "max_iters"`` for each.
+    ``restart_states`` and ``restart_values`` are each restart's end state,
+    the one its status is about, with its phase fixed, and that state's
+    value; ``best_input`` is one of them.
     """
 
     p: float
@@ -402,10 +408,10 @@ def _terms(w: np.ndarray, p: float, weights: bool = False) -> np.ndarray:
 
 def _exact_candidates(m: np.ndarray, p: float) -> np.ndarray:
     """The exact step of each M of the stack ``m``: its top eigenvector for
-    p ≥ 1, its least one, phase-fixed, for p < 1, from one checked ``eigh``
-    (the Hermiticity check and the symmetrization of every eigensolve)."""
+    p ≥ 1, its least one for p < 1, from one checked ``eigh`` (the
+    Hermiticity check and the symmetrization of every eigensolve)."""
     _, vecs = la._spectrum(m, what="M(ψ)")
-    return vecs[..., -1] if p >= 1.0 else la._canonical_phases(vecs[..., :1])[..., 0]
+    return vecs[..., -1] if p >= 1.0 else vecs[..., 0]
 
 
 #: Squarings in a p ≥ 1 power candidate, which is A^(2^5) ψ = A^32 ψ.  On a
@@ -513,14 +519,13 @@ _ZERO_TRACE = 1e-14
 class _Runs(NamedTuple):
     """Per-row results of :func:`_iterate`, one entry per row of the stack."""
 
-    best: np.ndarray  # (r, d_in) best visited state
-    best_t: np.ndarray  # its objective, Tr Γ^p (Tr Γ log Γ at p = 1)
+    state: np.ndarray  # (r, d_in) end state, the one its status is about
+    value: np.ndarray  # its objective, Tr Γ^p (Tr Γ log Γ at p = 1)
     iterations: np.ndarray
     status: np.ndarray  # one of STATUSES
     violations: np.ndarray  # monotonicity violations
     fallbacks: np.ndarray  # guard fallbacks
     rejected: np.ndarray  # extrapolated candidates the guard turned down
-    last: np.ndarray  # (r, d_in) last state
 
 
 def _iterate(
@@ -565,13 +570,12 @@ def _iterate(
     sign = 1.0 if ascent else -1.0
     # each row's results, written when it leaves the stack; a row still
     # there after max_iters ran every pass
-    best, best_t, last = np.empty_like(psi), np.empty_like(t), np.empty_like(psi)
+    state, value = np.empty_like(psi), np.empty_like(t)
     iterations = np.full(r, max_iters)
     status = np.full(r, "max_iters", dtype=object)
     violations, fallbacks, rejected = np.zeros((3, r), dtype=int)
     # the live stack: row j of each array below belongs to run rows[j]
     rows = np.arange(r)
-    b, bt = psi, t  # best state and its objective
     # each row's rung of the ladder, 0 extrapolated, 1 plain or 2 exact: in a
     # pass the one it is on, between passes the one its last step was
     # accepted on (2 before any step); a p < 1 row is always on 2.  A row
@@ -584,12 +588,12 @@ def _iterate(
         """End the runs of the rows flagged in ``stop`` at pass ``it`` with
         the status ``how``: keep their results, and cut them from the stack
         and from ``extra``."""
-        nonlocal rows, psi, t, w, v, tr, b, bt, rung, x_prev, f_prev
+        nonlocal rows, psi, t, w, v, tr, rung, x_prev, f_prev
         done = rows[stop]
-        best[done], best_t[done], last[done] = b[stop], bt[stop], psi[stop]
+        state[done], value[done] = psi[stop], t[stop]
         iterations[done], status[done] = it, how
-        rows, psi, t, w, v, tr, b, bt, rung, x_prev, f_prev, *extra = (
-            x[~stop] for x in (rows, psi, t, w, v, tr, b, bt, rung, x_prev, f_prev, *extra)
+        rows, psi, t, w, v, tr, rung, x_prev, f_prev, *extra = (
+            x[~stop] for x in (rows, psi, t, w, v, tr, rung, x_prev, f_prev, *extra)
         )
         return extra
 
@@ -651,9 +655,6 @@ def _iterate(
         bad = sign * step < -value_tol  # should not happen: the step is guarded
         if bad.any():
             violations[rows[bad]] += 1
-        gained = sign * (tc - bt) > 0.0
-        bt = np.where(gained, tc, bt)
-        b = np.where(gained[:, None], cand, b)
         psi, t, w, v, tr = cand, tc, wc, vc, trc
         # a rejected step on the last rung ends the run; a p < 1 run also ends
         # on a step that moves the objective by at most value_tol, a p ≥ 1 run
@@ -664,8 +665,8 @@ def _iterate(
             if not rows.size:
                 break
 
-    best[rows], best_t[rows], last[rows] = b, bt, psi
-    return _Runs(best, best_t, iterations, status, violations, fallbacks, rejected, last)
+    state[rows], value[rows] = psi, t
+    return _Runs(state, value, iterations, status, violations, fallbacks, rejected)
 
 
 @functools.lru_cache(maxsize=8)
@@ -726,11 +727,11 @@ def estimate_nu_p(
 
     ``haar`` replaces the queue's Haar part: the structured seeds run as
     before, then these states, as many as the Haar seeds they replace
-    (``mult_scan`` continues a search this way).  It is a stack, or a
-    callable that returns one, called only when the Haar part runs, so
-    that states a ``bound`` makes unneeded are not drawn; either is checked
-    for its shape when it runs.  It cannot go with ``seeds``.  A norm
-    beyond the float range raises ``OverflowError`` naming p and Tr Γ^p.
+    (``mult_scan`` continues a search this way).  It is a callable that
+    returns a stack, called only when the Haar part runs, so that states a
+    ``bound`` makes unneeded are not drawn; the stack's shape is checked
+    then.  It cannot go with ``seeds``.  A norm beyond the float range
+    raises ``OverflowError`` naming p and Tr Γ^p.
     """
     if not la._finite_order(p) or p == 1.0:
         raise ValueError(f"the iteration needs a finite p > 0 and 1/p, p != 1; got {p}")
@@ -749,9 +750,9 @@ def _norm(t: float, p: float) -> float:
 
 
 def _haar_part(haar, shape: tuple) -> np.ndarray:
-    """The states of ``haar`` (a stack, or a callable that returns one) as a
-    complex stack, or ``ValueError`` unless it has ``shape``."""
-    h = np.asarray(haar() if callable(haar) else haar, dtype=np.complex128)
+    """The states that the callable ``haar`` returns as a complex stack, or
+    ``ValueError`` unless it has ``shape``."""
+    h = np.asarray(haar(), dtype=np.complex128)
     if h.shape != shape:
         raise ValueError(f"haar has shape {h.shape}, expected {shape}")
     return h
@@ -782,34 +783,32 @@ def _multistart(
 
     sign = 1.0 if p >= 1.0 else -1.0
     stage_runs: list[_Runs] = []
-    best_t: list[float] = []
+    ts: list[float] = []  # each restart's Tr Γ^p
     best = 0
     for stage in stages:
         stage = stage() if callable(stage) else stage
         stage_runs.append(_iterate(ch, stage, p, cfg.max_iters, cfg.value_tol))
-        for t in stage_runs[-1].best_t.tolist():
-            best_t.append(t)
+        for t in stage_runs[-1].value.tolist():
+            ts.append(t)
             # a restart replaces the best only when it beats it by more
             # than value_tol, so ties go to the lowest index
-            if sign * (t - best_t[best]) > cfg.value_tol:
-                best = len(best_t) - 1
-        if bound is not None and sign * (_norm(best_t[best], p) - bound) > 0.0:
+            if sign * (t - ts[best]) > cfg.value_tol:
+                best = len(ts) - 1
+        if bound is not None and sign * (_norm(ts[best], p) - bound) > 0.0:
             break
 
     runs = _Runs(*map(np.concatenate, zip(*stage_runs)))
-    states = runs.best
-    if p >= 1.0:  # p < 1 candidates come with their phases fixed
-        states = la._canonical_phases(states[..., None])[..., 0]
-        # the rotation can leave ~1e-18 on the lead's imaginary part
-        lead = la._first_significant(states[..., None])[..., 0]
-        states.imag[np.arange(len(states)), lead] = 0.0
-    values = tuple(_norm(t, p) for t in best_t)
+    states = la._canonical_phases(runs.state[..., None])[..., 0]
+    # the rotation can leave ~1e-18 on the lead's imaginary part
+    lead = la._first_significant(states[..., None])[..., 0]
+    states.imag[np.arange(len(states)), lead] = 0.0
+    values = tuple(_norm(t, p) for t in ts)
     statuses = tuple(runs.status.tolist())
     return OptimizerReport(
         p=p,
         direction="max" if p >= 1.0 else "min",
         best_value=values[best],
-        best_trace_power=best_t[best],
+        best_trace_power=ts[best],
         best_input=states[best],
         best_restart=best,
         restart_values=values,
@@ -852,12 +851,12 @@ class MultReport:
     restarts that ran: 0 when a certificate decided, the number of
     structured seeds when they certified the violation on their own (the
     search stopped there), ``tensor_restarts`` otherwise.
-    ``search_states`` are the search's Haar end states, its best states
-    after the structured seeds, and are empty when its Haar part did not
-    run.  ``continued_restarts`` and ``fresh_restarts`` count the two
-    parts of a ``haar`` queue part that ran: in ``mult_scan`` (module
-    docstring, "Multiplicativity") the end states taken from a neighbouring
-    row and the fresh Haar states after them.  Both are 0 when the search's
+    ``search_states`` are the search's Haar end states, the end states of
+    its restarts after the structured seeds, and are empty when its Haar
+    part did not run.  ``continued_restarts`` and ``fresh_restarts`` count
+    the two parts of a ``haar`` queue part that ran: in ``mult_scan``
+    (module docstring, "Multiplicativity") the end states taken from a
+    neighbouring row and the fresh Haar states after them.  Both are 0 when the search's
     Haar part did not run or was the queue's own.
     ``singles_converged`` says whether every restart of both single
     estimates converged; ``violated`` is never true without it.  A guard
