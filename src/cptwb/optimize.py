@@ -199,15 +199,19 @@ Above p = 1, ``mult_scan`` continues each tensor search from the one
 before it.  A row whose search ran its Haar part hands on its Haar end
 states (``MultReport.search_states``, the end states of its restarts after
 the structured seeds).  A later row above 1 takes them from the nearest
-such row in p, ties going to the lower p, as the Haar part of its queue
-(``mult_check(..., haar=...)``): all but the last ``_FRESH_SEEDS`` (32),
-whose slots take fresh Haar states from the streams (seed,
-``tensor_restarts`` + k), k counting the streams earlier continued rows
-took, so that no fresh state repeats the queue or an earlier row.  A row
-takes its streams when it is checked, but draws from them only when its
-Haar part runs: the default WH3 scan takes 96 streams and draws 32
-states.  The structured seeds stay first, so the ``bound`` staging and the
-seed-spectra memo work as before, and the restart count stays
+such row in p, ties going to the lower p, as the Haar part of its queue.
+That part is plain data, ``haar = (kept, streams)``, which ``mult_check``
+hands unchanged to ``estimate_nu_p``: ``kept`` is those end states but
+the last ``_FRESH_SEEDS`` (32), and ``streams`` the stream indices of
+the fresh Haar states that take their slots, one state per index i from
+the stream (seed, i), as the queue's own Haar seeds are drawn.  The
+indices run on from ``tensor_restarts``, past those that earlier
+continued rows took, so that no fresh state repeats the queue or an
+earlier row.  ``haar`` is checked against the queue before any pass.  A
+row takes its streams when it is checked, but draws from them only when
+its Haar part runs: the default WH3 scan takes 96 streams and draws 32
+states.  The structured seeds stay first, so the ``bound`` staging and
+the seed-spectra memo work as before, and the restart count stays
 ``tensor_restarts``.
 On WH3⊗WH3 the Haar restarts end on a few Schmidt orbits that are fixed
 points at every p, so a continued run ends after a pass or two: the gap
@@ -225,6 +229,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import weakref
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -588,12 +593,12 @@ def _iterate(
         """End the runs of the rows flagged in ``stop`` at pass ``it`` with
         the status ``how``: keep their results, and cut them from the stack
         and from ``extra``."""
-        nonlocal rows, psi, t, w, v, tr, rung, x_prev, f_prev
+        nonlocal rows, psi, t, w, v, rung, x_prev, f_prev
         done = rows[stop]
         state[done], value[done] = psi[stop], t[stop]
         iterations[done], status[done] = it, how
-        rows, psi, t, w, v, tr, rung, x_prev, f_prev, *extra = (
-            x[~stop] for x in (rows, psi, t, w, v, tr, rung, x_prev, f_prev, *extra)
+        rows, psi, t, w, v, rung, x_prev, f_prev, *extra = (
+            x[~stop] for x in (rows, psi, t, w, v, rung, x_prev, f_prev, *extra)
         )
         return extra
 
@@ -655,7 +660,7 @@ def _iterate(
         bad = sign * step < -value_tol  # should not happen: the step is guarded
         if bad.any():
             violations[rows[bad]] += 1
-        psi, t, w, v, tr = cand, tc, wc, vc, trc
+        psi, t, w, v = cand, tc, wc, vc
         # a rejected step on the last rung ends the run; a p < 1 run also ends
         # on a step that moves the objective by at most value_tol, a p ≥ 1 run
         # only at the fixed-point test
@@ -692,10 +697,16 @@ def _seed_queue(d: int, seed: int, restarts: int) -> tuple[np.ndarray, int]:
                 structured.append(v / np.sqrt(2.0))
     structured = structured[:restarts]
     n = len(structured)
-    haar = [random_pure_state(d, rng_from(seed, i)) for i in range(n, restarts)]
-    queue = np.array(structured + haar)
+    haar = _haar_states(d, seed, range(n, restarts))
+    queue = np.concatenate([np.reshape(structured, (n, d)), haar])
     queue.flags.writeable = False
     return queue, n
+
+
+def _haar_states(d: int, seed: int, streams) -> np.ndarray:
+    """A ``(len(streams), d)`` stack of Haar-random pure states, state k from
+    the stream (seed, streams[k])."""
+    return np.array([random_pure_state(d, rng_from(seed, i)) for i in streams]).reshape(-1, d)
 
 
 def estimate_nu_p(
@@ -725,13 +736,18 @@ def estimate_nu_p(
     stack gives, field for field, since a restart's result depends only on
     its index.  p = 1 is rejected, and so is a p whose 1/p is not finite.
 
-    ``haar`` replaces the queue's Haar part: the structured seeds run as
-    before, then these states, as many as the Haar seeds they replace
-    (``mult_scan`` continues a search this way).  It is a callable that
-    returns a stack, called only when the Haar part runs, so that states a
-    ``bound`` makes unneeded are not drawn; the stack's shape is checked
-    then.  It cannot go with ``seeds``.  A norm beyond the float range
-    raises ``OverflowError`` naming p and Tr Γ^p.
+    ``haar = (kept, streams)`` replaces the queue's Haar part: the
+    structured seeds run as before, then the ``(k, d_in)`` stack ``kept``,
+    then one fresh Haar state per stream index in ``streams``, state k from
+    the stream (seed, streams[k]), the rule of the queue's own Haar seeds
+    (``mult_scan`` continues a search this way).  k + len(streams) must be
+    the number of Haar seeds replaced, and ``haar`` cannot go with
+    ``seeds``: both are checked before any pass, so a malformed ``haar``
+    raises ``ValueError`` even when ``bound`` stops the search at its
+    structured seeds.  The fresh states are drawn only when the Haar part
+    runs.  A norm beyond the float range raises
+    ``OverflowError``, and for p ≠ 1 a Tr Γ^p below the least normal float
+    ``FloatingPointError``, each naming p and Tr Γ^p.
     """
     if not la._finite_order(p) or p == 1.0:
         raise ValueError(f"the iteration needs a finite p > 0 and 1/p, p != 1; got {p}")
@@ -739,7 +755,13 @@ def estimate_nu_p(
 
 
 def _norm(t: float, p: float) -> float:
-    """(Tr Γ^p)^(1/p), or ``OverflowError`` naming both when it is out of range."""
+    """(Tr Γ^p)^(1/p), or an error naming both: ``OverflowError`` when the norm
+    is out of range, and ``FloatingPointError`` for p ≠ 1 when Tr Γ^p is
+    below ``sys.float_info.min``, the least normal float, where it has lost
+    its digits or reads 0: every pure input of WH3 gives Tr Γ^2000 = 2^-1999,
+    0 in floats.  At p = 1, t is Tr Γ log Γ, which may be 0."""
+    if p != 1.0 and t < sys.float_info.min:
+        raise FloatingPointError(f"Tr Γ^p underflows at p = {p}: Tr Γ^p = {t!r}")
     try:
         return t ** (1.0 / p)
     except OverflowError:
@@ -749,13 +771,16 @@ def _norm(t: float, p: float) -> float:
         ) from None
 
 
-def _haar_part(haar, shape: tuple) -> np.ndarray:
-    """The states that the callable ``haar`` returns as a complex stack, or
-    ``ValueError`` unless it has ``shape``."""
-    h = np.asarray(haar(), dtype=np.complex128)
-    if h.shape != shape:
-        raise ValueError(f"haar has shape {h.shape}, expected {shape}")
-    return h
+def _checked_haar(haar, d: int, queue: np.ndarray, n_structured: int):
+    """The two parts of ``haar = (kept, streams)``, or ``ValueError`` unless
+    ``kept`` is a ``(k, d)`` stack and k + len(streams) is the number of Haar
+    seeds in ``queue``, whose first ``n_structured`` seeds are structured."""
+    kept, streams = haar
+    slots = len(queue) - n_structured
+    if np.shape(kept)[1:] != (d,) or len(kept) + len(streams) != slots:
+        got = f"kept states of shape {np.shape(kept)} and {len(streams)} streams"
+        raise ValueError(f"haar has {got}; need (k, {d}) with k + streams = {slots}")
+    return kept, streams
 
 
 def _multistart(
@@ -766,27 +791,26 @@ def _multistart(
         if cfg.restarts < 1:
             raise ValueError("need at least one restart")
         seeds, n_structured = _seed_queue(ch.d_in, cfg.seed, cfg.restarts)
-        rest = seeds[n_structured:]
         if haar is not None:
-            rest = functools.partial(_haar_part, haar, rest.shape)
+            kept, streams = _checked_haar(haar, ch.d_in, seeds, n_structured)
     else:
         if haar is not None:
             raise ValueError("haar replaces part of the seed queue; it cannot go with seeds")
         if not len(seeds):
             raise ValueError("need at least one seed")
         n_structured = 0
-    # each stage a stack, or a callable that gives one when the stage runs
-    if bound is not None and 0 < n_structured < len(seeds):
-        stages = [seeds[:n_structured], rest]
-    else:
-        stages = [seeds if haar is None else np.concatenate([seeds[:n_structured], rest()])]
+    # with a bound the structured seeds run first, as a stage of their own
+    split = bound is not None and 0 < n_structured < len(seeds)
 
     sign = 1.0 if p >= 1.0 else -1.0
     stage_runs: list[_Runs] = []
     ts: list[float] = []  # each restart's Tr Γ^p
     best = 0
-    for stage in stages:
-        stage = stage() if callable(stage) else stage
+    for lo, hi in [(0, n_structured), (n_structured, len(seeds))] if split else [(0, len(seeds))]:
+        stage = seeds[lo:hi]
+        if haar is not None and hi > n_structured:  # drawn only when the Haar part runs
+            fresh = _haar_states(ch.d_in, cfg.seed, streams)
+            stage = np.concatenate([seeds[lo:n_structured], kept, fresh])
         stage_runs.append(_iterate(ch, stage, p, cfg.max_iters, cfg.value_tol))
         for t in stage_runs[-1].value.tolist():
             ts.append(t)
@@ -948,12 +972,12 @@ def mult_check(
     caches serves every order); it is built here otherwise.  A channel on
     other spaces raises ``ShapeError``.
 
-    ``haar``, a pair (continued, fresh) of a state stack and a callable
-    that returns the fresh states, replaces the Haar part of the tensor
-    search's queue with the continued states followed by the fresh ones
-    (``estimate_nu_p(..., haar=...)``).  ``fresh`` is called only when that
-    part runs, and then the report counts both (``mult_scan`` continues
-    its searches this way).
+    ``haar = (kept, streams)`` goes unchanged to the tensor search
+    (``estimate_nu_p(..., haar=...)``, which says what it replaces), and is
+    checked against the tensor queue before any estimate runs, so also when
+    a certificate decides.  When the search's Haar part runs, the report
+    counts ``len(kept)`` continued and ``len(streams)`` fresh restarts
+    (``mult_scan`` continues its searches this way).
     """
     cfg = config or OptimizerConfig()
     tensor_dim = _tensor_dim(a, b)
@@ -961,6 +985,8 @@ def mult_check(
         tensor = chan.tensor(a, b)
     elif (tensor.d_in, tensor.d_out) != (tensor_dim, a.d_out * b.d_out):
         raise la.ShapeError("tensor is not a channel on the spaces of A⊗B")
+    if haar is not None:
+        _checked_haar(haar, tensor_dim, *_seed_queue(tensor_dim, cfg.seed, cfg.tensor_restarts))
     rep_a = estimate_nu_p(a, p, cfg)
     rep_b = rep_a if b is a else estimate_nu_p(b, p, cfg)
     product = rep_a.best_value * rep_b.best_value
@@ -983,16 +1009,11 @@ def mult_check(
     if polished is not None and violates(polished.best_value):
         rep_ab, decided_by, tensor_restarts_run = polished, "certificate", 0
     else:
-        queue_haar = None
-        if haar is not None:
-            kept, fresh = haar
-            queue_haar = lambda: np.concatenate([kept, fresh()])
-        rep_ab = estimate_nu_p(tensor, p, tensor_cfg, bound=bound, haar=queue_haar)
+        rep_ab = estimate_nu_p(tensor, p, tensor_cfg, bound=bound, haar=haar)
         decided_by, tensor_restarts_run = "search", len(rep_ab.restart_values)
         search_states = rep_ab.restart_states[rep_ab.n_structured_seeds :]
         if search_states and haar is not None:
-            continued_restarts = len(kept)
-            fresh_restarts = len(search_states) - continued_restarts
+            continued_restarts, fresh_restarts = len(haar[0]), len(haar[1])
         estimates.append(rep_ab)
         # a polished state replaces the search's best only when it beats it
         # by more than value_tol, the tie rule of estimate_nu_p
@@ -1136,12 +1157,13 @@ def mult_scan(
 
     def continued(p: float):
         """The Haar part of the tensor queue at p as ``mult_check`` takes it,
-        (continued states, a callable that draws the fresh states), or
-        ``None`` for the queue's own: for p > 1, the end states of the
-        nearest row above 1 whose search ran its Haar part (ties to the
-        lower p), less their last ``_FRESH_SEEDS``, and as many Haar states
-        from streams that no queue and no earlier row has used.  The streams
-        are taken here, so a row that draws nothing still uses them up."""
+        ``(kept, streams)``, or ``None`` for the queue's own: for p > 1,
+        ``kept`` is the end states of the nearest row above 1 whose search
+        ran its Haar part (ties to the lower p) less their last
+        ``_FRESH_SEEDS``, and ``streams`` as many stream indices that no
+        queue and no earlier row has used.  The streams are taken here, so a
+        row whose Haar part does not run, and draws nothing, still uses them
+        up."""
         nonlocal fresh_streams
         searched = [q for q in rows if q > 1.0 and len(rows[q].search_states)]
         if p < 1.0 or not searched:
@@ -1150,15 +1172,8 @@ def mult_scan(
         n_fresh = min(_FRESH_SEEDS, len(ends))
         start = cfg.tensor_restarts + fresh_streams
         fresh_streams += n_fresh
-
-        def fresh() -> np.ndarray:
-            return np.array([
-                random_pure_state(tensor.d_in, rng_from(cfg.seed, start + k))
-                for k in range(n_fresh)
-            ])
-
         kept = np.reshape(ends[: len(ends) - n_fresh], (-1, tensor.d_in))
-        return kept, fresh
+        return kept, range(start, start + n_fresh)
 
     def check(p: float) -> MultReport:
         if p not in rows:

@@ -415,6 +415,27 @@ def test_a_norm_out_of_float_range_exits_3_naming_the_order(capsys):
     assert "p = 0.0001" in err and "Tr Γ^p" in err
 
 
+@pytest.mark.parametrize("command", ["numax", "smin", "multcheck"])
+def test_a_trace_power_that_underflows_exits_3_naming_the_order(command, capsys):
+    # every pure input of WH3 has output spectrum (1/2, 1/2, 0), and
+    # Tr Γ^2000 = 2^-1999 is 0 in floats
+    code, out, err = run(
+        [command, "--family", "werner_holevo", "--dim", "3", "--p", "2000", "--restarts", "2"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical error:") and "Traceback" not in err
+    assert "p = 2000.0" in err and "Tr Γ^p = 0.0" in err
+
+
+def test_a_trace_power_just_above_the_least_normal_float_is_reported(capsys):
+    code, out, _ = run(["numax", "--family", "werner_holevo", "--dim", "3", "--p", "1000"], capsys)
+    assert code == 0
+    assert "best_trace_power = 1.86652723701e-301\n" in out
+    assert "best_value = 0.500346693731\n" in out
+
+
 def test_every_flag_has_help_text():
     parser = cli._build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

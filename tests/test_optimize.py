@@ -1675,12 +1675,11 @@ def test_continued_rows_draw_fresh_seeds_and_count_them(monkeypatch):
     # every check after the first takes 32 streams, in the order checked,
     # whether it draws from them or not
     assert drawn_streams == [cfg.tensor_restarts + 32 + k for k in range(32)]
-    fresh = [haars[p][1]() for p in haars if haars[p] is not None]
-    assert [len(f) for f in fresh] == [32, 32, 32]
-    drawn = np.concatenate(fresh)
-    for k, state in enumerate(drawn):
-        expected = random_pure_state(9, rng_from(cfg.seed, cfg.tensor_restarts + k))
-        assert np.array_equal(state, expected)
+    taken = [list(haars[p][1]) for p in haars if haars[p] is not None]
+    assert taken == [[cfg.tensor_restarts + 32 * j + k for k in range(32)] for j in range(3)]
+    drawn = opt._haar_states(9, cfg.seed, sum(taken, []))
+    for i, state in zip(sum(taken, []), drawn):
+        assert np.array_equal(state, random_pure_state(9, rng_from(cfg.seed, i)))
     queue = opt._seed_queue(9, cfg.seed, cfg.tensor_restarts)[0]
     everything = np.concatenate([queue, drawn])
     assert len(np.unique(everything.round(12), axis=0)) == len(everything)
@@ -1710,17 +1709,58 @@ def test_haar_replaces_the_queues_haar_part():
     cfg = dataclasses.replace(FAST, restarts=20)
     queue, n = opt._seed_queue(3, cfg.seed, cfg.restarts)
     plain = opt.estimate_nu_p(phi, 3.0, cfg)
-    _assert_same_fields(
-        opt.estimate_nu_p(phi, 3.0, cfg, haar=lambda: queue[n:]), plain, opt.OptimizerReport
-    )
-    other = [random_pure_state(3, rng_from(99, i)) for i in range(n, cfg.restarts)]
-    rep = opt.estimate_nu_p(phi, 3.0, cfg, haar=lambda: other)
-    given = opt.estimate_nu_p(phi, 3.0, cfg, seeds=np.concatenate([queue[:n], other]))
+    # the queue's own Haar part, as kept states or as the streams it is drawn from
+    for haar in ((queue[n:], ()), (queue[n:n], range(n, cfg.restarts))):
+        _assert_same_fields(opt.estimate_nu_p(phi, 3.0, cfg, haar=haar), plain, opt.OptimizerReport)
+    kept = [random_pure_state(3, rng_from(99, i)) for i in range(5)]
+    streams = range(500, 500 + cfg.restarts - n - 5)
+    rep = opt.estimate_nu_p(phi, 3.0, cfg, haar=(kept, streams))
+    fresh = [random_pure_state(3, rng_from(cfg.seed, i)) for i in streams]
+    given = opt.estimate_nu_p(phi, 3.0, cfg, seeds=np.concatenate([queue[:n], kept, fresh]))
     assert rep.n_structured_seeds == n and rep.restart_values == given.restart_values
-    with pytest.raises(ValueError, match="haar has shape"):
-        opt.estimate_nu_p(phi, 3.0, cfg, haar=lambda: other[1:])
     with pytest.raises(ValueError, match="cannot go with seeds"):
-        opt.estimate_nu_p(phi, 3.0, cfg, seeds=queue, haar=lambda: other)
+        opt.estimate_nu_p(phi, 3.0, cfg, seeds=queue, haar=(kept, streams))
+
+
+def _wrong_haars(d, slots):
+    """Malformed ``haar`` parts for a queue of ``slots`` Haar seeds in C^d."""
+    kept = np.zeros((5, d), dtype=complex)
+    return [
+        (np.zeros((5, d - 1)), range(slots - 5)),  # kept states of the wrong length
+        (kept[0], range(slots - 1)),  # one state, not a stack
+        (kept, range(slots - 4)),  # one slot too many
+        (kept, range(slots - 6)),  # one too few
+    ]
+
+
+def test_a_malformed_haar_is_refused_before_any_pass(monkeypatch):
+    # the structured seeds of WH3⊗WH3 pass bound = 0 on their own, so the
+    # search would stop before its Haar part: the check must come first
+    ww = chan.tensor(WH3, WH3)
+    cfg = opt.OptimizerConfig(restarts=200)
+    n = opt._seed_queue(9, cfg.seed, cfg.restarts)[1]
+    assert len(opt.estimate_nu_p(ww, 5.0, cfg, bound=0.0).restart_values) == n == 82
+    passes = []
+    monkeypatch.setattr(opt, "_iterate", lambda *args: passes.append(args))
+    for haar in _wrong_haars(9, cfg.restarts - n):
+        with pytest.raises(ValueError, match=r"haar has .*need \(k, 9\)"):
+            opt.estimate_nu_p(ww, 5.0, cfg, bound=0.0, haar=haar)
+    assert passes == []
+
+
+@pytest.mark.parametrize("certified", [False, True], ids=["search", "certificate"])
+def test_mult_check_refuses_a_malformed_haar_before_any_estimate(certified, monkeypatch):
+    # at p = 5 the structured seeds, or a polished certificate, decide the
+    # violation, so neither ever needs the Haar part
+    certificates = (opt._seed_queue(9, 0, 1)[0][0],) if certified else ()
+    rep = opt.mult_check(WH3, WH3, 5.0, certificates=certificates)
+    assert rep.violated and rep.decided_by == ("certificate" if certified else "search")
+    passes = []
+    monkeypatch.setattr(opt, "_iterate", lambda *args: passes.append(args))
+    for haar in _wrong_haars(9, 200 - 82):
+        with pytest.raises(ValueError, match="haar has"):
+            opt.mult_check(WH3, WH3, 5.0, certificates=certificates, haar=haar)
+    assert passes == []
 
 
 def test_a_norm_out_of_float_range_names_p_and_the_trace_power():
@@ -1729,3 +1769,13 @@ def test_a_norm_out_of_float_range_names_p_and_the_trace_power():
     cfg = dataclasses.replace(FAST, restarts=2)
     with pytest.raises(OverflowError, match=r"p = 0\.0001 .*Tr Γ\^p = "):
         opt.estimate_nu_p(WH3, 1e-4, cfg)
+
+
+def test_a_trace_power_below_the_least_normal_float_names_p_and_the_trace_power():
+    # every output of WH3 has spectrum (1/2, 1/2, 0): Tr Γ^p = 2^(1 - p), which
+    # is 0 in floats at p = 2000 and still normal at p = 1000
+    with pytest.raises(FloatingPointError, match=r"p = 2000\.0: Tr Γ\^p = 0\.0"):
+        opt.estimate_nu_p(WH3, 2000.0)
+    rep = opt.estimate_nu_p(WH3, 1000.0)
+    assert rep.best_trace_power == pytest.approx(2.0**-999, rel=1e-9)
+    assert rep.best_value == pytest.approx(2.0 ** (1 / 1000) / 2, rel=1e-12)
