@@ -17,6 +17,9 @@ Channels come from ``--input FILE`` (channel JSON: ``{"d_in", "d_out",
 ``--spec-file FILE`` (a serialized family spec), or from ``--family NAME``
 plus the family's parameters (``--dim``, ``--x``, ``--alpha``,
 ``--epsilon``, ``--unitaries-file``, ``--seed``; see ``zoo.FAMILIES``).
+A family-parameter flag that the chosen family does not read, or any one
+beside ``--input`` or ``--spec-file`` or without a source, is a usage
+error; ``--seed`` is shared by every subcommand and both channels.
 
 ``_build_parser`` is the one place a subcommand's flags are declared.  Each
 flag belongs to one flag group, declared once: ``common`` (``--seed``,
@@ -269,11 +272,15 @@ def _load_channel(args, suffix: str = "", required: bool = True, validate: bool 
     given = [s for s in (from_file, spec_file, family) if s is not None]
     if len(given) > 1:
         raise UsageError("give exactly one of --input / --spec-file / --family")
+    if not given and required:
+        raise UsageError("no channel given: use --input, --spec-file, or --family")
+    sfx = f"-{suffix}" if suffix else ""
+    read = {prm.flag for prm in zoo.FAMILIES[family].params} if family else ()
+    unread = [d for d, _, _ in _PARAM_FLAGS if d not in read and _get(args, d, suffix) is not None]
+    if unread:
+        source = f"--family{sfx} {family}" if family else f"any source but --family{sfx}"
+        raise UsageError(f"--{unread[0].replace('_', '-')}{sfx} is not read by {source}")
     if not given:
-        if required:
-            raise UsageError(
-                "no channel given: use --input, --spec-file, or --family"
-            )
         return None
 
     if from_file is not None:
@@ -559,8 +566,8 @@ def _build_parser() -> _Parser:
         "--tensor-restarts", type=int, default=defaults.tensor_restarts,
         help=f"fixed-point runs per search of the tensor product "
         f"(default {defaults.tensor_restarts}); in multscan, later searches above "
-        f"p = 1 continue from a neighbouring row's end states plus "
-        f"{opt._FRESH_SEEDS} fresh Haar seeds",
+        f"p = 1 continue from a neighbouring row's end states, with the queue's "
+        f"own Haar seeds in the last {opt._FRESH_SEEDS} slots",
     )
     dump.add_argument(
         "--dump-kraus", action="store_true", help="include the Kraus operators in the report"

@@ -199,30 +199,26 @@ Above p = 1, ``mult_scan`` continues each tensor search from the one
 before it.  A row whose search ran its Haar part hands on its Haar end
 states (``MultReport.search_states``, the end states of its restarts after
 the structured seeds).  A later row above 1 takes them from the nearest
-such row in p, ties going to the lower p, as the Haar part of its queue.
-That part is plain data, ``haar = (kept, streams)``, which ``mult_check``
-hands unchanged to ``estimate_nu_p``: ``kept`` is those end states but
-the last ``_FRESH_SEEDS`` (32), and ``streams`` the stream indices of
-the fresh Haar states that take their slots, one state per index i from
-the stream (seed, i), as the queue's own Haar seeds are drawn.  The
-indices run on from ``tensor_restarts``, past those that earlier
-continued rows took, so that no fresh state repeats the queue or an
-earlier row.  ``haar`` is checked against the queue before any pass.  A
-row takes its streams when it is checked, but draws from them only when
-its Haar part runs: the default WH3 scan takes 96 streams and draws 32
-states.  The structured seeds stay first, so the ``bound`` staging and
-the seed-spectra memo work as before, and the restart count stays
-``tensor_restarts``.
+such row in p, ties going to the lower p, all but their last
+``_FRESH_SEEDS`` (32).  They are plain data, ``haar``, a ``(k, d_in)``
+stack that ``mult_check`` checks against the queue before any pass and
+hands to ``estimate_nu_p``, where it takes the first k Haar slots of the
+queue.  The remaining slots run the queue's own Haar seeds, the ones an
+uncontinued row runs there, so a scan draws no random state beyond its
+cached queues.  The structured seeds stay first, so the ``bound``
+staging and the seed-spectra memo work as before, and the restart count
+stays ``tensor_restarts``.
 On WH3⊗WH3 the Haar restarts end on a few Schmidt orbits that are fixed
 points at every p, so a continued run ends after a pass or two: the gap
-root's lower check of the default WH3 scan (p ≈ 4.777) takes 442 passes
+root's lower check of the default WH3 scan (p ≈ 4.777) takes 441 passes
 instead of 1 089, with every verdict, tensor value and the threshold
-unchanged.  The fresh share matters because only fresh states can find a
-maximum that appears between two checked orders.  A row with no such
-neighbour, and every row below 1, runs the queue's own Haar seeds: there
-single estimates can end on guard stalls short of their minimum, and a
-continued tensor search that beat them gave a violation on a grid where
-the queue's own search gives none.
+unchanged.  The share of the queue's own seeds matters because
+only states that start afresh at this p can find a maximum that appears
+between two checked orders.  A row with no such neighbour, and every row
+below 1, runs the queue's own Haar seeds: there single estimates can end
+on guard stalls short of their minimum, and a continued tensor search
+that beat them gave a violation on a grid where the queue's own search
+gives none.
 """
 
 from __future__ import annotations
@@ -697,16 +693,10 @@ def _seed_queue(d: int, seed: int, restarts: int) -> tuple[np.ndarray, int]:
                 structured.append(v / np.sqrt(2.0))
     structured = structured[:restarts]
     n = len(structured)
-    haar = _haar_states(d, seed, range(n, restarts))
-    queue = np.concatenate([np.reshape(structured, (n, d)), haar])
+    structured.extend(random_pure_state(d, rng_from(seed, i)) for i in range(n, restarts))
+    queue = np.reshape(structured, (-1, d))
     queue.flags.writeable = False
     return queue, n
-
-
-def _haar_states(d: int, seed: int, streams) -> np.ndarray:
-    """A ``(len(streams), d)`` stack of Haar-random pure states, state k from
-    the stream (seed, streams[k])."""
-    return np.array([random_pure_state(d, rng_from(seed, i)) for i in streams]).reshape(-1, d)
 
 
 def estimate_nu_p(
@@ -736,18 +726,15 @@ def estimate_nu_p(
     stack gives, field for field, since a restart's result depends only on
     its index.  p = 1 is rejected, and so is a p whose 1/p is not finite.
 
-    ``haar = (kept, streams)`` replaces the queue's Haar part: the
-    structured seeds run as before, then the ``(k, d_in)`` stack ``kept``,
-    then one fresh Haar state per stream index in ``streams``, state k from
-    the stream (seed, streams[k]), the rule of the queue's own Haar seeds
-    (``mult_scan`` continues a search this way).  k + len(streams) must be
-    the number of Haar seeds replaced, and ``haar`` cannot go with
-    ``seeds``: both are checked before any pass, so a malformed ``haar``
-    raises ``ValueError`` even when ``bound`` stops the search at its
-    structured seeds.  The fresh states are drawn only when the Haar part
-    runs.  A norm beyond the float range raises
-    ``OverflowError``, and for p ≠ 1 a Tr Γ^p below the least normal float
-    ``FloatingPointError``, each naming p and Tr Γ^p.
+    ``haar``, a ``(k, d_in)`` stack of states, takes the first k Haar slots
+    of the queue: the structured seeds run as before, then ``haar``, then
+    the queue's own Haar seeds of the slots after k (``mult_scan``
+    continues a search this way).  k must be at most the number of Haar
+    slots, and ``haar`` cannot go with ``seeds``: both are checked before
+    any pass, so a malformed ``haar`` raises ``ValueError`` even when
+    ``bound`` stops the search at its structured seeds.  A norm beyond the
+    float range raises ``OverflowError``, and for p ≠ 1 a Tr Γ^p below the
+    least normal float ``FloatingPointError``, each naming p and Tr Γ^p.
     """
     if not la._finite_order(p) or p == 1.0:
         raise ValueError(f"the iteration needs a finite p > 0 and 1/p, p != 1; got {p}")
@@ -771,16 +758,17 @@ def _norm(t: float, p: float) -> float:
         ) from None
 
 
-def _checked_haar(haar, d: int, queue: np.ndarray, n_structured: int):
-    """The two parts of ``haar = (kept, streams)``, or ``ValueError`` unless
-    ``kept`` is a ``(k, d)`` stack and k + len(streams) is the number of Haar
-    seeds in ``queue``, whose first ``n_structured`` seeds are structured."""
-    kept, streams = haar
+def _checked_haar(haar, queue: np.ndarray, n_structured: int) -> np.ndarray:
+    """The seed ``queue``, whose first ``n_structured`` seeds are structured,
+    with the stack ``haar`` in its first Haar slots; ``ValueError`` unless
+    ``haar`` is a ``(k, d)`` stack of the queue's states with k at most its
+    number of Haar slots."""
+    kept = np.asarray(haar, dtype=np.complex128)
     slots = len(queue) - n_structured
-    if np.shape(kept)[1:] != (d,) or len(kept) + len(streams) != slots:
-        got = f"kept states of shape {np.shape(kept)} and {len(streams)} streams"
-        raise ValueError(f"haar has {got}; need (k, {d}) with k + streams = {slots}")
-    return kept, streams
+    if kept.shape[1:] != queue.shape[1:] or len(kept) > slots:
+        need = f"(k, {queue.shape[1]}) with k <= {slots}"
+        raise ValueError(f"haar has shape {kept.shape}; need {need}")
+    return np.concatenate([queue[:n_structured], kept, queue[n_structured + len(kept) :]])
 
 
 def _multistart(
@@ -792,7 +780,7 @@ def _multistart(
             raise ValueError("need at least one restart")
         seeds, n_structured = _seed_queue(ch.d_in, cfg.seed, cfg.restarts)
         if haar is not None:
-            kept, streams = _checked_haar(haar, ch.d_in, seeds, n_structured)
+            seeds = _checked_haar(haar, seeds, n_structured)
     else:
         if haar is not None:
             raise ValueError("haar replaces part of the seed queue; it cannot go with seeds")
@@ -807,11 +795,7 @@ def _multistart(
     ts: list[float] = []  # each restart's Tr Γ^p
     best = 0
     for lo, hi in [(0, n_structured), (n_structured, len(seeds))] if split else [(0, len(seeds))]:
-        stage = seeds[lo:hi]
-        if haar is not None and hi > n_structured:  # drawn only when the Haar part runs
-            fresh = _haar_states(ch.d_in, cfg.seed, streams)
-            stage = np.concatenate([seeds[lo:n_structured], kept, fresh])
-        stage_runs.append(_iterate(ch, stage, p, cfg.max_iters, cfg.value_tol))
+        stage_runs.append(_iterate(ch, seeds[lo:hi], p, cfg.max_iters, cfg.value_tol))
         for t in stage_runs[-1].value.tolist():
             ts.append(t)
             # a restart replaces the best only when it beats it by more
@@ -877,11 +861,12 @@ class MultReport:
     search stopped there), ``tensor_restarts`` otherwise.
     ``search_states`` are the search's Haar end states, the end states of
     its restarts after the structured seeds, and are empty when its Haar
-    part did not run.  ``continued_restarts`` and ``fresh_restarts`` count
-    the two parts of a ``haar`` queue part that ran: in ``mult_scan``
-    (module docstring, "Multiplicativity") the end states taken from a
-    neighbouring row and the fresh Haar states after them.  Both are 0 when the search's
-    Haar part did not run or was the queue's own.
+    part did not run.  When a ``haar`` stack of k states ran as the first
+    k Haar slots (in ``mult_scan``, module docstring, "Multiplicativity",
+    the end states taken from a neighbouring row), ``continued_restarts``
+    is k and ``fresh_restarts`` counts the queue's own Haar seeds that ran
+    after them.  Both are 0 when the search's Haar part did not run or was
+    the queue's own.
     ``singles_converged`` says whether every restart of both single
     estimates converged; ``violated`` is never true without it.  A guard
     stall at p < 1 counts as convergence here, as everywhere in this
@@ -972,12 +957,13 @@ def mult_check(
     caches serves every order); it is built here otherwise.  A channel on
     other spaces raises ``ShapeError``.
 
-    ``haar = (kept, streams)`` goes unchanged to the tensor search
-    (``estimate_nu_p(..., haar=...)``, which says what it replaces), and is
-    checked against the tensor queue before any estimate runs, so also when
-    a certificate decides.  When the search's Haar part runs, the report
-    counts ``len(kept)`` continued and ``len(streams)`` fresh restarts
-    (``mult_scan`` continues its searches this way).
+    ``haar``, a ``(k, d_in)`` stack of states, goes to the tensor search
+    (``estimate_nu_p(..., haar=...)``: it takes the queue's first k Haar
+    slots), and is checked against the tensor queue before any estimate
+    runs, so also when a certificate decides.  When the search's Haar part
+    runs, the report counts k continued restarts and, as fresh ones, the
+    queue's own Haar seeds that ran after them (``mult_scan`` continues its
+    searches this way).
     """
     cfg = config or OptimizerConfig()
     tensor_dim = _tensor_dim(a, b)
@@ -985,8 +971,8 @@ def mult_check(
         tensor = chan.tensor(a, b)
     elif (tensor.d_in, tensor.d_out) != (tensor_dim, a.d_out * b.d_out):
         raise la.ShapeError("tensor is not a channel on the spaces of A⊗B")
-    if haar is not None:
-        _checked_haar(haar, tensor_dim, *_seed_queue(tensor_dim, cfg.seed, cfg.tensor_restarts))
+    if haar is not None:  # checked before any estimate
+        _checked_haar(haar, *_seed_queue(tensor_dim, cfg.seed, cfg.tensor_restarts))
     rep_a = estimate_nu_p(a, p, cfg)
     rep_b = rep_a if b is a else estimate_nu_p(b, p, cfg)
     product = rep_a.best_value * rep_b.best_value
@@ -1013,7 +999,7 @@ def mult_check(
         decided_by, tensor_restarts_run = "search", len(rep_ab.restart_values)
         search_states = rep_ab.restart_states[rep_ab.n_structured_seeds :]
         if search_states and haar is not None:
-            continued_restarts, fresh_restarts = len(haar[0]), len(haar[1])
+            continued_restarts, fresh_restarts = len(haar), len(search_states) - len(haar)
         estimates.append(rep_ab)
         # a polished state replaces the search's best only when it beats it
         # by more than value_tol, the tie rule of estimate_nu_p
@@ -1044,13 +1030,14 @@ def mult_check(
     )
 
 
-#: Fresh Haar states in each continued tensor search of ``mult_scan``; they
-#: take the last slots of the neighbouring row's end states (module
-#: docstring, "Multiplicativity").  Against a scan that continues nothing,
-#: a warm default WH3 scan at seed 0 (72.3 ms, 2 077 eigh matrices, on a
-#: 2-CPU VM) took 21 % less time with 32 (1 530 matrices) and 27 % less with
-#: 16 (1 414), every answer unchanged.  The larger share is kept because
-#: only fresh states can find a maximum that appears between two orders.
+#: The last Haar slots of each continued tensor search of ``mult_scan``,
+#: which run the queue's own Haar seeds instead of the neighbouring row's
+#: end states (module docstring, "Multiplicativity").  Against a scan that
+#: continues nothing, a warm default WH3 scan at seed 0 (57.9 ms, 2 077 eigh
+#: matrices, on a 2-CPU VM) took 25 % less time with 32 (1 533 matrices)
+#: and 28 % less with 16 (1 411), every answer unchanged.  The larger share
+#: is kept because only states that start afresh at an order can find a
+#: maximum that appears between two orders.
 _FRESH_SEEDS = 32
 
 #: The gap curve's root is searched until its bracket is at most this share
@@ -1136,8 +1123,9 @@ def mult_scan(
     certificates already certify a violation skips the tensor search; each
     row's ``decided_by`` says which way it was decided.  Above p = 1 a
     later search continues from the Haar end states of the nearest searched
-    row plus ``_FRESH_SEEDS`` fresh Haar states (module docstring), and
-    each row's ``continued_restarts`` and ``fresh_restarts`` count them.
+    row, less their last ``_FRESH_SEEDS``, whose slots run the queue's own
+    Haar seeds (module docstring), and each row's ``continued_restarts``
+    and ``fresh_restarts`` count the two.
     """
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
@@ -1153,27 +1141,18 @@ def mult_scan(
     tensor = chan.tensor(a, b)
     certificates: list[np.ndarray] = []
     rows: dict = {}
-    fresh_streams = 0
 
     def continued(p: float):
-        """The Haar part of the tensor queue at p as ``mult_check`` takes it,
-        ``(kept, streams)``, or ``None`` for the queue's own: for p > 1,
-        ``kept`` is the end states of the nearest row above 1 whose search
-        ran its Haar part (ties to the lower p) less their last
-        ``_FRESH_SEEDS``, and ``streams`` as many stream indices that no
-        queue and no earlier row has used.  The streams are taken here, so a
-        row whose Haar part does not run, and draws nothing, still uses them
-        up."""
-        nonlocal fresh_streams
+        """The states that take the first Haar slots of the tensor queue at p,
+        as ``mult_check`` takes them, or ``None`` for the queue's own: for
+        p > 1, the end states of the nearest row above 1 whose search ran
+        its Haar part (ties to the lower p) less their last ``_FRESH_SEEDS``,
+        whose slots run the queue's own Haar seeds."""
         searched = [q for q in rows if q > 1.0 and len(rows[q].search_states)]
         if p < 1.0 or not searched:
             return None
         ends = rows[min(searched, key=lambda q: (abs(q - p), q))].search_states
-        n_fresh = min(_FRESH_SEEDS, len(ends))
-        start = cfg.tensor_restarts + fresh_streams
-        fresh_streams += n_fresh
-        kept = np.reshape(ends[: len(ends) - n_fresh], (-1, tensor.d_in))
-        return kept, range(start, start + n_fresh)
+        return np.reshape(ends[: max(len(ends) - _FRESH_SEEDS, 0)], (-1, tensor.d_in))
 
     def check(p: float) -> MultReport:
         if p not in rows:

@@ -347,7 +347,7 @@ class Param:
     """One family parameter: ``kind`` coerces a JSON value (raising
     ``ValueError``), ``flag`` is the argparse dest of the CLI option that
     supplies it, and the parameter is unused when one of ``unused_with`` is
-    given."""
+    given: a spec that gives both is refused, and the CLI leaves it out."""
 
     name: str
     kind: Callable
@@ -375,14 +375,17 @@ def _shift_from_spec(d, unitaries=None, cycles=None, seed=0):
     return shift_subunitary(d, mats)
 
 
-def _qubit_from_spec(alpha, seed=0, d_out=2, u=None, v=None, w=None):
-    if v is not None:
-        u, v, w = (None if m is None else la.matrix_from_json(m) for m in (u, v, w))
-        return qubit_generalized_extreme(alpha, u=u, v=v, w=w)
-    rng = rng_from(seed)
-    v = haar_unitary(d_out, rng)[:, :2]
-    w = haar_unitary(d_out, rng)[:, :2]
-    return qubit_generalized_extreme(alpha, v=v, w=w)
+def _qubit_from_spec(alpha, seed=0, d_out=None, u=None, v=None, w=None):
+    u, v, w = (None if m is None else la.matrix_from_json(m) for m in (u, v, w))
+    if v is None:
+        if w is not None:
+            raise ValueError("qubit_generalized_extreme parameter 'w' needs 'v'")
+        rng = rng_from(seed)
+        v, w = (haar_unitary(2 if d_out is None else d_out, rng)[:, :2] for _ in range(2))
+    ch = qubit_generalized_extreme(alpha, u=u, v=v, w=w)
+    if d_out not in (None, ch.d_out):
+        raise ValueError(f"qubit_generalized_extreme d_out = {d_out}, but v has {ch.d_out} rows")
+    return ch
 
 
 def _near_depolarizing_from_spec(d, epsilon, seed=0, x=0.0):
@@ -406,7 +409,7 @@ FAMILIES: dict[str, Family] = {
         (
             _D,
             Param("unitaries", _nested, flag="unitaries_file"),
-            Param("cycles", _nested),
+            Param("cycles", _nested, unused_with=("unitaries",)),
             replace(_SEED, unused_with=("unitaries", "cycles")),
         ),
     ),
@@ -414,7 +417,7 @@ FAMILIES: dict[str, Family] = {
         _qubit_from_spec,
         (
             Param("alpha", _pair, required=True, flag="alpha"),
-            _SEED,
+            replace(_SEED, unused_with=("v",)),
             Param("d_out", _int, flag="dim"),
             *(Param(name, _nested) for name in ("u", "v", "w")),
         ),
@@ -443,6 +446,9 @@ class ChannelSpec:
         for k, prm in schema.items():
             if prm.required and k not in params:
                 raise ValueError(f"{family} is missing parameter {k!r}")
+            for other in prm.unused_with:
+                if k in params and other in params:
+                    raise ValueError(f"{family} parameter {k!r} is unused with {other!r}")
         self.family = family
         self.params = {}
         for k, v in params.items():

@@ -443,7 +443,7 @@ def test_every_flag_has_help_text():
         for action in command._actions:
             assert action.help, (name, action.option_strings)
     tensor = {s: a for a in sub.choices["multscan"]._actions for s in a.option_strings}
-    assert "32 fresh Haar seeds" in tensor["--tensor-restarts"].help
+    assert "own Haar seeds in the last 32 slots" in tensor["--tensor-restarts"].help
 
 
 def test_running_out_of_memory_exits_3(capsys, monkeypatch):
@@ -750,7 +750,7 @@ def test_unitaries_file_source(tmp_path, capsys):
     "argv, want",
     [
         (["identity", "--dim", "3"], {"d": 3}),
-        (["depolarizing", "--dim", "2", "--x", "0.5"], {"d": 2}),
+        (["depolarizing", "--dim", "2"], {"d": 2}),
         (["depolarized_wh", "--dim", "3", "--x", "0.25"], {"d": 3, "x": 0.25}),
         (["fss_psi"], {}),
         (["shift_subunitary", "--dim", "4", "--seed", "7"], {"d": 4, "seed": 7}),
@@ -776,6 +776,32 @@ def test_family_flags_record_params(argv, want, tmp_path, capsys):
     assert code == 0
     params = json.loads(out)["channel"]["params"]
     assert list(params.items()) == list(want.items())
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["info", "--family", "werner_holevo", "--dim", "3"], ["--x", "0.5"]),
+        (["info", "--family", "fss_psi"], ["--dim", "7"]),
+        (["info", "--input", "CHANNEL"], ["--dim", "3"]),
+        (["info", "--spec-file", "SPEC"], ["--epsilon", "0.1"]),
+        (["info", "--spec-file", "SPEC"], ["--unitaries-file", "SPEC"]),
+        (["multcheck", "--family", "werner_holevo", "--dim", "3", "--p", "3"], ["--x-b", "0.3"]),
+        (["multcheck", "--family", "werner_holevo", "--dim", "3", "--p", "3",
+          "--family-b", "identity", "--dim-b", "3"], ["--alpha-b", "0.1", "0.2"]),
+    ],
+)
+def test_a_family_flag_the_source_does_not_read_exits_64(argv, unread, tmp_path, capsys):
+    channel, spec = tmp_path / "channel.json", tmp_path / "spec.json"
+    channel.write_text(json.dumps(chan.channel_to_json(zoo.identity_channel(3))))
+    spec.write_text(json.dumps(zoo.ChannelSpec("identity", d=3).to_json()))
+    files = {"CHANNEL": str(channel), "SPEC": str(spec)}
+    argv, unread = ([files.get(a, a) for a in x] for x in (argv, unread))
+    code, out, err = run([*argv, *unread], capsys)
+    assert code == 64 and out == ""
+    assert err.startswith("usage error: ") and unread[0] in err
+    # without it the command runs, and --seed, which every source shares, is taken
+    assert run([*argv, "--seed", "3"], capsys)[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -1168,7 +1168,7 @@ def test_a_warm_scan_repeats_its_eigensolves_exactly():
     # (3 149 eigh matrices before that, 2 293 after, at seed 0), only rows
     # whose power residual contracted extrapolate (2 077: fewer rejected
     # extrapolations decompose a second output), and the gap root's lower
-    # check continues from the p = 4.5 row's end states (1 530)
+    # check continues from the p = 4.5 row's end states (1 533)
     wh3 = zoo.werner_holevo(3)
 
     def scan():
@@ -1633,10 +1633,9 @@ def test_continuation_keeps_the_scans_answers(pair, grid, seed, monkeypatch):
     assert any(r.continued_restarts for r in scan.rows) == bool(above)
 
 
-def test_continued_rows_draw_fresh_seeds_and_count_them(monkeypatch):
+def test_continued_rows_carry_end_states_and_count_them(monkeypatch):
     cfg = opt.OptimizerConfig(seed=0)
     passes, real = {}, opt.estimate_nu_p
-    streams, real_rng = [], opt.rng_from
 
     def estimate(ch, p, config=None, **kwargs):
         rep = real(ch, p, config, **kwargs)
@@ -1644,17 +1643,8 @@ def test_continued_rows_draw_fresh_seeds_and_count_them(monkeypatch):
             passes[p] = sum(rep.iterations)
         return rep
 
-    def rng(*key):
-        streams.append(key)
-        return real_rng(*key)
-
     monkeypatch.setattr(opt, "estimate_nu_p", estimate)
-    monkeypatch.setattr(opt, "rng_from", rng)
     scan, haars = _recorded_scan(WH3, WH3, (4.5, 5.0), cfg, monkeypatch)
-    # fresh states come from the streams after the tensor queue's; only the
-    # lower check's Haar part runs, so only its 32 are drawn: p = 5 stops
-    # after its structured seeds, and a certificate decides the upper check
-    drawn_streams = [i for _, i in streams if i >= cfg.tensor_restarts]
     rows = {r.p: r for r in scan.rows}
     first, stopped, lower, upper = (rows[p] for p in haars)  # in the order checked
     assert (first.p, stopped.p) == (4.5, 5.0) and lower.p < upper.p
@@ -1665,24 +1655,36 @@ def test_continued_rows_draw_fresh_seeds_and_count_them(monkeypatch):
     assert stopped.tensor_restarts_run == 82 and stopped.search_states == ()
     assert (stopped.continued_restarts, stopped.fresh_restarts) == (0, 0)
     # the gap root's lower check continues from p = 4.5, the nearest searched
-    # row: its end states, less their last 32, then 32 fresh Haar states
+    # row: its end states, less their last 32, whose slots run the queue's
+    # own Haar seeds
     assert lower.decided_by == "search" and lower.tensor_restarts_run == cfg.tensor_restarts
     assert (lower.continued_restarts, lower.fresh_restarts) == (n_haar - 32, 32)
-    kept, _ = haars[lower.p]
-    assert np.array_equal(kept, first.search_states[: n_haar - 32])
+    assert haars[lower.p].shape == (n_haar - 32, 9)
+    assert np.array_equal(haars[lower.p], first.search_states[: n_haar - 32])
     assert passes[lower.p] <= 450  # 1 089 from the queue's own Haar seeds
     assert upper.decided_by == "certificate"
-    # every check after the first takes 32 streams, in the order checked,
-    # whether it draws from them or not
-    assert drawn_streams == [cfg.tensor_restarts + 32 + k for k in range(32)]
-    taken = [list(haars[p][1]) for p in haars if haars[p] is not None]
-    assert taken == [[cfg.tensor_restarts + 32 * j + k for k in range(32)] for j in range(3)]
-    drawn = opt._haar_states(9, cfg.seed, sum(taken, []))
-    for i, state in zip(sum(taken, []), drawn):
-        assert np.array_equal(state, random_pure_state(9, rng_from(cfg.seed, i)))
-    queue = opt._seed_queue(9, cfg.seed, cfg.tensor_restarts)[0]
-    everything = np.concatenate([queue, drawn])
-    assert len(np.unique(everything.round(12), axis=0)) == len(everything)
+    # p = 5 carries the p = 4.5 row's states too, and the upper check the
+    # lower check's, whether their Haar parts run or not
+    assert np.array_equal(haars[stopped.p], haars[lower.p])
+    assert np.array_equal(haars[upper.p], lower.search_states[: n_haar - 32])
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_a_warm_scan_draws_no_random_state(seed, monkeypatch):
+    # a continued search runs the queue's own Haar seeds after its carried
+    # states, so once the queues are cached a scan draws nothing
+    cfg = opt.OptimizerConfig(seed=seed)
+    opt.mult_scan(WH3, WH3, (4.5, 5.0), cfg)
+    draws, real = [], opt.rng_from
+
+    def rng(*key):
+        draws.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(opt, "rng_from", rng)
+    scan = opt.mult_scan(WH3, WH3, (4.5, 5.0), cfg)
+    assert any(r.continued_restarts for r in scan.rows)
+    assert draws == []
 
 
 def test_a_continued_search_takes_the_nearest_searched_row_ties_to_the_lower(monkeypatch):
@@ -1692,7 +1694,7 @@ def test_a_continued_search_takes_the_nearest_searched_row_ties_to_the_lower(mon
     sources = {}
 
     def check(a, b, p, config=None, certificates=(), tensor=None, haar=None):
-        sources[p] = None if haar is None else haar[0][0, 0]
+        sources[p] = None if haar is None else (haar.shape, haar[0, 0])
         ends = tuple(np.full(9, p, dtype=complex) for _ in range(40))
         return types.SimpleNamespace(
             violated=p > 4.79, certificate=np.array([p]), search_states=ends
@@ -1701,35 +1703,36 @@ def test_a_continued_search_takes_the_nearest_searched_row_ties_to_the_lower(mon
     monkeypatch.setattr(opt, "mult_check", check)
     scan = opt.mult_scan(WH3, WH3, (4.5, 5.0), resolution=0.2)
     assert scan.placed_by == "bisection"
-    assert sources == {4.5: None, 5.0: 4.5, 4.75: 4.5, 4.875: 4.75}
+    # all but the last 32 of the 40 are carried
+    carried = {p: ((8, 9), q) for p, q in {5.0: 4.5, 4.75: 4.5, 4.875: 4.75}.items()}
+    assert sources == {4.5: None, **carried}
 
 
-def test_haar_replaces_the_queues_haar_part():
+def test_haar_takes_the_first_haar_slots_of_the_queue():
     phi = zoo.random_channel(3, 3, 2, seed=8)
     cfg = dataclasses.replace(FAST, restarts=20)
     queue, n = opt._seed_queue(3, cfg.seed, cfg.restarts)
     plain = opt.estimate_nu_p(phi, 3.0, cfg)
-    # the queue's own Haar part, as kept states or as the streams it is drawn from
-    for haar in ((queue[n:], ()), (queue[n:n], range(n, cfg.restarts))):
+    # the queue's own Haar seeds carried, all of them or none
+    for haar in (queue[n:], queue[n:n]):
         _assert_same_fields(opt.estimate_nu_p(phi, 3.0, cfg, haar=haar), plain, opt.OptimizerReport)
-    kept = [random_pure_state(3, rng_from(99, i)) for i in range(5)]
-    streams = range(500, 500 + cfg.restarts - n - 5)
-    rep = opt.estimate_nu_p(phi, 3.0, cfg, haar=(kept, streams))
-    fresh = [random_pure_state(3, rng_from(cfg.seed, i)) for i in streams]
-    given = opt.estimate_nu_p(phi, 3.0, cfg, seeds=np.concatenate([queue[:n], kept, fresh]))
-    assert rep.n_structured_seeds == n and rep.restart_values == given.restart_values
+    # carried states take the first slots, and the queue's own seeds the rest
+    kept = np.array([random_pure_state(3, rng_from(99, i)) for i in range(5)])
+    rep = opt.estimate_nu_p(phi, 3.0, cfg, haar=kept)
+    given = opt.estimate_nu_p(phi, 3.0, cfg, seeds=np.concatenate([queue[:n], kept, queue[n + 5 :]]))
+    assert rep.n_structured_seeds == n
+    _assert_same_fields(rep, dataclasses.replace(given, n_structured_seeds=n), opt.OptimizerReport)
     with pytest.raises(ValueError, match="cannot go with seeds"):
-        opt.estimate_nu_p(phi, 3.0, cfg, seeds=queue, haar=(kept, streams))
+        opt.estimate_nu_p(phi, 3.0, cfg, seeds=queue, haar=kept)
 
 
 def _wrong_haars(d, slots):
-    """Malformed ``haar`` parts for a queue of ``slots`` Haar seeds in C^d."""
-    kept = np.zeros((5, d), dtype=complex)
+    """Malformed ``haar`` stacks for a queue of ``slots`` Haar seeds in C^d."""
     return [
-        (np.zeros((5, d - 1)), range(slots - 5)),  # kept states of the wrong length
-        (kept[0], range(slots - 1)),  # one state, not a stack
-        (kept, range(slots - 4)),  # one slot too many
-        (kept, range(slots - 6)),  # one too few
+        np.zeros((5, d - 1)),  # states of the wrong length
+        np.zeros(d),  # one state, not a stack
+        np.zeros((2, 5, d)),  # a stack of stacks
+        np.zeros((slots + 1, d)),  # one state more than the queue has slots
     ]
 
 
@@ -1743,7 +1746,7 @@ def test_a_malformed_haar_is_refused_before_any_pass(monkeypatch):
     passes = []
     monkeypatch.setattr(opt, "_iterate", lambda *args: passes.append(args))
     for haar in _wrong_haars(9, cfg.restarts - n):
-        with pytest.raises(ValueError, match=r"haar has .*need \(k, 9\)"):
+        with pytest.raises(ValueError, match=r"haar has .*need \(k, 9\) with k <= 118"):
             opt.estimate_nu_p(ww, 5.0, cfg, bound=0.0, haar=haar)
     assert passes == []
 

@@ -352,6 +352,56 @@ def test_channel_spec_explicit_unitaries():
     assert chan.choi_distance(phi, zoo.shift_subunitary(4, mats)) < 1e-14
 
 
+def _json(m):
+    return la.matrix_to_json(np.asarray(m, dtype=complex))
+
+
+_BLOCKS = zoo.cycle_window_unitaries(4, [(1, 2, 3), (1, 3, 4), (1, 4, 2), (2, 4, 3)])
+_ISOMETRY = haar_unitary(3, rng_from(41))[:, :2]  # v or w with three output rows
+
+
+@pytest.mark.parametrize(
+    "family, params, why",
+    [
+        ("shift_subunitary", {"d": 4, "unitaries": [_json(m) for m in _BLOCKS],
+                              "cycles": [[1, 2, 3], [1, 3, 4], [1, 4, 2], [2, 4, 3]]},
+         "'cycles' is unused with 'unitaries'"),
+        ("shift_subunitary", {"d": 4, "unitaries": [_json(m) for m in _BLOCKS], "seed": 3},
+         "'seed' is unused with 'unitaries'"),
+        ("shift_subunitary", {"d": 4, "cycles": [[1, 2, 3], [1, 3, 4], [1, 4, 2], [2, 4, 3]],
+                              "seed": 3}, "'seed' is unused with 'cycles'"),
+        ("qubit_generalized_extreme", {"alpha": [0.3, 0.8], "seed": 3, "v": _json(_ISOMETRY)},
+         "'seed' is unused with 'v'"),
+        ("qubit_generalized_extreme", {"alpha": [0.3, 0.8], "w": _json(_ISOMETRY)},
+         "'w' needs 'v'"),
+        ("qubit_generalized_extreme", {"alpha": [0.3, 0.8], "d_out": 2, "v": _json(_ISOMETRY)},
+         "d_out = 2, but v has 3 rows"),
+    ],
+    ids=["unitaries-and-cycles", "unitaries-and-seed", "cycles-and-seed", "v-and-seed",
+         "w-without-v", "d_out-against-v"],
+)
+def test_channel_spec_refuses_parameters_its_builder_would_drop(family, params, why):
+    with pytest.raises(ValueError, match=why):
+        zoo.ChannelSpec(family, **params).build()
+
+
+def test_qubit_spec_honours_every_parameter_it_takes():
+    # u on the seeded path: v and w are drawn from the seed as before
+    u = haar_unitary(2, rng_from(40))
+    spec = zoo.ChannelSpec("qubit_generalized_extreme", alpha=[0.3, 0.8], seed=1, d_out=3,
+                           u=_json(u))
+    rng = rng_from(1)
+    v, w = (haar_unitary(3, rng)[:, :2] for _ in range(2))
+    want = zoo.qubit_generalized_extreme([0.3, 0.8], u=u, v=v, w=w)
+    assert chan.choi_distance(spec.build(), want) == 0.0
+    assert chan.choi_distance(want, zoo.qubit_generalized_extreme([0.3, 0.8], v=v, w=w)) > 0.1
+    # a d_out that agrees with v's rows is taken
+    spec = zoo.ChannelSpec("qubit_generalized_extreme", alpha=[0.3, 0.8], d_out=3,
+                           v=_json(_ISOMETRY))
+    want = zoo.qubit_generalized_extreme([0.3, 0.8], v=_ISOMETRY)
+    assert chan.choi_distance(spec.build(), want) == 0.0
+
+
 def test_channel_spec_from_json_rejects_garbage():
     with pytest.raises(ValueError):
         zoo.ChannelSpec.from_json({"params": {"d": 2}})

@@ -11,7 +11,7 @@ if it fails, since every mutant would then read as killed), and for each
 mutant copies the tree afresh, applies the edit and runs Tier-1 with
 ``-x``, one process at a time.  It prints one line per mutant, ``killed``
 with the first failing test, or ``survived``, and exits 1 if any mutant
-survived, 0 otherwise.  The fifteen mutants take a few minutes on two
+survived, 0 otherwise.  The sixteen mutants take a few minutes on two
 CPUs.
 
 Mutation testing goes back to DeMillo, Lipton and Sayward, "Hints on test
@@ -64,8 +64,11 @@ MUTANTS = (
            "p < 1 runs stop while still descending"),
     Mutant("src/cptwb/channels.py", "TP_TOL = 1e-10", "TP_TOL = 1e-4",
            "maps that miss trace preservation pass as channels"),
-    Mutant(_OPT, "if np.shape(kept)[1:] != (d,) or len(kept) + len(streams) != slots:",
+    Mutant(_OPT, "if kept.shape[1:] != queue.shape[1:] or len(kept) > slots:",
            "if False:", "a malformed haar goes unchecked"),
+    Mutant(_OPT, "queue[n_structured + len(kept) :]",
+           "queue[n_structured : len(queue) - len(kept)]",
+           "the queue's Haar seeds start at the first Haar slot, not after the carried states"),
     Mutant(_OPT, "if p != 1.0 and t < sys.float_info.min:", "if False:",
            "an underflowed Tr Γ^p is reported as a norm"),
 )
