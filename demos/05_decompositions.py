@@ -60,7 +60,7 @@ h1, h2 = dec.szarek_split_choi(chan.kraus_to_choi(phi))
 for i, h in enumerate((h1, h2), 1):
     half = chan.choi_to_kraus(h)
     print(f"half {i}: Choi rank {chan.choi_rank(h)},",
-          "valid CPT:", chan.validate_cpt(half, tol=1e-8).ok)
+          "valid CPT:", chan.validate_cpt(half).ok)
 mix = 0.5 * (h1.matrix + h2.matrix)
 print("mixture within 1e-9:",
       bool(np.abs(mix - chan.kraus_to_choi(phi).matrix).max() < 1e-9))

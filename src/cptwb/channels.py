@@ -57,6 +57,7 @@ __all__ = [
     "PerturbResult",
     "MAX_HALVINGS",
     "TP_TOL",
+    "DEGRADING_TOL",
     "TRANSFER_DIM_MAX",
     "DegradingReport",
     "validate_cpt",
@@ -212,20 +213,23 @@ def _tp_residual(ch: KrausChannel) -> float:
     return float(np.abs(acc - np.eye(ch.d_in)).max())
 
 
-#: Default bound on the trace-preservation residual max|Σ A_k†A_k − I|.
+#: The one bound on the trace-preservation residual max|Σ A_k†A_k − I|.
 TP_TOL = 1e-10
 
+#: ``verify_degrading``'s fixed bound on its Choi residual (max-entry norm).
+DEGRADING_TOL = 1e-8
 
-def validate_cpt(ch: KrausChannel, tol: float = TP_TOL) -> ValidationReport:
+
+def validate_cpt(ch: KrausChannel) -> ValidationReport:
     """Check trace preservation and complete positivity of a Kraus channel.
 
     Complete positivity of a Kraus-form map is automatic; what is actually
     verified is that the assembled Choi matrix is PSD (guards against bad
-    inputs) and that Σ A_k†A_k = I within ``tol`` (max-entry norm).
-    A least eigenvalue below the PSD floor is reported, not raised.
+    inputs) and that Σ A_k†A_k = I within the fixed ``TP_TOL`` (max-entry
+    norm).  A least eigenvalue below the PSD floor is reported, not raised.
     """
     tp_residual = _tp_residual(ch)
-    trace_preserving = tp_residual <= tol
+    trace_preserving = tp_residual <= TP_TOL
 
     w, _ = ch.choi.spectrum
     min_eig = float(w[0])
@@ -549,13 +553,13 @@ class DegradingReport:
     residual: float
 
 
-def verify_degrading(
-    phi: KrausChannel, degrading: KrausChannel, tol: float = 1e-8
-) -> DegradingReport:
+def verify_degrading(phi: KrausChannel, degrading: KrausChannel) -> DegradingReport:
     """Check that ``degrading`` maps Φ's output onto Φ's complement.
 
     Compares Choi matrices of (degrading ∘ Φ) and complement(Φ), where the
-    complement is taken with respect to Φ's stored Kraus representation.
+    complement is taken with respect to Φ's stored Kraus representation;
+    ``ok`` says their largest entry difference is within the fixed
+    ``DEGRADING_TOL``.
     """
     if degrading.d_in != phi.d_out:
         raise la.ShapeError(
@@ -566,7 +570,7 @@ def verify_degrading(
     if lhs.shape != rhs.shape:
         return DegradingReport(ok=False, residual=float("inf"))
     residual = float(np.abs(lhs - rhs).max())
-    return DegradingReport(ok=residual <= tol, residual=residual)
+    return DegradingReport(ok=residual <= DEGRADING_TOL, residual=residual)
 
 
 # ---------------------------------------------------------------------------

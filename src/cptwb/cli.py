@@ -356,7 +356,7 @@ def cmd_numax(args) -> tuple[dict, int]:
         "extrapolations_rejected": rep.extrapolations_rejected,
         "best_input": _vec_json(rep.best_input),
         "config": rep.config,
-        "tolerances": {"value_tol": cfg.value_tol},
+        "tolerances": {"value_tol": opt.VALUE_TOL},
     }, EXIT_OK
 
 
@@ -371,7 +371,7 @@ def cmd_smin(args) -> tuple[dict, int]:
         "nu_value": rep.nu_value,
         "argmin": _vec_json(rep.argmin),
         "config": rep.config,
-        "tolerances": {"value_tol": cfg.value_tol},
+        "tolerances": {"value_tol": opt.VALUE_TOL},
     }, EXIT_OK
 
 
@@ -412,7 +412,7 @@ def cmd_multcheck(args) -> tuple[dict, int]:
         "tensor_dim": r.tensor_dim,
         "certificate": _vec_json(r.certificate),
         "config": r.config,
-        "tolerances": {"value_tol": cfg.value_tol, "violation_margin": opt.VIOLATION_MARGIN},
+        "tolerances": {"value_tol": opt.VALUE_TOL, "violation_margin": opt.VIOLATION_MARGIN},
     }, EXIT_OK
 
 
@@ -457,8 +457,8 @@ def cmd_multscan(args) -> tuple[dict, int]:
         "bracket": list(scan.bracket) if scan.bracket else None,
         "placed_by": scan.placed_by,
         "gap_evaluations": scan.gap_evaluations,
-        "config": dict(vars(cfg)),
-        "tolerances": {"value_tol": cfg.value_tol, "violation_margin": opt.VIOLATION_MARGIN},
+        "config": asdict(cfg),
+        "tolerances": {"value_tol": opt.VALUE_TOL, "violation_margin": opt.VIOLATION_MARGIN},
     }, EXIT_OK
 
 

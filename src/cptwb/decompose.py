@@ -58,6 +58,7 @@ __all__ = [
     "AR4Report",
     "SUPPORT_TOL",
     "TRACE_TOL",
+    "AR4_TOL",
     "horn_vectors",
     "szarek_split",
     "szarek_split_choi",
@@ -72,6 +73,10 @@ SUPPORT_TOL = 1e-8
 #: ``horn_vectors`` refuses a density matrix whose eigenvalues sum to more
 #: than this away from 1.
 TRACE_TOL = 1e-8
+
+#: ``verify_ar4``'s fixed bound on its residuals, relative to the largest
+#: entry of A.
+AR4_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -228,14 +233,14 @@ def szarek_split_choi(choi: chan.ChoiMatrix) -> tuple[chan.ChoiMatrix, chan.Choi
     return halves[0], halves[1]
 
 
-def verify_ar4(a, factors, rank_bound: int, tol: float = 1e-8) -> AR4Report:
+def verify_ar4(a, factors, rank_bound: int) -> AR4Report:
     """Verify the combined block-decomposition form (see module docstring).
 
     ``factors`` are the d2 matrices X_m of shape (d1·d2, d1), which fix the
     grid: d1 is their width and d2 their number; ``a`` is a matrix of shape
-    (d1·d2, d1·d2).  Checks A = (1/d2) Σ X_m X_m†, each term's block sum
-    Σ_j X_jm X_jm† against M = Σ_j A_jj, and numerical_rank(X_m) ≤
-    rank_bound.
+    (d1·d2, d1·d2).  Checks A = (1/d2) Σ X_m X_m† and each term's block sum
+    Σ_j X_jm X_jm† against M = Σ_j A_jj, each within the fixed ``AR4_TOL``
+    times the largest entry of A, and numerical_rank(X_m) ≤ rank_bound.
     """
     facs = [la.as_matrix(x) for x in factors]
     d2 = len(facs)
@@ -264,8 +269,8 @@ def verify_ar4(a, factors, rank_bound: int, tol: float = 1e-8) -> AR4Report:
     ranks = tuple(la.numerical_rank(x) for x in facs)
     scale = max(float(np.abs(a).max()), 1e-300)
     ok = (
-        rec_resid <= tol * scale
-        and all(r <= tol * scale for r in term_residuals)
+        rec_resid <= AR4_TOL * scale
+        and all(r <= AR4_TOL * scale for r in term_residuals)
         and all(r <= rank_bound for r in ranks)
     )
     return AR4Report(

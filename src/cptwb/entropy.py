@@ -11,7 +11,7 @@ search of :mod:`cptwb.optimize`, at p = 1 on its von Neumann objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -116,7 +116,7 @@ def estimate_smin_p(
     p > 0 must have a finite 1/p.
 
     For p > 0 the channel must be trace-preserving (Σ A_k†A_k = I within
-    ``channels.TP_TOL``, the default ``tol`` of ``channels.validate_cpt``):
+    ``channels.TP_TOL``, the fixed bound of ``channels.validate_cpt``):
     the value is a functional of Φ(ρ), an entropy only when Tr Φ(ρ) = 1.
     """
     cfg = config or opt.OptimizerConfig()
@@ -135,7 +135,7 @@ def estimate_smin_p(
             value=math.log(rank),
             argmin=state,
             nu_value=None,
-            config=dict(vars(cfg)),
+            config=asdict(cfg),
         )
 
     report = opt._multistart(ch, p, cfg)
@@ -145,5 +145,5 @@ def estimate_smin_p(
         value=-t if p == 1.0 else math.log(t) / (1.0 - p),
         argmin=report.best_input,
         nu_value=None if p == 1.0 else report.best_value,
-        config=dict(vars(cfg)),
+        config=asdict(cfg),
     )

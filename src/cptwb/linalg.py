@@ -1,8 +1,9 @@
 """Dense Hermitian linear algebra kernel, and the one tolerance policy.
 
-Three constants are the only rank, PSD and Hermiticity cutoffs in
-``linalg``, ``channels``, ``decompose``, ``entropy`` and ``zoo``.  They
-apply everywhere and cannot be set per call:
+Every bound the package checks against is a named module constant,
+defined once; none can be set per call.  Three are the only rank, PSD and
+Hermiticity cutoffs in ``linalg``, ``channels``, ``decompose``, ``entropy``
+and ``zoo``, and apply everywhere:
 
 * ``RANK_TOL`` (1e-8): an eigen- or singular value at or below ``RANK_TOL``
   times the largest of its spectrum is an exact zero.  ``_support`` is the
@@ -21,15 +22,19 @@ apply everywhere and cannot be set per call:
 * ``HERM_TOL`` (1e-12): a matrix is Hermitian when ``max|m - m†|`` is at
   most ``HERM_TOL`` times its largest entry.
 
-Thresholds that stay parameters: ``tol`` of ``channels.validate_cpt``
-(default ``channels.TP_TOL``, 1e-10 on Σ A_k†A_k − I, the one bound
-``entropy.estimate_smin_p`` requires and ``cptwb info`` reports), because
-the tests and demo 05 validate decomposition halves at 1e-8; ``tol`` of
-``decompose.verify_ar4`` and ``channels.verify_degrading``, the residual
-bound each verifier checks; and ``optimize.OptimizerConfig.value_tol``,
-an *absolute* 1e-12 on trace powers that the CLI prints with its config.
-Three algorithm thresholds are named constants: ``decompose.SUPPORT_TOL``,
-``decompose.TRACE_TOL`` and ``channels.MAX_HALVINGS``.
+Each of the others belongs to one check:
+
+* ``channels.TP_TOL`` (1e-10): the bound on max|Σ A_k†A_k − I| that
+  ``channels.validate_cpt`` checks, ``entropy.estimate_smin_p`` requires
+  and ``cptwb info`` reports.
+* ``channels.DEGRADING_TOL`` and ``decompose.AR4_TOL`` (1e-8 each): the
+  residual bounds of ``channels.verify_degrading`` and, relative to the
+  largest entry of A, of ``decompose.verify_ar4``.
+* ``optimize.VALUE_TOL`` (1e-12): an *absolute* bound on trace powers,
+  which every optimizer report lists as ``config["value_tol"]``;
+  ``optimize.VIOLATION_MARGIN`` (1e-7), the relative margin of a violation.
+* Algorithm thresholds: ``decompose.SUPPORT_TOL``, ``decompose.TRACE_TOL``
+  and ``channels.MAX_HALVINGS``.
 
 Matrices are plain complex128 ``numpy`` arrays.  Matrix powers of PSD
 matrices are pseudo-powers: the kernel (numerically rank-deficient part) is

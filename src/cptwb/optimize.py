@@ -31,7 +31,7 @@ silently maps to zero, which makes kernel-escaping candidates look
 artificially cheap and can break the monotonicity proof.  The iteration
 therefore guards every step: a candidate is accepted only when the
 objective does not move against the iteration direction by more than
-``value_tol``; otherwise the row falls down the candidate ladder (below),
+``VALUE_TOL``; otherwise the row falls down the candidate ladder (below),
 and below its last rung it keeps its state (the stall registers as
 convergence).  ``monotonicity_violations`` re-checks each kept value
 against the one before it, so it can fire only where the guard and the
@@ -55,8 +55,8 @@ step.  A p < 1 row has no power rungs and starts every pass on the exact
 one, the last.  A p ≥ 1 row starts where two screens put it.  First the
 fixed-point test, which ends a p ≥ 1 run: by convexity the plain step gains
 at least p·(⟨f|M|f⟩ − ⟨ψ|M|ψ⟩) in Tr Γ^p, so a row where that bound is at
-most ``value_tol`` is tested on the M it already has, and ends when
-p·(λ_max(M) − ⟨ψ|M|ψ⟩) ≤ ``value_tol`` (from ``eigvalsh``, no
+most ``VALUE_TOL`` is tested on the M it already has, and ends when
+p·(λ_max(M) − ⟨ψ|M|ψ⟩) ≤ ``VALUE_TOL`` (from ``eigvalsh``, no
 eigenvectors), before any candidate output is decomposed; if it fails, it
 starts on the exact rung.  Then the residual gate: a row whose last step
 was an accepted power step (so a run's first step is plain, and an exact
@@ -69,7 +69,7 @@ gate leaves 18.
 
 A pass builds every row's first candidate, decomposes all their outputs in
 one stacked call, and guards them with one test for both directions,
-sign·Tr Γ'^p ≥ sign·Tr Γ^p − ``value_tol`` and |Tr Γ'| ≥ 1e-14, with Γ' the
+sign·Tr Γ'^p ≥ sign·Tr Γ^p − ``VALUE_TOL`` and |Tr Γ'| ≥ 1e-14, with Γ' the
 candidate's output and sign +1 for p ≥ 1, −1 below.  The trace term always
 holds for a trace-preserving map; for one that is not, it keeps a p < 1 run
 out of the map's kernel, where a zero output would look cheapest.  A row
@@ -78,7 +78,7 @@ rows are built, decomposed and guarded again, so that no run repeats a
 rejected step.  A row rejected on
 the exact rung keeps its state and ends as ``guard_stall``.  At p > 1
 convexity makes a plain candidate past the fixed-point screen gain more
-than ``value_tol``, so, up to rounding, the guard rejects only extrapolated
+than ``VALUE_TOL``, so, up to rounding, the guard rejects only extrapolated
 candidates there; below p = 1 it rejects only exact ones.
 
 Multistart
@@ -91,7 +91,7 @@ restart i drawing from the stream (seed, i).  The queue depends only on
 (d_in, seed, restarts); it is built once per key and kept read-only in a
 small cache.  ``estimate_nu_p(..., seeds=states)`` runs exactly the given
 states as its restarts instead, so ``seeds=[ψ]`` is one run from ψ.  The
-reduction keeps the best value, breaking ties within ``value_tol`` by
+reduction keeps the best value, breaking ties within ``VALUE_TOL`` by
 restart index — with the canonical seeds queued first, a canonical optimum
 is the one reported when it ties the best.
 
@@ -130,11 +130,11 @@ bit for bit.
 Each run ends with one status, reported per restart in
 ``OptimizerReport.statuses``: ``converged`` (a p ≥ 1 run passed the
 fixed-point test at its end state; a p < 1 step moved the objective by at
-most ``value_tol``), ``guard_stall`` (the guard rejected the row on the
+most ``VALUE_TOL``), ``guard_stall`` (the guard rejected the row on the
 exact rung, the last) or ``max_iters``.  ``converged`` counts the first
 two.  A restart reports one state, the one it ended on, whose status it
 reports, and that state's value; a step the guard accepted may have lost
-up to ``value_tol``, so the value can lie that far behind the best the run
+up to ``VALUE_TOL``, so the value can lie that far behind the best the run
 visited.  ``iterations`` counts passes: each builds M once, and the
 last pass of a converged p ≥ 1 run builds M and tests it, but takes no step.
 
@@ -151,7 +151,7 @@ up to ``max_iters`` steps.  If the best polished value already certifies
 the violation, the row is violated and the tensor search is skipped
 (``decided_by == "certificate"``).  Otherwise the search runs
 (``decided_by == "search"``), and the row reports the polished state only
-when it beats the search by more than ``value_tol``.  A polished state is
+when it beats the search by more than ``VALUE_TOL``.  A polished state is
 a real state, so its value is the same kind of bound the search reports;
 only "not violated" needs the search.  ``mult_scan`` carries the
 certificate of every violated row to the checks after it.
@@ -210,11 +210,12 @@ staging and the seed-spectra memo work as before, and the restart count
 stays ``tensor_restarts``.
 On WH3⊗WH3 the Haar restarts end on a few Schmidt orbits that are fixed
 points at every p, so a continued run ends after a pass or two: the gap
-root's lower check of the default WH3 scan (p ≈ 4.777) takes 441 passes
-instead of 1 089, with every verdict, tensor value and the threshold
-unchanged.  The share of the queue's own seeds matters because
-only states that start afresh at this p can find a maximum that appears
-between two checked orders.  A row with no such neighbour, and every row
+root's lower check of the default WH3 scan (p ≈ 4.777) takes at most 450
+passes (``test_continued_rows_carry_end_states_and_count_them``), and every
+verdict, tensor value and the threshold are those of a scan that continues
+nothing (``test_continuation_keeps_the_scans_answers``).  The share of the
+queue's own seeds matters because only states that start afresh at this p
+can find a maximum that appears between two checked orders.  A row with no such neighbour, and every row
 below 1, runs the queue's own Haar seeds: there single estimates can end
 on guard stalls short of their minimum, and a continued tensor search
 that beat them gave a violation on a grid where the queue's own search
@@ -225,9 +226,10 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -248,21 +250,39 @@ __all__ = [
 ]
 
 
+#: The one bound on Tr Γ^p (Tr Γ log Γ at p = 1) that the search compares
+#: against, absolute: the guard, the fixed-point screen and test, the p < 1
+#: stop test, the tie rule of ``estimate_nu_p`` and ``mult_check``'s
+#: polish-versus-search rule (module docstring).
+VALUE_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multistart fixed-point search.
+    """Knobs for the multistart fixed-point search, each checked when the
+    config is built: ``restarts``, ``max_iters`` and ``tensor_restarts``
+    must be integers ≥ 1 and ``seed`` an integer ≥ 0 (a bool is not an
+    integer), or ``ValueError`` names the field.
 
     ``restarts`` counts every seed (structured seeds included);
     ``tensor_restarts`` replaces it for tensor-product searches inside
-    ``mult_check``.  The seed order and the largest tensor input
-    (``TENSOR_DIM_MAX``) are fixed.
+    ``mult_check``.  The seed order, the largest tensor input
+    (``TENSOR_DIM_MAX``) and ``value_tol`` are fixed: ``value_tol`` is
+    ``VALUE_TOL``, listed so that every report's ``config`` names it, and
+    cannot be set.
     """
 
     restarts: int = 50
     max_iters: int = 500
-    value_tol: float = 1e-12
+    value_tol: float = field(default=VALUE_TOL, init=False)
     seed: int = 0
     tensor_restarts: int = 200
+
+    def __post_init__(self):
+        for name in ("restarts", "max_iters", "tensor_restarts", "seed"):
+            v, least = getattr(self, name), 0 if name == "seed" else 1
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
 #: How a restart can end, in the order reports tally them (module docstring).
@@ -498,18 +518,16 @@ def _expect(m: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.einsum("ri,rij,rj->r", states.conj(), m, states).real
 
 
-def _at_fixed_point(
-    m: np.ndarray, states: np.ndarray, p: float, value_tol: float
-) -> np.ndarray:
+def _at_fixed_point(m: np.ndarray, states: np.ndarray, p: float) -> np.ndarray:
     """Whether each state ψ passes the fixed-point test that ends a p ≥ 1
-    run, p·(λ_max(M) − ⟨ψ|M|ψ⟩) ≤ ``value_tol``, from ``eigvalsh`` of the
+    run, p·(λ_max(M) − ⟨ψ|M|ψ⟩) ≤ ``VALUE_TOL``, from ``eigvalsh`` of the
     stack ``m``.
 
     By convexity the exact step gains at least p·(λ_max − ⟨ψ|M|ψ⟩) in
     Tr Γ^p, so a state that fails the test is not a fixed point within
-    ``value_tol``, and :func:`_iterate` sends it to the exact step.
+    ``VALUE_TOL``, and :func:`_iterate` sends it to the exact step.
     """
-    return p * (np.linalg.eigvalsh(m)[:, -1] - _expect(m, states)) <= value_tol
+    return p * (np.linalg.eigvalsh(m)[:, -1] - _expect(m, states)) <= VALUE_TOL
 
 
 #: an output with |Tr Γ| below this absolute bound counts as zero: a seed
@@ -529,13 +547,7 @@ class _Runs(NamedTuple):
     rejected: np.ndarray  # extrapolated candidates the guard turned down
 
 
-def _iterate(
-    ch: chan.KrausChannel,
-    states,
-    p: float,
-    max_iters: int,
-    value_tol: float,
-) -> _Runs:
+def _iterate(ch: chan.KrausChannel, states, p: float, max_iters: int) -> _Runs:
     """Run the guarded iteration of the module docstring from every row of
     ``states`` (one state or an ``(r, d_in)`` stack, normalized here) for
     at most ``max_iters`` steps; returns each row's results as the arrays of
@@ -544,14 +556,12 @@ def _iterate(
     Rows are independent: every stacked operation works matrix by matrix,
     so a row's results do not depend on which rows share the stack.  States
     of the wrong length raise ``ShapeError``, and a zero or non-finite state
-    or ``max_iters < 1`` raises ``ValueError``, before any eigensolve; a
-    seed whose output has |Tr Γ| < 1e-14, an absolute bound, raises
-    ``ValueError`` before the first pass.  The guard also turns down every
+    raises ``ValueError``, before any eigensolve; a seed whose output has
+    |Tr Γ| < 1e-14, an absolute bound, raises ``ValueError`` before the
+    first pass.  The guard also turns down every
     candidate whose output has |Tr Γ'| < 1e-14, so no run steps into the
     kernel of a map that is not trace-preserving.
     """
-    if max_iters < 1:
-        raise ValueError(f"need max_iters >= 1, got {max_iters}")
     psi = np.array(states, dtype=np.complex128, ndmin=2)
     if psi.ndim != 2 or psi.shape[1] != ch.d_in:
         raise la.ShapeError(f"states have shape {psi.shape}, expected (r, {ch.d_in})")
@@ -607,7 +617,7 @@ def _iterate(
     def guard(tc, t, trc):
         """Whether candidates of objective ``tc`` and output trace ``trc``
         may replace states of objective ``t``."""
-        return (sign * tc >= sign * t - value_tol) & (np.abs(trc) >= _ZERO_TRACE)
+        return (sign * tc >= sign * t - VALUE_TOL) & (np.abs(trc) >= _ZERO_TRACE)
 
     for it in range(1, max_iters + 1):
         m = chan.apply_adjoint(ch, la._from_spectrum(_terms(w, p, weights=True), v))
@@ -615,13 +625,13 @@ def _iterate(
         if ascent:
             plain = _ascent_candidates(m, psi)
             # the plain step gains at least p·(⟨f|M|f⟩ − ⟨ψ|M|ψ⟩) in Tr Γ^p: a
-            # row where that is at most value_tol ends here if it passes the
+            # row where that is at most VALUE_TOL ends here if it passes the
             # fixed-point test, before any output is decomposed, and starts
             # on the exact rung if it fails
-            exact = p * (_expect(m, plain) - _expect(m, psi)) <= value_tol
+            exact = p * (_expect(m, plain) - _expect(m, psi)) <= VALUE_TOL
             if exact.any():
                 fixed = exact.copy()
-                fixed[exact] = _at_fixed_point(m[exact], psi[exact], p, value_tol)
+                fixed[exact] = _at_fixed_point(m[exact], psi[exact], p)
                 if fixed.any():
                     m, plain, exact = leave(fixed, "converged", m, plain, exact & ~fixed)
                     if not rows.size:
@@ -653,14 +663,14 @@ def _iterate(
                     ok[fall] = guard(tc[fall], t[fall], trc[fall])
         x_prev, f_prev = psi, plain
         step = tc - t
-        bad = sign * step < -value_tol  # should not happen: the step is guarded
+        bad = sign * step < -VALUE_TOL  # should not happen: the step is guarded
         if bad.any():
             violations[rows[bad]] += 1
         psi, t, w, v = cand, tc, wc, vc
         # a rejected step on the last rung ends the run; a p < 1 run also ends
-        # on a step that moves the objective by at most value_tol, a p ≥ 1 run
+        # on a step that moves the objective by at most VALUE_TOL, a p ≥ 1 run
         # only at the fixed-point test
-        stop = ~ok if ascent else np.abs(step) <= value_tol
+        stop = ~ok if ascent else np.abs(step) <= VALUE_TOL
         if stop.any():
             leave(stop, np.where(ok[stop], "converged", "guard_stall"))
             if not rows.size:
@@ -713,7 +723,7 @@ def estimate_nu_p(
     Returns the best output p-norm over ``config.restarts`` fixed-point
     runs (largest for p > 1, smallest for p < 1), together with the
     achieving input and per-restart diagnostics.  Ties within
-    ``value_tol`` resolve to the lowest restart index, so the canonical
+    ``VALUE_TOL`` resolve to the lowest restart index, so the canonical
     structured seeds win whenever they reach the optimum.  ``seeds``
     replaces the seed queue: exactly those states run, in order, and
     ``config.restarts`` is ignored.
@@ -776,8 +786,6 @@ def _multistart(
 ) -> OptimizerReport:
     """:func:`estimate_nu_p` without the order check, so p = 1 too."""
     if seeds is None:
-        if cfg.restarts < 1:
-            raise ValueError("need at least one restart")
         seeds, n_structured = _seed_queue(ch.d_in, cfg.seed, cfg.restarts)
         if haar is not None:
             seeds = _checked_haar(haar, seeds, n_structured)
@@ -795,12 +803,12 @@ def _multistart(
     ts: list[float] = []  # each restart's Tr Γ^p
     best = 0
     for lo, hi in [(0, n_structured), (n_structured, len(seeds))] if split else [(0, len(seeds))]:
-        stage_runs.append(_iterate(ch, seeds[lo:hi], p, cfg.max_iters, cfg.value_tol))
+        stage_runs.append(_iterate(ch, seeds[lo:hi], p, cfg.max_iters))
         for t in stage_runs[-1].value.tolist():
             ts.append(t)
             # a restart replaces the best only when it beats it by more
-            # than value_tol, so ties go to the lowest index
-            if sign * (t - ts[best]) > cfg.value_tol:
+            # than VALUE_TOL, so ties go to the lowest index
+            if sign * (t - ts[best]) > VALUE_TOL:
                 best = len(ts) - 1
         if bound is not None and sign * (_norm(ts[best], p) - bound) > 0.0:
             break
@@ -829,7 +837,7 @@ def _multistart(
         extrapolations_rejected=int(runs.rejected.sum()),
         seed=cfg.seed,
         n_structured_seeds=n_structured,
-        config=dict(vars(cfg)),
+        config=asdict(cfg),
     )
 
 
@@ -1002,9 +1010,9 @@ def mult_check(
             continued_restarts, fresh_restarts = len(haar), len(search_states) - len(haar)
         estimates.append(rep_ab)
         # a polished state replaces the search's best only when it beats it
-        # by more than value_tol, the tie rule of estimate_nu_p
+        # by more than VALUE_TOL, the tie rule of estimate_nu_p
         if polished is not None and (
-            sign * (polished.best_trace_power - rep_ab.best_trace_power) > cfg.value_tol
+            sign * (polished.best_trace_power - rep_ab.best_trace_power) > VALUE_TOL
         ):
             rep_ab = polished
 
@@ -1026,7 +1034,7 @@ def mult_check(
         tensor_dim=tensor_dim,
         seed=cfg.seed,
         monotonicity_violations=sum(r.monotonicity_violations for r in estimates),
-        config=dict(vars(cfg)),
+        config=asdict(cfg),
     )
 
 

@@ -428,6 +428,19 @@ def test_verify_degrading_identity_channel():
     assert rep.ok and rep.residual < 1e-12
 
 
+def test_verify_degrading_checks_one_fixed_bound():
+    # scaling the trace map's Kraus operators by 1 + δ moves its Choi matrix
+    # by about 2δ times its entries: inside DEGRADING_TOL = 1e-8 at
+    # δ = 1e-10, outside at δ = 1e-6
+    phi = zoo.identity_channel(3)
+    trace_map = ch.complement(phi)
+    for delta, ok in ((1e-10, True), (1e-6, False)):
+        near = ch.KrausChannel.from_kraus([(1.0 + delta) * a for a in trace_map.kraus])
+        assert ch.verify_degrading(phi, near).ok is ok, delta
+    with pytest.raises(TypeError):
+        ch.verify_degrading(phi, trace_map, tol=1.0)
+
+
 def test_verify_degrading_rejects_wrong_map():
     phi = zoo.random_channel(2, 2, 2, seed=11)
     wrong = zoo.random_channel(2, 2, 2, seed=12)  # wrong output dimension story

@@ -271,6 +271,12 @@ def test_numax_closed_form(capsys):
     assert rep["monotonicity_violations"] == 0
 
 
+def _settings(rep):
+    """The ``OptimizerConfig`` of a json report, whose ``config`` also lists
+    the fixed ``value_tol``, which no config can set."""
+    return opt.OptimizerConfig(**{k: v for k, v in rep["config"].items() if k != "value_tol"})
+
+
 def test_numax_reports_extrapolation_rejections(tmp_path, capsys):
     # near p = 1 the power residual of a random channel contracts slowly, and
     # some of the extrapolations it allows are still turned down
@@ -286,7 +292,7 @@ def test_numax_reports_extrapolation_rejections(tmp_path, capsys):
     rep = json.loads(out)
     keys = list(rep)
     assert keys.index("extrapolations_rejected") == keys.index("guard_fallbacks") + 1
-    lib = opt.estimate_nu_p(ch, 1.01, opt.OptimizerConfig(**rep["config"]))
+    lib = opt.estimate_nu_p(ch, 1.01, _settings(rep))
     assert rep["extrapolations_rejected"] == lib.extrapolations_rejected > 0
 
 
@@ -312,7 +318,7 @@ def test_numax_tallies_how_the_runs_ended(p, max_iters, tally, tmp_path, capsys)
     assert keys.index("statuses") == keys.index("all_converged") + 1
     assert rep["statuses"] == tally
     assert rep["all_converged"] is (tally["max_iters"] == 0)
-    lib = opt.estimate_nu_p(ch, float(p), opt.OptimizerConfig(**rep["config"]))
+    lib = opt.estimate_nu_p(ch, float(p), _settings(rep))
     assert sum(rep["statuses"].values()) == len(lib.statuses) == 12
     assert all(lib.statuses.count(s) == n for s, n in tally.items())
     _, again, _ = run(argv, capsys)
@@ -469,6 +475,35 @@ def test_multcheck_without_iterations_exits_2(max_iters, capsys):
     assert code == 2
     assert out == ""
     assert "max_iters" in err and "Traceback" not in err
+
+
+_ORDER = {"numax": ["--p", "5"], "smin": ["--p", "5"], "multcheck": ["--p", "5"],
+          "multscan": ["--p-grid", "4.5:5:0.5"]}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        *((c, "--seed", "-1") for c in _ORDER),
+        ("multcheck", "--tensor-restarts", "0"),
+        ("multscan", "--tensor-restarts", "-2"),
+        ("numax", "--restarts", "0"),
+        ("smin", "--max-iters", "0"),
+    ],
+)
+def test_a_setting_out_of_range_exits_2_before_any_estimate(command, flag, value, monkeypatch, capsys):
+    # the settings are checked when the config is built; --no-validate keeps
+    # the channel gate's eigensolve out, so a reached eigh is an estimate
+    def no_eigh(a):
+        raise AssertionError("eigh reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    argv = [command, "--family", "werner_holevo", "--dim", "3", "--no-validate",
+            *_ORDER[command], flag, value]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    field = flag[2:].replace("-", "_")
+    assert err.startswith(f"error: {field} must be an integer >= ") and "Traceback" not in err
 
 
 def test_multscan_grid_parsing_inclusive(capsys):

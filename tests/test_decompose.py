@@ -251,7 +251,7 @@ def test_szarek_split_choi_halves_are_channels():
         for h in (h1, h2):
             assert chan.choi_rank(h) <= 3
             half = chan.choi_to_kraus(h)
-            rep = chan.validate_cpt(half, tol=1e-8)
+            rep = chan.validate_cpt(half)
             assert rep.ok, rep.messages
         mix = 0.5 * (h1.matrix + h2.matrix)
         assert np.abs(mix - j.matrix).max() < 1e-9
@@ -317,3 +317,14 @@ def test_verify_ar4_on_a_three_block_grid():
     assert not rep.ok
     assert abs(rep.term_residuals[1] - 1.25 * np.abs(b).max() / 3) < 1e-15
     assert rep.term_residuals[0] <= 1e-15 and rep.term_residuals[2] <= 1e-15
+
+
+def test_verify_ar4_checks_one_fixed_bound():
+    # scaling every factor by 1 + δ moves the reconstruction by about 2δ
+    # times A's largest entry: inside AR4_TOL = 1e-8 at δ = 1e-10, outside
+    # at δ = 1e-6
+    a, facs = _dft_grid(random_density(2, rng_from(68)))
+    for delta, ok in ((1e-10, True), (1e-6, False)):
+        assert dec.verify_ar4(a, [(1.0 + delta) * x for x in facs], rank_bound=2).ok is ok, delta
+    with pytest.raises(TypeError):
+        dec.verify_ar4(a, facs, rank_bound=2, tol=1.0)

@@ -75,7 +75,7 @@ def test_p_below_one_keeps_the_support_cutoff():
 
 def _one_step(ch, psi, p):
     """The state after one guarded step of the search from ``psi``."""
-    return opt._iterate(ch, psi, p, 1, opt.OptimizerConfig.value_tol).state[0]
+    return opt._iterate(ch, psi, p, 1).state[0]
 
 
 def test_one_step_is_monotone_both_directions():
@@ -313,7 +313,7 @@ def test_each_step_applies_the_adjoint_once_to_the_stack(monkeypatch):
     # the loop must reach M = adj(Gamma^(p-1)) through the channel layer:
     # one apply_adjoint call per stacked pass.  At p < 1 the M eigensolve
     # then decomposes that stack.  At p > 1 a pass first tests the rows whose
-    # power candidate gains at most value_tol; those at a fixed point leave
+    # power candidate gains at most VALUE_TOL; those at a fixed point leave
     # before any output is decomposed, and the others take the exact step.
     # Then it decomposes the candidates' outputs, the plain candidates'
     # outputs of the rows whose extrapolated candidate the guard rejected,
@@ -445,9 +445,30 @@ def test_max_iters_below_one_is_rejected_before_eigensolves(max_iters, monkeypat
         raise AssertionError("eigh reached")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    cfg = dataclasses.replace(FAST, max_iters=max_iters)
     with pytest.raises(ValueError, match="max_iters"):
-        opt.estimate_nu_p(WH3, 5.0, cfg)
+        opt.estimate_nu_p(WH3, 5.0, dataclasses.replace(FAST, max_iters=max_iters))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("restarts", 0), ("restarts", -3), ("restarts", 2.0), ("restarts", True),
+        ("max_iters", 0), ("max_iters", False),
+        ("tensor_restarts", 0), ("tensor_restarts", 1.5), ("tensor_restarts", True),
+        ("seed", -1), ("seed", 0.5), ("seed", True), ("seed", None),
+    ],
+)
+def test_a_setting_out_of_range_is_refused_when_the_config_is_built(field, value, monkeypatch):
+    # refused before any eigensolve, also where a certificate would decide
+    # the row and where no Haar seed would be drawn
+    def no_eigh(a):
+        raise AssertionError("eigh reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    beta = np.eye(3).ravel() / math.sqrt(3.0)
+    least = 0 if field == "seed" else 1
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= {least}, got"):
+        opt.mult_check(WH3, WH3, 5.0, opt.OptimizerConfig(**{field: value}), certificates=(beta,))
 
 
 def test_each_restart_matches_a_single_run_from_its_seed():
@@ -569,10 +590,10 @@ def test_converged_restarts_above_one_end_at_a_fixed_point():
     # a converged run at p > 1 ends where the exact step would stall: the
     # state it stopped at is M's top eigenvector within the stall rule, and
     # no candidate is rejected on the way
-    tol = opt.OptimizerConfig.value_tol
+    tol = opt.VALUE_TOL
     for ch, p, cfg in _certificate_cases():
         queue, _ = opt._seed_queue(ch.d_in, cfg.seed, cfg.restarts)
-        runs = opt._iterate(ch, queue, p, cfg.max_iters, cfg.value_tol)
+        runs = opt._iterate(ch, queue, p, cfg.max_iters)
         assert runs.violations.sum() == runs.fallbacks.sum() == 0, (ch.d_in, p)
         for psi in runs.state[runs.status != "max_iters"]:
             gap = _exact_step_gap(ch, psi, p)
@@ -613,7 +634,7 @@ def _stationarity_cases():
 
 def test_converged_restarts_are_stationary_for_an_independent_m():
     # every converged p > 1 run reports a state where p·(λ_max(M) − ⟨ψ|M|ψ⟩)
-    # is at most value_tol, up to the roundoff of an M built another way
+    # is at most VALUE_TOL, up to the roundoff of an M built another way
     # (9.98e-13 at most here).  p = 1.01 is left out: there a roundoff
     # eigenvalue of Γ still weighs ~0.7 in Γ^(p−1), and the M built here
     # gives up to 2.5e-12 on these channels
@@ -622,16 +643,16 @@ def test_converged_restarts_are_stationary_for_an_independent_m():
         rep = opt.estimate_nu_p(ch, p, cfg, seeds=states)
         assert set(rep.statuses) == {"converged"}, (ch.d_in, p)
         gaps = [_stationarity_gap(ch, psi, p) for psi in rep.restart_states]
-        assert max(gaps) <= 2.0 * cfg.value_tol, (ch.d_in, p, max(gaps))
+        assert max(gaps) <= 2.0 * opt.VALUE_TOL, (ch.d_in, p, max(gaps))
 
 
 def test_a_pass_from_a_reported_state_below_one_gains_nothing():
     # a p < 1 run that did not hit max_iters ends where one more pass cannot
-    # lower Tr Γ^p by more than value_tol: its last step moved the objective
+    # lower Tr Γ^p by more than VALUE_TOL: its last step moved the objective
     # by at most that, or the guard kept its state.  1.5e-14 at most here;
-    # a stop test loosened to 1e6·value_tol leaves drops up to 6.3e-7, all on
+    # a stop test loosened to 1e6·VALUE_TOL leaves drops up to 6.3e-7, all on
     # random_channel(3, 2, 3, seed=2) at p = 0.9
-    tol = opt.OptimizerConfig.value_tol
+    tol = opt.VALUE_TOL
     for d_in, d_out, k, seed in ((4, 4, 3, 0), (3, 3, 2, 5), (3, 4, 3, 1), (4, 4, 2, 0),
                                  (2, 3, 2, 1), (3, 2, 3, 2)):
         ch = zoo.random_channel(d_in, d_out, k, seed=seed)
@@ -1211,12 +1232,12 @@ def test_a_lower_eigenvector_of_its_m_takes_the_exact_step_at_once(monkeypatch):
     w, v, _, _ = opt._output_spectra(ch.kraus_stack, seed[None], 3.0)
     m = chan.apply_adjoint(ch, la._from_spectrum(opt._terms(w, 3.0, weights=True), v))
     assert np.count_nonzero(m[0] - np.diag(np.diag(m[0]))) == 0
-    assert not opt._at_fixed_point(m, seed[None], 3.0, 1e-12)[0]
+    assert not opt._at_fixed_point(m, seed[None], 3.0)[0]
     exact, real = [], opt._exact_candidates
     monkeypatch.setattr(
         opt, "_exact_candidates", lambda m, p: exact.append(len(m)) or real(m, p)
     )
-    run = opt._iterate(ch, seed, 3.0, 10, 1e-12)
+    run = opt._iterate(ch, seed, 3.0, 10)
     assert exact == [1]
     assert run.iterations.tolist() == [2] and run.status.tolist() == ["converged"]
     assert np.allclose(np.abs(run.state[0]), np.eye(3)[1], atol=0.0)
@@ -1257,7 +1278,7 @@ def test_a_row_rejected_on_every_rung_above_p_1_keeps_its_seed(monkeypatch):
     monkeypatch.setattr(opt, "_seed_spectra", lambda c, states, p: real(c.kraus_stack, states, p))
     monkeypatch.setattr(opt, "_output_spectra", lowered)
     monkeypatch.setattr(opt, "_exact_candidates", recorded)
-    run = opt._iterate(ch, seeds, p, 10, 1e-12)
+    run = opt._iterate(ch, seeds, p, 10)
     # the first pass builds e_0's exact step, then that of the rows whose
     # plain candidate the guard rejected
     assert seen == [[0], [2, 3]]
@@ -1274,7 +1295,7 @@ def test_a_kept_step_that_the_recheck_finds_against_the_direction_is_counted(mon
     # every seed output here reads Tr Γ^p = 1 and every candidate's
     # fl(1 + 1e-12) = 1 + 1.00009e-12.  At p < 1 the guard keeps that step,
     # since fl(−1 − 1e-12) equals its negation, and the re-check finds it
-    # 1.00009e-12 up, more than value_tol: one violation.  The next step
+    # 1.00009e-12 up, more than VALUE_TOL: one violation.  The next step
     # moves nothing, and the run converges
     real = opt._output_spectra
 

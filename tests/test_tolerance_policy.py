@@ -1,13 +1,16 @@
 """The tolerance policy of ``cptwb.linalg``: one rank cutoff applied the same
 way everywhere, and no per-call overrides of the cutoffs."""
 
+import dataclasses
 import inspect
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cptwb import channels as chan
+from cptwb import cli
 from cptwb import decompose as dec
 from cptwb import entropy
 from cptwb import linalg as la
@@ -73,10 +76,9 @@ REMOVED = {
     "proxy_p",
     "probe_samples",
     "max_halvings",
+    "tol",
+    "value_tol",
 }
-
-#: The verifiers whose ``tol`` stays a parameter (see the linalg docstring).
-TOL_ALLOWED = {"validate_cpt", "verify_ar4", "verify_degrading"}
 
 
 def test_no_public_function_takes_a_cutoff_override():
@@ -87,10 +89,29 @@ def test_no_public_function_takes_a_cutoff_override():
                 continue
             if fn.__module__ != mod.__name__:
                 continue
-            params = set(inspect.signature(fn).parameters)
-            if name not in TOL_ALLOWED:
-                params &= REMOVED | {"tol"}
-            else:
-                params &= REMOVED
+            params = set(inspect.signature(fn).parameters) & REMOVED
             offenders += [f"{mod.__name__}.{name}({p})" for p in sorted(params)]
     assert offenders == []
+
+
+def test_every_report_lists_the_one_fixed_value_bound(capsys):
+    # value_tol is VALUE_TOL, in its place between max_iters and seed, in
+    # every report's config and in the CLI's json, and no config can set it
+    cfg = opt.OptimizerConfig(restarts=4, tensor_restarts=4)
+    keys = ["restarts", "max_iters", "value_tol", "seed", "tensor_restarts"]
+    wh3 = zoo.werner_holevo(3)
+    for rep in (
+        opt.estimate_nu_p(wh3, 3.0, cfg),
+        opt.mult_check(wh3, wh3, 3.0, cfg),
+        entropy.estimate_smin_p(wh3, 2.0, cfg),
+    ):
+        assert list(rep.config) == keys and rep.config["value_tol"] == 1e-12
+    wh3_flags = ["--family", "werner_holevo", "--dim", "3", "--restarts", "4", "--format", "json"]
+    for argv in (["numax", "--p", "3"], ["multscan", "--p-grid", "3:3:1", "--tensor-restarts", "4"]):
+        assert cli.main([*argv, *wh3_flags]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert list(config) == keys and config["value_tol"] == 1e-12
+    with pytest.raises(TypeError, match="value_tol"):
+        opt.OptimizerConfig(value_tol=1e-6)
+    with pytest.raises(ValueError, match="value_tol"):
+        dataclasses.replace(cfg, value_tol=1e-6)

@@ -28,7 +28,7 @@ def test_every_family_builds_a_valid_channel():
     seen = set()
     for spec in _spec_instances():
         phi = spec.build()
-        rep = chan.validate_cpt(phi, tol=1e-10)
+        rep = chan.validate_cpt(phi)
         assert rep.ok, f"{spec.family}: {rep.messages}"
         seen.add(spec.family)
     assert seen == set(zoo.FAMILIES)

@@ -11,7 +11,7 @@ if it fails, since every mutant would then read as killed), and for each
 mutant copies the tree afresh, applies the edit and runs Tier-1 with
 ``-x``, one process at a time.  It prints one line per mutant, ``killed``
 with the first failing test, or ``survived``, and exits 1 if any mutant
-survived, 0 otherwise.  The sixteen mutants take a few minutes on two
+survived, 0 otherwise.  The twenty mutants take a few minutes on two
 CPUs.
 
 Mutation testing goes back to DeMillo, Lipton and Sayward, "Hints on test
@@ -49,7 +49,7 @@ MUTANTS = (
            "math.copysign(VIOLATION_MARGIN, 1.0 - p)", "the margin points the wrong way"),
     Mutant(_OPT, "violations[rows[bad]] += 1", "violations[rows[bad]] += 0",
            "monotonicity violations go uncounted"),
-    Mutant(_OPT, "return (sign * tc >= sign * t - value_tol) & (np.abs(trc) >= _ZERO_TRACE)",
+    Mutant(_OPT, "return (sign * tc >= sign * t - VALUE_TOL) & (np.abs(trc) >= _ZERO_TRACE)",
            "return np.abs(trc) >= _ZERO_TRACE", "the guard accepts any value"),
     Mutant(_LA, "HERM_TOL = 1e-12", "HERM_TOL = 1e-6", "non-Hermitian input accepted"),
     Mutant(_LA, "PSD_CLAMP = 1e-12", "PSD_CLAMP = 1e-6", "negative spectra clamped away"),
@@ -57,10 +57,10 @@ MUTANTS = (
     Mutant("src/cptwb/decompose.py", "SUPPORT_TOL = 1e-8", "SUPPORT_TOL = 1e-3",
            "szarek_split accepts an off-support block"),
     Mutant(_OPT, "_ZERO_TRACE = 1e-14", "_ZERO_TRACE = 0.0", "zero-trace outputs accepted"),
-    Mutant(_OPT, "(np.linalg.eigvalsh(m)[:, -1] - _expect(m, states)) <= value_tol",
-           "(np.linalg.eigvalsh(m)[:, -1] - _expect(m, states)) <= 1e6 * value_tol",
+    Mutant(_OPT, "(np.linalg.eigvalsh(m)[:, -1] - _expect(m, states)) <= VALUE_TOL",
+           "(np.linalg.eigvalsh(m)[:, -1] - _expect(m, states)) <= 1e6 * VALUE_TOL",
            "the p >= 1 fixed-point test passes states short of stationary"),
-    Mutant(_OPT, "np.abs(step) <= value_tol", "np.abs(step) <= 1e6 * value_tol",
+    Mutant(_OPT, "np.abs(step) <= VALUE_TOL", "np.abs(step) <= 1e6 * VALUE_TOL",
            "p < 1 runs stop while still descending"),
     Mutant("src/cptwb/channels.py", "TP_TOL = 1e-10", "TP_TOL = 1e-4",
            "maps that miss trace preservation pass as channels"),
@@ -71,6 +71,13 @@ MUTANTS = (
            "the queue's Haar seeds start at the first Haar slot, not after the carried states"),
     Mutant(_OPT, "if p != 1.0 and t < sys.float_info.min:", "if False:",
            "an underflowed Tr Γ^p is reported as a norm"),
+    Mutant(_OPT, "VALUE_TOL = 1e-12", "VALUE_TOL = 1e-6", "a coarser bound on Tr Γ^p"),
+    Mutant("src/cptwb/decompose.py", "AR4_TOL = 1e-8", "AR4_TOL = 1e-3",
+           "verify_ar4 passes factors that miss A"),
+    Mutant("src/cptwb/channels.py", "DEGRADING_TOL = 1e-8", "DEGRADING_TOL = 1e-3",
+           "verify_degrading passes a map that misses the complement"),
+    Mutant(_OPT, '("restarts", "max_iters", "tensor_restarts", "seed")',
+           '("restarts", "max_iters", "seed")', "a tensor_restarts below 1 goes unchecked"),
 )
 
 #: Tier-1 as the ROADMAP gives it, stopping at the first failure
