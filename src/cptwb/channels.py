@@ -23,9 +23,10 @@ Conventions
   here reads.  What is cached is read-only.
 * ``apply`` and ``apply_adjoint`` (the one Φ̂) act on a matrix or on each
   matrix of a stack ``(..., d, d)`` alone.
-* ``tensor`` records its two factors (``KrausChannel.factors``), and
-  ``apply_adjoint`` applies Φ̂ of a product factor by factor, never through
-  the product's own transfer matrix.
+* ``tensor`` records its two factors (``KrausChannel.factors``).  When each
+  factor is within ``TRANSFER_DIM_MAX``, ``apply_adjoint`` applies Φ̂ of the
+  product as two products with the factors' transfer matrices, never
+  through the product's own; any other product takes its own path.
 
 Extremality
 -----------
@@ -40,6 +41,7 @@ reports both flags plus the Choi rank.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,8 +91,11 @@ class ChannelValidationError(ValueError):
 class KrausChannel:
     """A CP map given by its Kraus operators (shape checks only).
 
-    Construction does not enforce trace preservation — ``adjoint`` returns
-    unital maps through the same type — call :func:`validate_cpt` to check.
+    ``d_in`` and ``d_out`` must be integers ≥ 1 (a bool is not an integer),
+    or construction raises ``ChannelValidationError``; they are stored as
+    Python ints.  It does not enforce
+    trace preservation — ``adjoint`` returns unital maps through the same
+    type — call :func:`validate_cpt` to check.
     The operators are copied once, into the read-only ``(k, d_out, d_in)``
     stack ``kraus_stack``, and ``kraus`` holds its rows.  Channels compare
     and hash by identity, as what they cache is per object.  ``factors`` is
@@ -104,6 +109,11 @@ class KrausChannel:
     factors = ()
 
     def __post_init__(self):
+        for name in ("d_in", "d_out"):
+            d = getattr(self, name)
+            if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+                raise ChannelValidationError(f"{name} must be an integer >= 1, got {d!r}")
+            object.__setattr__(self, name, int(d))  # so that channel_to_json stays JSON
         ops = [la.as_matrix(a) for a in self.kraus]
         if not ops:
             raise ChannelValidationError("channel needs at least one Kraus operator")
@@ -277,55 +287,39 @@ def apply_adjoint(ch: KrausChannel, x) -> np.ndarray:
     """Adjoint action Φ̂(X) = Σ_k A_k† X A_k of a d_out × d_out matrix or of
     each matrix of a stack ``(..., d_out, d_out)``.
 
-    The channel's structure picks the path (:func:`_adjoint_rows`).  When
-    d_in·d_out ≤ ``TRANSFER_DIM_MAX`` each matrix is one ``(1, d_out²) @ T``
-    product with :attr:`KrausChannel.transfer`: a single GEMM over the whole
-    stack would be faster, but BLAS may sum a row in a different order
-    depending on how many rows there are, and a matrix's bits must not
-    depend on the rest of the stack.  Above the limit Φ̂ loops over the
-    Kraus operators.  A product from :func:`tensor` takes neither path
-    itself: each factor's Φ̂ acts on that factor's legs, so Φ̂ of WH3⊗WH3
-    costs 2·9³ = 1 458 complex multiply-adds per matrix instead of 9⁴ = 6 561,
-    and the product's transfer matrix is never built.  A product loaded
-    from JSON has lost its factors and takes the transfer path, whose last
-    bits can differ.
+    When d_in·d_out ≤ ``TRANSFER_DIM_MAX`` each matrix is one
+    ``(1, d_out²) @ T`` product with :attr:`KrausChannel.transfer`: a single
+    GEMM over the whole stack would be faster, but BLAS may sum a row in a
+    different order depending on how many rows there are, and a matrix's
+    bits must not depend on the rest of the stack.  Above the limit Φ̂ loops
+    over the Kraus operators.  A product A⊗B from :func:`tensor` whose two
+    factors are each within the limit takes neither path itself: each
+    matrix, its legs reordered to (i_A j_A),(i_B j_B), a ``(d_A², d_B²)``
+    matrix X, becomes (X·T_B)ᵀ·T_A with the factors' transfer matrices, legs
+    reordered back.  Φ̂ of WH3⊗WH3 so costs 2·9³ = 1 458 complex
+    multiply-adds per matrix instead of 9⁴ = 6 561, and the product's
+    transfer matrix is never built.  Any other product, and one loaded from
+    JSON, which has lost its factors, takes its own path, whose last bits
+    can differ.
     """
     m = _operands(x, ch.d_out)
     lead = m.shape[:-2]
-    rows = _adjoint_rows(ch, m.reshape(*lead, 1, ch.d_out**2))
-    return rows.reshape(*lead, ch.d_in, ch.d_in)
-
-
-def _adjoint_rows(ch: KrausChannel, v: np.ndarray) -> np.ndarray:
-    """Φ̂ of each row of the stack ``v`` ``(..., n, d_out²)``, a d_out × d_out
-    matrix in row-major vec; returns ``(..., n, d_in²)``.
-
-    Each ``(n, ·)`` matrix of the stack is computed alone, and n is set by
-    the channel's structure, not by the stack.  A product A⊗B views each row
-    in (i_A j_A),(i_B j_B) leg order, a ``(d_A², d_B²)`` matrix, and applies
-    Φ̂_B to its rows, then Φ̂_A to the rows of its transpose, each factor by
-    this function (so a factor that is a product is split again); any other
-    channel takes its transfer matrix or its Kraus loop.
-    """
-    lead, n = v.shape[:-2], v.shape[-2]
-    if ch.factors:
+    if ch.factors and all(f.d_in * f.d_out <= TRANSFER_DIM_MAX for f in ch.factors):
         a, b = ch.factors
-        x = v.reshape(*lead, n, a.d_out, b.d_out, a.d_out, b.d_out)
-        x = x.swapaxes(-3, -2).reshape(*lead, n * a.d_out**2, b.d_out**2)
-        x = _adjoint_rows(b, x).reshape(*lead, n, a.d_out**2, b.d_in**2)
-        # a view for n = 1: the transfer product reads the transpose in place
-        x = x.swapaxes(-1, -2).reshape(*lead, n * b.d_in**2, a.d_out**2)
-        x = _adjoint_rows(a, x).reshape(*lead, n, b.d_in, b.d_in, a.d_in, a.d_in)
-        # legs (i_B j_B),(i_A j_A) back to (i_A i_B),(j_A j_B)
-        k = len(lead) + 1
-        return x.transpose(*range(k), k + 2, k, k + 3, k + 1).reshape(*lead, n, ch.d_in**2)
+        # one stack axis, and each step frees the array before it: on 200
+        # matrices of WH3⊗WH3 (one BLAS thread, 2-CPU VM) holding the
+        # intermediates took about 430 µs a call against 280
+        x = m.reshape(-1, a.d_out, b.d_out, a.d_out, b.d_out).swapaxes(2, 3)
+        x = x.reshape(-1, a.d_out**2, b.d_out**2) @ b.transfer  # legs (i_A j_A),(i_B j_B)
+        x = x.swapaxes(1, 2) @ a.transfer  # legs (i_B j_B),(i_A j_A)
+        x = x.reshape(-1, b.d_in, b.d_in, a.d_in, a.d_in).transpose(0, 3, 1, 4, 2)
+        return x.reshape(*lead, ch.d_in, ch.d_in)  # legs (i_A i_B),(j_A j_B)
     if ch.d_in * ch.d_out <= TRANSFER_DIM_MAX:
-        return v @ ch.transfer
-    m = v.reshape(*lead, n, ch.d_out, ch.d_out)
-    out = np.zeros(lead + (n, ch.d_in, ch.d_in), dtype=np.complex128)
+        return (m.reshape(*lead, 1, ch.d_out**2) @ ch.transfer).reshape(*lead, ch.d_in, ch.d_in)
+    out = np.zeros(lead + (ch.d_in, ch.d_in), dtype=np.complex128)
     for a in ch.kraus:
         out += la.dagger(a) @ m @ a
-    return out.reshape(*lead, n, ch.d_in**2)
+    return out
 
 
 def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
@@ -391,10 +385,12 @@ def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     records ``(a, b)`` as its ``factors``.
 
     The whole set is one broadcast product of the two Kraus stacks, entry
-    for entry the ``np.kron`` of each pair.  Through the factors
-    :func:`apply_adjoint` applies Φ̂_A ⊗ Φ̂_B one factor at a time; a copy of
-    the product that lacks them (``channel_from_json`` of its JSON, say)
-    takes the transfer path instead, and its Φ̂ can differ in the last bits.
+    for entry the ``np.kron`` of each pair.  When each factor has
+    d_in·d_out ≤ ``TRANSFER_DIM_MAX``, :func:`apply_adjoint` applies Φ̂ of the
+    product through the factors' transfer matrices; a product with a larger
+    factor, or a copy that lacks the factors (``channel_from_json`` of its
+    JSON, say), takes its own path instead, and its Φ̂ can differ in the
+    last bits.
     """
     d_in, d_out = a.d_in * b.d_in, a.d_out * b.d_out
     x = a.kraus_stack[:, None, :, None, :, None]  # (i, ·, r, ·, c, ·)
@@ -593,16 +589,13 @@ def channel_from_json(data: dict, validate: bool = True) -> KrausChannel:
     missing = {"d_in", "d_out", "kraus"} - set(data)
     if missing:
         raise ChannelValidationError(f"channel JSON missing keys: {sorted(missing)}")
-    d_in, d_out = data["d_in"], data["d_out"]
-    if not all(type(d) is int and d >= 1 for d in (d_in, d_out)):
-        raise ChannelValidationError("d_in and d_out must be positive integers")
     if not isinstance(data["kraus"], list) or not data["kraus"]:
         raise ChannelValidationError("kraus must be a non-empty list of matrices")
     try:
         ops = tuple(la.matrix_from_json(m) for m in data["kraus"])
     except ValueError as exc:
         raise ChannelValidationError(f"bad Kraus matrix encoding: {exc}") from exc
-    ch = KrausChannel(d_in=d_in, d_out=d_out, kraus=ops)
+    ch = KrausChannel(d_in=data["d_in"], d_out=data["d_out"], kraus=ops)
     if validate:
         report = validate_cpt(ch)
         if not report.ok:

@@ -82,7 +82,7 @@ def min_output_rank(ch: chan.KrausChannel, config=None) -> tuple[int, np.ndarray
     singular values from one ``svd`` call.
     """
     report = opt.estimate_nu_p(ch, 0.05, config=config)
-    outs = chan.apply(ch, la._outer(np.array(report.restart_states)))
+    outs = chan.apply(ch, la._outer(report.restart_states))
     s = np.linalg.svd(outs, compute_uv=False)
     ranks = np.count_nonzero(la._support(s), axis=-1)
     best = int(np.argmin(ranks))

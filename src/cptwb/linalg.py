@@ -60,10 +60,11 @@ principal block, [[A, X], [X†, B]], a leg permutation): it is not checked
 again.  A ``channels.ChoiMatrix`` is checked and symmetrized when it is
 built and decomposed once, on first use; a channel's Choi matrix, and its
 transfer matrix (``KrausChannel.transfer``, through which
-``channels.apply_adjoint`` applies Φ̂, factor by factor on a product), are
-built once, from read-only copies of its Kraus operators.  Choi readers
-clamp a copy of that spectrum; ``channels.validate_cpt`` and
-``cptwb decompose`` read its least eigenvalue before the clamp.
+``channels.apply_adjoint`` applies Φ̂, on a product through its two
+factors' transfer matrices), are built once, from read-only copies of its
+Kraus operators.  Choi readers clamp a copy of that spectrum;
+``channels.validate_cpt`` and ``cptwb decompose`` read its least
+eigenvalue before the clamp.
 
 On the small matrices this package works with, numpy's per-call overhead,
 not LAPACK, sets the price of an eigensolve.  On a 4×4 matrix (2-CPU VM,

@@ -109,14 +109,16 @@ the Hermiticity test of other eigensolves (:func:`_output_spectra`).  Φ̂ is
 its path: for a plain channel, one ``(1, d_out²) @ T`` product per state
 with the cached transfer matrix T = Σ_k conj(A_k) ⊗ A_k, or a loop over
 the Kraus operators above ``channels.TRANSFER_DIM_MAX``; for a product
-A⊗B from ``channels.tensor``, such as the tensor search's, Φ̂_B and then
-Φ̂_A each on its own legs, 1 458 complex multiply-adds per state on
-WH3⊗WH3 instead of 6 561.  Every stacked operation acts matrix by
-matrix, so a restart's result depends only on its seed, not on the rows
-beside it.  Phases are fixed once, on the reported states, in both
-directions: ``estimate_nu_p`` turns the first significant entry of each
-restart's end state positive real (``linalg._canonical_phases``), which
-leaves a structured seed that never moved bit for bit as it was.
+A⊗B from ``channels.tensor`` whose factors are both within that limit,
+such as the tensor search's, two products with the factors' transfer
+matrices: each state's L, its legs reordered to a ``(d_A², d_B²)`` matrix
+X, gives (X·T_B)ᵀ·T_A, 1 458 complex multiply-adds per state on WH3⊗WH3
+instead of 6 561.  Every stacked operation acts matrix by matrix, so a
+restart's result depends only on its seed, not on the rows beside it.
+Phases are fixed once, on the reported states, in both directions:
+``estimate_nu_p`` turns the first significant entry of each restart's end
+state positive real (``linalg._canonical_phases``), which leaves a
+structured seed that never moved bit for bit as it was.
 
 The initial outputs of a seed stack do not depend on p.  For each channel
 the module keeps the spectra and traces of the ``_SEED_SPECTRA_MAX`` (8)
@@ -197,17 +199,17 @@ no violation (``singles_converged`` is false).
 
 Above p = 1, ``mult_scan`` continues each tensor search from the one
 before it.  A row whose search ran its Haar part hands on its Haar end
-states (``MultReport.search_states``, the end states of its restarts after
-the structured seeds).  A later row above 1 takes them from the nearest
-such row in p, ties going to the lower p, all but their last
-``_FRESH_SEEDS`` (32).  They are plain data, ``haar``, a ``(k, d_in)``
-stack that ``mult_check`` checks against the queue before any pass and
-hands to ``estimate_nu_p``, where it takes the first k Haar slots of the
-queue.  The remaining slots run the queue's own Haar seeds, the ones an
-uncontinued row runs there, so a scan draws no random state beyond its
-cached queues.  The structured seeds stay first, so the ``bound``
-staging and the seed-spectra memo work as before, and the restart count
-stays ``tensor_restarts``.
+states (``MultReport.search_states``, the rows of the search's
+``restart_states`` after the structured seeds).  A later row above 1 takes
+them from the nearest such row in p, ties going to the lower p, all but
+their last ``_FRESH_SEEDS`` (32).  They are plain data, ``haar``, a
+``(k, d_in)`` stack of finite, nonzero states that ``mult_check`` checks
+against the queue before any pass and hands to ``estimate_nu_p``, where it
+takes the first k Haar slots of the queue.  The remaining slots run the
+queue's own Haar seeds, the ones an uncontinued row runs there, so a scan
+draws no random state beyond its cached queues.  The structured seeds stay
+first, so the ``bound`` staging and the seed-spectra memo work as before,
+and the restart count stays ``tensor_restarts``.
 On WH3⊗WH3 the Haar restarts end on a few Schmidt orbits that are fixed
 points at every p, so a continued run ends after a pass or two: the gap
 root's lower check of the default WH3 scan (p ≈ 4.777) takes at most 450
@@ -215,11 +217,11 @@ passes (``test_continued_rows_carry_end_states_and_count_them``), and every
 verdict, tensor value and the threshold are those of a scan that continues
 nothing (``test_continuation_keeps_the_scans_answers``).  The share of the
 queue's own seeds matters because only states that start afresh at this p
-can find a maximum that appears between two checked orders.  A row with no such neighbour, and every row
-below 1, runs the queue's own Haar seeds: there single estimates can end
-on guard stalls short of their minimum, and a continued tensor search
-that beat them gave a violation on a grid where the queue's own search
-gives none.
+can find a maximum that appears between two checked orders.  A row with
+no such neighbour, and every row below 1, runs the queue's own Haar seeds:
+there single estimates can end on guard stalls short of their minimum, and
+a continued tensor search that beat them gave a violation on a grid where
+the queue's own search gives none.
 """
 
 from __future__ import annotations
@@ -307,9 +309,10 @@ class OptimizerReport:
     ``converged`` (for p ≥ 1: at a state that passed the fixed-point test),
     ``guard_stall`` or ``max_iters`` (see the module docstring);
     ``converged`` holds ``status != "max_iters"`` for each.
-    ``restart_states`` and ``restart_values`` are each restart's end state,
-    the one its status is about, with its phase fixed, and that state's
-    value; ``best_input`` is one of them.
+    ``restart_values`` holds each restart's value, and ``restart_states``,
+    one ``(r, d_in)`` array, each restart's end state in its row: the state
+    its status is about, with its phase fixed.  ``best_input`` is one of
+    those rows.
     """
 
     p: float
@@ -319,7 +322,7 @@ class OptimizerReport:
     best_input: np.ndarray
     best_restart: int
     restart_values: tuple
-    restart_states: tuple
+    restart_states: np.ndarray
     iterations: tuple
     converged: tuple
     statuses: tuple
@@ -565,12 +568,7 @@ def _iterate(ch: chan.KrausChannel, states, p: float, max_iters: int) -> _Runs:
     psi = np.array(states, dtype=np.complex128, ndmin=2)
     if psi.ndim != 2 or psi.shape[1] != ch.d_in:
         raise la.ShapeError(f"states have shape {psi.shape}, expected (r, {ch.d_in})")
-    norms = np.linalg.norm(psi, axis=1)
-    bad = ~(np.isfinite(norms) & (norms > 0.0))  # checked before any eigensolve
-    if np.any(bad):
-        i = np.flatnonzero(bad)[0]
-        raise ValueError(f"state {i} has norm {norms[i]}; need a finite, nonzero vector")
-    psi /= norms[:, None]
+    psi /= _row_norms(psi, "state")[:, None]  # checked before any eigensolve
     kraus = ch.kraus_stack
     r = len(psi)
 
@@ -740,8 +738,9 @@ def estimate_nu_p(
     of the queue: the structured seeds run as before, then ``haar``, then
     the queue's own Haar seeds of the slots after k (``mult_scan``
     continues a search this way).  k must be at most the number of Haar
-    slots, and ``haar`` cannot go with ``seeds``: both are checked before
-    any pass, so a malformed ``haar`` raises ``ValueError`` even when
+    slots, each state finite and nonzero (it is normalized as every seed
+    is), and ``haar`` cannot go with ``seeds``: all are checked before any
+    pass, so a malformed ``haar`` raises ``ValueError`` even when
     ``bound`` stops the search at its structured seeds.  A norm beyond the
     float range raises ``OverflowError``, and for p ≠ 1 a Tr Γ^p below the
     least normal float ``FloatingPointError``, each naming p and Tr Γ^p.
@@ -768,16 +767,30 @@ def _norm(t: float, p: float) -> float:
         ) from None
 
 
+def _row_norms(states: np.ndarray, what: str) -> np.ndarray:
+    """The norms of the rows of the stack ``states``, or ``ValueError``
+    naming the first row, as ``what`` and its index, whose norm is zero or
+    not finite."""
+    norms = np.linalg.norm(states, axis=1)
+    bad = ~(np.isfinite(norms) & (norms > 0.0))
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        raise ValueError(f"{what} {i} has norm {norms[i]}; need a finite, nonzero vector")
+    return norms
+
+
 def _checked_haar(haar, queue: np.ndarray, n_structured: int) -> np.ndarray:
     """The seed ``queue``, whose first ``n_structured`` seeds are structured,
     with the stack ``haar`` in its first Haar slots; ``ValueError`` unless
     ``haar`` is a ``(k, d)`` stack of the queue's states with k at most its
-    number of Haar slots."""
+    number of Haar slots, each finite and nonzero.  The rows are not
+    normalized here, so carried states keep their bits."""
     kept = np.asarray(haar, dtype=np.complex128)
     slots = len(queue) - n_structured
     if kept.shape[1:] != queue.shape[1:] or len(kept) > slots:
         need = f"(k, {queue.shape[1]}) with k <= {slots}"
         raise ValueError(f"haar has shape {kept.shape}; need {need}")
+    _row_norms(kept, "haar row")
     return np.concatenate([queue[:n_structured], kept, queue[n_structured + len(kept) :]])
 
 
@@ -828,7 +841,7 @@ def _multistart(
         best_input=states[best],
         best_restart=best,
         restart_values=values,
-        restart_states=tuple(states),
+        restart_states=states,
         iterations=tuple(runs.iterations.tolist()),
         converged=tuple(s != "max_iters" for s in statuses),
         statuses=statuses,
@@ -867,9 +880,10 @@ class MultReport:
     restarts that ran: 0 when a certificate decided, the number of
     structured seeds when they certified the violation on their own (the
     search stopped there), ``tensor_restarts`` otherwise.
-    ``search_states`` are the search's Haar end states, the end states of
-    its restarts after the structured seeds, and are empty when its Haar
-    part did not run.  When a ``haar`` stack of k states ran as the first
+    ``search_states`` is the ``(k, d_in)`` array of the search's Haar end
+    states, the rows of its ``restart_states`` after the structured seeds;
+    it is ``(0, d_in)`` when its Haar part did not run or a certificate
+    decided.  When a ``haar`` stack of k states ran as the first
     k Haar slots (in ``mult_scan``, module docstring, "Multiplicativity",
     the end states taken from a neighbouring row), ``continued_restarts``
     is k and ``fresh_restarts`` counts the queue's own Haar seeds that ran
@@ -892,7 +906,7 @@ class MultReport:
     certificate: np.ndarray
     decided_by: str
     tensor_restarts_run: int
-    search_states: tuple
+    search_states: np.ndarray
     continued_restarts: int
     fresh_restarts: int
     singles_converged: bool
@@ -995,7 +1009,7 @@ def mult_check(
 
     tensor_cfg = replace(cfg, restarts=cfg.tensor_restarts)
     estimates = [rep_a] if b is a else [rep_a, rep_b]
-    polished, search_states = None, ()
+    polished, search_states = None, np.empty((0, tensor_dim), dtype=np.complex128)
     continued_restarts = fresh_restarts = 0
     if len(certificates):
         polished = estimate_nu_p(tensor, p, tensor_cfg, seeds=certificates)
@@ -1006,7 +1020,7 @@ def mult_check(
         rep_ab = estimate_nu_p(tensor, p, tensor_cfg, bound=bound, haar=haar)
         decided_by, tensor_restarts_run = "search", len(rep_ab.restart_values)
         search_states = rep_ab.restart_states[rep_ab.n_structured_seeds :]
-        if search_states and haar is not None:
+        if len(search_states) and haar is not None:
             continued_restarts, fresh_restarts = len(haar), len(search_states) - len(haar)
         estimates.append(rep_ab)
         # a polished state replaces the search's best only when it beats it
@@ -1160,7 +1174,7 @@ def mult_scan(
         if p < 1.0 or not searched:
             return None
         ends = rows[min(searched, key=lambda q: (abs(q - p), q))].search_states
-        return np.reshape(ends[: max(len(ends) - _FRESH_SEEDS, 0)], (-1, tensor.d_in))
+        return ends[: max(len(ends) - _FRESH_SEEDS, 0)]
 
     def check(p: float) -> MultReport:
         if p not in rows:
@@ -1168,12 +1182,7 @@ def mult_scan(
                 a, b, p, config, certificates=tuple(certificates), tensor=tensor,
                 haar=continued(p),
             )
-            # only an input state of A⊗B can be polished
-            if (
-                r.violated
-                and np.shape(r.certificate) == (tensor.d_in,)
-                and not any(np.array_equal(r.certificate, c) for c in certificates)
-            ):
+            if r.violated and not any(np.array_equal(r.certificate, c) for c in certificates):
                 certificates.append(r.certificate)
             rows[p] = r
         return rows[p]

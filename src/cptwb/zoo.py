@@ -336,10 +336,18 @@ def _pair(v) -> list[float]:
 
 
 def _nested(v):
-    """A matrix, a matrix list or a cycle list; its builder checks the shape."""
+    """A matrix or a matrix list; its builder checks the shape."""
     if not isinstance(v, (list, tuple)):
         raise ValueError(f"expected a JSON list, got {v!r}")
     return v
+
+
+def _cycles(v) -> list[list[int]]:
+    """A list of cycles, each a list of integers; the builder checks that
+    they are (d−1)-cycles, one per window."""
+    if not isinstance(v, (list, tuple)) or not all(isinstance(c, (list, tuple)) for c in v):
+        raise ValueError(f"expected a list of lists of integers, got {v!r}")
+    return [[_int(s) for s in c] for c in v]
 
 
 @dataclass(frozen=True)
@@ -409,7 +417,7 @@ FAMILIES: dict[str, Family] = {
         (
             _D,
             Param("unitaries", _nested, flag="unitaries_file"),
-            Param("cycles", _nested, unused_with=("unitaries",)),
+            Param("cycles", _cycles, unused_with=("unitaries",)),
             replace(_SEED, unused_with=("unitaries", "cycles")),
         ),
     ),

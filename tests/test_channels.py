@@ -1,6 +1,8 @@
 """Tests for Kraus/Choi conversions, contractions, complements, and the
 extreme-point machinery."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,25 @@ def test_kraus_channel_shape_checks():
         ch.KrausChannel(2, 2, (np.zeros((2, 3)),))
     with pytest.raises(ch.ChannelValidationError):
         ch.KrausChannel(2, 2, ())
+
+
+@pytest.mark.parametrize(
+    "dims, name",
+    [((0, 2), "d_in"), ((2, 0), "d_out"), ((-1, 2), "d_in"), ((2.0, 2), "d_in"),
+     ((True, 2), "d_in"), ((2, True), "d_out"), (("2", 2), "d_in"), ((2, None), "d_out")],
+)
+def test_kraus_channel_refuses_dimensions_that_are_not_integers_from_1(dims, name):
+    with pytest.raises(ch.ChannelValidationError, match=f"{name} must be an integer >= 1"):
+        ch.KrausChannel(*dims, (np.zeros((2, 2)),))
+
+
+def test_builders_get_the_dimension_check_and_numpy_dimensions_become_ints():
+    # a 0 → 2 channel would fail validate_cpt inside numpy, with no word on why
+    with pytest.raises(ch.ChannelValidationError, match="d_in must be an integer >= 1, got 0"):
+        zoo.random_channel(0, 2, 1)
+    phi = ch.KrausChannel(np.int64(2), np.int32(1), (np.ones((1, 2)) / np.sqrt(2),))
+    assert (phi.d_in, phi.d_out) == (2, 1) and type(phi.d_in) is type(phi.d_out) is int
+    json.dumps(ch.channel_to_json(phi))  # numpy integers are not JSON
 
 
 def test_kraus_stack_is_built_once_and_read_only():
@@ -130,6 +151,8 @@ def test_apply_and_apply_adjoint_act_on_each_matrix_of_a_stack(phi):
 
 
 def _products():
+    """Products whose factors are all within TRANSFER_DIM_MAX, nested too,
+    and one with a factor above it, which runs the product's own Kraus loop."""
     a, b = zoo.random_channel(2, 3, 2, seed=30), zoo.random_channel(3, 2, 3, seed=31)
     yield ch.tensor(a, b)  # 2→3 ⊗ 3→2
     yield ch.tensor(zoo.random_channel(3, 3, 2, seed=32), zoo.random_channel(2, 4, 2, seed=33))
@@ -143,7 +166,10 @@ def _products():
 @pytest.mark.parametrize("phi", list(_products()), ids=["2-3x3-2", "3-3x2-4", "nested", "kraus-loop"])
 def test_apply_adjoint_of_a_product_goes_factor_by_factor(phi, lead):
     # the full Kraus set of A⊗B is the reference; each matrix of a stack is
-    # bit for bit the matrix computed alone
+    # bit for bit the matrix computed alone.  Factors within the limit act
+    # through their transfer matrices (the nested case's inner product
+    # through its own), and the "kraus-loop" case, whose factor is above
+    # it, loops over the product's own Kraus operators
     assert phi.factors and "transfer" not in phi.__dict__
     rng = np.random.default_rng(37)
     x = rng.normal(size=lead + (phi.d_out,) * 2) + 1j * rng.normal(size=lead + (phi.d_out,) * 2)

@@ -91,7 +91,8 @@ def test_info_rejects_non_integer_dimensions(dims, flags, tmp_path, capsys):
     f.write_text(json.dumps({"d_in": dims[0], "d_out": dims[1], "kraus": [[[[1.0, 0.0]]]]}))
     code, out, err = run(["info", "--input", str(f), *flags], capsys)
     assert code == 2 and out == ""
-    assert "d_in and d_out must be positive integers" in err
+    name = "d_in" if dims[0] is True else "d_out"
+    assert f"{name} must be an integer >= 1, got True" in err
 
 
 @pytest.mark.parametrize("entry", [[True, 0.0], [float("nan"), 0.0], [1.0, float("inf")]])
@@ -846,6 +847,8 @@ def test_a_family_flag_the_source_does_not_read_exits_64(argv, unread, tmp_path,
         {"family": "identity", "params": {"d": None}},
         {"family": "identity", "params": {"d": 3.7}},
         {"family": "depolarized_wh", "params": {"d": 3}},  # no x
+        {"family": "shift_subunitary", "params": {"d": 3, "cycles": [["a", "b"], [1, 3], [2, 3]]}},
+        {"family": "shift_subunitary", "params": {"d": 3, "cycles": [1, 2, 3]}},
     ],
 )
 def test_malformed_spec_file_exits_2(spec, tmp_path, capsys):

@@ -211,8 +211,7 @@ def test_estimate_nu_p_deterministic_and_tiebreak():
 def _assert_same_fields(x, y, cls):
     for field in dataclasses.fields(cls):
         u, v = getattr(x, field.name), getattr(y, field.name)
-        arrays = isinstance(u, tuple) and u and isinstance(u[0], np.ndarray)
-        if isinstance(u, np.ndarray) or arrays:
+        if isinstance(u, np.ndarray):
             assert np.array_equal(u, v), field.name
         else:
             assert u == v, field.name
@@ -691,7 +690,7 @@ def test_entropy_runs_at_one_are_monotone_and_converge():
         rep = opt._multistart(ch, 1.0, FAST)
         assert rep.monotonicity_violations == rep.guard_fallbacks == 0, trial
         assert all(rep.converged), trial
-        outs = chan.apply(ch, la._outer(np.array(rep.restart_states)))
+        outs = chan.apply(ch, la._outer(rep.restart_states))
         s = np.array([entropy.von_neumann(out) for out in outs])
         assert np.abs(np.array(rep.restart_values) + s).max() <= 1e-12, trial
 
@@ -800,7 +799,7 @@ def _first_significant(psi):
 def test_reported_states_have_canonical_phases(p):
     for ch in (zoo.random_channel(3, 4, 3, seed=27), zoo.near_depolarizing(3, 0.1)):
         rep = opt.estimate_nu_p(ch, p, FAST)
-        for psi in (rep.best_input,) + rep.restart_states:
+        for psi in (rep.best_input, *rep.restart_states):
             lead = _first_significant(psi)
             assert lead.real > 0.0 and lead.imag == 0.0
 
@@ -894,6 +893,11 @@ def test_mult_scan_rejects_bad_resolution_before_any_check(resolution, monkeypat
         opt.mult_scan(phi, phi, [4.5, 5.0], resolution=resolution)
 
 
+def _no_gap_root(monkeypatch):
+    """Make the gap curve's root search find none, so a scan bisects."""
+    monkeypatch.setattr(opt, "_illinois", lambda *args: None)
+
+
 def test_mult_scan_bisection_stops_at_float_spacing(monkeypatch):
     # below the float spacing of the bracket, a midpoint is one of its ends
     calls = []
@@ -903,16 +907,18 @@ def test_mult_scan_bisection_stops_at_float_spacing(monkeypatch):
         if len(calls) > 200:
             raise AssertionError("bisection does not stop")
         return types.SimpleNamespace(
-            violated=p > 4.79, certificate=np.array([p]), search_states=()
+            violated=p > 4.79, certificate=np.full(9, p, dtype=complex),
+            search_states=np.empty((0, 9), dtype=complex),
         )
 
     monkeypatch.setattr(opt, "mult_check", check)
+    _no_gap_root(monkeypatch)
     phi = zoo.werner_holevo(3)
     scan = opt.mult_scan(phi, phi, [4.5, 5.0], resolution=1e-300)
     lo, hi = scan.bracket
     assert np.nextafter(lo, hi) == hi
     assert len(calls) < 2 + 64
-    # no certificate is a state of A⊗B, so there is no gap curve to follow
+    # the gap curve has no root, so the onset is bisected
     assert (scan.placed_by, scan.gap_evaluations) == ("bisection", 0)
     # a grid bracket within the resolution is the bracket
     calls.clear()
@@ -1383,6 +1389,30 @@ def test_seed_spectra_memo_is_bounded_and_read_only():
         assert not (w.flags.writeable or v.flags.writeable or tr.flags.writeable)
 
 
+def test_restart_and_search_states_are_one_stack_each():
+    # restart_states is the (r, d_in) array of end states, best_input one of
+    # its rows; search_states is the view of its rows after the structured
+    # seeds, with none when the Haar part did not run
+    phi = zoo.random_channel(3, 3, 2, seed=8)
+    rep = opt.estimate_nu_p(phi, 3.0, FAST)
+    assert isinstance(rep.restart_states, np.ndarray)
+    assert rep.restart_states.shape == (FAST.restarts, 3)
+    assert rep.best_input.base is rep.restart_states.base is not None
+    assert np.array_equal(rep.best_input, rep.restart_states[rep.best_restart])
+    # at p = 5 the structured seeds of WH3⊗WH3 decide, and with the p = 5
+    # certificate polished first no search runs at all
+    cfg = opt.OptimizerConfig(restarts=10, tensor_restarts=100)
+    stopped = opt.mult_check(WH3, WH3, 5.0, cfg)
+    certified = opt.mult_check(WH3, WH3, 5.0, cfg, certificates=(stopped.certificate,))
+    assert (stopped.decided_by, stopped.tensor_restarts_run) == ("search", 82)
+    assert (certified.decided_by, certified.tensor_restarts_run) == ("certificate", 0)
+    for rep in (stopped, certified):
+        assert isinstance(rep.search_states, np.ndarray)
+        assert (rep.search_states.shape, rep.search_states.dtype) == ((0, 9), np.complex128)
+    full = opt.mult_check(WH3, WH3, 4.5, cfg)
+    assert full.search_states.shape == (100 - 82, 9)
+
+
 def test_a_tensor_search_never_builds_the_products_transfer_matrix():
     # Φ̂ of A⊗B goes factor by factor, through the transfer matrices of A and B
     ww = chan.tensor(WH3, WH3)
@@ -1411,7 +1441,8 @@ def test_mult_scan_checks_each_distinct_order_once_on_one_tensor(monkeypatch):
     def check(a, b, p, config=None, certificates=(), tensor=None, haar=None):
         calls.append((p, tensor))
         return types.SimpleNamespace(
-            p=p, violated=False, certificate=np.array([p]), search_states=()
+            p=p, violated=False, certificate=np.full(9, p, dtype=complex),
+            search_states=np.empty((0, 9), dtype=complex),
         )
 
     monkeypatch.setattr(opt, "mult_check", check)
@@ -1565,7 +1596,7 @@ def test_default_wh3_check_at_p5_stops_after_the_structured_seeds(monkeypatch):
     assert staged.tensor_restarts_run == 82
     assert one.tensor_restarts_run == opt.OptimizerConfig().tensor_restarts
     # the staged search ran no Haar seed, so it has no Haar end states
-    assert staged.search_states == () and len(one.search_states) == 200 - 82
+    assert staged.search_states.shape == (0, 9) and one.search_states.shape == (200 - 82, 9)
     _assert_same_fields(
         dataclasses.replace(
             staged,
@@ -1647,7 +1678,7 @@ def test_continuation_keeps_the_scans_answers(pair, grid, seed, monkeypatch):
     # above 1 every check after the first searched row continues; below 1
     # none does: there a continued search beat single estimates that ended
     # on guard stalls, and gave this grid a violation at p = 0.9
-    searched = [r.p for r in scan.rows if r.search_states]
+    searched = [r.p for r in scan.rows if len(r.search_states)]
     above = sorted(p for p in haars if p > 1.0)
     assert [p for p in above if haars[p] is not None] == [p for p in above if p != searched[0]]
     assert all(haars[p] is None for p in haars if p < 1.0)
@@ -1671,9 +1702,9 @@ def test_continued_rows_carry_end_states_and_count_them(monkeypatch):
     assert (first.p, stopped.p) == (4.5, 5.0) and lower.p < upper.p
     assert haars[first.p] is None and first.continued_restarts == first.fresh_restarts == 0
     n_haar = cfg.tensor_restarts - 82
-    assert len(first.search_states) == n_haar
+    assert first.search_states.shape == (n_haar, 9)
     # p = 5 stops after its structured seeds and hands nothing on
-    assert stopped.tensor_restarts_run == 82 and stopped.search_states == ()
+    assert stopped.tensor_restarts_run == 82 and stopped.search_states.shape == (0, 9)
     assert (stopped.continued_restarts, stopped.fresh_restarts) == (0, 0)
     # the gap root's lower check continues from p = 4.5, the nearest searched
     # row: its end states, less their last 32, whose slots run the queue's
@@ -1710,18 +1741,19 @@ def test_a_warm_scan_draws_no_random_state(seed, monkeypatch):
 
 def test_a_continued_search_takes_the_nearest_searched_row_ties_to_the_lower(monkeypatch):
     # each double row hands on 40 "end states" that carry its p; without a
-    # certificate of A⊗B the onset is bisected, and each midpoint is as far
-    # from the ends of its bracket
+    # gap root the onset is bisected, and each midpoint is as far from the
+    # ends of its bracket
     sources = {}
 
     def check(a, b, p, config=None, certificates=(), tensor=None, haar=None):
         sources[p] = None if haar is None else (haar.shape, haar[0, 0])
-        ends = tuple(np.full(9, p, dtype=complex) for _ in range(40))
         return types.SimpleNamespace(
-            violated=p > 4.79, certificate=np.array([p]), search_states=ends
+            violated=p > 4.79, certificate=np.full(9, p, dtype=complex),
+            search_states=np.full((40, 9), p, dtype=complex),
         )
 
     monkeypatch.setattr(opt, "mult_check", check)
+    _no_gap_root(monkeypatch)
     scan = opt.mult_scan(WH3, WH3, (4.5, 5.0), resolution=0.2)
     assert scan.placed_by == "bisection"
     # all but the last 32 of the 40 are carried
@@ -1748,12 +1780,18 @@ def test_haar_takes_the_first_haar_slots_of_the_queue():
 
 
 def _wrong_haars(d, slots):
-    """Malformed ``haar`` stacks for a queue of ``slots`` Haar seeds in C^d."""
+    """Malformed ``haar`` stacks for a queue of ``slots`` Haar seeds in C^d,
+    each with the refusal it gets."""
+    shape = rf"haar has shape .*; need \(k, {d}\) with k <= {slots}"
+    nan = np.eye(d)[:3].astype(complex)
+    nan[1, 0] = np.nan
     return [
-        np.zeros((5, d - 1)),  # states of the wrong length
-        np.zeros(d),  # one state, not a stack
-        np.zeros((2, 5, d)),  # a stack of stacks
-        np.zeros((slots + 1, d)),  # one state more than the queue has slots
+        (np.zeros((5, d - 1)), shape),  # states of the wrong length
+        (np.zeros(d), shape),  # one state, not a stack
+        (np.zeros((2, 5, d)), shape),  # a stack of stacks
+        (np.zeros((slots + 1, d)), shape),  # one state more than the queue has slots
+        (nan, "haar row 1 has norm nan; need a finite, nonzero vector"),
+        (np.zeros((5, d)), "haar row 0 has norm 0.0; need a finite, nonzero vector"),
     ]
 
 
@@ -1766,8 +1804,8 @@ def test_a_malformed_haar_is_refused_before_any_pass(monkeypatch):
     assert len(opt.estimate_nu_p(ww, 5.0, cfg, bound=0.0).restart_values) == n == 82
     passes = []
     monkeypatch.setattr(opt, "_iterate", lambda *args: passes.append(args))
-    for haar in _wrong_haars(9, cfg.restarts - n):
-        with pytest.raises(ValueError, match=r"haar has .*need \(k, 9\) with k <= 118"):
+    for haar, refusal in _wrong_haars(9, cfg.restarts - n):
+        with pytest.raises(ValueError, match=refusal):
             opt.estimate_nu_p(ww, 5.0, cfg, bound=0.0, haar=haar)
     assert passes == []
 
@@ -1781,8 +1819,8 @@ def test_mult_check_refuses_a_malformed_haar_before_any_estimate(certified, monk
     assert rep.violated and rep.decided_by == ("certificate" if certified else "search")
     passes = []
     monkeypatch.setattr(opt, "_iterate", lambda *args: passes.append(args))
-    for haar in _wrong_haars(9, 200 - 82):
-        with pytest.raises(ValueError, match="haar has"):
+    for haar, refusal in _wrong_haars(9, 200 - 82):
+        with pytest.raises(ValueError, match=refusal):
             opt.mult_check(WH3, WH3, 5.0, certificates=certificates, haar=haar)
     assert passes == []
 

@@ -318,6 +318,20 @@ def test_channel_spec_rejects_malformed_params(family, params):
         zoo.ChannelSpec(family, **params)
 
 
+@pytest.mark.parametrize(
+    "cycles",
+    [[1, 2, 3], [["a", "b"], [1, 3], [2, 3]], [[1.5, 2], [1, 3], [2, 3]], [[1, 2], None, [2, 3]]],
+)
+def test_channel_spec_cycles_are_lists_of_integers(cycles):
+    # refused by the spec, before the builder would raise a TypeError
+    with pytest.raises(ValueError, match="shift_subunitary parameter 'cycles': expected a"):
+        zoo.ChannelSpec("shift_subunitary", d=3, cycles=cycles)
+    spec = zoo.ChannelSpec("shift_subunitary", d=3, cycles=((1, 2), [1.0, 3], [2, 3]))
+    assert spec.params["cycles"] == [[1, 2], [1, 3], [2, 3]]
+    want = zoo.shift_subunitary(3, zoo.cycle_window_unitaries(3, [(1, 2), (1, 3), (2, 3)]))
+    assert chan.choi_distance(spec.build(), want) == 0.0
+
+
 def test_channel_spec_rejects_negative_mixing_weight():
     spec = zoo.ChannelSpec("near_depolarizing", d=3, epsilon=1e-3, x=-0.5)
     with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Check that the Tier-1 suite kills a fixed list of one-line mutants of cptwb.
+"""Check that the Tier-1 suite kills a fixed list of small mutants of cptwb.
 
 Usage: ``python tools/mutants.py``
 
@@ -11,7 +11,7 @@ if it fails, since every mutant would then read as killed), and for each
 mutant copies the tree afresh, applies the edit and runs Tier-1 with
 ``-x``, one process at a time.  It prints one line per mutant, ``killed``
 with the first failing test, or ``survived``, and exits 1 if any mutant
-survived, 0 otherwise.  The twenty mutants take a few minutes on two
+survived, 0 otherwise.  The twenty-two mutants take a few minutes on two
 CPUs.
 
 Mutation testing goes back to DeMillo, Lipton and Sayward, "Hints on test
@@ -78,6 +78,12 @@ MUTANTS = (
            "verify_degrading passes a map that misses the complement"),
     Mutant(_OPT, '("restarts", "max_iters", "tensor_restarts", "seed")',
            '("restarts", "max_iters", "seed")', "a tensor_restarts below 1 goes unchecked"),
+    Mutant("src/cptwb/channels.py",
+           "@ b.transfer  # legs (i_A j_A),(i_B j_B)\n        x = x.swapaxes(1, 2) @ a.transfer",
+           "@ a.transfer  # legs (i_A j_A),(i_B j_B)\n        x = x.swapaxes(1, 2) @ b.transfer",
+           "Φ̂ of a product swaps its factors' transfer matrices"),
+    Mutant(_OPT, '_row_norms(kept, "haar row")', "None",
+           "a NaN or zero haar row goes unchecked"),
 )
 
 #: Tier-1 as the ROADMAP gives it, stopping at the first failure
